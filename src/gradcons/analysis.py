@@ -31,12 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .conditions import (
-    Constraint,
-    UNIVERSAL,
-    extensions,
-    validate_anf,
-)
+from .conditions import UNIVERSAL, Constraint, extensions
 from .errors import UnsupportedShapeError
 from .graphs import GraphMorphism, TypedGraph
 from .rewriting import Rule, _fresh_id
@@ -249,11 +244,12 @@ CONJECTURED_NECESSARY_FAILS = "conjectured_necessary_condition_fails"
 class CriterionResult:
     """Outcome of a static criterion for one rule and constraint.
 
-    Sustain verdicts speak about direct sustainment. The positive proof
-    carries over to plain sustainment (direct implies plain), but the
-    negative one does not: a rule that always creates a forbidden node,
-    say, is never directly sustaining yet can be trivially sustaining
-    when every applicable host already violates the constraint.
+    Sustain verdicts speak about direct sustainment. Neither direction
+    carries over to plain sustainment in general: a step that destroys a
+    valid occurrence can lower ``ci`` and still be directly sustaining,
+    and a rule that always creates a forbidden node, say, is never
+    directly sustaining yet can be trivially sustaining when every
+    applicable host already violates the constraint.
     Improvement verdicts are necessary conditions against plain
     improvement, hence also against direct improvement.
     """
@@ -276,7 +272,7 @@ class CriterionResult:
 
 
 def _require_universal(rule: Rule, constraint: Constraint):
-    shape = validate_anf(constraint)
+    shape = constraint.shape
     if shape.polarity != UNIVERSAL:
         raise UnsupportedShapeError(
             f"static criteria cover universal constraints; {constraint.name!r} is existential"
@@ -553,9 +549,7 @@ class IndependenceTable:
 def independence_table(rules, constraints) -> IndependenceTable:
     """Tabulate all four overlap relations for the given rules against the
     component patterns of the given constraints."""
-    shapes = {}
-    for c in constraints:
-        shapes[c.name] = validate_anf(c)
+    shapes = {c.name: c.shape for c in constraints}
 
     columns: list[tuple[str, str]] = []
     for group in TABLE_GROUPS:

@@ -26,18 +26,10 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .conditions import (
-    EXISTENTIAL,
-    UNIVERSAL,
-    ConsistencyReport,
-    Constraint,
-    consistency_report,
-    satisfies,
-    validate_anf,
-)
+from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
 from .errors import BoundError
 from .generate import random_host
-from .graphs import GraphMorphism, TypeGraph, TypedGraph, compose, enumerate_monomorphisms
+from .graphs import GraphMorphism, TypeGraph, TypedGraph
 from .rewriting import Rule, Transformation, apply, find_matches
 
 
@@ -79,10 +71,14 @@ def classify_step(
 ) -> StepVerdict:
     """Classify one step against an ANF constraint.
 
-    ``report_before`` may carry a precomputed measurement of the host to
-    avoid recomputation in scans; passing it never changes the outcome.
+    Every flag is read off the reports of host and result. Since the track
+    morphism is the identity on the ids of the context, an occurrence that
+    lands in the context has the same maps on both sides, so occurrences
+    are compared by :meth:`GraphMorphism.sort_key`. Evidence is the first
+    hit in canonical order. ``report_before`` may carry a precomputed
+    measurement of the host to avoid recomputation in scans; passing it
+    never changes the outcome.
     """
-    shape = validate_anf(constraint)
     before = report_before if report_before is not None else consistency_report(t.host, constraint)
     after = consistency_report(t.result, constraint)
 
@@ -92,49 +88,38 @@ def classify_step(
     improving = sustaining and before.ncv > 0 and before.ncv > after.ncv
     evidence: dict[str, GraphMorphism] = {}
 
-    if shape.polarity == EXISTENTIAL:
+    if constraint.shape.polarity == EXISTENTIAL:
         directly_sustaining = preserving
         directly_improving = directly_sustaining and not before.satisfied and guaranteeing
     else:
-        # Stored universal form is Not(Exists(a, negated_body)); an
-        # occurrence violates exactly when it satisfies negated_body.
-        negated_body = constraint.condition.sub.sub  # type: ignore[union-attr]
-        outer = shape.outer_graph
-        occurrences_before = enumerate_monomorphisms(outer, t.host)
-        occurrences_after = enumerate_monomorphisms(outer, t.result)
-
-        directly_sustaining = True
-        for p in occurrences_before:
-            if satisfies(p, negated_body):
-                continue  # already violating; no obligation
-            if not _lands_in_context(p, t):
-                continue  # destroyed occurrences carry no obligation
-            tracked = compose(p, t.track)
-            if satisfies(tracked, negated_body):
-                directly_sustaining = False
-                evidence["invalidated_occurrence"] = p
+        violating_before = {p.sort_key() for p in before.violating_occurrences}
+        violating_after = {q.sort_key() for q in after.violating_occurrences}
+        # A violating result occurrence inside the context is the image of
+        # a host occurrence, which is invalidated when it was valid; one
+        # outside the context is new. Invalidation is looked for first.
+        for q in after.violating_occurrences:
+            if _lands_in_context(q, t) and q.sort_key() not in violating_before:
+                evidence["invalidated_occurrence"] = GraphMorphism(
+                    q.domain, t.host, q.node_map, q.edge_map
+                )
                 break
-        if directly_sustaining:
-            for q in occurrences_after:
-                if _lands_in_context(q, t):
-                    continue  # image of a host occurrence, not new
-                if satisfies(q, negated_body):
-                    directly_sustaining = False
+        if not evidence:
+            for q in after.violating_occurrences:
+                if not _lands_in_context(q, t):
                     evidence["new_violating_occurrence"] = q
                     break
+        directly_sustaining = not evidence
 
         directly_improving = False
         if directly_sustaining and not before.satisfied:
             for p in before.violating_occurrences:
                 if not _lands_in_context(p, t):
-                    directly_improving = True
                     evidence["destroyed_occurrence"] = p
                     break
-                tracked = compose(p, t.track)
-                if not satisfies(tracked, negated_body):
-                    directly_improving = True
+                if p.sort_key() not in violating_after:
                     evidence["repaired_occurrence"] = p
                     break
+            directly_improving = bool(evidence)
 
     return StepVerdict(
         constraint_name=constraint.name,
@@ -188,7 +173,7 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
     for p in per_type_perms:
         n_perms *= len(p)
     if (2 ** n_slots) * max(1, n_perms) > _MAX_UNIVERSE_WORK:
-        raise ValueError(
+        raise BoundError(
             f"host universe too large to enumerate (split {counts}, {n_slots} edge slots); "
             "lower the bound"
         )
@@ -230,10 +215,6 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
                 edges.append((f"e{serial}", etype, s, t2))
                 serial += 1
         yield TypedGraph(tg, nodes, edges)
-
-
-def _bounded_hosts_key(tg: TypeGraph, max_nodes: int, mins: tuple[tuple[str, int], ...]):
-    return (tg, max_nodes, mins)
 
 
 @lru_cache(maxsize=32)

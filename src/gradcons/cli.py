@@ -19,13 +19,8 @@ from pathlib import Path
 
 from . import cra
 from .analysis import criterion_direct_improve, criterion_direct_sustain, independence_table
-from .classify import UNIVERSAL_CLAIMS, WITNESS_CLAIMS, classify_rule_empirical
-from .conditions import (
-    Constraint,
-    consistency_report,
-    graph_satisfies,
-    validate_anf,
-)
+from .classify import UNIVERSAL_CLAIMS, WITNESS_CLAIMS, classify_rule_empirical, classify_step
+from .conditions import Constraint, consistency_report, graph_satisfies
 from .errors import ContradictionError, DocumentError, GradconsError, MatchError
 from .formats import (
     CONSTRAINT_FORMAT,
@@ -33,6 +28,7 @@ from .formats import (
     GRAPH_FORMAT,
     RULE_FORMAT,
     emit_graph_document,
+    load_json,
     parse_constraint_document,
     parse_constraints_library,
     parse_graph_document,
@@ -62,11 +58,7 @@ def _load_rule(path: str) -> Rule:
 
 
 def _load_constraints(path: str, only: str | None) -> list[Constraint]:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError([f"not valid JSON: {exc}"]) from exc
+    doc = load_json(_read_text(path))
     if isinstance(doc, dict) and doc.get("format") == CONSTRAINT_FORMAT:
         constraints = [parse_constraint_document(doc)]
     else:
@@ -142,9 +134,9 @@ def _cmd_validate(args) -> int:
     for path in args.files:
         text = _read_text(path)
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            failures.append((path, [f"not valid JSON: {exc}"]))
+            doc = load_json(text)
+        except DocumentError as exc:
+            failures.append((path, exc.problems))
             continue
         fmt = doc.get("format") if isinstance(doc, dict) else None
         if fmt not in parsers:
@@ -165,10 +157,10 @@ def _cmd_validate(args) -> int:
                 f"creates {len(value.created_nodes)}+{len(value.created_edges)}"
             )
         elif isinstance(value, Constraint):
-            shape = validate_anf(value)
+            shape = value.shape
             detail = f"{value.name}: {shape.polarity}, {shape.level} levels"
         elif isinstance(value, list):
-            shapes = [f"{c.name} ({validate_anf(c).polarity})" for c in value]
+            shapes = [f"{c.name} ({c.shape.polarity})" for c in value]
             detail = ", ".join(shapes)
         results.append((path, kind, detail))
 
@@ -260,8 +252,6 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_classify_step(args) -> int:
-    from .classify import classify_step
-
     rule = _load_rule(args.rule)
     host = _load_graph(args.graph)
     constraints = _load_constraints(args.constraints, args.constraint)
@@ -446,10 +436,20 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_search_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bound", type=int, default=4,
+    p.add_argument("--bound", type=_non_negative_int, default=4,
                    help="exhaust all hosts up to this many nodes (default 4)")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_non_negative_int, default=200,
                    help="random larger hosts to try after the exhaustive pass (default 200)")
     p.add_argument("--seed", type=int, default=1,
                    help="seed for the random host generator (default 1)")

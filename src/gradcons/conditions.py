@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
 
 from .errors import AnfError, MismatchError
 from .graphs import (
@@ -45,18 +45,12 @@ class Condition:
         """The graph this condition constrains, if it mentions one."""
         raise NotImplementedError
 
-    def nesting_level(self) -> int:
-        raise NotImplementedError
-
 
 class TrueCondition(Condition):
     __slots__ = ()
 
     def anchor(self) -> TypedGraph | None:
         return None
-
-    def nesting_level(self) -> int:
-        return 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TrueCondition)
@@ -91,9 +85,6 @@ class Exists(Condition):
     def anchor(self) -> TypedGraph | None:
         return self.morphism.domain
 
-    def nesting_level(self) -> int:
-        return 1 + self.sub.nesting_level()
-
     def __repr__(self) -> str:
         return f"Exists({self.morphism.codomain!r}, {self.sub!r})"
 
@@ -104,9 +95,6 @@ class Not(Condition):
 
     def anchor(self) -> TypedGraph | None:
         return self.sub.anchor()
-
-    def nesting_level(self) -> int:
-        return self.sub.nesting_level()
 
     def __repr__(self) -> str:
         return f"Not({self.sub!r})"
@@ -124,9 +112,6 @@ class And(Condition):
 
     def anchor(self) -> TypedGraph | None:
         return self.left.anchor() or self.right.anchor()
-
-    def nesting_level(self) -> int:
-        return max(self.left.nesting_level(), self.right.nesting_level())
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
@@ -163,6 +148,15 @@ class Constraint:
     def type_graph(self):
         root = self.condition.anchor()
         return root.type_graph if root is not None else None
+
+    @cached_property
+    def shape(self) -> AnfShape:
+        """The parsed alternating normal form, computed once per object.
+
+        A constraint outside the fragment raises :class:`AnfError` on
+        every access; only successful parses are cached.
+        """
+        return validate_anf(self)
 
 
 def _satisfies(p: GraphMorphism, condition: Condition) -> bool:
@@ -226,10 +220,17 @@ class AnfShape:
     quantifier one of ``"exists"`` / ``"forall"``; ``ends_with_false`` marks
     the universal terminal. The polarity of the whole constraint is decided
     by the first quantifier.
+
+    ``body`` is the condition over the outer pattern that is evaluated per
+    occurrence. For a universal constraint it is the negated body: an
+    occurrence violates exactly when it satisfies it. For an existential
+    constraint it is the body itself: the graph satisfies the constraint
+    exactly when some occurrence satisfies it.
     """
 
     chain: tuple[tuple[str, GraphMorphism], ...]
     ends_with_false: bool
+    body: Condition
 
     @property
     def polarity(self) -> str:
@@ -268,6 +269,7 @@ def validate_anf(constraint: Constraint) -> AnfShape:
     one ending in true).
     """
     chain: list[tuple[str, GraphMorphism]] = []
+    bodies: list[Condition] = []
 
     def reject(pos: int, reason: str) -> None:
         raise AnfError(pos, reason)
@@ -286,6 +288,7 @@ def validate_anf(constraint: Constraint) -> AnfShape:
             check_morphism(pos, node.morphism)
             chain.append(("exists", node.morphism))
             body = node.sub
+            bodies.append(body)
             if isinstance(body, TrueCondition):
                 return False
             if body == FALSE:
@@ -304,6 +307,7 @@ def validate_anf(constraint: Constraint) -> AnfShape:
                 check_morphism(pos, inner.morphism)
                 chain.append(("forall", inner.morphism))
                 body = inner.sub
+                bodies.append(body)
                 if isinstance(body, TrueCondition):
                     return True  # ends with false
                 if body == FALSE:
@@ -323,12 +327,12 @@ def validate_anf(constraint: Constraint) -> AnfShape:
     # Chain anchoring is enforced by the Exists constructor; the root anchor
     # being empty is enforced by Constraint. Quantifier alternation and the
     # innermost-only negation fell out of the parse above.
-    return AnfShape(tuple(chain), ends_with_false)
+    return AnfShape(tuple(chain), ends_with_false, bodies[0])
 
 
 def is_anf(constraint: Constraint) -> bool:
     try:
-        validate_anf(constraint)
+        constraint.shape
         return True
     except AnfError:
         return False
@@ -367,23 +371,19 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     occurrence materialized as evidence in canonical order. Existential:
     ro = 1 and ncv is 0 or 1. ci = 1 - ncv/ro with 0/0 read as 0.
     """
-    shape = validate_anf(constraint)
+    shape = constraint.shape
     tg = constraint.type_graph
     if tg is not None and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
     occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
     occ = len(occurrences)
     if shape.polarity == UNIVERSAL:
-        # Stored form is Not(Exists(a, negated_body)): an occurrence violates
-        # exactly when it satisfies the negated body.
-        negated_body = constraint.condition.sub.sub  # type: ignore[attr-defined]
-        violating = tuple(p for p in occurrences if _satisfies(p, negated_body))
+        violating = tuple(p for p in occurrences if _satisfies(p, shape.body))
         ro = occ
         ncv = len(violating)
     else:
-        body = constraint.condition.sub  # type: ignore[attr-defined]
         ro = 1
-        ncv = 0 if any(_satisfies(p, body) for p in occurrences) else 1
+        ncv = 0 if any(_satisfies(p, shape.body) for p in occurrences) else 1
         violating = ()
     ci = Fraction(1) if ro == 0 else 1 - Fraction(ncv, ro)
     return ConsistencyReport(

@@ -38,24 +38,61 @@ CONSTRAINT_FORMAT = "gradcons/constraint@1"
 CONSTRAINTS_FORMAT = "gradcons/constraints@1"
 
 
-def _load(document: str | Mapping[str, Any], problems: list[str]) -> dict:
-    if isinstance(document, Mapping):
-        return dict(document)
+# A condition document nested deeper than this is refused; legitimate
+# constraints nest a handful of levels, and the limit keeps every parse far
+# from the interpreter's recursion limit.
+MAX_CONDITION_DEPTH = 100
+
+
+def load_json(text: str) -> Any:
+    """Decode JSON text; every decoding failure becomes a DocumentError."""
     try:
-        value = json.loads(document)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        problems.append(f"not valid JSON: {exc}")
-        return {}
-    if not isinstance(value, dict):
+        raise DocumentError([f"not valid JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise DocumentError(["not valid JSON: nested too deeply to decode"]) from exc
+
+
+def _load(document: Any, problems: list[str]) -> dict:
+    if isinstance(document, str):
+        try:
+            document = load_json(document)
+        except DocumentError as exc:
+            problems.extend(exc.problems)
+            return {}
+    if not isinstance(document, Mapping):
         problems.append("top level is not an object")
         return {}
+    return dict(document)
+
+
+def _strings(entry: Any, keys: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The values under ``keys`` when ``entry`` is an object with a string at each."""
+    if not isinstance(entry, dict):
+        return None
+    values = tuple(map(entry.get, keys))
+    for value in values:
+        if not isinstance(value, str):
+            return None
+    return values
+
+
+def _list(part: dict, key: str, where: str, problems: list[str]) -> list:
+    value = part.get(key, [])
+    if not isinstance(value, list):
+        problems.append(f"{where}.{key} must be a list")
+        return []
     return value
 
 
-def _check_format(doc: dict, expected: str, problems: list[str]) -> None:
+def _open(document: Any, expected: str, problems: list[str]) -> tuple[dict, TypeGraph | None]:
+    """Load a document, check its format marker and parse its type graph."""
+    doc = _load(document, problems)
     found = doc.get("format")
     if found != expected:
         problems.append(f"expected format {expected!r}, found {found!r}")
+    return doc, parse_type_graph(doc.get("type_graph"), problems)
 
 
 def _finish(problems: list[str]) -> None:
@@ -75,11 +112,12 @@ def parse_type_graph(part: Any, problems: list[str]) -> TypeGraph | None:
         problems.append("type_graph.node_types must be a list of strings")
         return None
     edge_types = []
-    for i, entry in enumerate(part.get("edge_types", [])):
-        if not isinstance(entry, dict) or not {"name", "src", "tgt"} <= entry.keys():
-            problems.append(f"type_graph.edge_types[{i}] must have name, src, tgt")
+    for i, entry in enumerate(_list(part, "edge_types", "type_graph", problems)):
+        fields = _strings(entry, ("name", "src", "tgt"))
+        if fields is None:
+            problems.append(f"type_graph.edge_types[{i}] must have string name, src, tgt")
             continue
-        edge_types.append((entry["name"], entry["src"], entry["tgt"]))
+        edge_types.append(fields)
     try:
         return TypeGraph(node_types, edge_types)
     except ValueError as exc:
@@ -108,16 +146,18 @@ def _parse_graph_part(
     if not isinstance(part, dict):
         problems.append(f"{where} is not an object")
         return empty_graph(tg)
-    for i, entry in enumerate(part.get("nodes", [])):
-        if not isinstance(entry, dict) or not {"id", "type"} <= entry.keys():
-            problems.append(f"{where}.nodes[{i}] must have id and type")
+    for i, entry in enumerate(_list(part, "nodes", where, problems)):
+        fields = _strings(entry, ("id", "type"))
+        if fields is None:
+            problems.append(f"{where}.nodes[{i}] must have string id and type")
             continue
-        nodes.append((entry["id"], entry["type"]))
-    for i, entry in enumerate(part.get("edges", [])):
-        if not isinstance(entry, dict) or not {"id", "type", "src", "tgt"} <= entry.keys():
-            problems.append(f"{where}.edges[{i}] must have id, type, src, tgt")
+        nodes.append(fields)
+    for i, entry in enumerate(_list(part, "edges", where, problems)):
+        fields = _strings(entry, ("id", "type", "src", "tgt"))
+        if fields is None:
+            problems.append(f"{where}.edges[{i}] must have string id, type, src, tgt")
             continue
-        edges.append((entry["id"], entry["type"], entry["src"], entry["tgt"]))
+        edges.append(fields)
     try:
         graph = TypedGraph(tg, nodes, edges)
     except ValueError as exc:
@@ -140,12 +180,9 @@ def _emit_graph_part(graph: TypedGraph) -> dict:
 
 def parse_graph_document(document: str | Mapping[str, Any]) -> TypedGraph:
     problems: list[str] = []
-    doc = _load(document, problems)
-    _check_format(doc, GRAPH_FORMAT, problems)
-    tg = parse_type_graph(doc.get("type_graph"), problems)
+    doc, tg = _open(document, GRAPH_FORMAT, problems)
     if tg is None:
-        _finish(problems)
-        raise AssertionError("unreachable")
+        raise DocumentError(problems)
     graph = _parse_graph_part(doc.get("graph"), tg, "graph", problems)
     _finish(problems)
     return graph
@@ -164,8 +201,12 @@ def emit_graph_document(graph: TypedGraph) -> str:
 
 
 def _parse_condition(
-    part: Any, tg: TypeGraph, anchor: TypedGraph, where: str, problems: list[str]
+    part: Any, tg: TypeGraph, anchor: TypedGraph, where: str, problems: list[str],
+    depth: int = 0,
 ) -> Condition:
+    if depth > MAX_CONDITION_DEPTH:
+        problems.append(f"{where}: conditions nest deeper than {MAX_CONDITION_DEPTH} levels")
+        return TRUE
     if not isinstance(part, dict) or "kind" not in part:
         problems.append(f"{where} must be an object with a kind")
         return TRUE
@@ -182,7 +223,7 @@ def _parse_condition(
             problems.append(f"{where}: extended graph does not contain its anchor: {exc}")
             return TRUE
         sub_part = part.get("sub", {"kind": "true"})
-        sub = _parse_condition(sub_part, tg, extended, f"{where}.sub", problems)
+        sub = _parse_condition(sub_part, tg, extended, f"{where}.sub", problems, depth + 1)
         try:
             if kind == "exists":
                 return Exists(morphism, sub)
@@ -191,11 +232,13 @@ def _parse_condition(
             problems.append(f"{where}: {exc}")
             return TRUE
     if kind == "not":
-        return Not(_parse_condition(part.get("sub"), tg, anchor, f"{where}.sub", problems))
+        return Not(
+            _parse_condition(part.get("sub"), tg, anchor, f"{where}.sub", problems, depth + 1)
+        )
     if kind == "and":
         return And(
-            _parse_condition(part.get("left"), tg, anchor, f"{where}.left", problems),
-            _parse_condition(part.get("right"), tg, anchor, f"{where}.right", problems),
+            _parse_condition(part.get("left"), tg, anchor, f"{where}.left", problems, depth + 1),
+            _parse_condition(part.get("right"), tg, anchor, f"{where}.right", problems, depth + 1),
         )
     problems.append(f"{where}: unknown condition kind {kind!r}")
     return TRUE
@@ -250,16 +293,13 @@ def _require_id_preserving(morphism, where: str) -> None:
 
 def parse_constraint_document(document: str | Mapping[str, Any]) -> Constraint:
     problems: list[str] = []
-    doc = _load(document, problems)
-    _check_format(doc, CONSTRAINT_FORMAT, problems)
-    tg = parse_type_graph(doc.get("type_graph"), problems)
+    doc, tg = _open(document, CONSTRAINT_FORMAT, problems)
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         problems.append("constraint name must be a nonempty string")
         name = "unnamed"
     if tg is None:
-        _finish(problems)
-        raise AssertionError("unreachable")
+        raise DocumentError(problems)
     condition = _parse_condition(
         doc.get("condition"), tg, empty_graph(tg), "condition", problems
     )
@@ -282,19 +322,16 @@ def emit_constraint_document(constraint: Constraint) -> str:
 
 def parse_constraints_library(document: str | Mapping[str, Any]) -> list[Constraint]:
     problems: list[str] = []
-    doc = _load(document, problems)
-    _check_format(doc, CONSTRAINTS_FORMAT, problems)
-    tg = parse_type_graph(doc.get("type_graph"), problems)
+    doc, tg = _open(document, CONSTRAINTS_FORMAT, problems)
     if tg is None:
-        _finish(problems)
-        raise AssertionError("unreachable")
+        raise DocumentError(problems)
     out = []
     entries = doc.get("constraints")
     if not isinstance(entries, list):
         problems.append("constraints must be a list")
         entries = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "name" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             problems.append(f"constraints[{i}] must be an object with a name")
             continue
         condition = _parse_condition(
@@ -322,16 +359,13 @@ def emit_constraints_library(tg: TypeGraph, constraints: list[Constraint]) -> st
 
 def parse_rule_document(document: str | Mapping[str, Any]) -> Rule:
     problems: list[str] = []
-    doc = _load(document, problems)
-    _check_format(doc, RULE_FORMAT, problems)
-    tg = parse_type_graph(doc.get("type_graph"), problems)
+    doc, tg = _open(document, RULE_FORMAT, problems)
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         problems.append("rule name must be a nonempty string")
         name = "unnamed"
     if tg is None:
-        _finish(problems)
-        raise AssertionError("unreachable")
+        raise DocumentError(problems)
     lhs = _parse_graph_part(doc.get("lhs"), tg, "lhs", problems)
     interface = _parse_graph_part(doc.get("interface"), tg, "interface", problems)
     rhs = _parse_graph_part(doc.get("rhs"), tg, "rhs", problems)

@@ -164,12 +164,6 @@ class TypedGraph:
     def edge_type(self, eid: str) -> str:
         return self._edges[eid][0]
 
-    def edge_source(self, eid: str) -> str:
-        return self._edges[eid][1]
-
-    def edge_target(self, eid: str) -> str:
-        return self._edges[eid][2]
-
     def nodes_of_type(self, ntype: str) -> tuple[str, ...]:
         return self._by_type.get(ntype, ())
 
@@ -302,12 +296,6 @@ class GraphMorphism:
 
     def is_isomorphism(self) -> bool:
         return self.is_total() and self.is_injective() and self.is_surjective()
-
-    def node_image(self) -> frozenset[str]:
-        return frozenset(self.node_map.values())
-
-    def edge_image(self) -> frozenset[str]:
-        return frozenset(self.edge_map.values())
 
     def check(self) -> list[str]:
         """Validate typing and structure preservation; messages per violation."""

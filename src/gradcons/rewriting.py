@@ -227,8 +227,3 @@ def apply(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 0) -> 
         track=track,
         step=step,
     )
-
-
-def track(transformation: Transformation) -> GraphMorphism:
-    """The partial morphism following surviving elements through the step."""
-    return transformation.track

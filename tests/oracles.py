@@ -10,8 +10,18 @@ code with the package.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from gradcons import GraphMorphism, Rule, Transformation, TypedGraph, compose
+from gradcons import (
+    Constraint,
+    GraphMorphism,
+    Not,
+    Rule,
+    Transformation,
+    TypedGraph,
+    compose,
+    satisfies,
+)
 
 
 def _edge_assignments(pattern, host, node_map, injective):
@@ -115,6 +125,84 @@ def dpo_by_sets(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 
         etype, src, tgt = rule.rhs.edge_info(e)
         new_edges.append((fresh[e], etype, node_image(src), node_image(tgt)))
     return TypedGraph(host.type_graph, keep_nodes + new_nodes, keep_edges + new_edges)
+
+
+# --- step classification ------------------------------------------------------
+
+STEP_FLAGS = (
+    "preserving", "guaranteeing", "sustaining", "improving",
+    "directly_sustaining", "directly_improving",
+)
+
+
+def classify_step_reference(t: Transformation, constraint: Constraint) -> tuple[dict, dict]:
+    """The six step flags and the direct evidence, from the definitions.
+
+    Occurrences come from permutation search on host and result, in
+    canonical order. An occurrence violates a universal constraint when it
+    satisfies the negated body of the outer quantifier. The direct flags
+    follow each host occurrence through ``compose(p, t.track)``; a result
+    occurrence that is no such image is new. Returns ``(flags, evidence)``.
+    """
+    root = constraint.condition
+    universal = isinstance(root, Not)
+    outer = root.sub if universal else root
+    pattern, body = outer.morphism.codomain, outer.sub
+
+    def occurrences(graph):
+        return sorted(monos_by_permutation(pattern, graph), key=GraphMorphism.sort_key)
+
+    def measure(occs):
+        if universal:
+            ncv = sum(1 for p in occs if satisfies(p, body))
+            return ncv, Fraction(1) if not occs else 1 - Fraction(ncv, len(occs))
+        ncv = 0 if any(satisfies(p, body) for p in occs) else 1
+        return ncv, Fraction(1 - ncv)
+
+    host_occs, result_occs = occurrences(t.host), occurrences(t.result)
+    ncv_before, ci_before = measure(host_occs)
+    ncv_after, ci_after = measure(result_occs)
+    flags = {
+        "preserving": ci_after == 1 or ci_before < 1,
+        "guaranteeing": ci_after == 1,
+        "sustaining": ci_before <= ci_after,
+    }
+    flags["improving"] = flags["sustaining"] and 0 < ncv_before and ncv_after < ncv_before
+    evidence: dict[str, GraphMorphism] = {}
+    if not universal:
+        flags["directly_sustaining"] = flags["preserving"]
+        flags["directly_improving"] = (
+            flags["preserving"] and ci_before < 1 and flags["guaranteeing"]
+        )
+        return flags, evidence
+
+    tracked = {p.sort_key(): compose(p, t.track) for p in host_occs}
+    for p in host_occs:
+        q = tracked[p.sort_key()]
+        if not satisfies(p, body) and q.is_total() and satisfies(q, body):
+            evidence["invalidated_occurrence"] = p
+            break
+    if not evidence:
+        images = {q.sort_key() for q in tracked.values() if q.is_total()}
+        for q in result_occs:
+            if q.sort_key() not in images and satisfies(q, body):
+                evidence["new_violating_occurrence"] = q
+                break
+    flags["directly_sustaining"] = not evidence
+    flags["directly_improving"] = False
+    if flags["directly_sustaining"] and ci_before < 1:
+        for p in host_occs:
+            if not satisfies(p, body):
+                continue
+            q = tracked[p.sort_key()]
+            if not q.is_total():
+                evidence["destroyed_occurrence"] = p
+                break
+            if not satisfies(q, body):
+                evidence["repaired_occurrence"] = p
+                break
+        flags["directly_improving"] = bool(evidence)
+    return flags, evidence
 
 
 # --- pushout checks -----------------------------------------------------------

@@ -29,7 +29,6 @@ from gradcons import (
     enumerate_monomorphisms,
     find_matches,
     graph_satisfies,
-    validate_anf,
 )
 from gradcons.analysis import (
     NECESSARY_CONDITION_FAILS,
@@ -86,30 +85,40 @@ def _implications(verdict, before):
     ]
 
 
-def run_step_implication_suite(
-    n_cases: int, seed: int, max_steps_per_case: int = 4
-) -> SuiteStats:
-    """Random steps against random linear constraints; checks every
-    implication between the six step classifications plus the
-    definitional bookkeeping of the measurements."""
+def random_step_cases(n_cases: int, seed: int, max_steps_per_case: int = 4):
+    """Seeded random cases: a random rule applied to a random host, up to
+    ``max_steps_per_case`` times, against a random linear constraint.
+
+    Yields ``(constraint, host report, steps)`` per case, steps possibly
+    empty when the rule has no match.
+    """
     rng = random.Random(seed)
-    stats = SuiteStats()
     for case in range(n_cases):
         tg = random_type_graph(rng, max_node_types=3, max_edge_types=3)
         rule = random_rule(tg, rng, name=f"r{case}")
         constraint = random_linear_constraint(tg, rng, f"c{case}")
         host = random_host(tg, rng, rng.randint(1, 5))
         before = consistency_report(host, constraint)
-        matches = find_matches(rule, host)
+        matches = find_matches(rule, host)[:max_steps_per_case]
+        yield constraint, before, [apply(rule, host, m, step=case) for m in matches]
+
+
+def run_step_implication_suite(
+    n_cases: int, seed: int, max_steps_per_case: int = 4
+) -> SuiteStats:
+    """Random steps against random linear constraints; checks every
+    implication between the six step classifications plus the
+    definitional bookkeeping of the measurements."""
+    stats = SuiteStats()
+    for constraint, before, steps in random_step_cases(n_cases, seed, max_steps_per_case):
         stats.cases += 1
-        for match in matches[:max_steps_per_case]:
-            t = apply(rule, host, match, step=case)
+        for t in steps:
             v = classify_step(t, constraint, report_before=before)
             for premise, conclusion, label in _implications(v, before):
                 assert not premise or conclusion, (
-                    f"{label} violated: rule {rule.name}, constraint "
-                    f"{constraint.name}, host nodes {host.node_ids}, "
-                    f"match {sorted(match.node_map.items())}"
+                    f"{label} violated: rule {t.rule.name}, constraint "
+                    f"{constraint.name}, host nodes {t.host.node_ids}, "
+                    f"match {sorted(t.match.node_map.items())}"
                 )
             after = v.report_after
             assert v.preserving == (after.satisfied or not before.satisfied)
@@ -118,14 +127,13 @@ def run_step_implication_suite(
             if v.improving:
                 assert before.ncv > after.ncv and before.ncv > 0
             stats.steps += 1
-            stats.rules.add(rule.name)
+            stats.rules.add(t.rule.name)
             stats.constraints.add(constraint.name)
             for label in ("preserving", "guaranteeing", "sustaining", "improving",
                           "directly_sustaining", "directly_improving"):
                 if getattr(v, label):
                     stats.bump(label)
-            polarity = validate_anf(constraint).polarity
-            stats.bump(polarity)
+            stats.bump(constraint.shape.polarity)
     return stats
 
 
@@ -169,7 +177,7 @@ def run_empty_graph_suite(n_constraints: int, seed: int) -> SuiteStats:
     while stats.cases < n_constraints:
         tg = random_type_graph(rng, max_node_types=3, max_edge_types=3)
         constraint = random_linear_constraint(tg, rng, f"c{stats.cases}")
-        polarity = validate_anf(constraint).polarity
+        polarity = constraint.shape.polarity
         expected = polarity == UNIVERSAL
         assert graph_satisfies(empty_graph(tg), constraint) == expected, (
             f"empty-graph satisfaction wrong for {polarity} constraint "

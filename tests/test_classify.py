@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,11 +19,22 @@ from gradcons import (
     empty_graph,
     empty_morphism_into,
     find_matches,
+    forall,
+    inclusion,
     validate_graph,
 )
+from gradcons import conditions
 from gradcons.classify import NO_COUNTEREXAMPLE, NO_WITNESS, PROVEN_NO, WITNESS_FOUND
+from gradcons.generate import (
+    random_analysis_pair,
+    random_host,
+    random_linear_constraint,
+    random_rule,
+    random_type_graph,
+)
 
-from .oracles import monos_by_permutation
+from .oracles import STEP_FLAGS, classify_step_reference, monos_by_permutation
+from .suites import random_step_cases
 
 
 def _one_step(rule, host, **picks):
@@ -97,6 +109,42 @@ class TestClassifyStepUniversal:
         c3 = fixtures.constraints["c3"]
         before = consistency_report(fixtures.host, c3)
         assert classify_step(t, c3, report_before=before) == classify_step(t, c3)
+
+    def test_direct_sustainment_without_sustainment(self):
+        # Every looped node needs an r0 edge to another node. T02 lacks one;
+        # the step deletes T01's loop and its edge to T00, so T01's valid
+        # occurrence is destroyed while T00 keeps its edge to T01. No
+        # occurrence is invalidated, yet ci drops from 2/3 to 1/2. These are
+        # the flags as the engine defines them today: the aggregate and the
+        # occurrence-wise sustainment disagree here, and which reading the
+        # paper intends is left open.
+        tg = TypeGraph(["T0"], [("r0", "T0", "T0")])
+        looped = TypedGraph(tg, [("x", "T0")], [("l", "r0", "x", "x")])
+        linked = looped.with_added([("y", "T0")], [("e", "r0", "x", "y")])
+        constraint = Constraint(
+            "looped_links_out",
+            forall(empty_morphism_into(looped), Exists(inclusion(looped, linked))),
+        )
+        host = TypedGraph(
+            tg,
+            [("T00", "T0"), ("T01", "T0"), ("T02", "T0")],
+            [("l0", "r0", "T00", "T00"), ("l1", "r0", "T01", "T01"),
+             ("l2", "r0", "T02", "T02"),
+             ("e01", "r0", "T00", "T01"), ("e10", "r0", "T01", "T00")],
+        )
+        lhs = TypedGraph(
+            tg, [("a", "T0"), ("b", "T0")],
+            [("la", "r0", "a", "a"), ("ab", "r0", "a", "b")],
+        )
+        kept = TypedGraph(tg, [("a", "T0"), ("b", "T0")])
+        cut = Rule("cutLoopAndLink", lhs, kept, kept)
+        t = _one_step(cut, host, a="T01", b="T00")
+        v = classify_step(t, constraint)
+        assert (v.report_before.ci, v.report_after.ci) == (Fraction(2, 3), Fraction(1, 2))
+        assert v.directly_sustaining and not v.sustaining
+        assert v.preserving and not v.guaranteeing
+        assert not v.improving and not v.directly_improving
+        assert v.evidence == {}
 
 
 class TestClassifyStepExistential:
@@ -208,3 +256,86 @@ class TestClassifyRuleEmpirical:
             return {name: claim.status for name, claim in r.claims.items()}
 
         assert statuses() == statuses()
+
+
+def _agrees_with_reference(t, constraint, before=None):
+    v = classify_step(t, constraint, report_before=before)
+    flags, evidence = classify_step_reference(t, constraint)
+    where = (t.rule.name, constraint.name, t.host.edge_items(), sorted(t.match.node_map.items()))
+    assert {f: getattr(v, f) for f in STEP_FLAGS} == flags, where
+
+    def maps(found):
+        return {
+            label: (m.domain, m.codomain, dict(m.node_map), dict(m.edge_map))
+            for label, m in found.items()
+        }
+
+    assert maps(v.evidence) == maps(evidence), where
+    return v
+
+
+class TestClassifyStepAgainstReference:
+    """``classify_step`` reads its direct flags off the two reports; the
+    reference enumerates occurrences by permutation and follows each one
+    through the track morphism, as the definitions say."""
+
+    def test_seeded_random_step_suite(self):
+        steps = 0
+        for constraint, before, transformations in random_step_cases(n_cases=250, seed=101):
+            for t in transformations:
+                _agrees_with_reference(t, constraint, before)
+                steps += 1
+        assert steps >= 150
+
+    def test_random_cra_hosts(self, fixtures):
+        rng = random.Random(31)
+        labels = set()
+        for _ in range(40):
+            host = random_host(fixtures.type_graph, rng, rng.randint(4, 8), rng.uniform(0.2, 0.5))
+            reports = {c.name: consistency_report(host, c) for c in fixtures.constraint_list()}
+            for rule in fixtures.rule_list():
+                for m in find_matches(rule, host):
+                    t = apply(rule, host, m)
+                    for c in fixtures.constraint_list():
+                        labels.update(_agrees_with_reference(t, c, reports[c.name]).evidence)
+        assert len(labels) == 4
+
+    def test_bound_three_universes(self):
+        # Every step over the bound-3 universe of each pair. Type graphs with
+        # two loop types on one node type are skipped: their universe has
+        # 44 365 hosts, too many for the permutation search.
+        rng = random.Random(17)
+        steps = 0
+        labels = set()
+        for index in range(40):
+            if index % 2 == 0:
+                rule, constraint = random_analysis_pair(rng, index)
+            else:
+                tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
+                rule = random_rule(tg, rng, name=f"r{index}")
+                constraint = random_linear_constraint(tg, rng, f"c{index}", max_outer_nodes=2)
+            loop_types = [src for src, tgt in rule.lhs.type_graph.edge_types.values() if src == tgt]
+            if len(loop_types) > len(set(loop_types)):
+                continue
+            for host in bounded_hosts(rule.lhs.type_graph, 3):
+                before = consistency_report(host, constraint)
+                for m in find_matches(rule, host):
+                    v = _agrees_with_reference(apply(rule, host, m), constraint, before)
+                    labels.update(v.evidence)
+                    steps += 1
+        assert steps >= 500 and len(labels) >= 2
+
+
+def test_each_constraint_is_parsed_once(fixtures, monkeypatch):
+    parsed = []
+    original = conditions.validate_anf
+
+    def counting(constraint):
+        parsed.append(id(constraint))
+        return original(constraint)
+
+    monkeypatch.setattr(conditions, "validate_anf", counting)
+    fresh = [Constraint(c.name, c.condition) for c in fixtures.constraint_list()]
+    for c in fresh:
+        classify_rule_empirical(fixtures.rules["moveFeature"], c, bound=3, samples=10)
+    assert sorted(parsed) == sorted(id(c) for c in fresh)

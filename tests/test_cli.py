@@ -87,6 +87,27 @@ class TestValidate:
         assert "cannot read" in err
 
 
+    @pytest.mark.parametrize("depth, problem", [
+        (3000, "nested too deeply to decode"),
+        (500, "conditions nest deeper than 100 levels"),
+    ])
+    def test_deeply_nested_condition_exits_2(self, docs, tmp_path, capsys, depth, problem):
+        doc = json.loads((docs / "constraints.json").read_text())
+        chain = '{"kind": "not", "sub": ' * depth + '{"kind": "true"}' + "}" * depth
+        text = json.dumps({
+            "format": "gradcons/constraint@1", "name": "deep",
+            "type_graph": doc["type_graph"], "condition": "CHAIN",
+        }).replace('"CHAIN"', chain)
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        code, out, _ = run(capsys, "validate", str(deep))
+        assert code == 2
+        assert "deep.json: INVALID" in out and problem in out
+        code, _, err = run(capsys, "report", str(docs / "host_graph.json"), str(deep))
+        assert code == 2
+        assert err.startswith("error:") and problem in err
+
+
 class TestSatisfyAndReport:
     def test_satisfy_lists_each_constraint(self, docs, capsys):
         code, out, _ = run(
@@ -260,6 +281,26 @@ class TestClassifyRule:
         claims = payload["results"][0]["claims"]
         assert claims["sustaining"] == "proven_no"
         assert payload["results"][0]["steps_examined"] > 0
+
+
+    def test_oversized_universe_exits_3(self, docs, capsys):
+        code, _, err = run(
+            capsys, "classify-rule", str(docs / "rule_moveFeature.json"),
+            str(docs / "constraints.json"), "--constraint", "c1",
+            "--bound", "7", "--samples", "0",
+        )
+        assert code == 3
+        assert err.startswith("error:") and "host universe too large" in err
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--bound", "-1")])
+    def test_negative_search_knobs_exit_2(self, docs, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "classify-rule", str(docs / "rule_moveFeature.json"),
+                str(docs / "constraints.json"), flag, value,
+            ])
+        assert exc.value.code == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -4,7 +4,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradcons import cra
 from gradcons.conditions import TRUE, Constraint, Exists, Not
 from gradcons.errors import DocumentError
 from gradcons.formats import (
@@ -265,3 +268,99 @@ class TestSerializationLimits:
         with pytest.raises(DocumentError) as err:
             emit_constraint_document(Constraint("empty", TRUE))
         assert "nothing to serialize" in problems_of(err)
+
+
+# --- robustness at the document boundary ---------------------------------------
+
+PARSERS = (
+    parse_graph_document,
+    parse_rule_document,
+    parse_constraint_document,
+    parse_constraints_library,
+)
+_KEYS = (
+    "format", "type_graph", "node_types", "edge_types", "name", "src", "tgt", "graph",
+    "nodes", "edges", "id", "type", "kind", "sub", "left", "right", "lhs", "interface",
+    "rhs", "application_condition", "constraints", "condition",
+)
+_WORDS = (
+    GRAPH_FORMAT, RULE_FORMAT, CONSTRAINT_FORMAT, CONSTRAINTS_FORMAT,
+    "true", "false", "exists", "forall", "not", "and", "Class", "Feature", "c1", "f1",
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.sampled_from(_WORDS) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=6),
+    max_leaves=30,
+)
+
+
+def _valid_documents() -> list:
+    fx = cra.build_fixtures()
+    texts = [
+        emit_graph_document(fx.host),
+        emit_constraints_library(fx.type_graph, fx.constraint_list()),
+        emit_constraint_document(fx.constraints["c3"]),
+        *(emit_rule_document(rule) for rule in fx.rule_list()),
+    ]
+    return [json.loads(text) for text in texts]
+
+
+def _replace(doc, path: list[int], value):
+    """``doc`` with the subtree that ``path`` leads to replaced by ``value``."""
+    if not path or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    if isinstance(doc, dict):
+        key = sorted(doc)[path[0] % len(doc)]
+        return {**doc, key: _replace(doc[key], path[1:], value)}
+    i = path[0] % len(doc)
+    return [*doc[:i], _replace(doc[i], path[1:], value), *doc[i + 1:]]
+
+
+damaged_documents = st.builds(
+    _replace,
+    st.sampled_from(_valid_documents()),
+    st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+    json_values,
+)
+
+
+def _parse_everywhere(value) -> None:
+    for parse in PARSERS:
+        for document in (value, json.dumps(value)):
+            try:
+                parse(document)
+            except DocumentError:
+                pass
+
+
+class TestParseRobustness:
+    """Any JSON value fed to a parser gives a value or a DocumentError."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(json_values)
+    def test_arbitrary_json_values(self, value):
+        _parse_everywhere(value)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(damaged_documents)
+    def test_damaged_valid_documents(self, value):
+        _parse_everywhere(value)
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({"format": GRAPH_FORMAT, "type_graph": {"node_types": ["A"], "edge_types": 5}},
+         "type_graph.edge_types must be a list"),
+        ({"format": GRAPH_FORMAT, "type_graph": {"node_types": ["A"]},
+          "graph": {"nodes": [{"id": ["n"], "type": "A"}]}},
+         "graph.nodes[0] must have string id and type"),
+    ])
+    def test_wrongly_typed_parts_are_reported(self, doc, problem):
+        with pytest.raises(DocumentError) as err:
+            parse_graph_document(doc)
+        assert problem in problems_of(err)
+
+    def test_json_nested_beyond_the_decoder_is_reported(self):
+        with pytest.raises(DocumentError) as err:
+            parse_constraint_document("[" * 5000 + "]" * 5000)
+        assert "nested too deeply" in problems_of(err)
