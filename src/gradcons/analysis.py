@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .conditions import UNIVERSAL, Constraint, extensions
+from .conditions import UNIVERSAL, Constraint, iter_extensions
 from .errors import UnsupportedShapeError
 from .graphs import GraphMorphism, TypedGraph
 from .rewriting import Rule, _fresh_id
@@ -131,7 +131,7 @@ def _build_overlap(
         if y in identified_nodes:
             pattern_node_id[y] = identified_nodes[y]
         else:
-            fresh = _fresh_id(y, taken)
+            fresh = _fresh_id(y, taken.__contains__)
             taken.add(fresh)
             pattern_node_id[y] = fresh
             extra_nodes.append((fresh, pattern.node_type(y)))
@@ -142,7 +142,7 @@ def _build_overlap(
         if f in identified_edges:
             pattern_edge_id[f] = identified_edges[f]
         else:
-            fresh = _fresh_id(f, taken)
+            fresh = _fresh_id(f, taken.__contains__)
             taken.add(fresh)
             pattern_edge_id[f] = fresh
             ftype, fs, ft = pattern.edge_info(f)
@@ -330,7 +330,8 @@ def criterion_direct_sustain(
                        "conflict overlap with its continuation",),
             )
         continuation = shape.chain[1][1]
-        if all(extensions(ov.pattern_injection, continuation) for ov in deps):
+        if all(next(iter_extensions(ov.pattern_injection, continuation), None) is not None
+               for ov in deps):
             return CriterionResult(
                 PROVEN_DIRECTLY_SUSTAINING, rule.name, name, evidence=deps,
                 notes=("every dependency overlap already carries the required "

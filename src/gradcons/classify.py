@@ -30,7 +30,7 @@ from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_
 from .errors import BoundError
 from .generate import random_host
 from .graphs import GraphMorphism, TypeGraph, TypedGraph
-from .rewriting import Rule, Transformation, apply, find_matches
+from .rewriting import Rule, Transformation, _rewrite, find_matches
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,13 @@ class StepVerdict:
 def _lands_in_context(p: GraphMorphism, t: Transformation) -> bool:
     # The track morphism is the partial identity on the context, so
     # composing with it is total exactly when the occurrence factors
-    # through the context (the surviving part of the host).
-    return all(t.context.has_node(v) for v in p.node_map.values()) and all(
-        t.context.has_edge(e) for e in p.edge_map.values()
-    )
+    # through the context: every image is a host element that the step
+    # did not remove. Created elements never are (fresh ids avoid the
+    # context).
+    host = t.host
+    return all(
+        host.has_node(v) and v not in t.removed_nodes for v in p.node_map.values()
+    ) and all(host.has_edge(e) and e not in t.removed_edges for e in p.edge_map.values())
 
 
 def classify_step(
@@ -339,7 +342,7 @@ def classify_rule_empirical(
             continue
         before = consistency_report(host, constraint)
         for m in matches:
-            t = apply(rule, host, m)
+            t = _rewrite(rule, host, m, 0)
             verdict = classify_step(t, constraint, report_before=before)
             steps_examined += 1
             failed = {

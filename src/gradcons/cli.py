@@ -21,7 +21,7 @@ from . import cra
 from .analysis import criterion_direct_improve, criterion_direct_sustain, independence_table
 from .classify import UNIVERSAL_CLAIMS, WITNESS_CLAIMS, classify_rule_empirical, classify_step
 from .conditions import Constraint, consistency_report, graph_satisfies
-from .errors import ContradictionError, DocumentError, GradconsError, MatchError
+from .errors import AnfError, ContradictionError, DocumentError, GradconsError, MatchError
 from .formats import (
     CONSTRAINT_FORMAT,
     CONSTRAINTS_FORMAT,
@@ -156,12 +156,21 @@ def _cmd_validate(args) -> int:
                 f"{value.name}: deletes {len(value.deleted_nodes)}+{len(value.deleted_edges)}, "
                 f"creates {len(value.created_nodes)}+{len(value.created_edges)}"
             )
-        elif isinstance(value, Constraint):
-            shape = value.shape
-            detail = f"{value.name}: {shape.polarity}, {shape.level} levels"
-        elif isinstance(value, list):
-            shapes = [f"{c.name} ({c.shape.polarity})" for c in value]
-            detail = ", ".join(shapes)
+        elif isinstance(value, (Constraint, list)):
+            constraints = value if isinstance(value, list) else [value]
+            problems = []
+            for c in constraints:
+                try:
+                    c.shape
+                except AnfError as exc:
+                    problems.append(f"constraint {c.name!r}: {exc}")
+            if problems:
+                failures.append((path, problems))
+                continue
+            if isinstance(value, Constraint):
+                detail = f"{value.name}: {value.shape.polarity}, {value.shape.level} levels"
+            else:
+                detail = ", ".join(f"{c.name} ({c.shape.polarity})" for c in value)
         results.append((path, kind, detail))
 
     if args.format == "structured":

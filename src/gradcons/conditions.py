@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .errors import AnfError, MismatchError
 from .graphs import (
@@ -33,6 +34,7 @@ from .graphs import (
     TypedGraph,
     empty_morphism_into,
     enumerate_monomorphisms,
+    iter_monomorphisms,
 )
 
 
@@ -167,25 +169,28 @@ def _satisfies(p: GraphMorphism, condition: Condition) -> bool:
     if isinstance(condition, And):
         return _satisfies(p, condition.left) and _satisfies(p, condition.right)
     if isinstance(condition, Exists):
-        for q in extensions(p, condition.morphism):
-            if _satisfies(q, condition.sub):
-                return True
-        return False
+        sub = condition.sub
+        return any(_satisfies(q, sub) for q in iter_extensions(p, condition.morphism))
     raise TypeError(f"unknown condition node {condition!r}")
 
 
-def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
-    """All injective q with q . a = p, in canonical order.
+def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphism]:
+    """The injective q with q . a = p, lazily and in no fixed order.
 
     ``p`` must be a total injective occurrence of the domain of ``a``; the
     results are the occurrences of the extended graph that agree with ``p``
-    on the anchor.
+    on the anchor. The search starts from the anchor's image and stops
+    when the caller stops iterating.
     """
     node_seed = {a.node_map[x]: p.node_map[x] for x in a.domain.node_ids}
     edge_seed = {a.edge_map[e]: p.edge_map[e] for e in a.domain.edge_ids}
-    return enumerate_monomorphisms(
-        a.codomain, p.codomain, node_seed=node_seed, edge_seed=edge_seed
-    )
+    return iter_monomorphisms(a.codomain, p.codomain, node_seed=node_seed, edge_seed=edge_seed)
+
+
+def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
+    """All injective q with q . a = p, in canonical order: the sorted
+    form of :func:`iter_extensions`."""
+    return sorted(iter_extensions(p, a), key=GraphMorphism.sort_key)
 
 
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:

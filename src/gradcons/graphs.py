@@ -86,7 +86,7 @@ class TypedGraph:
 
     __slots__ = (
         "_type_graph", "_nodes", "_edges", "_node_ids", "_edge_ids",
-        "_by_type", "_triples", "_incident", "_degrees",
+        "_by_type", "_triples", "_incident", "_degrees", "_plans",
     )
 
     def __init__(
@@ -135,6 +135,8 @@ class TypedGraph:
         self._triples = {k: tuple(v) for k, v in triples.items()}
         self._incident = {k: tuple(v) for k, v in incident.items()}
         self._degrees = degrees
+        # Search plans for this graph as a pattern, compiled on first use.
+        self._plans: dict[frozenset[str], _Plan] | None = None
 
     @property
     def type_graph(self) -> TypeGraph:
@@ -396,22 +398,97 @@ def _degree_fits(pattern: TypedGraph, v: str, host: TypedGraph, w: str) -> bool:
     return True
 
 
-def enumerate_monomorphisms(
+class _Plan:
+    """The compiled search for one pattern and one set of seeded nodes.
+
+    ``seed_checks`` are the pattern edges between seeded nodes, tested
+    before any free node is placed. ``steps`` lists the free nodes in
+    search order as ``(node, type, source, checks)``. ``source`` is
+    ``None`` when the candidates are all host nodes of the type, or
+    ``(placed node, edge type, outgoing)`` when they are the host
+    neighbours of that node's image along edges of the type, leaving it
+    when ``outgoing``. ``checks`` are the pattern edges from the node to
+    itself or to nodes placed before it. ``groups`` are the pattern edges
+    grouped by signature, in sorted order; within a group any injective
+    assignment onto host edges of the image signature preserves structure.
+    """
+
+    __slots__ = ("seed_checks", "steps", "groups")
+
+    def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
+        placed = set(seeded)
+        self.seed_checks = _edges_within(pattern, pattern.edge_ids, placed)
+        free = [v for v in pattern.node_ids if v not in placed]
+        steps = []
+        while free:
+            # A seeded search places next the first free node adjacent to
+            # a placed one; an unseeded one keeps the sorted order and
+            # scans every node's type.
+            v, source = free[0], None
+            if seeded:
+                for u in free:
+                    source = _neighbour_source(pattern, u, placed)
+                    if source is not None:
+                        v = u
+                        break
+            free.remove(v)
+            placed.add(v)
+            checks = _edges_within(pattern, pattern.incident_edges(v), placed)
+            steps.append((v, pattern.node_type(v), source, checks))
+        self.steps = tuple(steps)
+        groups: dict[tuple[str, str, str], list[str]] = {}
+        for e in pattern.edge_ids:
+            groups.setdefault(pattern.edge_info(e), []).append(e)
+        self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
+
+
+def _edges_within(
+    pattern: TypedGraph, edges: Iterable[str], nodes: set[str]
+) -> tuple[tuple[str, str, str], ...]:
+    """``(type, source, target)`` of the given edges with both ends in ``nodes``."""
+    infos = (pattern.edge_info(e) for e in edges)
+    return tuple(info for info in infos if info[1] in nodes and info[2] in nodes)
+
+
+def _neighbour_source(
+    pattern: TypedGraph, v: str, placed: set[str]
+) -> tuple[str, str, bool] | None:
+    for e in pattern.incident_edges(v):
+        etype, src, tgt = pattern.edge_info(e)
+        if src == v and tgt != v and tgt in placed:
+            return tgt, etype, False
+        if tgt == v and src != v and src in placed:
+            return src, etype, True
+    return None
+
+
+def _plan(pattern: TypedGraph, seeded: frozenset[str]) -> _Plan:
+    """The search plan, compiled on first use and kept on the pattern."""
+    plans = pattern._plans
+    if plans is None:
+        plans = pattern._plans = {}
+    plan = plans.get(seeded)
+    if plan is None:
+        plan = plans[seeded] = _Plan(pattern, seeded)
+    return plan
+
+
+def iter_monomorphisms(
     pattern: TypedGraph,
     host: TypedGraph,
     *,
     node_seed: Mapping[str, str] | None = None,
     edge_seed: Mapping[str, str] | None = None,
-) -> list[GraphMorphism]:
-    """All total injective morphisms pattern -> host, in canonical order.
+) -> Iterator[GraphMorphism]:
+    """Every total injective morphism pattern -> host, lazily, in search order.
 
-    The order is lexicographic over the images of the sorted pattern node ids,
-    with ties broken the same way on sorted pattern edge ids, so results are
-    reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
-    in advance (used to enumerate extensions along a fixed anchor); seeded
-    entries must be type-correct and injective.
-
-    Duplicate-free: each returned morphism appears exactly once.
+    ``node_seed``/``edge_seed`` pin parts of the map in advance; seeded
+    entries must be type-correct and injective. In a seeded search, a free
+    node adjacent to a node placed before it (first of all a seeded one)
+    takes its candidates from the host neighbours of that node's image,
+    so a search anchored at an occurrence looks only around it. Stopping
+    the iteration stops the search, so the first witness of an existence
+    check ends it. Each morphism comes once.
     """
     if pattern.type_graph != host.type_graph:
         raise MismatchError("pattern and host are typed over different type graphs")
@@ -425,101 +502,116 @@ def enumerate_monomorphisms(
         if not pattern.has_node(v):
             raise ValueError(f"seed maps absent pattern node {v!r}")
         if not host.has_node(w) or pattern.node_type(v) != host.node_type(w):
-            return []
+            return
     for e, f in edge_seed.items():
         if not pattern.has_edge(e):
             raise ValueError(f"seed maps absent pattern edge {e!r}")
         if not host.has_edge(f) or pattern.edge_type(e) != host.edge_type(f):
-            return []
+            return
 
-    nodes = pattern.node_ids
-    candidates: dict[str, tuple[str, ...]] = {}
-    for v in nodes:
-        if v in node_seed:
-            candidates[v] = (node_seed[v],)
-        else:
-            candidates[v] = tuple(
-                w for w in host.nodes_of_type(pattern.node_type(v))
-                if _degree_fits(pattern, v, host, w)
+    plan = _plan(pattern, frozenset(node_seed))
+    for etype, src, tgt in plan.seed_checks:
+        if not host.edges_with_signature(etype, node_seed[src], node_seed[tgt]):
+            return
+    # Candidates from a type scan do not depend on the partial map.
+    scanned: dict[str, tuple[str, ...]] = {}
+    for v, ntype, source, _ in plan.steps:
+        if source is None:
+            scanned[v] = tuple(
+                w for w in host.nodes_of_type(ntype) if _degree_fits(pattern, v, host, w)
             )
-        if not candidates[v]:
-            return []
+            if not scanned[v]:
+                return
 
-    # Group pattern edges by signature; within one group any injective
-    # assignment onto same-signature host edges is structure-preserving.
-    pattern_groups: dict[tuple[str, str, str], tuple[str, ...]] = {}
-    for eid in pattern.edge_ids:
-        etype, src, tgt = pattern.edge_info(eid)
-        pattern_groups.setdefault((etype, src, tgt), ())
-    pattern_groups = {
-        key: tuple(e for e in pattern.edge_ids if pattern.edge_info(e) == key)
-        for key in pattern_groups
-    }
+    steps = plan.steps
+    edges_with_signature = host.edges_with_signature
+    node_map = node_seed
+    used_nodes = set(node_seed.values())
 
-    results: list[GraphMorphism] = []
-    node_map: dict[str, str] = {}
-    used_nodes: set[str] = set()
+    def neighbours(v: str, ntype: str, source: tuple[str, str, bool]) -> Iterator[str]:
+        u, etype, outgoing = source
+        anchor = node_map[u]
+        seen = set()
+        for e in host.incident_edges(anchor):
+            ftype, fsrc, ftgt = host.edge_info(e)
+            if ftype != etype:
+                continue
+            w = ftgt if outgoing else fsrc
+            if (fsrc if outgoing else ftgt) != anchor or w in seen:
+                continue
+            seen.add(w)
+            if host.node_type(w) == ntype and _degree_fits(pattern, v, host, w):
+                yield w
 
-    def edge_assignments() -> None:
-        groups: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        for (etype, src, tgt), p_edges in sorted(pattern_groups.items()):
+    def place(i: int) -> Iterator[GraphMorphism]:
+        if i == len(steps):
+            yield from assign_edges()
+            return
+        v, ntype, source, checks = steps[i]
+        for w in scanned[v] if source is None else neighbours(v, ntype, source):
+            if w in used_nodes:
+                continue
+            node_map[v] = w
+            # Early consistency: every pattern edge with both ends placed
+            # must have at least one host edge under the partial map.
+            for etype, src, tgt in checks:
+                if not edges_with_signature(etype, node_map[src], node_map[tgt]):
+                    break
+            else:
+                used_nodes.add(w)
+                yield from place(i + 1)
+                used_nodes.discard(w)
+            del node_map[v]
+
+    def assign_edges() -> Iterator[GraphMorphism]:
+        slots: list[tuple[str, tuple[str, ...]]] = []
+        for (etype, src, tgt), p_edges in plan.groups:
             h_edges = host.edges_with_signature(etype, node_map[src], node_map[tgt])
             if len(h_edges) < len(p_edges):
                 return
-            groups.append((p_edges, h_edges))
-
+            slots.extend((e, h_edges) for e in p_edges)
         edge_map: dict[str, str] = {}
         used_edges: set[str] = set()
 
-        def assign_group(gi: int, ei: int) -> None:
-            if gi == len(groups):
-                results.append(GraphMorphism(pattern, host, dict(node_map), dict(edge_map)))
+        def assign(k: int) -> Iterator[GraphMorphism]:
+            if k == len(slots):
+                yield GraphMorphism(pattern, host, dict(node_map), dict(edge_map))
                 return
-            p_edges, h_edges = groups[gi]
-            if ei == len(p_edges):
-                assign_group(gi + 1, 0)
-                return
-            e = p_edges[ei]
+            e, h_edges = slots[k]
             pinned = edge_seed.get(e)
             for f in h_edges:
                 if f in used_edges or (pinned is not None and f != pinned):
                     continue
                 edge_map[e] = f
                 used_edges.add(f)
-                assign_group(gi, ei + 1)
+                yield from assign(k + 1)
                 del edge_map[e]
                 used_edges.discard(f)
 
-        assign_group(0, 0)
+        yield from assign(0)
 
-    def assign_node(i: int) -> None:
-        if i == len(nodes):
-            edge_assignments()
-            return
-        v = nodes[i]
-        for w in candidates[v]:
-            if w in used_nodes:
-                continue
-            ok = True
-            # Early consistency: every pattern edge with both ends placed
-            # must have at least one host edge under the partial map.
-            for eid in pattern.incident_edges(v):
-                etype, src, tgt = pattern.edge_info(eid)
-                s = node_map.get(src) if src != v else w
-                t = node_map.get(tgt) if tgt != v else w
-                if s is None or t is None:
-                    continue
-                if not host.edges_with_signature(etype, s, t):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            node_map[v] = w
-            used_nodes.add(w)
-            assign_node(i + 1)
-            del node_map[v]
-            used_nodes.discard(w)
+    yield from place(0)
 
-    assign_node(0)
-    results.sort(key=GraphMorphism.sort_key)
-    return results
+
+def enumerate_monomorphisms(
+    pattern: TypedGraph,
+    host: TypedGraph,
+    *,
+    node_seed: Mapping[str, str] | None = None,
+    edge_seed: Mapping[str, str] | None = None,
+) -> list[GraphMorphism]:
+    """All total injective morphisms pattern -> host, in canonical order.
+
+    The order is lexicographic over the images of the sorted pattern node ids,
+    with ties broken the same way on sorted pattern edge ids, so results are
+    reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
+    in advance (used to enumerate extensions along a fixed anchor); seeded
+    entries must be type-correct and injective. This is the sorted form of
+    :func:`iter_monomorphisms`.
+
+    Duplicate-free: each returned morphism appears exactly once.
+    """
+    return sorted(
+        iter_monomorphisms(pattern, host, node_seed=node_seed, edge_seed=edge_seed),
+        key=GraphMorphism.sort_key,
+    )

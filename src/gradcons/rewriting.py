@@ -11,8 +11,10 @@ the test suite verifies against the categorical universal property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
-from .conditions import TRUE, Condition, TrueCondition, satisfies
+from .conditions import TRUE, Condition, TrueCondition, _satisfies, satisfies
 from .errors import MatchError, MismatchError, RuleError
 from .graphs import (
     GraphMorphism,
@@ -55,19 +57,19 @@ class Rule:
         if anchor is not None and anchor != self.lhs:
             raise RuleError(f"rule {self.name!r}: application condition not anchored at the lhs")
 
-    @property
+    @cached_property
     def deleted_nodes(self) -> tuple[str, ...]:
         return tuple(n for n in self.lhs.node_ids if not self.interface.has_node(n))
 
-    @property
+    @cached_property
     def deleted_edges(self) -> tuple[str, ...]:
         return tuple(e for e in self.lhs.edge_ids if not self.interface.has_edge(e))
 
-    @property
+    @cached_property
     def created_nodes(self) -> tuple[str, ...]:
         return tuple(n for n in self.rhs.node_ids if not self.interface.has_node(n))
 
-    @property
+    @cached_property
     def created_edges(self) -> tuple[str, ...]:
         return tuple(e for e in self.rhs.edge_ids if not self.interface.has_edge(e))
 
@@ -117,7 +119,8 @@ def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
     rejected_condition = 0
     rejected_dangling = 0
     for m in enumerate_monomorphisms(rule.lhs, host):
-        if not satisfies(m, rule.condition):
+        # m is total, injective and anchored at the lhs, as satisfies asks.
+        if not _satisfies(m, rule.condition):
             rejected_condition += 1
             continue
         if not _dangling_ok(rule, host, m):
@@ -136,28 +139,49 @@ def find_matches(rule: Rule, host: TypedGraph) -> list[GraphMorphism]:
 class Transformation:
     """One rewriting step host => result with all boundary morphisms.
 
-    ``context`` is the host minus the deleted image; ``host_embedding`` and
+    ``removed_nodes`` / ``removed_edges`` are the images of the deleted
+    elements. ``context`` is the host minus them; ``host_embedding`` and
     ``result_embedding`` are its id-preserving inclusions into host and
     result. ``track`` is the partial morphism host -> result defined exactly
-    on surviving elements (where it is the identity on ids).
+    on surviving elements (where it is the identity on ids). These four
+    are built on first access.
     """
 
     rule: Rule
     host: TypedGraph
     match: GraphMorphism
-    context: TypedGraph
     result: TypedGraph
-    host_embedding: GraphMorphism
-    result_embedding: GraphMorphism
     comatch: GraphMorphism
-    track: GraphMorphism
+    removed_nodes: frozenset[str]
+    removed_edges: frozenset[str]
     step: int = 0
 
+    @cached_property
+    def context(self) -> TypedGraph:
+        return self.host.without(self.removed_nodes, self.removed_edges)
 
-def _fresh_id(base: str, taken: set[str]) -> str:
+    @cached_property
+    def host_embedding(self) -> GraphMorphism:
+        return inclusion(self.context, self.host)
+
+    @cached_property
+    def result_embedding(self) -> GraphMorphism:
+        return inclusion(self.context, self.result)
+
+    @cached_property
+    def track(self) -> GraphMorphism:
+        context = self.context
+        return GraphMorphism(
+            self.host, self.result,
+            {n: n for n in context.node_ids},
+            {e: e for e in context.edge_ids},
+        )
+
+
+def _fresh_id(base: str, taken: Callable[[str], bool]) -> str:
     candidate = base
     serial = 0
-    while candidate in taken:
+    while taken(candidate):
         candidate = f"{base}~{serial}"
         serial += 1
     return candidate
@@ -172,6 +196,11 @@ def apply(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 0) -> 
     (``"<rule>.<step>.<element>"``, with ``~N`` suffixes on collision), so
     identical inputs give identical results.
     """
+    _check_match(rule, host, match)
+    return _rewrite(rule, host, match, step)
+
+
+def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
     if match.domain != rule.lhs:
         raise MatchError("match domain is not the rule's lhs")
     if match.codomain != host:
@@ -185,45 +214,51 @@ def apply(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 0) -> 
     if not _dangling_ok(rule, host, match):
         raise MatchError("match violates the gluing condition")
 
-    removed_nodes = {match.node_map[v] for v in rule.deleted_nodes}
-    removed_edges = {match.edge_map[e] for e in rule.deleted_edges}
-    context = host.without(removed_nodes, removed_edges)
 
-    taken = set(context.node_ids) | set(context.edge_ids)
+def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
+    """The step of :func:`apply` at a match known to be one of
+    ``find_matches(rule, host)``; the result is built in one construction."""
+    removed_nodes = frozenset(match.node_map[v] for v in rule.deleted_nodes)
+    removed_edges = frozenset(match.edge_map[e] for e in rule.deleted_edges)
+
+    # Fresh ids avoid the context (the host minus the removed images)
+    # and each other.
     fresh: dict[str, str] = {}
+    chosen: set[str] = set()
+
+    def taken(x: str) -> bool:
+        return x in chosen or (
+            (host.has_node(x) or host.has_edge(x))
+            and x not in removed_nodes and x not in removed_edges
+        )
+
     for rid in (*rule.created_nodes, *rule.created_edges):
         fresh[rid] = _fresh_id(f"{rule.name}.{step}.{rid}", taken)
-        taken.add(fresh[rid])
+        chosen.add(fresh[rid])
 
     def rhs_node_image(n: str) -> str:
         return fresh[n] if n in fresh else match.node_map[n]
 
-    new_nodes = [(fresh[n], rule.rhs.node_type(n)) for n in rule.created_nodes]
-    new_edges = []
+    nodes = [(n, t) for n, t in host.node_items() if n not in removed_nodes]
+    nodes.extend((fresh[n], rule.rhs.node_type(n)) for n in rule.created_nodes)
+    edges = [item for item in host.edge_items() if item[0] not in removed_edges]
     for e in rule.created_edges:
         etype, src, tgt = rule.rhs.edge_info(e)
-        new_edges.append((fresh[e], etype, rhs_node_image(src), rhs_node_image(tgt)))
-    result = context.with_added(new_nodes, new_edges)
+        edges.append((fresh[e], etype, rhs_node_image(src), rhs_node_image(tgt)))
+    result = TypedGraph(host.type_graph, nodes, edges)
 
     comatch = GraphMorphism(
         rule.rhs, result,
         {n: rhs_node_image(n) for n in rule.rhs.node_ids},
         {e: fresh[e] if e in fresh else match.edge_map[e] for e in rule.rhs.edge_ids},
     )
-    track = GraphMorphism(
-        host, result,
-        {n: n for n in context.node_ids},
-        {e: e for e in context.edge_ids},
-    )
     return Transformation(
         rule=rule,
         host=host,
         match=match,
-        context=context,
         result=result,
-        host_embedding=inclusion(context, host),
-        result_embedding=inclusion(context, result),
         comatch=comatch,
-        track=track,
+        removed_nodes=removed_nodes,
+        removed_edges=removed_edges,
         step=step,
     )

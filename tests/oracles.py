@@ -13,7 +13,9 @@ import itertools
 from fractions import Fraction
 
 from gradcons import (
+    And,
     Constraint,
+    Exists,
     GraphMorphism,
     Not,
     Rule,
@@ -125,6 +127,34 @@ def dpo_by_sets(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 
         etype, src, tgt = rule.rhs.edge_info(e)
         new_edges.append((fresh[e], etype, node_image(src), node_image(tgt)))
     return TypedGraph(host.type_graph, keep_nodes + new_nodes, keep_edges + new_edges)
+
+
+def satisfies_by_permutation(p: GraphMorphism, condition, memo: dict | None = None) -> bool:
+    """Satisfaction from the definition: an existential holds when some
+    occurrence q of the extended graph, found by permutation search, has
+    ``q . a = p`` and satisfies the sub-condition.
+
+    ``memo`` keeps the occurrences of each (pattern, graph) pair between
+    calls; the caller keeps both objects alive while it holds the memo.
+    """
+    memo = {} if memo is None else memo
+    if isinstance(condition, Not):
+        return not satisfies_by_permutation(p, condition.sub, memo)
+    if isinstance(condition, And):
+        return (satisfies_by_permutation(p, condition.left, memo)
+                and satisfies_by_permutation(p, condition.right, memo))
+    if not isinstance(condition, Exists):
+        return True
+    a = condition.morphism
+    key = (id(a.codomain), id(p.codomain))
+    if key not in memo:
+        memo[key] = monos_by_permutation(a.codomain, p.codomain)
+    for q in memo[key]:
+        if all(q.node_map[a.node_map[x]] == y for x, y in p.node_map.items()) and all(
+            q.edge_map[a.edge_map[e]] == f for e, f in p.edge_map.items()
+        ) and satisfies_by_permutation(q, condition.sub, memo):
+            return True
+    return False
 
 
 # --- step classification ------------------------------------------------------

@@ -89,8 +89,8 @@ def random_step_cases(n_cases: int, seed: int, max_steps_per_case: int = 4):
     """Seeded random cases: a random rule applied to a random host, up to
     ``max_steps_per_case`` times, against a random linear constraint.
 
-    Yields ``(constraint, host report, steps)`` per case, steps possibly
-    empty when the rule has no match.
+    Yields ``(constraint, host report, steps, rule, host)`` per case,
+    steps possibly empty when the rule has no match.
     """
     rng = random.Random(seed)
     for case in range(n_cases):
@@ -100,7 +100,7 @@ def random_step_cases(n_cases: int, seed: int, max_steps_per_case: int = 4):
         host = random_host(tg, rng, rng.randint(1, 5))
         before = consistency_report(host, constraint)
         matches = find_matches(rule, host)[:max_steps_per_case]
-        yield constraint, before, [apply(rule, host, m, step=case) for m in matches]
+        yield constraint, before, [apply(rule, host, m, step=case) for m in matches], rule, host
 
 
 def run_step_implication_suite(
@@ -110,7 +110,7 @@ def run_step_implication_suite(
     implication between the six step classifications plus the
     definitional bookkeeping of the measurements."""
     stats = SuiteStats()
-    for constraint, before, steps in random_step_cases(n_cases, seed, max_steps_per_case):
+    for constraint, before, steps, _, _ in random_step_cases(n_cases, seed, max_steps_per_case):
         stats.cases += 1
         for t in steps:
             v = classify_step(t, constraint, report_before=before)

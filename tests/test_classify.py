@@ -281,7 +281,8 @@ class TestClassifyStepAgainstReference:
 
     def test_seeded_random_step_suite(self):
         steps = 0
-        for constraint, before, transformations in random_step_cases(n_cases=250, seed=101):
+        for constraint, before, transformations, _, _ in random_step_cases(
+                n_cases=250, seed=101):
             for t in transformations:
                 _agrees_with_reference(t, constraint, before)
                 steps += 1

@@ -11,7 +11,7 @@ import pytest
 
 from gradcons import cra
 from gradcons.cli import main
-from gradcons.conditions import FALSE, Constraint, Exists, forall
+from gradcons.conditions import FALSE, Constraint, Exists, Not, forall
 from gradcons.formats import emit_constraint_document, parse_graph_document
 from gradcons.graphs import TypedGraph, empty_morphism_into, inclusion
 
@@ -85,6 +85,29 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(docs / "absent.json"))
         assert code == 2
         assert "cannot read" in err
+
+    def test_constraint_outside_anf_is_listed_invalid(self, docs, tmp_path, capsys):
+        c1 = cra.build_fixtures().constraints["c1"]
+        nonanf = tmp_path / "nonanf.json"
+        nonanf.write_text(emit_constraint_document(Constraint("nonanf", Not(Not(c1.condition)))))
+        files = [str(nonanf), str(docs / "host_graph.json"), str(docs / "constraints.json")]
+        code, out, _ = run(capsys, "validate", *files)
+        assert code == 2
+        assert "host_graph.json: graph ok" in out
+        assert "constraints.json: constraint library ok" in out
+        assert "nonanf.json: INVALID\n  - constraint 'nonanf': not in alternating normal form" in out
+
+        code, out, _ = run(capsys, "validate", *files, "--format", "structured")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert [v["kind"] for v in payload["valid"]] == ["graph", "constraint library"]
+        [invalid] = payload["invalid"]
+        assert invalid["path"] == str(nonanf)
+        assert invalid["problems"] == [
+            "constraint 'nonanf': not in alternating normal form at level 0: "
+            "negation is not at the innermost level"
+        ]
 
 
     @pytest.mark.parametrize("depth, problem", [
