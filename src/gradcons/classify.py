@@ -22,6 +22,7 @@ ship a replayable counterexample step; positive ones are bounded evidence.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,8 +30,8 @@ from functools import lru_cache
 from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
 from .errors import BoundError
 from .generate import random_host
-from .graphs import GraphMorphism, TypeGraph, TypedGraph
-from .rewriting import Rule, Transformation, _rewrite, find_matches
+from .graphs import GraphMorphism, TypeGraph, TypedGraph, _assembled, _node_index
+from .rewriting import Rule, Transformation, _fresh_id, _rewrite, find_matches
 
 
 @dataclass(frozen=True)
@@ -155,31 +156,56 @@ def _count_vectors(total: int, k: int):
             yield (head, *rest)
 
 
-def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]):
+def _split_ids(
+    types: tuple[str, ...], counts: tuple[int, ...], n_edges: int
+) -> tuple[dict[str, tuple[str, ...]], list[str]]:
+    """The node ids per type and the edge ids of the hosts of one split.
+
+    Node ids are ``<type><index>`` and edge ids ``e<serial>``. An id that
+    collides with one chosen before it (edge ``e0`` and node ``e0`` of a
+    type ``e``, or ``A10`` of types ``A`` and ``A1``) gets a ``~N``
+    suffix, so ids that collide with nothing stay as they are.
+    """
+    chosen: set[str] = set()
+
+    def unique(base: str) -> str:
+        element_id = _fresh_id(base, chosen.__contains__)
+        chosen.add(element_id)
+        return element_id
+
     node_ids_by_type = {
-        t: tuple(f"{t}{i}" for i in range(c)) for t, c in zip(types, counts)
+        t: tuple(unique(f"{t}{i}") for i in range(c)) for t, c in zip(types, counts)
     }
-    nodes = [(nid, t) for t in types for nid in node_ids_by_type[t]]
+    return node_ids_by_type, [unique(f"e{serial}") for serial in range(n_edges)]
+
+
+def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]):
+    count_of = dict(zip(types, counts))
+    n_slots = sum(count_of[src_t] * count_of[tgt_t] for src_t, tgt_t in tg.edge_types.values())
+    n_perms = math.prod(math.factorial(c) for c in counts)
+    if (2 ** n_slots) * n_perms > _MAX_UNIVERSE_WORK:
+        raise BoundError(
+            f"host universe too large to enumerate (split {counts}, {n_slots} edge slots); "
+            "lower the bound"
+        )
+    node_ids_by_type, edge_ids = _split_ids(types, counts, n_slots)
+    # Every host of the split shares the node part, the edge ids and the
+    # slot tuples; the sorted edge ids depend only on the edge count
+    # ("e10" sorts before "e2").
+    nodes = {nid: t for t in types for nid in node_ids_by_type[t]}
+    node_ids, by_type = _node_index(nodes)
+    sorted_edge_ids = [tuple(sorted(edge_ids[:k])) for k in range(n_slots + 1)]
 
     slots: list[tuple[str, str, str]] = []
     for etype, (src_t, tgt_t) in sorted(tg.edge_types.items()):
         for s in node_ids_by_type[src_t]:
             for t2 in node_ids_by_type[tgt_t]:
                 slots.append((etype, s, t2))
-    n_slots = len(slots)
     slot_index = {slot: i for i, slot in enumerate(slots)}
 
     per_type_perms = [
         list(itertools.permutations(node_ids_by_type[t])) for t in types
     ]
-    n_perms = 1
-    for p in per_type_perms:
-        n_perms *= len(p)
-    if (2 ** n_slots) * max(1, n_perms) > _MAX_UNIVERSE_WORK:
-        raise BoundError(
-            f"host universe too large to enumerate (split {counts}, {n_slots} edge slots); "
-            "lower the bound"
-        )
     seen_mappings: set[tuple[int, ...]] = set()
     for combo in itertools.product(*per_type_perms):
         node_map = {}
@@ -210,14 +236,9 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
                 break
         if not canonical:
             continue
-        edges = []
-        serial = 0
-        for i in range(n_slots):
-            if mask >> i & 1:
-                etype, s, t2 = slots[i]
-                edges.append((f"e{serial}", etype, s, t2))
-                serial += 1
-        yield TypedGraph(tg, nodes, edges)
+        present = [slots[i] for i in range(n_slots) if mask >> i & 1]
+        edges = dict(zip(edge_ids, present))
+        yield _assembled(tg, nodes, node_ids, by_type, edges, sorted_edge_ids[len(edges)])
 
 
 @lru_cache(maxsize=32)

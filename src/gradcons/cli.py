@@ -247,7 +247,10 @@ def _cmd_apply(args) -> int:
     t = apply(rule, host, match, step=args.step)
     document = emit_graph_document(t.result)
     if args.out:
-        Path(args.out).write_text(document)
+        try:
+            Path(args.out).write_text(document)
+        except OSError as exc:
+            raise DocumentError([f"cannot write {args.out}: {exc}"]) from exc
     else:
         sys.stdout.write(document)
     summary = (

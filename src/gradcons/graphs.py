@@ -21,7 +21,7 @@ class TypeGraph:
     signature. Type names are unique across both kinds.
     """
 
-    __slots__ = ("_node_types", "_edge_types")
+    __slots__ = ("_node_types", "_edge_types", "_degree_keys")
 
     def __init__(
         self,
@@ -47,6 +47,9 @@ class TypeGraph:
                 raise ValueError(f"edge type {name!r} references unknown node type")
         self._node_types = frozenset(nts)
         self._edge_types = dict(sorted(ets.items()))
+        # The ("out", t) / ("in", t) keys of every graph's degree index,
+        # one pair per edge type shared by all graphs over this type graph.
+        self._degree_keys = {name: (("out", name), ("in", name)) for name in self._edge_types}
 
     @property
     def node_types(self) -> frozenset[str]:
@@ -80,8 +83,9 @@ class TypedGraph:
     ``(id, type, source id, target id)`` tuples. Construction only rejects
     duplicate ids; full typing is checked by :func:`validate_graph` so that
     broken inputs (e.g. from files) can still be represented and reported on.
-    Instances are immutable by convention: no method mutates, derived graphs
-    are new objects.
+    Instances are immutable by convention: no method mutates, no accessor
+    hands out a mutable part, and derived graphs are new objects. Graphs
+    built through :func:`_assembled` may therefore share parts.
     """
 
     __slots__ = (
@@ -95,44 +99,66 @@ class TypedGraph:
         nodes: Iterable[tuple[str, str]] = (),
         edges: Iterable[tuple[str, str, str, str]] = (),
     ):
-        self._type_graph = type_graph
-        self._nodes: dict[str, str] = {}
+        node_dict: dict[str, str] = {}
         for nid, ntype in nodes:
-            if nid in self._nodes:
+            if nid in node_dict:
                 raise ValueError(f"duplicate node id {nid!r}")
-            self._nodes[nid] = ntype
-        self._edges: dict[str, tuple[str, str, str]] = {}
+            node_dict[nid] = ntype
+        edge_dict: dict[str, tuple[str, str, str]] = {}
         for eid, etype, src, tgt in edges:
-            if eid in self._edges or eid in self._nodes:
+            if eid in edge_dict or eid in node_dict:
                 raise ValueError(f"duplicate element id {eid!r}")
-            self._edges[eid] = (etype, src, tgt)
-        self._node_ids = tuple(sorted(self._nodes))
-        self._edge_ids = tuple(sorted(self._edges))
+            edge_dict[eid] = (etype, src, tgt)
+        node_ids, by_type = _node_index(node_dict)
+        self._assemble(type_graph, node_dict, node_ids, by_type, edge_dict, tuple(sorted(edge_dict)))
 
-        by_type: dict[str, list[str]] = {}
-        for nid in self._node_ids:
-            by_type.setdefault(self._nodes[nid], []).append(nid)
-        self._by_type = {t: tuple(ids) for t, ids in by_type.items()}
+    def _assemble(
+        self,
+        type_graph: TypeGraph,
+        nodes: dict[str, str],
+        node_ids: tuple[str, ...],
+        by_type: dict[str, tuple[str, ...]],
+        edges: dict[str, tuple[str, str, str]],
+        edge_ids: tuple[str, ...],
+    ) -> None:
+        """Build the edge indices over trusted parts: ids unique across
+        nodes and edges, ``node_ids``/``edge_ids`` the sorted keys and
+        ``by_type`` as :func:`_node_index` makes it. The parts may be
+        shared with other graphs and are never mutated."""
+        self._type_graph = type_graph
+        self._nodes = nodes
+        self._node_ids = node_ids
+        self._by_type = by_type
+        self._edges = edges
+        self._edge_ids = edge_ids
 
         # Index edges by (type, src, tgt) and nodes by incident edges;
         # edges with dangling endpoints are skipped here and surface through
         # validate_graph instead.
-        triples: dict[tuple[str, str, str], list[str]] = {}
-        incident: dict[str, list[str]] = {nid: [] for nid in self._node_ids}
-        degrees: dict[str, dict[tuple[str, str], int]] = {nid: {} for nid in self._node_ids}
-        for eid in self._edge_ids:
-            etype, src, tgt = self._edges[eid]
-            if src not in self._nodes or tgt not in self._nodes:
+        triples: dict[tuple[str, str, str], tuple[str, ...]] = {}
+        incident: dict[str, list[str]] = {nid: [] for nid in node_ids}
+        degrees: dict[str, dict[tuple[str, str], int]] = {nid: {} for nid in node_ids}
+        degree_keys = type_graph._degree_keys
+        for eid in edge_ids:
+            info = edges[eid]
+            etype, src, tgt = info
+            if src not in nodes or tgt not in nodes:
                 continue
-            triples.setdefault((etype, src, tgt), []).append(eid)
+            # Keyed by the edge's own tuple. A bundle of k parallel edges
+            # is copied k times, cheap for the few bundles a graph has.
+            triples[info] = triples.get(info, ()) + (eid,)
             incident[src].append(eid)
             if tgt != src:
                 incident[tgt].append(eid)
+            keys = degree_keys.get(etype)
+            if keys is None:
+                keys = (("out", etype), ("in", etype))
+            out_key, in_key = keys
             dsrc = degrees[src]
-            dsrc[("out", etype)] = dsrc.get(("out", etype), 0) + 1
+            dsrc[out_key] = dsrc.get(out_key, 0) + 1
             dtgt = degrees[tgt]
-            dtgt[("in", etype)] = dtgt.get(("in", etype), 0) + 1
-        self._triples = {k: tuple(v) for k, v in triples.items()}
+            dtgt[in_key] = dtgt.get(in_key, 0) + 1
+        self._triples = triples
         self._incident = {k: tuple(v) for k, v in incident.items()}
         self._degrees = degrees
         # Search plans for this graph as a pattern, compiled on first use.
@@ -176,8 +202,8 @@ class TypedGraph:
         return self._incident.get(nid, ())
 
     def degree_profile(self, nid: str) -> dict[tuple[str, str], int]:
-        """Count incident edges per ``("in"|"out", edge type)`` key."""
-        return self._degrees.get(nid, {})
+        """Count incident edges per ``("in"|"out", edge type)`` key (a copy)."""
+        return dict(self._degrees.get(nid, ()))
 
     @property
     def node_count(self) -> int:
@@ -235,6 +261,31 @@ class TypedGraph:
 
     def __repr__(self) -> str:
         return f"TypedGraph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _node_index(
+    nodes: dict[str, str]
+) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
+    """The sorted node ids and the sorted ids of each present node type."""
+    node_ids = tuple(sorted(nodes))
+    by_type: dict[str, list[str]] = {}
+    for nid in node_ids:
+        by_type.setdefault(nodes[nid], []).append(nid)
+    return node_ids, {t: tuple(ids) for t, ids in by_type.items()}
+
+
+def _assembled(
+    type_graph: TypeGraph,
+    nodes: dict[str, str],
+    node_ids: tuple[str, ...],
+    by_type: dict[str, tuple[str, ...]],
+    edges: dict[str, tuple[str, str, str]],
+    edge_ids: tuple[str, ...],
+) -> TypedGraph:
+    """A graph over trusted, possibly shared parts (see ``TypedGraph._assemble``)."""
+    graph = TypedGraph.__new__(TypedGraph)
+    graph._assemble(type_graph, nodes, node_ids, by_type, edges, edge_ids)
+    return graph
 
 
 def empty_graph(type_graph: TypeGraph) -> TypedGraph:
@@ -391,8 +442,8 @@ def is_isomorphism(morphism: GraphMorphism) -> bool:
 
 
 def _degree_fits(pattern: TypedGraph, v: str, host: TypedGraph, w: str) -> bool:
-    host_profile = host.degree_profile(w)
-    for key, need in pattern.degree_profile(v).items():
+    host_profile = host._degrees.get(w, {})
+    for key, need in pattern._degrees.get(v, {}).items():
         if host_profile.get(key, 0) < need:
             return False
     return True

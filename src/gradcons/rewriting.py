@@ -19,6 +19,8 @@ from .errors import MatchError, MismatchError, RuleError
 from .graphs import (
     GraphMorphism,
     TypedGraph,
+    _assembled,
+    _node_index,
     enumerate_monomorphisms,
     inclusion,
     validate_graph,
@@ -217,7 +219,7 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
 
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
-    ``find_matches(rule, host)``; the result is built in one construction."""
+    ``find_matches(rule, host)``."""
     removed_nodes = frozenset(match.node_map[v] for v in rule.deleted_nodes)
     removed_edges = frozenset(match.edge_map[e] for e in rule.deleted_edges)
 
@@ -239,13 +241,24 @@ def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> T
     def rhs_node_image(n: str) -> str:
         return fresh[n] if n in fresh else match.node_map[n]
 
-    nodes = [(n, t) for n, t in host.node_items() if n not in removed_nodes]
-    nodes.extend((fresh[n], rule.rhs.node_type(n)) for n in rule.created_nodes)
-    edges = [item for item in host.edge_items() if item[0] not in removed_edges]
+    # The result is the host's parts, copied and patched; without node
+    # changes it shares the host's node part.
+    if removed_nodes or rule.created_nodes:
+        nodes = dict(host._nodes)
+        for n in removed_nodes:
+            del nodes[n]
+        for n in rule.created_nodes:
+            nodes[fresh[n]] = rule.rhs.node_type(n)
+        node_ids, by_type = _node_index(nodes)
+    else:
+        nodes, node_ids, by_type = host._nodes, host._node_ids, host._by_type
+    edges = dict(host._edges)
+    for e in removed_edges:
+        del edges[e]
     for e in rule.created_edges:
         etype, src, tgt = rule.rhs.edge_info(e)
-        edges.append((fresh[e], etype, rhs_node_image(src), rhs_node_image(tgt)))
-    result = TypedGraph(host.type_graph, nodes, edges)
+        edges[fresh[e]] = (etype, rhs_node_image(src), rhs_node_image(tgt))
+    result = _assembled(host.type_graph, nodes, node_ids, by_type, edges, tuple(sorted(edges)))
 
     comatch = GraphMorphism(
         rule.rhs, result,

@@ -24,7 +24,13 @@ from gradcons import (
     validate_graph,
 )
 from gradcons import conditions
-from gradcons.classify import NO_COUNTEREXAMPLE, NO_WITNESS, PROVEN_NO, WITNESS_FOUND
+from gradcons.classify import (
+    NO_COUNTEREXAMPLE,
+    NO_WITNESS,
+    PROVEN_NO,
+    WITNESS_FOUND,
+    _split_ids,
+)
 from gradcons.generate import (
     random_analysis_pair,
     random_host,
@@ -210,6 +216,26 @@ class TestBoundedHosts:
 
     def test_cached_between_calls(self, tg2):
         assert bounded_hosts(tg2, 2) is bounded_hosts(tg2, 2)
+
+    def test_node_type_named_like_the_edge_ids(self):
+        # Nodes of type "e" are e0, e1, ...: the edge ids avoid them, and
+        # the universe is the same as with the type renamed.
+        hosts = bounded_hosts(TypeGraph(["e"], [("r", "e", "e")]), 2)
+        renamed = bounded_hosts(TypeGraph(["X"], [("r", "X", "X")]), 2)
+        assert len(hosts) == len(renamed) == 13
+        for g, h in zip(hosts, renamed):
+            assert validate_graph(g) == []
+            assert g.node_ids == tuple(n.replace("X", "e") for n in h.node_ids)
+            assert not set(g.node_ids) & set(g.edge_ids)
+            assert g.edge_count == h.edge_count
+
+    def test_ids_stay_unique_across_node_types(self):
+        # "A10" is both the 11th node of type A and the first of type A1.
+        node_ids, edge_ids = _split_ids(("A", "A1", "e"), (11, 1, 1), 3)
+        assert node_ids["A"] == tuple(f"A{i}" for i in range(11))
+        assert node_ids["A1"] == ("A10~0",)
+        assert node_ids["e"] == ("e0",)
+        assert edge_ids == ["e0~0", "e1", "e2"]
 
 
 class TestClassifyRuleEmpirical:

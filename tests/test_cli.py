@@ -12,8 +12,9 @@ import pytest
 from gradcons import cra
 from gradcons.cli import main
 from gradcons.conditions import FALSE, Constraint, Exists, Not, forall
-from gradcons.formats import emit_constraint_document, parse_graph_document
-from gradcons.graphs import TypedGraph, empty_morphism_into, inclusion
+from gradcons.formats import emit_constraint_document, emit_rule_document, parse_graph_document
+from gradcons.graphs import TypedGraph, TypeGraph, empty_morphism_into, inclusion
+from gradcons.rewriting import Rule
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,18 @@ class TestApply:
         assert out == ""
         assert parse_graph_document(target.read_text()).has_edge("moveFeature.0.e_new")
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_path_exits_2(self, docs, tmp_path, capsys, where):
+        target = tmp_path / "missing" / "result.json" if where == "missing directory" else tmp_path
+        code, out, err = run(
+            capsys, "apply", str(docs / "rule_moveFeature.json"),
+            str(docs / "host_graph.json"), "--match", "f=f1", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_ambiguous_match_exits_3_and_lists_candidates(self, docs, capsys):
         code, _, err = run(
             capsys, "apply", str(docs / "rule_moveFeature.json"), str(docs / "host_graph.json")
@@ -305,6 +318,31 @@ class TestClassifyRule:
         assert claims["sustaining"] == "proven_no"
         assert payload["results"][0]["steps_examined"] > 0
 
+
+    def test_node_type_named_like_the_edge_ids(self, tmp_path, capsys):
+        # The universe of a node type "e" has nodes e0, e1, ... next to its
+        # edges; the verdicts are those of the same documents with the
+        # type renamed.
+        outputs = []
+        for ntype in ("e", "X"):
+            tg = TypeGraph([ntype], [("r", ntype, ntype)])
+            one = TypedGraph(tg, [("x", ntype)])
+            two = one.with_added([("y", ntype)], [("a", "r", "x", "y")])
+            rule = Rule("grow", one, one, two)
+            constraint = Constraint(
+                "hasSuccessor", forall(empty_morphism_into(one), Exists(inclusion(one, two)))
+            )
+            (tmp_path / f"rule_{ntype}.json").write_text(emit_rule_document(rule))
+            (tmp_path / f"c_{ntype}.json").write_text(emit_constraint_document(constraint))
+            code, out, err = run(
+                capsys, "classify-rule", str(tmp_path / f"rule_{ntype}.json"),
+                str(tmp_path / f"c_{ntype}.json"), "--bound", "2", "--samples", "5",
+                "--format", "structured",
+            )
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["results"][0]["steps_examined"] > 0
 
     def test_oversized_universe_exits_3(self, docs, capsys):
         code, _, err = run(
