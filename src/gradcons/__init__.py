@@ -17,7 +17,8 @@ The usual entry points:
 - :class:`Rule`, :func:`find_matches`, :func:`apply` for rewriting,
 - :func:`classify_step`, :func:`classify_rule_empirical` for dynamic
   classification,
-- :func:`criterion_direct_sustain`, :func:`criterion_direct_improve`,
+- :func:`rule_conflicts_on_check`, :func:`check_depends_on_rule`,
+  :func:`criterion_direct_sustain`, :func:`criterion_direct_improve`,
   :func:`independence_table` for the static analysis,
 - :mod:`gradcons.formats` for the JSON document formats and
   :mod:`gradcons.cra` for the packaged worked example.
@@ -65,8 +66,6 @@ from .conditions import (
     extensions,
     forall,
     graph_satisfies,
-    is_anf,
-    is_partially_consistent,
     negate,
     satisfies,
     validate_anf,
@@ -86,13 +85,10 @@ from .graphs import (
     GraphMorphism,
     TypedGraph,
     TypeGraph,
-    compose,
     empty_graph,
     empty_morphism_into,
     enumerate_monomorphisms,
-    identity,
     inclusion,
-    is_isomorphism,
     validate_graph,
 )
 from .rewriting import (
@@ -101,7 +97,6 @@ from .rewriting import (
     Transformation,
     apply,
     find_matches,
-    make_check_rule,
     scan_matches,
 )
 
@@ -153,7 +148,6 @@ __all__ = [
     "check_depends_on_rule",
     "classify_rule_empirical",
     "classify_step",
-    "compose",
     "consistency_report",
     "criterion_direct_improve",
     "criterion_direct_sustain",
@@ -164,13 +158,8 @@ __all__ = [
     "find_matches",
     "forall",
     "graph_satisfies",
-    "identity",
     "inclusion",
     "independence_table",
-    "is_anf",
-    "is_isomorphism",
-    "is_partially_consistent",
-    "make_check_rule",
     "negate",
     "rule_conflicts_on_check",
     "satisfies",

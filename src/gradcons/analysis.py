@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .conditions import UNIVERSAL, Constraint, iter_extensions
+from .conditions import UNIVERSAL, AnfShape, Constraint, iter_extensions
 from .errors import UnsupportedShapeError
 from .graphs import GraphMorphism, TypedGraph
 from .rewriting import Rule, _fresh_id
@@ -50,16 +50,6 @@ class Overlap:
     graph: TypedGraph
     rule_injection: GraphMorphism
     pattern_injection: GraphMorphism
-
-    def shared_rule_elements(self) -> tuple[frozenset[str], frozenset[str]]:
-        """Rule-side node and edge ids glued onto pattern elements."""
-        p_nodes = set(self.pattern_injection.node_map.values())
-        p_edges = set(self.pattern_injection.edge_map.values())
-        r = self.rule_injection
-        return (
-            frozenset(x for x, y in r.node_map.items() if y in p_nodes),
-            frozenset(x for x, y in r.edge_map.items() if y in p_edges),
-        )
 
 
 def _injective_matchings(
@@ -158,6 +148,27 @@ def _build_overlap(
     return Overlap(kind, glued, rule_injection, pattern_injection)
 
 
+def _overlaps(
+    kind: str, side: TypedGraph, pattern: TypedGraph, nodes: set[str], edges: set[str]
+) -> tuple[Overlap, ...]:
+    """Gluings of ``side`` with ``pattern`` that identify one of the given
+    rule nodes or edges, where none of the given nodes touches a pattern
+    edge outside the identification."""
+    found = []
+    for node_pairs, edge_pairs in _gluings(side, pattern):
+        if not (any(x in nodes for x in node_pairs) or any(x in edges for x in edge_pairs)):
+            continue
+        images = {y for x, y in node_pairs.items() if x in nodes}
+        identified = set(edge_pairs.values())
+        if any(
+            f not in identified and not images.isdisjoint(pattern.edge_info(f)[1:])
+            for f in pattern.edge_ids
+        ):
+            continue
+        found.append(_build_overlap(kind, side, pattern, node_pairs, edge_pairs))
+    return tuple(found)
+
+
 def rule_conflicts_on_check(rule: Rule, pattern: TypedGraph) -> tuple[Overlap, ...]:
     """Overlaps where applying the rule damages an occurrence of ``pattern``.
 
@@ -165,21 +176,8 @@ def rule_conflicts_on_check(rule: Rule, pattern: TypedGraph) -> tuple[Overlap, .
     whose deleted nodes touch an unidentified pattern edge (the match
     could never satisfy the gluing condition there).
     """
-    deleted_nodes = set(rule.deleted_nodes)
-    deleted_edges = set(rule.deleted_edges)
-    found = []
-    for node_pairs, edge_pairs in _gluings(rule.lhs, pattern):
-        touches_deleted = any(x in deleted_nodes for x in node_pairs) or any(
-            x in deleted_edges for x in edge_pairs
-        )
-        if not touches_deleted:
-            continue
-        if _unidentified_pattern_edge_at(
-            pattern, node_pairs, edge_pairs, deleted_nodes
-        ):
-            continue
-        found.append(_build_overlap("conflict", rule.lhs, pattern, node_pairs, edge_pairs))
-    return tuple(found)
+    return _overlaps("conflict", rule.lhs, pattern,
+                     set(rule.deleted_nodes), set(rule.deleted_edges))
 
 
 def check_depends_on_rule(rule: Rule, pattern: TypedGraph) -> tuple[Overlap, ...]:
@@ -187,42 +185,8 @@ def check_depends_on_rule(rule: Rule, pattern: TypedGraph) -> tuple[Overlap, ...
     ``pattern``: a created element is identified, and no created node
     touches an unidentified pattern edge (such an edge would need to
     predate its endpoint)."""
-    created_nodes = set(rule.created_nodes)
-    created_edges = set(rule.created_edges)
-    found = []
-    for node_pairs, edge_pairs in _gluings(rule.rhs, pattern):
-        touches_created = any(x in created_nodes for x in node_pairs) or any(
-            x in created_edges for x in edge_pairs
-        )
-        if not touches_created:
-            continue
-        if _unidentified_pattern_edge_at(
-            pattern, node_pairs, edge_pairs, created_nodes
-        ):
-            continue
-        found.append(_build_overlap("dependency", rule.rhs, pattern, node_pairs, edge_pairs))
-    return tuple(found)
-
-
-def _unidentified_pattern_edge_at(
-    pattern: TypedGraph,
-    node_pairs: dict[str, str],
-    edge_pairs: dict[str, str],
-    special_nodes: set[str],
-) -> bool:
-    """Does some pattern edge outside the identification touch the image
-    of one of the given rule nodes?"""
-    special_images = {node_pairs[x] for x in node_pairs if x in special_nodes}
-    if not special_images:
-        return False
-    identified = set(edge_pairs.values())
-    for f in pattern.edge_ids:
-        if f in identified:
-            continue
-        _, fs, ft = pattern.edge_info(f)
-        if fs in special_images or ft in special_images:
-            return True
-    return False
+    return _overlaps("dependency", rule.rhs, pattern,
+                     set(rule.created_nodes), set(rule.created_edges))
 
 
 # --- rule-level criteria ------------------------------------------------------
@@ -271,13 +235,43 @@ class CriterionResult:
         )
 
 
-def _require_universal(rule: Rule, constraint: Constraint):
+def _fragment(constraint: Constraint, allow_conjecture: bool) -> AnfShape:
+    """The constraint's shape, when the criteria cover it: a universal
+    chain of level one or two, or of level three in conjecture mode. For
+    a universal chain the level fixes the terminal: odd levels end with
+    false."""
     shape = constraint.shape
     if shape.polarity != UNIVERSAL:
         raise UnsupportedShapeError(
             f"static criteria cover universal constraints; {constraint.name!r} is existential"
         )
+    if shape.level > 3:
+        raise UnsupportedShapeError(f"no static criterion for shape {shape.render()!r}")
+    if shape.level == 3 and not allow_conjecture:
+        raise UnsupportedShapeError("three-level chains are supported only in conjecture mode")
     return shape
+
+
+def _repairs(rule: Rule, shape: AnfShape) -> tuple[Overlap, ...]:
+    """Dependency overlaps with the continuation pattern that can repair a
+    violating occurrence: the created elements they share all lie beyond
+    the continuation's anchor image, since the anchor part must come from
+    the surviving host."""
+    continuation = shape.chain[1][1]
+    anchor_nodes = set(continuation.node_map.values())
+    anchor_edges = set(continuation.edge_map.values())
+    created_nodes = set(rule.created_nodes)
+    created_edges = set(rule.created_edges)
+    return tuple(
+        ov for ov in check_depends_on_rule(rule, continuation.codomain)
+        if not any(y in anchor_nodes and x in created_nodes
+                   for y, x in ov.pattern_injection.node_map.items())
+        and not any(y in anchor_edges and x in created_edges
+                    for y, x in ov.pattern_injection.edge_map.items())
+    )
+
+
+_CONJECTURED = ("three-level criterion is conjectured, not proven",)
 
 
 def criterion_direct_sustain(
@@ -294,10 +288,10 @@ def criterion_direct_sustain(
     are available only behind ``allow_conjecture`` and come back marked
     as conjectured.
     """
-    shape = _require_universal(rule, constraint)
+    shape = _fragment(constraint, allow_conjecture)
     name = constraint.name
 
-    if shape.level == 1 and shape.ends_with_false:
+    if shape.level == 1:
         deps = check_depends_on_rule(rule, shape.outer_graph)
         if not deps:
             return CriterionResult(PROVEN_DIRECTLY_SUSTAINING, rule.name, name,
@@ -313,10 +307,8 @@ def criterion_direct_sustain(
                    "may rule the enabling matches out",),
         )
 
-    if shape.level == 2 and not shape.ends_with_false:
-        witness = shape.witness_graph
-        assert witness is not None
-        conflicts = rule_conflicts_on_check(rule, witness)
+    if shape.level == 2:
+        conflicts = rule_conflicts_on_check(rule, shape.witness_graph)
         if conflicts:
             return CriterionResult(
                 INCONCLUSIVE, rule.name, name, evidence=conflicts,
@@ -342,26 +334,14 @@ def criterion_direct_sustain(
             notes=("some enabled occurrence may lack its continuation",),
         )
 
-    if shape.level == 3 and shape.ends_with_false:
-        if not allow_conjecture:
-            raise UnsupportedShapeError(
-                "three-level chains are supported only in conjecture mode"
-            )
-        scope, witness, forbidden = (m.codomain for _, m in shape.chain)
-        clear = (
-            not check_depends_on_rule(rule, scope)
-            and not rule_conflicts_on_check(rule, witness)
-            and not check_depends_on_rule(rule, forbidden)
-        )
-        verdict = CONJECTURED_DIRECTLY_SUSTAINING if clear else CONJECTURED_INCONCLUSIVE
-        return CriterionResult(
-            verdict, rule.name, name, conjectured=True,
-            notes=("three-level criterion is conjectured, not proven",),
-        )
-
-    raise UnsupportedShapeError(
-        f"no static criterion for shape {shape.render()!r}"
+    scope, witness, forbidden = (m.codomain for _, m in shape.chain)
+    clear = (
+        not check_depends_on_rule(rule, scope)
+        and not rule_conflicts_on_check(rule, witness)
+        and not check_depends_on_rule(rule, forbidden)
     )
+    verdict = CONJECTURED_DIRECTLY_SUSTAINING if clear else CONJECTURED_INCONCLUSIVE
+    return CriterionResult(verdict, rule.name, name, conjectured=True, notes=_CONJECTURED)
 
 
 def criterion_direct_improve(
@@ -380,10 +360,10 @@ def criterion_direct_improve(
     otherwise) and a plain rule, and only atomic negative constraints
     reach it; elsewhere a holding necessary condition stays just that.
     """
-    shape = _require_universal(rule, constraint)
+    shape = _fragment(constraint, allow_conjecture)
     name = constraint.name
 
-    if shape.level == 1 and shape.ends_with_false:
+    if shape.level == 1:
         conflicts = rule_conflicts_on_check(rule, shape.outer_graph)
         if not conflicts:
             return CriterionResult(
@@ -405,20 +385,14 @@ def criterion_direct_improve(
                    "guaranteed",),
         )
 
-    if shape.level == 2 and not shape.ends_with_false:
+    if shape.level == 2:
         conflicts = rule_conflicts_on_check(rule, shape.outer_graph)
         if conflicts:
             return CriterionResult(
                 NECESSARY_CONDITION_HOLDS, rule.name, name, evidence=conflicts,
                 notes=("the rule can destroy violating scope occurrences",),
             )
-        continuation = shape.chain[1][1]
-        witness = shape.witness_graph
-        assert witness is not None
-        repairs = tuple(
-            ov for ov in check_depends_on_rule(rule, witness)
-            if _created_part_outside_anchor(rule, continuation, ov)
-        )
+        repairs = _repairs(rule, shape)
         if repairs:
             return CriterionResult(
                 NECESSARY_CONDITION_HOLDS, rule.name, name, evidence=repairs,
@@ -430,69 +404,27 @@ def criterion_direct_improve(
                    "supply missing continuations",),
         )
 
-    if shape.level == 3 and shape.ends_with_false:
-        if not allow_conjecture:
-            raise UnsupportedShapeError(
-                "three-level chains are supported only in conjecture mode"
-            )
-        scope, witness, forbidden = (m.codomain for _, m in shape.chain)
-        continuation = shape.chain[1][1]
-        possible = (
-            rule_conflicts_on_check(rule, scope)
-            or tuple(
-                ov for ov in check_depends_on_rule(rule, witness)
-                if _created_part_outside_anchor(rule, continuation, ov)
-            )
-            or rule_conflicts_on_check(rule, forbidden)
-        )
-        verdict = CONJECTURED_NECESSARY_HOLDS if possible else CONJECTURED_NECESSARY_FAILS
-        return CriterionResult(
-            verdict, rule.name, name, conjectured=True,
-            notes=("three-level criterion is conjectured, not proven",),
-        )
-
-    raise UnsupportedShapeError(
-        f"no static criterion for shape {shape.render()!r}"
+    scope, _, forbidden = (m.codomain for _, m in shape.chain)
+    possible = (
+        rule_conflicts_on_check(rule, scope)
+        or _repairs(rule, shape)
+        or rule_conflicts_on_check(rule, forbidden)
     )
-
-
-def _created_part_outside_anchor(
-    rule: Rule, continuation: GraphMorphism, overlap: Overlap
-) -> bool:
-    """A dependency overlap can repair a violating occurrence only when the
-    created elements it shares all lie beyond the continuation's anchor
-    image: the anchor part must come from the surviving host."""
-    anchor_nodes = set(continuation.node_map.values())
-    anchor_edges = set(continuation.edge_map.values())
-    created_nodes = set(rule.created_nodes)
-    created_edges = set(rule.created_edges)
-    p = overlap.pattern_injection
-    for y, aid in p.node_map.items():
-        if aid in created_nodes and y in anchor_nodes:
-            return False
-    for y, aid in p.edge_map.items():
-        if aid in created_edges and y in anchor_edges:
-            return False
-    return True
+    verdict = CONJECTURED_NECESSARY_HOLDS if possible else CONJECTURED_NECESSARY_FAILS
+    return CriterionResult(verdict, rule.name, name, conjectured=True, notes=_CONJECTURED)
 
 
 # --- independence tables ------------------------------------------------------
 
-TABLE_GROUPS = ("seq_independent", "par_independent", "par_dependent", "seq_dependent")
-
-_GROUP_COMPONENT = {
+# Column group -> the component pattern of the constraint it overlaps.
+# ``seq_`` groups count dependency overlaps and ``par_`` groups conflict
+# overlaps; ``_independent`` groups are positive when no overlap exists,
+# ``_dependent`` groups when at least one does.
+TABLE_GROUPS = {
     "seq_independent": "scope",
     "par_independent": "continuation",
     "par_dependent": "scope",
     "seq_dependent": "continuation",
-}
-# Independence columns are positive when no overlap exists; dependence
-# columns when at least one does.
-_GROUP_POSITIVE_WHEN_EMPTY = {
-    "seq_independent": True,
-    "par_independent": True,
-    "par_dependent": False,
-    "seq_dependent": False,
 }
 
 
@@ -516,26 +448,13 @@ class IndependenceTable:
 
     def sign(self, rule_name: str, group: str, constraint_name: str) -> str:
         count = self.counts[(rule_name, group, constraint_name)]
-        positive = (count == 0) == _GROUP_POSITIVE_WHEN_EMPTY[group]
+        positive = (count == 0) == group.endswith("_independent")
         return "+" if positive else "-"
-
-    def to_dict(self) -> dict:
-        cells = {}
-        for (rule_name, group, cname), count in sorted(self.counts.items()):
-            cells[f"{rule_name}|{group}|{cname}"] = {
-                "overlaps": count,
-                "sign": self.sign(rule_name, group, cname),
-            }
-        return {
-            "rules": list(self.rule_names),
-            "constraints": list(self.constraint_names),
-            "cells": cells,
-        }
 
     def render_text(self) -> str:
         headers = ["rule"]
         for group, cname in self.columns:
-            headers.append(f"{group[:3]}:{cname}.{_GROUP_COMPONENT[group][:4]}")
+            headers.append(f"{group[:3]}:{cname}.{TABLE_GROUPS[group][:4]}")
         widths = [max(len(h), 12) for h in headers]
         widths[0] = max(len(r) for r in ("rule", *self.rule_names))
         lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
@@ -551,23 +470,22 @@ def independence_table(rules, constraints) -> IndependenceTable:
     """Tabulate all four overlap relations for the given rules against the
     component patterns of the given constraints."""
     shapes = {c.name: c.shape for c in constraints}
-
-    columns: list[tuple[str, str]] = []
-    for group in TABLE_GROUPS:
-        for c in constraints:
-            if _GROUP_COMPONENT[group] == "continuation" and shapes[c.name].witness_graph is None:
-                continue
-            columns.append((group, c.name))
+    columns = [
+        (group, c.name)
+        for group, component in TABLE_GROUPS.items()
+        for c in constraints
+        if component == "scope" or shapes[c.name].witness_graph is not None
+    ]
 
     counts: dict[tuple[str, str, str], int] = {}
     for rule in rules:
         for group, cname in columns:
             shape = shapes[cname]
-            if _GROUP_COMPONENT[group] == "scope":
+            if TABLE_GROUPS[group] == "scope":
                 pattern = shape.outer_graph
             else:
                 pattern = shape.witness_graph
-            if group in ("seq_independent", "seq_dependent"):
+            if group.startswith("seq_"):
                 overlaps = check_depends_on_rule(rule, pattern)
             else:
                 overlaps = rule_conflicts_on_check(rule, pattern)

@@ -182,7 +182,14 @@ def _split_ids(
 def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]):
     count_of = dict(zip(types, counts))
     n_slots = sum(count_of[src_t] * count_of[tgt_t] for src_t, tgt_t in tg.edge_types.values())
-    n_perms = math.prod(math.factorial(c) for c in counts)
+    # Permuting the nodes of a type that no edge slot touches leaves every
+    # mask as it is, so only the touched types are permuted.
+    touched = {
+        t for src_t, tgt_t in tg.edge_types.values()
+        if count_of[src_t] and count_of[tgt_t] for t in (src_t, tgt_t)
+    }
+    permuted_types = [t for t in types if t in touched]
+    n_perms = math.prod(math.factorial(count_of[t]) for t in permuted_types)
     if (2 ** n_slots) * n_perms > _MAX_UNIVERSE_WORK:
         raise BoundError(
             f"host universe too large to enumerate (split {counts}, {n_slots} edge slots); "
@@ -204,12 +211,12 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
     slot_index = {slot: i for i, slot in enumerate(slots)}
 
     per_type_perms = [
-        list(itertools.permutations(node_ids_by_type[t])) for t in types
+        list(itertools.permutations(node_ids_by_type[t])) for t in permuted_types
     ]
     seen_mappings: set[tuple[int, ...]] = set()
     for combo in itertools.product(*per_type_perms):
         node_map = {}
-        for t, perm in zip(types, combo):
+        for t, perm in zip(permuted_types, combo):
             for orig, img in zip(node_ids_by_type[t], perm):
                 node_map[orig] = img
         mapping = tuple(

@@ -335,14 +335,6 @@ def validate_anf(constraint: Constraint) -> AnfShape:
     return AnfShape(tuple(chain), ends_with_false, bodies[0])
 
 
-def is_anf(constraint: Constraint) -> bool:
-    try:
-        constraint.shape
-        return True
-    except AnfError:
-        return False
-
-
 # --- graduated consistency ---------------------------------------------------
 
 
@@ -400,8 +392,3 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
         ci=ci,
         violating_occurrences=violating,
     )
-
-
-def is_partially_consistent(graph: TypedGraph, constraint: Constraint) -> bool:
-    """ci > 0: at least some relevant occurrence is in order."""
-    return consistency_report(graph, constraint).ci > 0

@@ -21,13 +21,13 @@ the reproduction functions diff against them and flag any drift.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
     NECESSARY_CONDITION_FAILS,
     PROVEN_DIRECTLY_SUSTAINING,
+    TABLE_GROUPS,
     CriterionResult,
     IndependenceTable,
     criterion_direct_improve,
@@ -35,7 +35,6 @@ from .analysis import (
     independence_table,
 )
 from .classify import (
-    NO_COUNTEREXAMPLE,
     PROVEN_NO,
     WITNESS_FOUND,
     RuleClassification,
@@ -54,7 +53,7 @@ from .formats import (
 from .graphs import TypeGraph, TypedGraph, empty_graph, empty_morphism_into, inclusion
 from .rewriting import Rule
 
-FIXTURES_ENV = "GRADCONS_FIXTURES"
+FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures" / "cra"
 RULE_NAMES = ("assignFeature", "createClass", "moveFeature", "deleteEmptyClass")
 CONSTRAINT_NAMES = ("c1", "c2", "c3")
 
@@ -191,20 +190,10 @@ def build_fixtures() -> CraFixtures:
     )
 
 
-def default_fixtures_dir() -> Path:
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "fixtures" / "cra"
-
-
 def load_fixtures(directory: str | Path | None = None) -> CraFixtures:
-    """Load the scenario from its JSON files.
-
-    ``directory`` defaults to the packaged fixtures, overridable through
-    the ``GRADCONS_FIXTURES`` environment variable.
-    """
-    base = Path(directory) if directory is not None else default_fixtures_dir()
+    """Load the scenario from its JSON files; ``directory`` defaults to
+    the packaged fixtures."""
+    base = Path(directory) if directory is not None else FIXTURES_DIR
     host = parse_graph_document((base / _HOST_FILE).read_text())
     rules = {
         name: parse_rule_document((base / filename).read_text())
@@ -266,9 +255,8 @@ def _fill_independence_golden() -> None:
         "moveFeature": ("-+-", "--", "+-+", "++"),
         "deleteEmptyClass": ("+++", "++", "-+-", "--"),
     }
-    groups = ("seq_independent", "par_independent", "par_dependent", "seq_dependent")
     for rule_name, cells in rows.items():
-        for group, signs in zip(groups, cells):
+        for group, signs in zip(TABLE_GROUPS, cells):
             cnames = CONSTRAINT_NAMES if len(signs) == 3 else CONSTRAINT_NAMES[1:]
             for cname, sign in zip(cnames, signs):
                 INDEPENDENCE_GOLDEN[(rule_name, group, cname)] = sign

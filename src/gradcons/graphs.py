@@ -390,14 +390,6 @@ class GraphMorphism:
         return f"GraphMorphism({kind}, nodes={dict(self.node_map)}, edges={dict(self.edge_map)})"
 
 
-def identity(graph: TypedGraph) -> GraphMorphism:
-    return GraphMorphism(
-        graph, graph,
-        {nid: nid for nid in graph.node_ids},
-        {eid: eid for eid in graph.edge_ids},
-    )
-
-
 def inclusion(sub: TypedGraph, sup: TypedGraph) -> GraphMorphism:
     """The id-preserving embedding of ``sub`` into ``sup``."""
     for nid in sub.node_ids:
@@ -415,30 +407,6 @@ def inclusion(sub: TypedGraph, sup: TypedGraph) -> GraphMorphism:
 
 def empty_morphism_into(graph: TypedGraph) -> GraphMorphism:
     return GraphMorphism(empty_graph(graph.type_graph), graph, {}, {})
-
-
-def compose(first: GraphMorphism, second: GraphMorphism) -> GraphMorphism:
-    """Apply ``first``, then ``second``; defined where both legs are.
-
-    Requires ``first.codomain == second.domain`` (checked structurally).
-    """
-    if first.codomain != second.domain:
-        raise MismatchError("compose: codomain of the first leg is not the domain of the second")
-    node_map = {
-        x: second.node_map[y]
-        for x, y in first.node_map.items()
-        if y in second.node_map
-    }
-    edge_map = {
-        e: second.edge_map[f]
-        for e, f in first.edge_map.items()
-        if f in second.edge_map
-    }
-    return GraphMorphism(first.domain, second.codomain, node_map, edge_map)
-
-
-def is_isomorphism(morphism: GraphMorphism) -> bool:
-    return morphism.is_isomorphism()
 
 
 def _degree_fits(pattern: TypedGraph, v: str, host: TypedGraph, w: str) -> bool:

@@ -79,16 +79,6 @@ class Rule:
         """True when the application condition is trivially satisfied."""
         return isinstance(self.condition, TrueCondition)
 
-    def is_identity(self) -> bool:
-        return not (self.deleted_nodes or self.deleted_edges
-                    or self.created_nodes or self.created_edges)
-
-
-def make_check_rule(pattern: TypedGraph, name: str = "check") -> Rule:
-    """The non-modifying rule whose matches are exactly the occurrences of
-    ``pattern``: identity span, no application condition."""
-    return Rule(name=name, lhs=pattern, interface=pattern, rhs=pattern)
-
 
 @dataclass(frozen=True)
 class MatchScan:

@@ -17,13 +17,25 @@ from gradcons import (
     Constraint,
     Exists,
     GraphMorphism,
+    MismatchError,
     Not,
     Rule,
     Transformation,
     TypedGraph,
-    compose,
     satisfies,
 )
+
+
+def compose(first: GraphMorphism, second: GraphMorphism) -> GraphMorphism:
+    """Apply ``first``, then ``second``; defined where both legs are.
+
+    Requires ``first.codomain == second.domain`` (checked structurally).
+    """
+    if first.codomain != second.domain:
+        raise MismatchError("compose: codomain of the first leg is not the domain of the second")
+    node_map = {x: second.node_map[y] for x, y in first.node_map.items() if y in second.node_map}
+    edge_map = {e: second.edge_map[f] for e, f in first.edge_map.items() if f in second.edge_map}
+    return GraphMorphism(first.domain, second.codomain, node_map, edge_map)
 
 
 def _edge_assignments(pattern, host, node_map, injective):

@@ -21,7 +21,6 @@ from gradcons import (
     apply,
     bounded_hosts,
     classify_step,
-    compose,
     consistency_report,
     criterion_direct_improve,
     criterion_direct_sustain,
@@ -46,6 +45,7 @@ from gradcons.generate import (
 
 from .oracles import (
     cocone_commutes,
+    compose,
     dpo_by_sets,
     forced_mediator,
     gluing_square_commutes,

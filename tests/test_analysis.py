@@ -1,11 +1,14 @@
 import pytest
 
 from gradcons import (
+    FALSE,
+    TRUE,
     Constraint,
     Exists,
     Not,
     Rule,
     TypedGraph,
+    UNIVERSAL,
     UnsupportedShapeError,
     check_depends_on_rule,
     criterion_direct_improve,
@@ -18,6 +21,10 @@ from gradcons import (
     rule_conflicts_on_check,
 )
 from gradcons.analysis import (
+    CONJECTURED_DIRECTLY_SUSTAINING,
+    CONJECTURED_INCONCLUSIVE,
+    CONJECTURED_NECESSARY_FAILS,
+    CONJECTURED_NECESSARY_HOLDS,
     INCONCLUSIVE,
     NECESSARY_CONDITION_FAILS,
     NECESSARY_CONDITION_HOLDS,
@@ -25,6 +32,73 @@ from gradcons.analysis import (
     PROVEN_IMPROVING,
     PROVEN_NOT_DIRECTLY_SUSTAINING,
 )
+
+# The one note each criterion gives on the CRA scenario, by short key.
+NOTES = {
+    "ac": "dependency overlaps exist, but the application condition may rule "
+          "the enabling matches out",
+    "clear1": "no dependency overlap with the forbidden pattern",
+    "clear2": "no dependency overlap with the scope pattern and no conflict "
+              "overlap with its continuation",
+    "carried": "every dependency overlap already carries the required continuation",
+    "lacks": "some enabled occurrence may lack its continuation",
+    "damage": "the rule can damage required continuations",
+    "no_destroy": "the rule cannot destroy occurrences of the forbidden pattern, "
+                  "so no application lowers their count",
+    "in_principle": "destruction is possible in principle; improvement is not guaranteed",
+    "supply": "the rule can supply a missing continuation",
+    "destroy": "the rule can destroy violating scope occurrences",
+    "neither": "the rule can neither destroy violating occurrences nor supply "
+               "missing continuations",
+    "conjectured": "three-level criterion is conjectured, not proven",
+}
+
+# (rule, constraint) -> ((sustain verdict, overlaps, note),
+#                        (improve verdict, overlaps, note))
+CRA_CRITERIA = {
+    ("assignFeature", "c1"): ((INCONCLUSIVE, 2, "ac"), (NECESSARY_CONDITION_FAILS, 0, "no_destroy")),
+    ("assignFeature", "c2"): ((PROVEN_DIRECTLY_SUSTAINING, 0, "clear2"),
+                              (NECESSARY_CONDITION_HOLDS, 1, "supply")),
+    ("assignFeature", "c3"): ((INCONCLUSIVE, 2, "lacks"), (NECESSARY_CONDITION_HOLDS, 1, "supply")),
+    ("createClass", "c1"): ((INCONCLUSIVE, 2, "ac"), (NECESSARY_CONDITION_FAILS, 0, "no_destroy")),
+    ("createClass", "c2"): ((PROVEN_DIRECTLY_SUSTAINING, 1, "carried"),
+                            (NECESSARY_CONDITION_FAILS, 0, "neither")),
+    ("createClass", "c3"): ((INCONCLUSIVE, 2, "lacks"), (NECESSARY_CONDITION_FAILS, 0, "neither")),
+    ("moveFeature", "c1"): ((INCONCLUSIVE, 4, "ac"), (NECESSARY_CONDITION_HOLDS, 4, "in_principle")),
+    ("moveFeature", "c2"): ((INCONCLUSIVE, 1, "damage"), (NECESSARY_CONDITION_HOLDS, 1, "supply")),
+    ("moveFeature", "c3"): ((INCONCLUSIVE, 6, "damage"), (NECESSARY_CONDITION_HOLDS, 4, "destroy")),
+    ("deleteEmptyClass", "c1"): ((PROVEN_DIRECTLY_SUSTAINING, 0, "clear1"),
+                                 (NECESSARY_CONDITION_FAILS, 0, "no_destroy")),
+    ("deleteEmptyClass", "c2"): ((PROVEN_DIRECTLY_SUSTAINING, 0, "clear2"),
+                                 (NECESSARY_CONDITION_HOLDS, 1, "destroy")),
+    ("deleteEmptyClass", "c3"): ((PROVEN_DIRECTLY_SUSTAINING, 0, "clear2"),
+                                 (NECESSARY_CONDITION_FAILS, 0, "neither")),
+}
+
+# rule -> (sustain verdict, improve verdict) against the three-level
+# ``deep`` constraint, all conjectured and without evidence.
+CRA_DEEP_CRITERIA = {
+    "assignFeature": (CONJECTURED_INCONCLUSIVE, CONJECTURED_NECESSARY_HOLDS),
+    "createClass": (CONJECTURED_INCONCLUSIVE, CONJECTURED_NECESSARY_FAILS),
+    "moveFeature": (CONJECTURED_INCONCLUSIVE, CONJECTURED_NECESSARY_HOLDS),
+    "deleteEmptyClass": (CONJECTURED_DIRECTLY_SUSTAINING, CONJECTURED_NECESSARY_HOLDS),
+}
+
+
+def _cra_chain(fixtures, levels):
+    """A universal chain over the CRA type graph: a class, one assigned
+    feature, a feature it depends on, a class the latter is assigned to,
+    cut to the given number of levels; an odd level ends with false."""
+    a1 = TypedGraph(fixtures.type_graph, [("C", "Class")])
+    a2 = a1.with_added([("F", "Feature")], [("e", "isAssigned", "F", "C")])
+    a3 = a2.with_added([("F2", "Feature")], [("d", "dependsOn", "F", "F2")])
+    a4 = a3.with_added([("C2", "Class")], [("e2", "isAssigned", "F2", "C2")])
+    graphs = [a1, a2, a3, a4][:levels]
+    condition = TRUE if levels % 2 == 0 else FALSE
+    for i in reversed(range(1, levels)):
+        morphism = inclusion(graphs[i - 1], graphs[i])
+        condition = Exists(morphism, condition) if i % 2 else forall(morphism, condition)
+    return Constraint(f"level{levels}", forall(empty_morphism_into(a1), condition))
 
 
 @pytest.fixture
@@ -54,8 +128,7 @@ class TestOverlaps:
         assert len(overlaps) == 1
         ov = overlaps[0]
         assert ov.kind == "conflict"
-        shared_nodes, shared_edges = ov.shared_rule_elements()
-        assert "d" in shared_nodes and not shared_edges
+        assert ov.rule_injection.node_map == {"d": "d"} and not ov.rule_injection.edge_map
         assert ov.rule_injection.is_total() and ov.pattern_injection.is_total()
         assert ov.rule_injection.node_map["d"] == ov.pattern_injection.node_map["P"]
         assert ov.graph.node_count == 1
@@ -84,7 +157,7 @@ class TestOverlaps:
         _, _, loop_pair = patterns
         deps = check_depends_on_rule(link, loop_pair)
         assert deps
-        assert all("me" in ov.shared_rule_elements()[1] for ov in deps)
+        assert all("me" in ov.pattern_injection.edge_map.values() for ov in deps)
 
     def test_overlap_graph_is_a_union_of_both_images(self, small_rules, patterns):
         _, _, link = small_rules
@@ -167,6 +240,40 @@ class TestSustainCriterion:
         assert imp.conjectured
 
 
+class TestCraCriteria:
+    def test_verdicts_evidence_and_notes(self, fixtures):
+        for (rname, cname), (want_s, want_i) in CRA_CRITERIA.items():
+            rule, c = fixtures.rules[rname], fixtures.constraints[cname]
+            sustain = criterion_direct_sustain(rule, c)
+            improve = criterion_direct_improve(rule, c)
+            for res, (verdict, overlaps, note) in ((sustain, want_s), (improve, want_i)):
+                got = (res.verdict, len(res.evidence), res.notes, res.conjectured)
+                assert got == (verdict, overlaps, (NOTES[note],), False), (rname, cname)
+
+    def test_three_levels_under_conjecture(self, fixtures):
+        deep = _cra_chain(fixtures, 3)
+        assert deep.shape.level == 3
+        for rname, (want_s, want_i) in CRA_DEEP_CRITERIA.items():
+            rule = fixtures.rules[rname]
+            sustain = criterion_direct_sustain(rule, deep, allow_conjecture=True)
+            improve = criterion_direct_improve(rule, deep, allow_conjecture=True)
+            for res, verdict in ((sustain, want_s), (improve, want_i)):
+                got = (res.verdict, res.conjectured, res.evidence, res.notes)
+                assert got == (verdict, True, (), (NOTES["conjectured"],)), rname
+            for criterion in (criterion_direct_sustain, criterion_direct_improve):
+                with pytest.raises(UnsupportedShapeError, match="three-level chains"):
+                    criterion(rule, deep)
+
+    def test_four_levels_have_no_criterion(self, fixtures):
+        deeper = _cra_chain(fixtures, 4)
+        assert deeper.shape.level == 4 and deeper.shape.polarity == UNIVERSAL
+        for rule in fixtures.rule_list():
+            for criterion in (criterion_direct_sustain, criterion_direct_improve):
+                for conjecture in (False, True):
+                    with pytest.raises(UnsupportedShapeError, match="no static criterion for shape"):
+                        criterion(rule, deeper, allow_conjecture=conjecture)
+
+
 class TestImproveCriterion:
     def test_necessity_verdicts_across_the_example(self, fixtures):
         expected_holds = {
@@ -217,10 +324,7 @@ class TestIndependenceTable:
         assert table.counts[("deleteEmptyClass", "seq_dependent", "c2")] == 0
         assert table.sign("deleteEmptyClass", "seq_dependent", "c2") == "-"
 
-    def test_rendering_and_dict_views(self, fixtures):
+    def test_rendering(self, fixtures):
         table = independence_table(fixtures.rule_list(), fixtures.constraint_list())
         text = table.render_text()
         assert "moveFeature" in text and "seq:c1.scop" in text
-        d = table.to_dict()
-        cell = d["cells"]["assignFeature|seq_independent|c1"]
-        assert cell["sign"] == "-" and cell["overlaps"] > 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,18 @@ class TestBoundedHosts:
                     if len(set(m.edge_map.values())) == h.edge_count
                 ]
                 assert not isos, "universe contains an isomorphic pair"
+
+    def test_edgeless_type_is_not_permuted(self):
+        # Without edge slots every split has one host, so no permutation of
+        # its nodes is needed: permuting them built 8! tuples (4.9 MB).
+        tracemalloc.start()
+        try:
+            hosts = bounded_hosts(TypeGraph(["A"]), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [g.node_count for g in hosts] == list(range(9))
+        assert peak < 1_000_000
 
     def test_cached_between_calls(self, tg2):
         assert bounded_hosts(tg2, 2) is bounded_hosts(tg2, 2)

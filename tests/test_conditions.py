@@ -21,10 +21,7 @@ from gradcons import (
     extensions,
     forall,
     graph_satisfies,
-    identity,
     inclusion,
-    is_anf,
-    is_partially_consistent,
     negate,
     satisfies,
     validate_anf,
@@ -52,7 +49,7 @@ class TestConditionAlgebra:
         single, pair = shapes
         a = inclusion(single, pair)
         assert forall(a) == Not(Exists(a, TRUE))
-        inner = Exists(identity(pair), TRUE)
+        inner = Exists(inclusion(pair, pair), TRUE)
         assert forall(a, inner) == Not(Exists(a, Not(inner)))
 
     def test_exists_rejects_non_injective_and_mismatched_anchors(self, tg2, shapes):
@@ -64,7 +61,7 @@ class TestConditionAlgebra:
     def test_and_rejects_mixed_anchors(self, shapes):
         single, pair = shapes
         with pytest.raises(MismatchError, match="anchored"):
-            And(Exists(identity(single)), Exists(identity(pair)))
+            And(Exists(inclusion(single, single)), Exists(inclusion(pair, pair)))
 
     def test_constraint_demands_empty_root_anchor(self, shapes):
         single, pair = shapes
@@ -144,7 +141,6 @@ class TestAnfValidation:
         c = Constraint("conj", And(Exists(a), Exists(a)))
         with pytest.raises(AnfError, match="conjunction"):
             validate_anf(c)
-        assert not is_anf(c)
 
     def test_rejects_isomorphic_chain_morphism(self, tg2, shapes):
         single, _ = shapes
@@ -192,7 +188,6 @@ class TestConsistencyReport:
         assert len(r.violating_occurrences) == 1
         witness = r.violating_occurrences[0].node_map
         assert witness["F1"] == "f1" and witness["F2"] == "f3"
-        assert is_partially_consistent(fixtures.host, fixtures.constraints["c3"])
 
     def test_existential_report_is_all_or_nothing(self, tg2, shapes):
         single, _ = shapes
@@ -203,7 +198,6 @@ class TestConsistencyReport:
         assert (r1.ro, r1.ncv, r1.ci) == (1, 0, 1)
         r0 = consistency_report(without_a, c)
         assert (r0.ro, r0.ncv, r0.ci) == (1, 1, 0)
-        assert not is_partially_consistent(without_a, c)
 
     def test_graph_satisfies_agrees_with_report(self, fixtures):
         for c in fixtures.constraint_list():

@@ -25,17 +25,10 @@ class TestFixtureFiles:
 
     def test_shipped_files_are_a_regeneration_fixed_point(self, tmp_path):
         written = cra.write_fixture_files(tmp_path)
-        packaged = cra.default_fixtures_dir()
+        packaged = cra.FIXTURES_DIR
         assert {p.name for p in written} == {p.name for p in packaged.iterdir()}
         for path in written:
             assert path.read_bytes() == (packaged / path.name).read_bytes()
-
-    def test_env_override_redirects_loading(self, tmp_path, monkeypatch):
-        cra.write_fixture_files(tmp_path)
-        monkeypatch.setenv(cra.FIXTURES_ENV, str(tmp_path))
-        assert cra.default_fixtures_dir() == tmp_path
-        loaded = cra.load_fixtures()
-        assert loaded == cra.build_fixtures()
 
     def test_loading_rejects_a_library_missing_a_constraint(self, tmp_path):
         from gradcons.formats import emit_constraints_library

@@ -14,7 +14,6 @@ from gradcons import (
     empty_graph,
     find_matches,
     inclusion,
-    make_check_rule,
     scan_matches,
 )
 from gradcons.generate import random_host, random_rule, random_type_graph
@@ -57,7 +56,7 @@ class TestRuleValidation:
         mf = fixtures.rules["moveFeature"]
         assert mf.deleted_nodes == () and mf.deleted_edges == ("e_old",)
         assert mf.created_nodes == () and mf.created_edges == ("e_new",)
-        assert not mf.is_plain() and not mf.is_identity()
+        assert not mf.is_plain()
         dec = fixtures.rules["deleteEmptyClass"]
         assert dec.deleted_nodes == ("c",)
 
@@ -65,8 +64,9 @@ class TestRuleValidation:
 class TestMatching:
     def test_check_rule_matches_are_occurrences(self, fixtures):
         pattern = fixtures.rules["moveFeature"].lhs
-        check = make_check_rule(pattern)
-        assert check.is_identity() and check.is_plain()
+        check = Rule("check", pattern, pattern, pattern)
+        assert not (check.deleted_nodes or check.deleted_edges
+                    or check.created_nodes or check.created_edges)
         t = apply(check, fixtures.host, find_matches(check, fixtures.host)[0])
         assert t.result == fixtures.host
         assert t.track.is_total()
