@@ -442,7 +442,6 @@ class IndependenceTable:
     """
 
     rule_names: tuple[str, ...]
-    constraint_names: tuple[str, ...]
     columns: tuple[tuple[str, str], ...]  # (group, constraint name)
     counts: dict[tuple[str, str, str], int]
 
@@ -493,7 +492,6 @@ def independence_table(rules, constraints) -> IndependenceTable:
 
     return IndependenceTable(
         rule_names=tuple(r.name for r in rules),
-        constraint_names=tuple(c.name for c in constraints),
         columns=tuple(columns),
         counts=counts,
     )

@@ -33,6 +33,7 @@ from .formats import (
     parse_constraints_library,
     parse_graph_document,
     parse_rule_document,
+    read_document,
 )
 from .graphs import GraphMorphism, TypedGraph
 from .rewriting import Rule, apply, scan_matches
@@ -42,23 +43,16 @@ def _emit_structured(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise DocumentError([f"cannot read {path}: {exc}"]) from exc
-
-
 def _load_graph(path: str) -> TypedGraph:
-    return parse_graph_document(_read_text(path))
+    return parse_graph_document(read_document(path))
 
 
 def _load_rule(path: str) -> Rule:
-    return parse_rule_document(_read_text(path))
+    return parse_rule_document(read_document(path))
 
 
 def _load_constraints(path: str, only: str | None) -> list[Constraint]:
-    doc = load_json(_read_text(path))
+    doc = load_json(read_document(path))
     if isinstance(doc, dict) and doc.get("format") == CONSTRAINT_FORMAT:
         constraints = [parse_constraint_document(doc)]
     else:
@@ -132,9 +126,8 @@ def _cmd_validate(args) -> int:
     results = []
     failures = []
     for path in args.files:
-        text = _read_text(path)
         try:
-            doc = load_json(text)
+            doc = load_json(read_document(path))
         except DocumentError as exc:
             failures.append((path, exc.problems))
             continue

@@ -28,7 +28,6 @@ from .analysis import (
     NECESSARY_CONDITION_FAILS,
     PROVEN_DIRECTLY_SUSTAINING,
     TABLE_GROUPS,
-    CriterionResult,
     IndependenceTable,
     criterion_direct_improve,
     criterion_direct_sustain,
@@ -49,6 +48,7 @@ from .formats import (
     parse_constraints_library,
     parse_graph_document,
     parse_rule_document,
+    read_document,
 )
 from .graphs import TypeGraph, TypedGraph, empty_graph, empty_morphism_into, inclusion
 from .rewriting import Rule
@@ -194,18 +194,20 @@ def load_fixtures(directory: str | Path | None = None) -> CraFixtures:
     """Load the scenario from its JSON files; ``directory`` defaults to
     the packaged fixtures."""
     base = Path(directory) if directory is not None else FIXTURES_DIR
-    host = parse_graph_document((base / _HOST_FILE).read_text())
+    host = parse_graph_document(read_document(base / _HOST_FILE))
     rules = {
-        name: parse_rule_document((base / filename).read_text())
+        name: parse_rule_document(read_document(base / filename))
         for name, filename in _RULE_FILES.items()
     }
     constraints = {
         c.name: c
-        for c in parse_constraints_library((base / _CONSTRAINTS_FILE).read_text())
+        for c in parse_constraints_library(read_document(base / _CONSTRAINTS_FILE))
     }
     tg = host.type_graph
     problems = []
     for name, rule in rules.items():
+        if rule.name != name:
+            problems.append(f"{_RULE_FILES[name]} holds rule {rule.name!r}, not {name!r}")
         if rule.lhs.type_graph != tg:
             problems.append(f"rule {name!r} uses a different type graph than the host")
     for name, c in constraints.items():
@@ -214,6 +216,10 @@ def load_fixtures(directory: str | Path | None = None) -> CraFixtures:
     missing = [n for n in CONSTRAINT_NAMES if n not in constraints]
     if missing:
         problems.append(f"constraints missing from library: {missing}")
+    for name in CONSTRAINT_NAMES[1:]:
+        # The reference table has continuation columns for these two.
+        if name in constraints and constraints[name].shape.witness_graph is None:
+            problems.append(f"constraint {name!r} has no pattern nested under its scope")
     if problems:
         raise DocumentError(problems)
     return CraFixtures(type_graph=tg, host=host, rules=rules, constraints=constraints)
@@ -346,8 +352,6 @@ class ClassificationReproduction:
     seed: int
     cells: dict[tuple[str, str], ClassificationCell]
     statically_proven: frozenset[tuple[str, str]]
-    static_sustain: dict[tuple[str, str], CriterionResult]
-    static_improve: dict[tuple[str, str], CriterionResult]
     empirical: dict[tuple[str, str], RuleClassification]
     diffs: tuple[str, ...]
 
@@ -385,7 +389,9 @@ def _classify_pair(
     bound: int,
     samples: int,
     seed: int,
-) -> tuple[ClassificationCell, CriterionResult, CriterionResult, RuleClassification]:
+) -> tuple[ClassificationCell, bool, RuleClassification]:
+    """The pair's cell, whether the static criterion proves it directly
+    sustaining, and the search result behind the cell."""
     static_sustain = criterion_direct_sustain(rule, constraint)
     static_improve = criterion_direct_improve(rule, constraint, sustain=static_sustain)
     empirical = classify_rule_empirical(rule, constraint, bound=bound, samples=samples, seed=seed)
@@ -394,7 +400,8 @@ def _classify_pair(
     improving = empirical.claim("improving")
     strong = empirical.claim("strongly_improving")
 
-    if static_sustain.verdict == PROVEN_DIRECTLY_SUSTAINING:
+    proven = static_sustain.verdict == PROVEN_DIRECTLY_SUSTAINING
+    if proven:
         if sustaining.status == PROVEN_NO or direct.status == PROVEN_NO:
             raise ContradictionError(
                 f"{rule.name}/{constraint.name}: statically certified sustaining, "
@@ -439,7 +446,7 @@ def _classify_pair(
         sustaining_provenance=sus_from,
         improving_provenance=imp_from,
     )
-    return cell, static_sustain, static_improve, empirical
+    return cell, proven, empirical
 
 
 def reproduce_classification_table(
@@ -456,22 +463,16 @@ def reproduce_classification_table(
     """
     fixtures = fixtures or load_fixtures()
     cells: dict[tuple[str, str], ClassificationCell] = {}
-    static_sustain: dict[tuple[str, str], CriterionResult] = {}
-    static_improve: dict[tuple[str, str], CriterionResult] = {}
     empirical: dict[tuple[str, str], RuleClassification] = {}
     proven = set()
     for rule_name in RULE_NAMES:
         for cname in CONSTRAINT_NAMES:
             key = (rule_name, cname)
-            cell, ss, si, emp = _classify_pair(
+            cells[key], is_proven, empirical[key] = _classify_pair(
                 fixtures.rules[rule_name], fixtures.constraints[cname],
                 bound, samples, seed,
             )
-            cells[key] = cell
-            static_sustain[key] = ss
-            static_improve[key] = si
-            empirical[key] = emp
-            if ss.verdict == PROVEN_DIRECTLY_SUSTAINING:
+            if is_proven:
                 proven.add(key)
 
     diffs = []
@@ -496,8 +497,6 @@ def reproduce_classification_table(
         seed=seed,
         cells=cells,
         statically_proven=frozenset(proven),
-        static_sustain=static_sustain,
-        static_improve=static_improve,
         empirical=empirical,
         diffs=tuple(diffs),
     )

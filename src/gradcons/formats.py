@@ -15,6 +15,7 @@ raised together as :class:`DocumentError`.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Any, Mapping
 
 from .conditions import (
@@ -42,6 +43,15 @@ CONSTRAINTS_FORMAT = "gradcons/constraints@1"
 # constraints nest a handful of levels, and the limit keeps every parse far
 # from the interpreter's recursion limit.
 MAX_CONDITION_DEPTH = 100
+
+
+def read_document(path: str | Path) -> str:
+    """The text of a document file; a file that cannot be read or is not
+    UTF-8 becomes a DocumentError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError([f"cannot read {path}: {exc}"]) from exc
 
 
 def load_json(text: str) -> Any:

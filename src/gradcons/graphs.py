@@ -21,7 +21,7 @@ class TypeGraph:
     signature. Type names are unique across both kinds.
     """
 
-    __slots__ = ("_node_types", "_edge_types", "_degree_keys")
+    __slots__ = ("_node_types", "_edge_types")
 
     def __init__(
         self,
@@ -47,9 +47,6 @@ class TypeGraph:
                 raise ValueError(f"edge type {name!r} references unknown node type")
         self._node_types = frozenset(nts)
         self._edge_types = dict(sorted(ets.items()))
-        # The ("out", t) / ("in", t) keys of every graph's degree index,
-        # one pair per edge type shared by all graphs over this type graph.
-        self._degree_keys = {name: (("out", name), ("in", name)) for name in self._edge_types}
 
     @property
     def node_types(self) -> frozenset[str]:
@@ -90,7 +87,7 @@ class TypedGraph:
 
     __slots__ = (
         "_type_graph", "_nodes", "_edges", "_node_ids", "_edge_ids",
-        "_by_type", "_triples", "_incident", "_degrees", "_plans",
+        "_by_type", "_triples", "_incident", "_plans",
     )
 
     def __init__(
@@ -137,11 +134,9 @@ class TypedGraph:
         # validate_graph instead.
         triples: dict[tuple[str, str, str], tuple[str, ...]] = {}
         incident: dict[str, list[str]] = {nid: [] for nid in node_ids}
-        degrees: dict[str, dict[tuple[str, str], int]] = {nid: {} for nid in node_ids}
-        degree_keys = type_graph._degree_keys
         for eid in edge_ids:
             info = edges[eid]
-            etype, src, tgt = info
+            _, src, tgt = info
             if src not in nodes or tgt not in nodes:
                 continue
             # Keyed by the edge's own tuple. A bundle of k parallel edges
@@ -150,17 +145,8 @@ class TypedGraph:
             incident[src].append(eid)
             if tgt != src:
                 incident[tgt].append(eid)
-            keys = degree_keys.get(etype)
-            if keys is None:
-                keys = (("out", etype), ("in", etype))
-            out_key, in_key = keys
-            dsrc = degrees[src]
-            dsrc[out_key] = dsrc.get(out_key, 0) + 1
-            dtgt = degrees[tgt]
-            dtgt[in_key] = dtgt.get(in_key, 0) + 1
         self._triples = triples
         self._incident = {k: tuple(v) for k, v in incident.items()}
-        self._degrees = degrees
         # Search plans for this graph as a pattern, compiled on first use.
         self._plans: dict[frozenset[str], _Plan] | None = None
 
@@ -200,10 +186,6 @@ class TypedGraph:
 
     def incident_edges(self, nid: str) -> tuple[str, ...]:
         return self._incident.get(nid, ())
-
-    def degree_profile(self, nid: str) -> dict[tuple[str, str], int]:
-        """Count incident edges per ``("in"|"out", edge type)`` key (a copy)."""
-        return dict(self._degrees.get(nid, ()))
 
     @property
     def node_count(self) -> int:
@@ -409,14 +391,6 @@ def empty_morphism_into(graph: TypedGraph) -> GraphMorphism:
     return GraphMorphism(empty_graph(graph.type_graph), graph, {}, {})
 
 
-def _degree_fits(pattern: TypedGraph, v: str, host: TypedGraph, w: str) -> bool:
-    host_profile = host._degrees.get(w, {})
-    for key, need in pattern._degrees.get(v, {}).items():
-        if host_profile.get(key, 0) < need:
-            return False
-    return True
-
-
 class _Plan:
     """The compiled search for one pattern and one set of seeded nodes.
 
@@ -532,22 +506,17 @@ def iter_monomorphisms(
     for etype, src, tgt in plan.seed_checks:
         if not host.edges_with_signature(etype, node_seed[src], node_seed[tgt]):
             return
-    # Candidates from a type scan do not depend on the partial map.
-    scanned: dict[str, tuple[str, ...]] = {}
-    for v, ntype, source, _ in plan.steps:
-        if source is None:
-            scanned[v] = tuple(
-                w for w in host.nodes_of_type(ntype) if _degree_fits(pattern, v, host, w)
-            )
-            if not scanned[v]:
-                return
+    # A node type the host lacks leaves no candidates for a type scan.
+    for _, ntype, source, _ in plan.steps:
+        if source is None and not host.nodes_of_type(ntype):
+            return
 
     steps = plan.steps
     edges_with_signature = host.edges_with_signature
     node_map = node_seed
     used_nodes = set(node_seed.values())
 
-    def neighbours(v: str, ntype: str, source: tuple[str, str, bool]) -> Iterator[str]:
+    def neighbours(ntype: str, source: tuple[str, str, bool]) -> Iterator[str]:
         u, etype, outgoing = source
         anchor = node_map[u]
         seen = set()
@@ -559,7 +528,7 @@ def iter_monomorphisms(
             if (fsrc if outgoing else ftgt) != anchor or w in seen:
                 continue
             seen.add(w)
-            if host.node_type(w) == ntype and _degree_fits(pattern, v, host, w):
+            if host.node_type(w) == ntype:
                 yield w
 
     def place(i: int) -> Iterator[GraphMorphism]:
@@ -567,7 +536,8 @@ def iter_monomorphisms(
             yield from assign_edges()
             return
         v, ntype, source, checks = steps[i]
-        for w in scanned[v] if source is None else neighbours(v, ntype, source):
+        candidates = host.nodes_of_type(ntype) if source is None else neighbours(ntype, source)
+        for w in candidates:
             if w in used_nodes:
                 continue
             node_map[v] = w

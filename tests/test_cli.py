@@ -5,9 +5,13 @@ and captures stdout/stderr, so exit codes and printed text are checked
 exactly as a shell user would see them.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcons import cra
 from gradcons.cli import main
@@ -83,9 +87,25 @@ class TestValidate:
         assert "unknown document format" in out
 
     def test_missing_file_exits_2(self, docs, capsys):
-        code, _, err = run(capsys, "validate", str(docs / "absent.json"))
+        code, out, _ = run(capsys, "validate", str(docs / "absent.json"))
         assert code == 2
-        assert "cannot read" in err
+        assert "absent.json: INVALID\n  - cannot read" in out
+
+    def test_unreadable_files_are_listed_next_to_the_others(self, docs, tmp_path, capsys):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"format": "gradcons/graph@1", "name": "caf\xe9"}')
+        files = [str(docs / "absent.json"), str(docs / "host_graph.json"), str(latin)]
+        code, out, err = run(capsys, "validate", *files)
+        assert code == 2 and err == ""
+        assert "host_graph.json: graph ok" in out
+        assert "absent.json: INVALID\n  - cannot read" in out
+        assert "latin.json: INVALID\n  - cannot read" in out and "utf-8" in out
+
+        code, out, _ = run(capsys, "validate", *files, "--format", "structured")
+        assert code == 2
+        payload = json.loads(out)
+        assert [v["path"] for v in payload["valid"]] == [files[1]]
+        assert [i["path"] for i in payload["invalid"]] == [files[0], files[2]]
 
     def test_constraint_outside_anf_is_listed_invalid(self, docs, tmp_path, capsys):
         c1 = cra.build_fixtures().constraints["c1"]
@@ -164,6 +184,13 @@ class TestSatisfyAndReport:
         )
         assert code == 2
         assert "no constraint named 'c9'" in err
+
+    def test_non_utf8_document_exits_2(self, docs, tmp_path, capsys):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, "report", str(latin), str(docs / "constraints.json"))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {latin}: 'utf-8' codec")
 
     def test_report_prints_the_graduated_measurement(self, docs, capsys):
         code, out, _ = run(
@@ -430,6 +457,44 @@ class TestBench:
         assert len(payload["independence"]["cells"]) == 40
         assert payload["independence"]["diffs"] == []
 
+    def test_missing_fixture_directory_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "bench", "--fixtures", str(tmp_path / "missing"),
+                           "--independence-only")
+        assert code == 2
+        assert err.startswith("error: cannot read ") and "host_graph.json" in err
+
+    def test_non_utf8_fixture_exits_2(self, tmp_path, capsys):
+        cra.write_fixture_files(tmp_path)
+        (tmp_path / "constraints.json").write_bytes(b"\x80")
+        code, _, err = run(capsys, "bench", "--fixtures", str(tmp_path),
+                           "--independence-only")
+        assert code == 2
+        assert "cannot read" in err and "constraints.json" in err
+
+    def test_rule_file_holding_another_rule_exits_2(self, tmp_path, capsys):
+        cra.write_fixture_files(tmp_path)
+        (tmp_path / "rule_assignFeature.json").write_bytes(
+            (tmp_path / "rule_createClass.json").read_bytes()
+        )
+        code, _, err = run(capsys, "bench", "--fixtures", str(tmp_path),
+                           "--independence-only")
+        assert code == 2
+        assert err == (
+            "error: rule_assignFeature.json holds rule 'createClass', not 'assignFeature'\n"
+        )
+
+    def test_library_without_continuation_patterns_exits_2(self, tmp_path, capsys):
+        cra.write_fixture_files(tmp_path)
+        doc = json.loads((tmp_path / "constraints.json").read_text())
+        swap = {"c1": "c2", "c2": "c1"}
+        for c in doc["constraints"]:
+            c["name"] = swap.get(c["name"], c["name"])
+        (tmp_path / "constraints.json").write_text(json.dumps(doc))
+        code, _, err = run(capsys, "bench", "--fixtures", str(tmp_path),
+                           "--independence-only")
+        assert code == 2
+        assert err == "error: constraint 'c2' has no pattern nested under its scope\n"
+
     def test_corrupt_fixture_directory_exits_2(self, tmp_path, capsys):
         cra.write_fixture_files(tmp_path)
         (tmp_path / "host_graph.json").write_text("[]")
@@ -437,3 +502,83 @@ class TestBench:
                            "--independence-only")
         assert code == 2
         assert "error:" in err
+
+
+# --- fuzzing: arbitrary bytes in every file argument --------------------------
+
+_FIXTURE_NAMES = sorted(p.name for p in cra.FIXTURES_DIR.glob("*.json"))
+_FIXTURES = {name: (cra.FIXTURES_DIR / name).read_bytes() for name in _FIXTURE_NAMES}
+# Valid documents of each kind of file argument.
+_DOCUMENTS = {
+    "graph": [_FIXTURES["host_graph.json"]],
+    "rule": [_FIXTURES[name] for name in _FIXTURE_NAMES if name.startswith("rule_")],
+    "constraints": [
+        _FIXTURES["constraints.json"],
+        emit_constraint_document(cra.build_fixtures().constraints["c3"]).encode(),
+    ],
+}
+_ANY_DOCUMENT = [doc for docs in _DOCUMENTS.values() for doc in docs]
+
+# The kind of each file argument of a command.
+FILE_ARGUMENTS = {
+    "validate": ("graph", "constraints"),
+    "satisfy": ("graph", "constraints"),
+    "report": ("graph", "constraints"),
+    "apply": ("rule", "graph"),
+    "classify-step": ("rule", "graph", "constraints"),
+    "analyze": ("rule", "constraints"),
+}
+
+
+def _splice(document: bytes, at: int, junk: bytes) -> bytes:
+    at %= len(document) + 1
+    return document[:at] + junk + document[at + len(junk):]
+
+
+def file_contents(valid: list[bytes]) -> st.SearchStrategy[bytes]:
+    """Raw bytes, a valid document (so that later arguments are reached), a
+    document of another kind, or a valid one with a few bytes overwritten."""
+    return st.one_of(
+        st.binary(max_size=64),
+        st.sampled_from(valid),
+        st.sampled_from(_ANY_DOCUMENT),
+        st.builds(_splice, st.sampled_from(valid), st.integers(min_value=0),
+                  st.binary(min_size=1, max_size=8)),
+    )
+
+
+def quiet_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzzedFiles:
+    """Whatever the files hold, a command exits 0, 2 or 3 and raises nothing."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(sorted(FILE_ARGUMENTS)), st.booleans(), st.data())
+    def test_file_arguments(self, fuzz_dir, command, structured, data):
+        argv = [command]
+        for i, kind in enumerate(FILE_ARGUMENTS[command]):
+            path = fuzz_dir / f"arg{i}.json"
+            path.write_bytes(data.draw(file_contents(_DOCUMENTS[kind])))
+            argv.append(str(path))
+        if structured and command != "apply":
+            argv += ["--format", "structured"]
+        assert quiet_main(argv) in (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.dictionaries(st.sampled_from(_FIXTURE_NAMES),
+                           file_contents(_ANY_DOCUMENT), max_size=3))
+    def test_bench_fixture_directory(self, fuzz_dir, replaced):
+        directory = fuzz_dir / "fixtures"
+        directory.mkdir(exist_ok=True)
+        for name in _FIXTURE_NAMES:
+            (directory / name).write_bytes(replaced.get(name, _FIXTURES[name]))
+        argv = ["bench", "--fixtures", str(directory), "--independence-only"]
+        assert quiet_main(argv) in (0, 2, 3)
