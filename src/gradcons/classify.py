@@ -354,10 +354,10 @@ def classify_rule_empirical(
     exhaustive = bounded_hosts(tg, bound, needed)
 
     rng = random.Random(seed)
-    sampled = [
+    sampled = (
         random_host(tg, rng, rng.randint(bound + 1, bound + 3), rng.uniform(0.1, 0.5))
         for _ in range(samples)
-    ]
+    )
 
     counterexamples: dict[str, tuple[Transformation, StepVerdict]] = {}
     witnesses: dict[str, tuple[Transformation, StepVerdict]] = {}

@@ -79,8 +79,10 @@ def _parse_match_spec(spec: str) -> dict[str, str]:
             continue
         if "=" not in chunk:
             raise DocumentError([f"match binding {chunk!r} is not of the form lhsid=hostid"])
-        k, v = chunk.split("=", 1)
-        pairs[k.strip()] = v.strip()
+        k, v = (part.strip() for part in chunk.split("=", 1))
+        if k in pairs:
+            raise DocumentError([f"match spec binds {k!r} more than once"])
+        pairs[k] = v
     return pairs
 
 

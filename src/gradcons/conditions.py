@@ -222,9 +222,9 @@ class AnfShape:
     """Parsed shape of a linear constraint with alternating quantifiers.
 
     ``chain`` lists ``(quantifier, morphism)`` pairs outermost first, with
-    quantifier one of ``"exists"`` / ``"forall"``; ``ends_with_false`` marks
-    the universal terminal. The polarity of the whole constraint is decided
-    by the first quantifier.
+    quantifier one of ``"exists"`` / ``"forall"``. The polarity of the whole
+    constraint is decided by the first quantifier, the terminal by the last:
+    a universal level ends in false, an existential one in true.
 
     ``body`` is the condition over the outer pattern that is evaluated per
     occurrence. For a universal constraint it is the negated body: an
@@ -234,8 +234,11 @@ class AnfShape:
     """
 
     chain: tuple[tuple[str, GraphMorphism], ...]
-    ends_with_false: bool
     body: Condition
+
+    @property
+    def ends_with_false(self) -> bool:
+        return self.chain[-1][0] == "forall"
 
     @property
     def polarity(self) -> str:
@@ -268,71 +271,50 @@ class AnfShape:
 def validate_anf(constraint: Constraint) -> AnfShape:
     """Parse a constraint as linear + alternating, or raise :class:`AnfError`.
 
+    A leading negation makes the constraint universal. Every level is then
+    an :class:`Exists` whose body is ``TRUE`` (the end of the chain) or
+    ``Not(Exists ...)`` (the next level, with the quantifier flipped).
     Rejections name the first offending quantifier position: conjunctions,
     non-alternation, isomorphic chain morphisms, nesting level zero, and the
     degenerate terminals (an existential level ending in false, a universal
     one ending in true).
     """
-    chain: list[tuple[str, GraphMorphism]] = []
-    bodies: list[Condition] = []
-
-    def reject(pos: int, reason: str) -> None:
-        raise AnfError(pos, reason)
-
-    def check_morphism(pos: int, a: GraphMorphism) -> None:
-        if a.is_isomorphism():
-            reject(pos, "chain morphism is an isomorphism")
-
-    def parse(node: Condition, pos: int) -> bool:
-        """Returns ends_with_false."""
-        if isinstance(node, And) or (isinstance(node, Not) and isinstance(node.sub, And)):
-            reject(pos, "conjunction inside a linear constraint")
-        if isinstance(node, TrueCondition):
-            reject(pos, "nesting level 0" if pos == 0 else "malformed chain")
-        if isinstance(node, Exists):
-            check_morphism(pos, node.morphism)
-            chain.append(("exists", node.morphism))
-            body = node.sub
-            bodies.append(body)
-            if isinstance(body, TrueCondition):
-                return False
-            if body == FALSE:
-                reject(pos, "existential level ends with false")
-            if isinstance(body, Exists):
-                reject(pos + 1, "quantifiers do not alternate (exists under exists)")
-            if isinstance(body, Not) and isinstance(body.sub, Exists):
-                return parse(body, pos + 1)
-            reject(pos + 1, "malformed chain body")
+    node = constraint.condition
+    if isinstance(node, And) or (isinstance(node, Not) and isinstance(node.sub, And)):
+        raise AnfError(0, "conjunction inside a linear constraint")
+    universal = isinstance(node, Not)
+    if universal:
+        node = node.sub
         if isinstance(node, Not):
-            inner = node.sub
-            if isinstance(inner, TrueCondition):
-                reject(pos, "nesting level 0" if pos == 0 else "malformed chain")
-            if isinstance(inner, Exists):
-                # A universal level: not-exists(a, X) with X the negated body.
-                check_morphism(pos, inner.morphism)
-                chain.append(("forall", inner.morphism))
-                body = inner.sub
-                bodies.append(body)
-                if isinstance(body, TrueCondition):
-                    return True  # ends with false
-                if body == FALSE:
-                    reject(pos, "universal level ends with true")
-                if isinstance(body, Exists):
-                    reject(pos + 1, "quantifiers do not alternate (forall under forall)")
-                if isinstance(body, Not) and isinstance(body.sub, Exists):
-                    return parse(body.sub, pos + 1)
-                reject(pos + 1, "malformed chain body")
-            if isinstance(inner, Not):
-                reject(pos, "negation is not at the innermost level")
-            reject(pos, "malformed chain")
-        reject(pos, f"unsupported condition node {type(node).__name__}")
-        raise AssertionError  # unreachable
-
-    ends_with_false = parse(constraint.condition, 0)
+            raise AnfError(0, "negation is not at the innermost level")
+    if isinstance(node, TrueCondition):
+        raise AnfError(0, "nesting level 0")
+    if not isinstance(node, Exists):
+        name = type(node).__name__
+        raise AnfError(0, "malformed chain" if universal else f"unsupported condition node {name}")
     # Chain anchoring is enforced by the Exists constructor; the root anchor
-    # being empty is enforced by Constraint. Quantifier alternation and the
-    # innermost-only negation fell out of the parse above.
-    return AnfShape(tuple(chain), ends_with_false, bodies[0])
+    # being empty is enforced by Constraint.
+    body = node.sub
+    chain: list[tuple[str, GraphMorphism]] = []
+    while True:
+        pos, a, sub = len(chain), node.morphism, node.sub
+        quant = "forall" if universal else "exists"
+        # Exists admits only total injective morphisms: equal sizes mean onto.
+        if (a.domain.node_count, a.domain.edge_count) == (
+            a.codomain.node_count, a.codomain.edge_count
+        ):
+            raise AnfError(pos, "chain morphism is an isomorphism")
+        chain.append((quant, a))
+        if isinstance(sub, TrueCondition):
+            return AnfShape(tuple(chain), body)
+        if sub == FALSE:
+            raise AnfError(pos, "universal level ends with true" if universal
+                           else "existential level ends with false")
+        if isinstance(sub, Exists):
+            raise AnfError(pos + 1, f"quantifiers do not alternate ({quant} under {quant})")
+        if not (isinstance(sub, Not) and isinstance(sub.sub, Exists)):
+            raise AnfError(pos + 1, "malformed chain body")
+        node, universal = sub.sub, not universal
 
 
 # --- graduated consistency ---------------------------------------------------

@@ -323,15 +323,6 @@ class GraphMorphism:
             and len(set(self.edge_map.values())) == len(self.edge_map)
         )
 
-    def is_surjective(self) -> bool:
-        return (
-            set(self.node_map.values()) == set(self.codomain.node_ids)
-            and set(self.edge_map.values()) == set(self.codomain.edge_ids)
-        )
-
-    def is_isomorphism(self) -> bool:
-        return self.is_total() and self.is_injective() and self.is_surjective()
-
     def check(self) -> list[str]:
         """Validate typing and structure preservation; messages per violation."""
         problems: list[str] = []

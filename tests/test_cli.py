@@ -18,7 +18,7 @@ from gradcons.cli import main
 from gradcons.conditions import FALSE, Constraint, Exists, Not, forall
 from gradcons.formats import emit_constraint_document, emit_rule_document, parse_graph_document
 from gradcons.graphs import TypedGraph, TypeGraph, empty_morphism_into, inclusion
-from gradcons.rewriting import Rule
+from gradcons.rewriting import Rule, scan_matches
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +286,15 @@ class TestApply:
         )
         assert code == 3
         assert "ids not in the rule's left side" in err
+
+    @pytest.mark.parametrize("spec", ["f=zz,f=f1,c_tgt=c2", "f=f1,f=zz,c_tgt=c2"])
+    def test_match_spec_binding_an_id_twice_exits_2(self, docs, capsys, spec):
+        code, out, err = run(
+            capsys, "apply", str(docs / "rule_moveFeature.json"),
+            str(docs / "host_graph.json"), "--match", spec,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: match spec binds 'f' more than once\n"
 
 
 class TestClassifyStep:
@@ -582,3 +591,68 @@ class TestFuzzedFiles:
             (directory / name).write_bytes(replaced.get(name, _FIXTURES[name]))
         argv = ["bench", "--fixtures", str(directory), "--independence-only"]
         assert quiet_main(argv) in (0, 2, 3)
+
+
+# --- fuzzing: arbitrary text in every option value ----------------------------
+
+_SCENARIO = cra.build_fixtures()
+_RULE_FILES = {f"rule_{name}.json": rule for name, rule in _SCENARIO.rules.items()}
+# The file arguments of each command, and its options with a free-form value.
+OPTION_ARGUMENTS = {
+    "apply": (("rule", "host_graph.json"), ("--match", "--step")),
+    "classify-step": (("rule", "host_graph.json", "constraints.json"),
+                      ("--constraint", "--match", "--step")),
+    "report": (("host_graph.json", "constraints.json"), ("--constraint",)),
+    "satisfy": (("host_graph.json", "constraints.json"), ("--constraint",)),
+}
+_BINDINGS = st.lists(
+    st.builds("{}={}".format,
+              st.sampled_from(sorted({v for r in _RULE_FILES.values() for v in r.lhs.node_ids})
+                              + ["ghost"]),
+              st.sampled_from(sorted(_SCENARIO.host.node_ids) + ["zz"])),
+    max_size=4,
+).map(",".join)
+_MATCH_SPECS = {
+    name: [",".join(f"{k}={v}" for k, v in sorted(m.node_map.items()))
+           for m in scan_matches(rule, _SCENARIO.host).matches] or [""]
+    for name, rule in _RULE_FILES.items()
+}
+
+
+def option_value(option: str, rule: str) -> st.SearchStrategy[str | None]:
+    """No value, arbitrary text, or a value that gets the command further:
+    bindings of lhs ids to host ids, one of the rule's matches on the host,
+    a constraint name or an integer."""
+    if option == "--match":
+        valid = _BINDINGS | st.sampled_from(_MATCH_SPECS[rule])
+    elif option == "--constraint":
+        valid = st.sampled_from(sorted(_SCENARIO.constraints))
+    else:
+        valid = st.integers().map(str)
+    return st.none() | st.text() | valid
+
+
+def exit_code(argv: list[str]) -> int:
+    """The exit code of the command, also when argparse rejects a value."""
+    try:
+        return quiet_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFuzzedOptions:
+    """Whatever an option's value, a command exits 0, 2 or 3 and raises nothing."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(sorted(OPTION_ARGUMENTS)), st.sampled_from(sorted(_RULE_FILES)),
+           st.booleans(), st.data())
+    def test_option_values(self, command, rule, structured, data):
+        files, options = OPTION_ARGUMENTS[command]
+        argv = [command] + [str(cra.FIXTURES_DIR / (rule if f == "rule" else f)) for f in files]
+        for option in options:
+            value = data.draw(option_value(option, rule), label=option)
+            if value is not None:
+                argv.append(f"{option}={value}")
+        if structured and command != "apply":
+            argv += ["--format", "structured"]
+        assert exit_code(argv) in (0, 2, 3)

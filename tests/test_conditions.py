@@ -10,6 +10,7 @@ from gradcons import (
     UNIVERSAL,
     And,
     AnfError,
+    Condition,
     Constraint,
     Exists,
     MismatchError,
@@ -168,6 +169,126 @@ class TestAnfValidation:
         a = empty_morphism_into(single)
         with pytest.raises(AnfError, match="negation"):
             validate_anf(Constraint("nn", Not(Not(Exists(a)))))
+
+
+class Opaque(Condition):
+    """A condition node the ANF parser does not know."""
+
+    __slots__ = ()
+
+    def anchor(self):
+        return None
+
+
+@pytest.fixture
+def ladder(tg2):
+    """The inclusions C0 -> C1 -> ... -> C4 of strictly growing patterns
+    (C0 empty, Ck with k nodes and k - 1 edges), and the identity of each Ck."""
+    c1 = TypedGraph(tg2, [("p", "A")])
+    c2 = c1.with_added([("q", "B")], [("e", "ab", "p", "q")])
+    c3 = c2.with_added([("r", "A")], [("f", "aa", "r", "p")])
+    c4 = c3.with_added([("s", "B")], [("g", "ab", "r", "s")])
+    graphs = [empty_graph(tg2), c1, c2, c3, c4]
+    steps = [inclusion(small, large) for small, large in zip(graphs, graphs[1:])]
+    return steps, [inclusion(g, g) for g in graphs]
+
+
+def alternating(first: str, morphisms) -> Condition:
+    """The linear constraint over ``morphisms`` whose quantifiers alternate
+    from ``first`` (``"exists"`` or ``"forall"``)."""
+    a, rest = morphisms[0], morphisms[1:]
+    other = "forall" if first == "exists" else "exists"
+    if first == "exists":
+        return Exists(a, alternating(other, rest) if rest else TRUE)
+    return forall(a, alternating(other, rest) if rest else FALSE)
+
+
+ISO = "chain morphism is an isomorphism"
+CONJUNCTION = "conjunction inside a linear constraint"
+EXISTS_FALSE = "existential level ends with false"
+FORALL_TRUE = "universal level ends with true"
+EXISTS_EXISTS = "quantifiers do not alternate (exists under exists)"
+FORALL_FORALL = "quantifiers do not alternate (forall under forall)"
+MALFORMED_BODY = "malformed chain body"
+
+# (case, condition built from the ladder's inclusions a and identities i,
+#  position, reason) for every rejection the parser can reach.
+REJECTIONS = [
+    ("true", lambda a, i: TRUE, 0, "nesting level 0"),
+    ("false", lambda a, i: FALSE, 0, "nesting level 0"),
+    ("conjunction", lambda a, i: And(Exists(a[0]), Exists(a[0])), 0, CONJUNCTION),
+    ("negated conjunction", lambda a, i: Not(And(Exists(a[0]), Exists(a[0]))), 0, CONJUNCTION),
+    ("double negation", lambda a, i: Not(Not(Exists(a[0]))), 0,
+     "negation is not at the innermost level"),
+    ("isomorphism at level 0", lambda a, i: Exists(i[0]), 0, ISO),
+    ("universal isomorphism at level 0", lambda a, i: forall(i[0]), 0, ISO),
+    ("isomorphism before a bad body", lambda a, i: Exists(i[0], FALSE), 0, ISO),
+    ("isomorphism at level 1", lambda a, i: Exists(a[0], forall(i[1])), 1, ISO),
+    ("isomorphism at level 2", lambda a, i: forall(a[0], Exists(a[1], forall(i[2]))), 2, ISO),
+    ("exists ending in false", lambda a, i: Exists(a[0], FALSE), 0, EXISTS_FALSE),
+    ("forall ending in true", lambda a, i: forall(a[0], TRUE), 0, FORALL_TRUE),
+    ("exists ending in false at level 1", lambda a, i: forall(a[0], Exists(a[1], FALSE)), 1,
+     EXISTS_FALSE),
+    ("forall ending in true at level 1", lambda a, i: Exists(a[0], forall(a[1], TRUE)), 1,
+     FORALL_TRUE),
+    ("forall ending in true at level 2",
+     lambda a, i: forall(a[0], Exists(a[1], forall(a[2], TRUE))), 2, FORALL_TRUE),
+    ("exists under exists", lambda a, i: Exists(a[0], Exists(a[1])), 1, EXISTS_EXISTS),
+    ("exists under exists at level 2", lambda a, i: forall(a[0], Exists(a[1], Exists(a[2]))), 2,
+     EXISTS_EXISTS),
+    ("forall under forall", lambda a, i: forall(a[0], forall(a[1])), 1, FORALL_FORALL),
+    ("forall under forall at level 2", lambda a, i: Exists(a[0], forall(a[1], forall(a[2]))), 2,
+     FORALL_FORALL),
+    ("conjunction as a body", lambda a, i: Exists(a[0], And(Exists(a[1]), Exists(a[1]))), 1,
+     MALFORMED_BODY),
+    ("double negation as a body", lambda a, i: Exists(a[0], Not(Not(Exists(a[1])))), 1,
+     MALFORMED_BODY),
+    ("unknown node as a body", lambda a, i: Exists(a[0], Opaque()), 1, MALFORMED_BODY),
+    ("negated unknown node as a universal body", lambda a, i: forall(a[0], Opaque()), 1,
+     MALFORMED_BODY),
+    ("negated unknown node as a body at level 2",
+     lambda a, i: Exists(a[0], forall(a[1], Not(Opaque()))), 2, MALFORMED_BODY),
+    ("unknown node", lambda a, i: Opaque(), 0, "unsupported condition node Opaque"),
+    ("negated unknown node", lambda a, i: Not(Opaque()), 0, "malformed chain"),
+]
+
+# (first quantifier, level, render()) of accepted chains.
+ACCEPTED = [
+    ("exists", 1, "∃C1[1n/0e]"),
+    ("forall", 1, "∀C1[1n/0e], false"),
+    ("exists", 2, "∃C1[1n/0e] . ∀C2[2n/1e], false"),
+    ("forall", 2, "∀C1[1n/0e] . ∃C2[2n/1e]"),
+    ("exists", 3, "∃C1[1n/0e] . ∀C2[2n/1e] . ∃C3[3n/2e]"),
+    ("forall", 3, "∀C1[1n/0e] . ∃C2[2n/1e] . ∀C3[3n/2e], false"),
+    ("exists", 4, "∃C1[1n/0e] . ∀C2[2n/1e] . ∃C3[3n/2e] . ∀C4[4n/3e], false"),
+    ("forall", 4, "∀C1[1n/0e] . ∃C2[2n/1e] . ∀C3[3n/2e] . ∃C4[4n/3e]"),
+]
+
+
+class TestAnfTable:
+    @pytest.mark.parametrize("build,position,reason",
+                             [case[1:] for case in REJECTIONS],
+                             ids=[case[0] for case in REJECTIONS])
+    def test_rejection(self, ladder, build, position, reason):
+        steps, identities = ladder
+        with pytest.raises(AnfError) as caught:
+            validate_anf(Constraint("c", build(steps, identities)))
+        assert (caught.value.position, caught.value.reason) == (position, reason)
+
+    @pytest.mark.parametrize("first,level,rendered", ACCEPTED)
+    def test_accepted_chain(self, ladder, first, level, rendered):
+        steps, _ = ladder
+        condition = alternating(first, steps[:level])
+        shape = validate_anf(Constraint("c", condition))
+        other = "forall" if first == "exists" else "exists"
+        quants = ([first, other] * 2)[:level]
+        assert shape.chain == tuple(zip(quants, steps[:level]))
+        assert shape.polarity == (EXISTENTIAL if first == "exists" else UNIVERSAL)
+        assert shape.level == level
+        assert shape.ends_with_false == (quants[-1] == "forall")
+        assert shape.render() == rendered
+        outermost = condition if first == "exists" else condition.sub
+        assert shape.body is outermost.sub
 
 
 class TestConsistencyReport:
