@@ -364,7 +364,7 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
         ro = 1
         ncv = 0 if any(_satisfies(p, shape.body) for p in occurrences) else 1
         violating = ()
-    ci = Fraction(1) if ro == 0 else 1 - Fraction(ncv, ro)
+    ci = Fraction(1) if ro == 0 else Fraction(ro - ncv, ro)
     return ConsistencyReport(
         constraint_name=constraint.name,
         polarity=shape.polarity,

@@ -9,6 +9,7 @@ the same type between the same nodes are distinct elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import MismatchError
@@ -297,7 +298,7 @@ def validate_graph(graph: TypedGraph) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphMorphism:
     """A possibly-partial, structure-preserving map between typed graphs.
 
@@ -392,12 +393,14 @@ class _Plan:
     ``(placed node, edge type, outgoing)`` when they are the host
     neighbours of that node's image along edges of the type, leaving it
     when ``outgoing``. ``checks`` are the pattern edges from the node to
-    itself or to nodes placed before it. ``groups`` are the pattern edges
+    itself or to nodes placed before it. ``scan_types`` are the node types
+    of the steps without a source. ``groups`` are the pattern edges
     grouped by signature, in sorted order; within a group any injective
     assignment onto host edges of the image signature preserves structure.
+    ``edges`` lists the pattern edges group by group.
     """
 
-    __slots__ = ("seed_checks", "steps", "groups")
+    __slots__ = ("seed_checks", "steps", "scan_types", "groups", "edges")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
@@ -420,10 +423,12 @@ class _Plan:
             checks = _edges_within(pattern, pattern.incident_edges(v), placed)
             steps.append((v, pattern.node_type(v), source, checks))
         self.steps = tuple(steps)
+        self.scan_types = tuple({ntype: None for _, ntype, source, _ in steps if source is None})
         groups: dict[tuple[str, str, str], list[str]] = {}
         for e in pattern.edge_ids:
             groups.setdefault(pattern.edge_info(e), []).append(e)
         self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
+        self.edges = tuple(e for _, p_edges in self.groups for e in p_edges)
 
 
 def _edges_within(
@@ -472,105 +477,124 @@ def iter_monomorphisms(
     takes its candidates from the host neighbours of that node's image,
     so a search anchored at an occurrence looks only around it. Stopping
     the iteration stops the search, so the first witness of an existence
-    check ends it. Each morphism comes once.
+    check ends it. Each morphism comes once. The search backtracks in one
+    loop, so the size of a pattern is not bounded by the recursion limit.
     """
-    if pattern.type_graph != host.type_graph:
+    if pattern._type_graph is not host._type_graph and pattern._type_graph != host._type_graph:
         raise MismatchError("pattern and host are typed over different type graphs")
-    node_seed = dict(node_seed or {})
-    edge_seed = dict(edge_seed or {})
-    if len(set(node_seed.values())) != len(node_seed):
-        raise ValueError("node seed is not injective")
-    if len(set(edge_seed.values())) != len(edge_seed):
+    host_nodes = host._nodes
+    host_edges = host._edges
+    if node_seed:
+        node_map = dict(node_seed)
+        used = set(node_map.values())
+        if len(used) != len(node_map):
+            raise ValueError("node seed is not injective")
+    else:
+        node_map = {}
+        used = set()
+    if edge_seed and len(set(edge_seed.values())) != len(edge_seed):
         raise ValueError("edge seed is not injective")
-    for v, w in node_seed.items():
-        if not pattern.has_node(v):
+    for v, w in node_map.items():
+        ntype = pattern._nodes.get(v)
+        if ntype is None:
             raise ValueError(f"seed maps absent pattern node {v!r}")
-        if not host.has_node(w) or pattern.node_type(v) != host.node_type(w):
+        if host_nodes.get(w) != ntype:
             return
-    for e, f in edge_seed.items():
-        if not pattern.has_edge(e):
-            raise ValueError(f"seed maps absent pattern edge {e!r}")
-        if not host.has_edge(f) or pattern.edge_type(e) != host.edge_type(f):
-            return
+    if edge_seed:
+        for e, f in edge_seed.items():
+            info = pattern._edges.get(e)
+            if info is None:
+                raise ValueError(f"seed maps absent pattern edge {e!r}")
+            image = host_edges.get(f)
+            if image is None or image[0] != info[0]:
+                return
 
-    plan = _plan(pattern, frozenset(node_seed))
+    plan = _plan(pattern, frozenset(node_map))
+    # Each pinned pattern edge with its position among the edge images.
+    pins = [(plan.edges.index(e), f) for e, f in edge_seed.items()] if edge_seed else ()
+    probe = host.edges_with_signature
     for etype, src, tgt in plan.seed_checks:
-        if not host.edges_with_signature(etype, node_seed[src], node_seed[tgt]):
+        if not probe(etype, node_map[src], node_map[tgt]):
             return
+    by_type = host._by_type
     # A node type the host lacks leaves no candidates for a type scan.
-    for _, ntype, source, _ in plan.steps:
-        if source is None and not host.nodes_of_type(ntype):
+    for ntype in plan.scan_types:
+        if ntype not in by_type:
             return
 
     steps = plan.steps
-    edges_with_signature = host.edges_with_signature
-    node_map = node_seed
-    used_nodes = set(node_seed.values())
-
-    def neighbours(ntype: str, source: tuple[str, str, bool]) -> Iterator[str]:
-        u, etype, outgoing = source
-        anchor = node_map[u]
-        seen = set()
-        for e in host.incident_edges(anchor):
-            ftype, fsrc, ftgt = host.edge_info(e)
-            if ftype != etype:
-                continue
-            w = ftgt if outgoing else fsrc
-            if (fsrc if outgoing else ftgt) != anchor or w in seen:
-                continue
-            seen.add(w)
-            if host.node_type(w) == ntype:
-                yield w
-
-    def place(i: int) -> Iterator[GraphMorphism]:
-        if i == len(steps):
-            yield from assign_edges()
-            return
-        v, ntype, source, checks = steps[i]
-        candidates = host.nodes_of_type(ntype) if source is None else neighbours(ntype, source)
-        for w in candidates:
-            if w in used_nodes:
+    depth = len(steps)
+    incident = host._incident
+    # The host nodes still to try at each step; the step being placed
+    # (``depth`` once every node is placed); and whether that step was just
+    # entered from the one before it, or is resumed for its next candidate.
+    candidates: list[Iterator[str]] = [iter(())] * depth
+    level = 0
+    fresh = True
+    while True:
+        if level == depth:
+            # Within a signature group any injective choice of host edges
+            # preserves structure, and different groups have disjoint host
+            # edges, so the edge maps are the product of the groups'
+            # permutations, filtered by the pinned edges.
+            choices = []
+            for (etype, src, tgt), p_edges in plan.groups:
+                h_edges = probe(etype, node_map[src], node_map[tgt])
+                if len(h_edges) < len(p_edges):
+                    break
+                choices.append(permutations(h_edges, len(p_edges)))
+            else:
+                for combo in product(*choices):
+                    images = tuple(chain.from_iterable(combo))
+                    for k, f in pins:
+                        if images[k] != f:
+                            break
+                    else:
+                        yield GraphMorphism(
+                            pattern, host, dict(node_map), dict(zip(plan.edges, images)))
+            if not depth:
+                return
+            level -= 1
+            fresh = False
+        v, ntype, source, checks = steps[level]
+        if fresh:
+            if source is None:
+                candidates[level] = iter(by_type[ntype])
+            else:
+                u, etype, outgoing = source
+                anchor = node_map[u]
+                near: dict[str, None] = {}
+                for e in incident.get(anchor, ()):
+                    ftype, fsrc, ftgt = host_edges[e]
+                    if ftype == etype and (fsrc if outgoing else ftgt) == anchor:
+                        w = ftgt if outgoing else fsrc
+                        if host_nodes[w] == ntype:
+                            near[w] = None
+                candidates[level] = iter(near)
+        else:
+            used.discard(node_map[v])
+        for w in candidates[level]:
+            if w in used:
                 continue
             node_map[v] = w
             # Early consistency: every pattern edge with both ends placed
             # must have at least one host edge under the partial map.
             for etype, src, tgt in checks:
-                if not edges_with_signature(etype, node_map[src], node_map[tgt]):
+                if not probe(etype, node_map[src], node_map[tgt]):
                     break
             else:
-                used_nodes.add(w)
-                yield from place(i + 1)
-                used_nodes.discard(w)
-            del node_map[v]
-
-    def assign_edges() -> Iterator[GraphMorphism]:
-        slots: list[tuple[str, tuple[str, ...]]] = []
-        for (etype, src, tgt), p_edges in plan.groups:
-            h_edges = host.edges_with_signature(etype, node_map[src], node_map[tgt])
-            if len(h_edges) < len(p_edges):
+                break
+        else:
+            # No candidate left at this step: back to the step before it.
+            node_map.pop(v, None)
+            if not level:
                 return
-            slots.extend((e, h_edges) for e in p_edges)
-        edge_map: dict[str, str] = {}
-        used_edges: set[str] = set()
-
-        def assign(k: int) -> Iterator[GraphMorphism]:
-            if k == len(slots):
-                yield GraphMorphism(pattern, host, dict(node_map), dict(edge_map))
-                return
-            e, h_edges = slots[k]
-            pinned = edge_seed.get(e)
-            for f in h_edges:
-                if f in used_edges or (pinned is not None and f != pinned):
-                    continue
-                edge_map[e] = f
-                used_edges.add(f)
-                yield from assign(k + 1)
-                del edge_map[e]
-                used_edges.discard(f)
-
-        yield from assign(0)
-
-    yield from place(0)
+            level -= 1
+            fresh = False
+            continue
+        used.add(w)
+        level += 1
+        fresh = True
 
 
 def enumerate_monomorphisms(

@@ -7,6 +7,7 @@ stand in for, and guards make sure the work they skip stays skipped.
 """
 
 import random
+import sys
 from collections import Counter
 
 from gradcons import (
@@ -25,8 +26,11 @@ from gradcons import (
     scan_matches,
 )
 from gradcons import conditions, graphs, rewriting
+from gradcons.cli import main
+from gradcons.conditions import Constraint, forall
+from gradcons.formats import emit_constraint_document, emit_graph_document
 from gradcons.generate import random_host, random_type_graph
-from gradcons.graphs import iter_monomorphisms
+from gradcons.graphs import empty_morphism_into, iter_monomorphisms
 from gradcons.rewriting import _rewrite
 
 from .oracles import dpo_by_sets, monos_by_permutation, satisfies_by_permutation
@@ -92,26 +96,44 @@ def _seeded_oracle(oracle, node_seed, edge_seed):
     )
 
 
+def _seeded_cases(rng: random.Random):
+    """Patterns and hosts with parallel edges, their oracle morphisms and
+    the seeds to try: random ones, then a fixed bundle."""
+    for _ in range(300):
+        tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
+        pattern = _with_parallel_edges(random_host(tg, rng, rng.randint(1, 3), 0.5), rng, 0.2)
+        host = _with_parallel_edges(random_host(tg, rng, rng.randint(2, 6), 0.4), rng, 0.4)
+        oracle = monos_by_permutation(pattern, host)
+        seeds = []
+        for m in rng.sample(oracle, min(3, len(oracle))):
+            nodes = [v for v in pattern.node_ids if rng.random() < 0.6]
+            edges = [e for e in pattern.edge_ids if rng.random() < 0.3]
+            seeds.append(({v: m.node_map[v] for v in nodes},
+                          {e: m.edge_map[e] for e in edges}))
+        # A seed drawn without regard to any occurrence, often wrongly typed.
+        nodes = [v for v in pattern.node_ids if rng.random() < 0.5]
+        if len(nodes) <= host.node_count:
+            seeds.append((dict(zip(nodes, rng.sample(host.node_ids, len(nodes)))), {}))
+        seeds.append(({}, {}))
+        yield pattern, host, oracle, seeds
+    # Three parallel pattern edges over a bundle of four host edges, next
+    # to a second signature group, with one edge of the bundle pinned.
+    tg = TypeGraph(["T"], [("r", "T", "T")])
+    pattern = TypedGraph(tg, [("u", "T"), ("v", "T")],
+                         [("x0", "r", "u", "v"), ("x1", "r", "u", "v"), ("x2", "r", "u", "v"),
+                          ("y", "r", "v", "u")])
+    host = TypedGraph(tg, [("a", "T"), ("b", "T"), ("c", "T")],
+                      [("e0", "r", "a", "b"), ("e1", "r", "a", "b"), ("e2", "r", "a", "b"),
+                       ("e3", "r", "a", "b"), ("f0", "r", "b", "a"), ("f1", "r", "b", "a"),
+                       ("g0", "r", "a", "c"), ("g1", "r", "c", "a")])
+    oracle = monos_by_permutation(pattern, host)
+    yield pattern, host, oracle, [({}, {"x1": "e2"}), ({"v": "b"}, {"x0": "e3", "y": "f1"})]
+
+
 class TestSeededEnumerationAgainstOracle:
     def test_random_seeds_with_parallel_edges(self):
-        rng = random.Random(53)
         compared = nonempty = 0
-        for _ in range(300):
-            tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
-            pattern = _with_parallel_edges(random_host(tg, rng, rng.randint(1, 3), 0.5), rng, 0.2)
-            host = _with_parallel_edges(random_host(tg, rng, rng.randint(2, 6), 0.4), rng, 0.4)
-            oracle = monos_by_permutation(pattern, host)
-            seeds = []
-            for m in rng.sample(oracle, min(3, len(oracle))):
-                nodes = [v for v in pattern.node_ids if rng.random() < 0.6]
-                edges = [e for e in pattern.edge_ids if rng.random() < 0.3]
-                seeds.append(({v: m.node_map[v] for v in nodes},
-                              {e: m.edge_map[e] for e in edges}))
-            # A seed drawn without regard to any occurrence, often wrongly typed.
-            nodes = [v for v in pattern.node_ids if rng.random() < 0.5]
-            if len(nodes) <= host.node_count:
-                seeds.append((dict(zip(nodes, rng.sample(host.node_ids, len(nodes)))), {}))
-            seeds.append(({}, {}))
+        for pattern, host, oracle, seeds in _seeded_cases(random.Random(53)):
             for node_seed, edge_seed in seeds:
                 want = _seeded_oracle(oracle, node_seed, edge_seed)
                 got = enumerate_monomorphisms(
@@ -194,3 +216,46 @@ class TestSkippedWork:
             classify_rule_empirical(fresh.rules["moveFeature"], c, bound=3, samples=10)
         assert len(compiled) >= 4
         assert max(compiled.values()) == 1
+
+    def test_stopping_an_unseeded_search_stops_its_probes(self, fixtures, monkeypatch):
+        probes = Counter()
+        probe = TypedGraph.edges_with_signature
+
+        def counting(self, *args):
+            probes["calls"] += 1
+            return probe(self, *args)
+
+        monkeypatch.setattr(TypedGraph, "edges_with_signature", counting)
+        host = random_host(fixtures.type_graph, random.Random(7), 100, 0.03)
+        pattern = fixtures.constraints["c3"].shape.outer_graph
+        assert next(iter_monomorphisms(pattern, host), None) is not None
+        first = probes.pop("calls")
+        every = list(iter_monomorphisms(pattern, host))
+        assert len(every) > 1
+        assert first * 10 < probes["calls"], (first, probes["calls"])
+
+
+class TestDeepPatterns:
+    def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        n = 600
+        assert 2 * n > sys.getrecursionlimit()
+        # Sorted ids follow the path. The start node's own type leaves the
+        # first step one candidate, so the unseeded search stays quadratic.
+        tg = TypeGraph(["Start", "N"], [("first", "Start", "N"), ("next", "N", "N")])
+        ids = [f"n{i:04d}" for i in range(n)]
+        path = TypedGraph(
+            tg,
+            [(ids[0], "Start"), *((v, "N") for v in ids[1:])],
+            [(f"e{i:04d}", "first" if i == 0 else "next", ids[i], ids[i + 1])
+             for i in range(n - 1)],
+        )
+        [m] = enumerate_monomorphisms(path, path)
+        assert all(m.node_map[v] == v for v in ids)
+
+        (tmp_path / "path.json").write_text(emit_graph_document(path))
+        no_path = Constraint("noPath", forall(empty_morphism_into(path)))
+        (tmp_path / "no_path.json").write_text(emit_constraint_document(no_path))
+        code = main(["report", str(tmp_path / "path.json"), str(tmp_path / "no_path.json")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("noPath: universal, occurrences=1, relevant=1, violations=1")
