@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import xor
 
 from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
 from .errors import BoundError
@@ -147,13 +148,16 @@ _MAX_UNIVERSE_WORK = 60_000_000
 
 
 def _count_vectors(total: int, k: int):
+    """Every ``k``-tuple of non-negative counts summing to ``total``, in
+    lexicographic order: stars and bars, one combination of bar positions
+    per tuple, so any number of node types is fine."""
     if k == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in _count_vectors(total - head, k - 1):
-            yield (head, *rest)
+    end = (total + k - 1,)
+    for bars in itertools.combinations(range(total + k - 1), k - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), bars + end))
 
 
 def _split_ids(
@@ -179,6 +183,59 @@ def _split_ids(
     return node_ids_by_type, [unique(f"e{serial}") for serial in range(n_edges)]
 
 
+def _least_masks(slots: list[tuple[str, str, str]], groups: list[tuple[str, ...]]):
+    """Yield, in no particular order, every edge mask over ``slots`` that
+    is numerically least in its orbit under the permutations of the node
+    ids within each of ``groups``.
+
+    Orderly generation (Read 1978; McKay 1998): adding its lowest missing
+    slot z to a least mask M gives a least mask P = M | 2^z. Were
+    g(P) < P, the highest bit where they differ would lie above z (P has
+    every bit up to z, and g(P) as many bits as P), so g(M) < M. The
+    least masks therefore form a tree rooted at the full mask, in which
+    the children of P are P with one of its trailing one bits cleared, and
+    a child that is not least has no least descendant. The walk carries
+    the mask's images under every non-identity permutation: clearing or
+    setting bit b flips bit g(b) of the image under g.
+    """
+    bit_of = {slot: 1 << i for i, slot in enumerate(slots)}
+    # flips[b][j] is 1 << g(b) for the j-th non-identity permutation g.
+    n_images = math.prod(math.factorial(len(group)) for group in groups) - 1
+    flips = [[0] * n_images for _ in slots]
+    relabelings = itertools.product(*map(itertools.permutations, groups))
+    next(relabelings)  # the identity comes first
+    for j, combo in enumerate(relabelings):
+        node_map = {v: w for group, perm in zip(groups, combo) for v, w in zip(group, perm)}
+        for column, (etype, s, t) in zip(flips, slots):
+            column[j] = bit_of[etype, node_map[s], node_map[t]]
+    mask = full = (1 << len(slots)) - 1
+    yield full
+    # path[d] counts the trailing one bits of the mask at depth d that are
+    # not yet cleared, so the entry below the last names the bit by which
+    # the current mask was reached.
+    images = [full] * n_images
+    path = [len(slots)]
+    while path:
+        b = path[-1]
+        if b:
+            b -= 1
+            path[-1] = b
+            mask ^= 1 << b
+            images[:] = map(xor, images, flips[b])
+            if not images or min(images) >= mask:
+                yield mask
+                path.append(b)
+                continue
+        else:
+            path.pop()
+            if not path:
+                return
+            b = path[-1]
+        # Set bit b again: its child was not least, or is done.
+        mask ^= 1 << b
+        images[:] = map(xor, images, flips[b])
+
+
 def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]):
     count_of = dict(zip(types, counts))
     n_slots = sum(count_of[src_t] * count_of[tgt_t] for src_t, tgt_t in tg.edge_types.values())
@@ -190,6 +247,9 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
     }
     permuted_types = [t for t in types if t in touched]
     n_perms = math.prod(math.factorial(count_of[t]) for t in permuted_types)
+    # The guard counts what a scan of every mask against every permutation
+    # would test, far more than the walk of _least_masks does, so that the
+    # inputs it refuses stay the same.
     if (2 ** n_slots) * n_perms > _MAX_UNIVERSE_WORK:
         raise BoundError(
             f"host universe too large to enumerate (split {counts}, {n_slots} edge slots); "
@@ -208,41 +268,9 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
         for s in node_ids_by_type[src_t]:
             for t2 in node_ids_by_type[tgt_t]:
                 slots.append((etype, s, t2))
-    slot_index = {slot: i for i, slot in enumerate(slots)}
 
-    per_type_perms = [
-        list(itertools.permutations(node_ids_by_type[t])) for t in permuted_types
-    ]
-    seen_mappings: set[tuple[int, ...]] = set()
-    for combo in itertools.product(*per_type_perms):
-        node_map = {}
-        for t, perm in zip(permuted_types, combo):
-            for orig, img in zip(node_ids_by_type[t], perm):
-                node_map[orig] = img
-        mapping = tuple(
-            slot_index[(etype, node_map[s], node_map[t2])] for etype, s, t2 in slots
-        )
-        if mapping != tuple(range(n_slots)):
-            seen_mappings.add(mapping)
-    perms = sorted(seen_mappings)
-
-    for mask in range(2 ** n_slots):
-        # Keep only the minimal representative of each isomorphism orbit:
-        # masks are compared numerically under every type-preserving
-        # node permutation.
-        canonical = True
-        for mapping in perms:
-            permuted = 0
-            m = mask
-            while m:
-                low = m & -m
-                permuted |= 1 << mapping[low.bit_length() - 1]
-                m ^= low
-            if permuted < mask:
-                canonical = False
-                break
-        if not canonical:
-            continue
+    groups = [node_ids_by_type[t] for t in permuted_types]
+    for mask in sorted(_least_masks(slots, groups)):
         present = [slots[i] for i in range(n_slots) if mask >> i & 1]
         edges = dict(zip(edge_ids, present))
         yield _assembled(tg, nodes, node_ids, by_type, edges, sorted_edge_ids[len(edges)])
@@ -252,11 +280,15 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
 def _bounded_hosts_cached(tg: TypeGraph, max_nodes: int, mins: tuple[tuple[str, int], ...]):
     types = tuple(sorted(tg.node_types))
     min_by_type = dict(mins)
+    if any(n > 0 and t not in tg.node_types for t, n in mins):
+        return ()
+    # Adding the minimum counts to every count vector keeps them in
+    # lexicographic order, so only the splits that meet them are made.
+    floor = tuple(max(min_by_type.get(t, 0), 0) for t in types)
     hosts: list[TypedGraph] = []
-    for total in range(max_nodes + 1):
-        for counts in _count_vectors(total, len(types)):
-            if any(counts[i] < min_by_type.get(types[i], 0) for i in range(len(types))):
-                continue
+    for total in range(sum(floor), max_nodes + 1):
+        for extra in _count_vectors(total - sum(floor), len(types)):
+            counts = tuple(f + e for f, e in zip(floor, extra))
             hosts.extend(_hosts_for_split(tg, types, counts))
     return tuple(hosts)
 
@@ -270,9 +302,20 @@ def bounded_hosts(
     representative per isomorphism class, in a fixed canonical order.
 
     "Simple" means at most one edge per (type, source, target) triple;
-    the rewriting engine itself has no such restriction. Splits with fewer
-    nodes of some type than ``min_nodes_by_type`` demands are skipped
-    (used to prune hosts that cannot contain a match anyway).
+    the rewriting engine itself has no such restriction. A split fixes the
+    node count of each type; its edge slots are the (type, source, target)
+    triples, ordered by edge type, source and target, and a host of the
+    split is a mask over them. The representative of an isomorphism class
+    is the numerically least mask of its orbit under the node permutations
+    that keep types, found by orderly generation (Read, "Every one a
+    winner", 1978; McKay, "Isomorph-free exhaustive generation", 1998):
+    adding its lowest missing slot to a least mask gives a least mask, so
+    the least masks form a tree rooted at the full mask. Hosts come by
+    node count, then by split (count vectors over the sorted node types,
+    in lexicographic order), then by mask. Splits with fewer nodes of some
+    type than ``min_nodes_by_type`` demands are skipped (used to prune
+    hosts that cannot contain a match anyway); demanding a node type that
+    ``tg`` lacks leaves the universe empty.
     """
     mins = tuple(sorted((min_nodes_by_type or {}).items()))
     return _bounded_hosts_cached(tg, max_nodes, mins)

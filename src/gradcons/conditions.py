@@ -206,7 +206,7 @@ def satisfies(p: GraphMorphism, condition: Condition) -> bool:
 def graph_satisfies(graph: TypedGraph, constraint: Constraint) -> bool:
     """Does ``graph`` satisfy the constraint (via the empty occurrence)?"""
     tg = constraint.type_graph
-    if tg is not None and tg != graph.type_graph:
+    if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
     return _satisfies(empty_morphism_into(graph), constraint.condition)
 
@@ -352,7 +352,7 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     """
     shape = constraint.shape
     tg = constraint.type_graph
-    if tg is not None and tg != graph.type_graph:
+    if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
     occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
     occ = len(occurrences)

@@ -15,6 +15,7 @@ raised together as :class:`DocumentError`.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -129,10 +130,18 @@ def parse_type_graph(part: Any, problems: list[str]) -> TypeGraph | None:
             continue
         edge_types.append(fields)
     try:
-        return TypeGraph(node_types, edge_types)
+        return _shared(TypeGraph(node_types, edge_types))
     except ValueError as exc:
         problems.append(f"type_graph: {exc}")
         return None
+
+
+@lru_cache(maxsize=64)
+def _shared(tg: TypeGraph) -> TypeGraph:
+    """The first parsed type graph equal to ``tg``. Documents over one
+    vocabulary then hold one object, which graphs, matches and reports
+    compare by identity before they compare by value."""
+    return tg
 
 
 def emit_type_graph(tg: TypeGraph) -> dict:

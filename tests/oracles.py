@@ -10,10 +10,12 @@ code with the package.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from gradcons import (
     And,
+    BoundError,
     Constraint,
     Exists,
     GraphMorphism,
@@ -21,9 +23,11 @@ from gradcons import (
     Not,
     Rule,
     Transformation,
+    TypeGraph,
     TypedGraph,
     satisfies,
 )
+from gradcons.classify import _MAX_UNIVERSE_WORK, _split_ids
 
 
 def compose(first: GraphMorphism, second: GraphMorphism) -> GraphMorphism:
@@ -387,3 +391,85 @@ def forced_mediator(t: Transformation, f: GraphMorphism, g: GraphMorphism) -> Gr
     if compose(t.comatch, mediator) != g:
         return None
     return mediator
+
+
+def universe_splits(
+    tg: TypeGraph, max_nodes: int, min_nodes_by_type: dict[str, int] | None = None
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every split of the bounded universe (node counts per sorted type, by
+    total, then lexicographic) that meets the minimums, each with the
+    masks times permutations of its slot-touching types that a scan of it
+    tests. A minimum for a type that ``tg`` lacks admits no split."""
+    mins = min_nodes_by_type or {}
+    types = tuple(sorted(tg.node_types))
+    if any(n > 0 and t not in types for t, n in mins.items()):
+        return []
+    splits = []
+    for total in range(max_nodes + 1):
+        for counts in itertools.product(range(total + 1), repeat=len(types)):
+            if sum(counts) != total or any(c < mins.get(t, 0) for t, c in zip(types, counts)):
+                continue
+            count_of = dict(zip(types, counts))
+            n_slots = sum(count_of[a] * count_of[b] for a, b in tg.edge_types.values())
+            n_perms = math.prod(math.factorial(count_of[t]) for t in _touched_types(tg, count_of))
+            splits.append((counts, 2 ** n_slots * n_perms))
+    return splits
+
+
+def bounded_hosts_by_scan(
+    tg: TypeGraph, max_nodes: int, min_nodes_by_type: dict[str, int] | None = None
+) -> list[TypedGraph]:
+    """The bounded host universe, split by split, by :func:`split_hosts_by_scan`.
+
+    A split whose scan would test more than the engine's work limit
+    raises :class:`BoundError` before anything is scanned.
+    """
+    splits = universe_splits(tg, max_nodes, min_nodes_by_type)
+    for counts, work in splits:
+        if work > _MAX_UNIVERSE_WORK:
+            raise BoundError(f"split {counts} is too large to scan")
+    types = tuple(sorted(tg.node_types))
+    return [host for counts, _ in splits for host in split_hosts_by_scan(tg, types, counts)]
+
+
+def _touched_types(tg: TypeGraph, count_of: dict[str, int]) -> list[str]:
+    return sorted({
+        t for a, b in tg.edge_types.values() if count_of[a] and count_of[b] for t in (a, b)
+    })
+
+
+def split_hosts_by_scan(
+    tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]
+) -> list[TypedGraph]:
+    """The hosts of one split, by testing every edge mask against every
+    node permutation that keeps types and keeping the masks that none
+    makes numerically smaller, in mask order.
+
+    Slots are (edge type, source, target) triples in sorted order, and bit
+    i of a mask is slot i. Node and edge ids come from the engine's
+    ``_split_ids`` naming contract.
+    """
+    count_of = dict(zip(types, counts))
+    node_ids, _ = _split_ids(types, counts, 0)
+    slots = [
+        (etype, s, t)
+        for etype, (a, b) in sorted(tg.edge_types.items())
+        for s in node_ids[a]
+        for t in node_ids[b]
+    ]
+    _, edge_ids = _split_ids(types, counts, len(slots))
+    slot_index = {slot: i for i, slot in enumerate(slots)}
+    touched = _touched_types(tg, count_of)
+    perms = []
+    for combo in itertools.product(*(itertools.permutations(node_ids[t]) for t in touched)):
+        node_map = {v: w for t, perm in zip(touched, combo) for v, w in zip(node_ids[t], perm)}
+        perms.append([slot_index[etype, node_map[s], node_map[t]] for etype, s, t in slots])
+    nodes = [(v, t) for t in types for v in node_ids[t]]
+    hosts = []
+    for mask in range(2 ** len(slots)):
+        present = [i for i in range(len(slots)) if mask >> i & 1]
+        if any(sum(1 << perm[i] for i in present) < mask for perm in perms):
+            continue
+        edges = [(eid, *slots[i]) for eid, i in zip(edge_ids, present)]
+        hosts.append(TypedGraph(tg, nodes, edges))
+    return hosts

@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradcons import (
     BoundError,
@@ -30,6 +32,9 @@ from gradcons.classify import (
     NO_WITNESS,
     PROVEN_NO,
     WITNESS_FOUND,
+    _MAX_UNIVERSE_WORK,
+    _hosts_for_split,
+    _least_masks,
     _split_ids,
 )
 from gradcons.generate import (
@@ -40,6 +45,7 @@ from gradcons.generate import (
     random_type_graph,
 )
 
+from . import oracles
 from .oracles import STEP_FLAGS, classify_step_reference, monos_by_permutation
 from .suites import random_step_cases
 
@@ -199,6 +205,9 @@ class TestBoundedHosts:
         tg = TypeGraph(["X"], [("e", "X", "X")])
         assert len(bounded_hosts(tg, 2, {"X": 1})) == 12
         assert len(bounded_hosts(tg, 2, {"X": 3})) == 0
+        # No host has a node of a type that the type graph lacks.
+        assert bounded_hosts(tg, 2, {"Z": 1}) == ()
+        assert len(bounded_hosts(tg, 2, {"Z": 0})) == 13
 
     def test_universe_members_are_valid_and_pairwise_nonisomorphic(self, tg2):
         hosts = bounded_hosts(tg2, 2)
@@ -249,6 +258,110 @@ class TestBoundedHosts:
         assert node_ids["A1"] == ("A10~0",)
         assert node_ids["e"] == ("e0",)
         assert edge_ids == ["e0~0", "e1", "e2"]
+
+
+# Type graphs like those of the benchmark's rule searches.
+SEARCH_TYPE_GRAPHS = [
+    TypeGraph(["T0", "T1"], [("r0", "T0", "T1")]),
+    TypeGraph(["T0", "T1"], [("r0", "T0", "T1"), ("r1", "T1", "T0")]),
+    TypeGraph(["T0", "T1"], [("r0", "T0", "T1"), ("r1", "T0", "T1")]),
+    TypeGraph(["T0"], [("r0", "T0", "T0")]),
+    TypeGraph(["T0", "T1"], [("r0", "T0", "T0"), ("r1", "T0", "T1")]),
+    TypeGraph(["T0", "T1"], [("r0", "T1", "T1"), ("r1", "T1", "T0")]),
+]
+TWO_LOOPS = TypeGraph(["T"], [("r0", "T", "T"), ("r1", "T", "T")])
+# Eight nodes of one type and one of another with one edge type between
+# them: 8! = 40 320 permutations, the widest group the work guard admits.
+STAR = TypeGraph(["A", "B"], [("e", "A", "B")])
+
+
+def universe_data(build, *args):
+    """The hosts' elements in order, or None when the universe is refused."""
+    try:
+        return [(g.node_items(), g.edge_items()) for g in build(*args)]
+    except BoundError:
+        return None
+
+
+@st.composite
+def small_type_graphs(draw):
+    node_types = draw(st.lists(st.sampled_from(["A", "A1", "B", "e"]), min_size=1,
+                               max_size=3, unique=True))
+    signatures = draw(st.lists(st.tuples(st.sampled_from(node_types),
+                                         st.sampled_from(node_types)), max_size=4))
+    return TypeGraph(node_types, [(f"r{i}", s, t) for i, (s, t) in enumerate(signatures)])
+
+
+class TestUniverseAgainstScan:
+    """bounded_hosts against a scan of every mask against every permutation."""
+
+    @pytest.mark.parametrize("tg", SEARCH_TYPE_GRAPHS)
+    def test_search_type_graphs_at_bound_three(self, tg):
+        expected = universe_data(oracles.bounded_hosts_by_scan, tg, 3)
+        assert expected and universe_data(bounded_hosts, tg, 3) == expected
+
+    def test_two_loop_splits_at_bound_three(self):
+        sizes = []
+        for n in range(4):
+            expected = universe_data(oracles.split_hosts_by_scan, TWO_LOOPS, ("T",), (n,))
+            assert universe_data(_hosts_for_split, TWO_LOOPS, ("T",), (n,)) == expected
+            sizes.append(len(expected))
+        assert sizes == [1, 4, 136, 44_224]
+
+    def test_cra_rules_at_bound_four(self, fixtures):
+        for rule in fixtures.rule_list():
+            needed = {}
+            for v in rule.lhs.node_ids:
+                needed[rule.lhs.node_type(v)] = needed.get(rule.lhs.node_type(v), 0) + 1
+            expected = universe_data(oracles.bounded_hosts_by_scan, fixtures.type_graph, 4, needed)
+            assert expected
+            assert universe_data(bounded_hosts, fixtures.type_graph, 4, needed) == expected
+
+    def test_widest_admitted_group_and_the_next(self):
+        for bound, mins in ((9, {"A": 8, "B": 1}), (10, {"A": 9, "B": 1})):
+            expected = universe_data(oracles.bounded_hosts_by_scan, STAR, bound, mins)
+            assert universe_data(bounded_hosts, STAR, bound, mins) == expected
+        assert len(universe_data(bounded_hosts, STAR, 9, {"A": 8, "B": 1})) == 9
+        assert universe_data(bounded_hosts, STAR, 10, {"A": 9, "B": 1}) is None
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(small_type_graphs(), st.integers(0, 4),
+           st.dictionaries(st.sampled_from(["A", "B", "e", "Z"]), st.integers(0, 2), max_size=2))
+    def test_random_type_graphs(self, tg, bound, mins):
+        work = [w for _, w in oracles.universe_splits(tg, bound, mins)]
+        # Admitted universes that take the scan more than a moment are
+        # left to the fixed cases above.
+        assume(max(work, default=0) > _MAX_UNIVERSE_WORK or sum(work) <= 2 ** 20)
+        expected = universe_data(oracles.bounded_hosts_by_scan, tg, bound, mins)
+        assert universe_data(bounded_hosts, tg, bound, mins) == expected
+
+
+@pytest.mark.parametrize("slots, groups, n_least, bound", [
+    # Bytes the walk adds once its columns are built (the image list and
+    # the path): at most 936 and 996 584, alone or in the suite. The sorted
+    # list of slot permutations that the scan it replaced tested every mask
+    # against took 2 056 and 4 724 152. The bounds lie halfway.
+    ([(r, s, t) for r in ("r0", "r1") for s in ("T0", "T1", "T2") for t in ("T0", "T1", "T2")],
+     [("T0", "T1", "T2")], 44_224, 1_496),
+    ([("e", f"A{i}", "B0") for i in range(8)],
+     [tuple(f"A{i}" for i in range(8)), ("B0",)], 9, 2_860_368),
+])
+def test_least_mask_walk_stays_below_the_permutation_list(slots, groups, n_least, bound):
+    # One list of images, flipped in place on the way down and back up.
+    walk = _least_masks(slots, groups)
+    tracemalloc.start()
+    try:
+        next(walk)  # the full mask, once the columns are built
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        count = 1
+        for _ in walk:
+            count += 1
+        added = tracemalloc.get_traced_memory()[1] - built
+    finally:
+        tracemalloc.stop()
+    assert count == n_least
+    assert added < bound
 
 
 class TestClassifyRuleEmpirical:

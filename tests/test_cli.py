@@ -389,6 +389,22 @@ class TestClassifyRule:
         assert code == 3
         assert err.startswith("error:") and "host universe too large" in err
 
+    def test_many_node_types(self, tmp_path, capsys):
+        # The count vectors of 1 200 node types are made without one
+        # recursion per type, which overflowed the interpreter's stack.
+        tg = TypeGraph([f"N{i:04d}" for i in range(1200)])
+        one = TypedGraph(tg, [("x", "N0000")])
+        rule = Rule("keep", one, one, one)
+        constraint = Constraint("someNode", Exists(empty_morphism_into(one)))
+        (tmp_path / "rule.json").write_text(emit_rule_document(rule))
+        (tmp_path / "c.json").write_text(emit_constraint_document(constraint))
+        code, out, err = run(
+            capsys, "classify-rule", str(tmp_path / "rule.json"), str(tmp_path / "c.json"),
+            "--bound", "1", "--samples", "0", "--format", "structured",
+        )
+        assert code == 0, err
+        assert json.loads(out)["results"][0]["hosts_examined"] == 1
+
     @pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--bound", "-1")])
     def test_negative_search_knobs_exit_2(self, docs, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:

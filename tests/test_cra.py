@@ -19,6 +19,18 @@ class TestFixtureFiles:
         for name in cra.CONSTRAINT_NAMES:
             assert fixtures.constraints[name] == built.constraints[name]
 
+    def test_parsed_documents_share_one_type_graph(self, fixtures):
+        # Six documents hold equal type graphs; parsing keeps the first, so
+        # matches and reports over them compare by identity.
+        tg = fixtures.type_graph
+        assert fixtures.host.type_graph is tg
+        for rule in fixtures.rule_list():
+            for side in (rule.lhs, rule.interface, rule.rhs):
+                assert side.type_graph is tg
+        for c in fixtures.constraint_list():
+            assert c.type_graph is tg
+            assert c.shape.outer_graph.type_graph is tg
+
     def test_rule_and_constraint_lists_follow_canonical_order(self, fixtures):
         assert [r.name for r in fixtures.rule_list()] == list(cra.RULE_NAMES)
         assert [c.name for c in fixtures.constraint_list()] == list(cra.CONSTRAINT_NAMES)
