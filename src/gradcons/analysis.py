@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .conditions import UNIVERSAL, AnfShape, Constraint, iter_extensions
+from .conditions import UNIVERSAL, AnfShape, Constraint, _satisfies
 from .errors import UnsupportedShapeError
 from .graphs import GraphMorphism, TypedGraph
 from .rewriting import Rule, _fresh_id
@@ -321,9 +321,11 @@ def criterion_direct_sustain(
                 notes=("no dependency overlap with the scope pattern and no "
                        "conflict overlap with its continuation",),
             )
-        continuation = shape.chain[1][1]
-        if all(next(iter_extensions(ov.pattern_injection, continuation), None) is not None
-               for ov in deps):
+        # The body of a two-level chain is Not(continuation), and the
+        # continuation is Exists(a2, TRUE).
+        continuation = shape.body.sub
+        if all(_satisfies(continuation, ov.graph, ov.pattern_injection.node_map,
+                          ov.pattern_injection.edge_map) for ov in deps):
             return CriterionResult(
                 PROVEN_DIRECTLY_SUSTAINING, rule.name, name, evidence=deps,
                 notes=("every dependency overlap already carries the required "

@@ -97,13 +97,11 @@ def classify_step(
         directly_sustaining = preserving
         directly_improving = directly_sustaining and not before.satisfied and guaranteeing
     else:
-        violating_before = {p.sort_key() for p in before.violating_occurrences}
-        violating_after = {q.sort_key() for q in after.violating_occurrences}
         # A violating result occurrence inside the context is the image of
         # a host occurrence, which is invalidated when it was valid; one
         # outside the context is new. Invalidation is looked for first.
         for q in after.violating_occurrences:
-            if _lands_in_context(q, t) and q.sort_key() not in violating_before:
+            if _lands_in_context(q, t) and q.sort_key() not in before.violating_keys:
                 evidence["invalidated_occurrence"] = GraphMorphism(
                     q.domain, t.host, q.node_map, q.edge_map
                 )
@@ -121,7 +119,7 @@ def classify_step(
                 if not _lands_in_context(p, t):
                     evidence["destroyed_occurrence"] = p
                     break
-                if p.sort_key() not in violating_after:
+                if p.sort_key() not in after.violating_keys:
                     evidence["repaired_occurrence"] = p
                     break
             directly_improving = bool(evidence)
@@ -145,19 +143,6 @@ def classify_step(
 # Refuse universes whose enumeration would be unreasonably expensive in
 # pure Python; the acceptance workloads stay far below this.
 _MAX_UNIVERSE_WORK = 60_000_000
-
-
-def _count_vectors(total: int, k: int):
-    """Every ``k``-tuple of non-negative counts summing to ``total``, in
-    lexicographic order: stars and bars, one combination of bar positions
-    per tuple, so any number of node types is fine."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    end = (total + k - 1,)
-    for bars in itertools.combinations(range(total + k - 1), k - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1, *bars), bars + end))
 
 
 def _split_ids(
@@ -237,22 +222,27 @@ def _least_masks(slots: list[tuple[str, str, str]], groups: list[tuple[str, ...]
 
 
 def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]):
-    count_of = dict(zip(types, counts))
-    n_slots = sum(count_of[src_t] * count_of[tgt_t] for src_t, tgt_t in tg.edge_types.values())
+    # The work here follows the node types passed, so a caller passes the
+    # types present in the split and no others.
+    count_of = {t: c for t, c in zip(types, counts) if c}
+    signatures = sorted(
+        (etype, src_t, tgt_t)
+        for src_t in count_of for etype, tgt_t in tg.edge_types_leaving(src_t)
+        if tgt_t in count_of
+    )
+    n_slots = sum(count_of[src_t] * count_of[tgt_t] for _, src_t, tgt_t in signatures)
     # Permuting the nodes of a type that no edge slot touches leaves every
     # mask as it is, so only the touched types are permuted.
-    touched = {
-        t for src_t, tgt_t in tg.edge_types.values()
-        if count_of[src_t] and count_of[tgt_t] for t in (src_t, tgt_t)
-    }
+    touched = {t for _, src_t, tgt_t in signatures for t in (src_t, tgt_t)}
     permuted_types = [t for t in types if t in touched]
     n_perms = math.prod(math.factorial(count_of[t]) for t in permuted_types)
     # The guard counts what a scan of every mask against every permutation
     # would test, far more than the walk of _least_masks does, so that the
     # inputs it refuses stay the same.
     if (2 ** n_slots) * n_perms > _MAX_UNIVERSE_WORK:
+        split = tuple(count_of.get(t, 0) for t in sorted(tg.node_types))
         raise BoundError(
-            f"host universe too large to enumerate (split {counts}, {n_slots} edge slots); "
+            f"host universe too large to enumerate (split {split}, {n_slots} edge slots); "
             "lower the bound"
         )
     node_ids_by_type, edge_ids = _split_ids(types, counts, n_slots)
@@ -263,11 +253,11 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
     node_ids, by_type = _node_index(nodes)
     sorted_edge_ids = [tuple(sorted(edge_ids[:k])) for k in range(n_slots + 1)]
 
-    slots: list[tuple[str, str, str]] = []
-    for etype, (src_t, tgt_t) in sorted(tg.edge_types.items()):
-        for s in node_ids_by_type[src_t]:
-            for t2 in node_ids_by_type[tgt_t]:
-                slots.append((etype, s, t2))
+    slots = [
+        (etype, s, t)
+        for etype, src_t, tgt_t in signatures
+        for s in node_ids_by_type[src_t] for t in node_ids_by_type[tgt_t]
+    ]
 
     groups = [node_ids_by_type[t] for t in permuted_types]
     for mask in sorted(_least_masks(slots, groups)):
@@ -278,18 +268,23 @@ def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, .
 
 @lru_cache(maxsize=32)
 def _bounded_hosts_cached(tg: TypeGraph, max_nodes: int, mins: tuple[tuple[str, int], ...]):
-    types = tuple(sorted(tg.node_types))
-    min_by_type = dict(mins)
     if any(n > 0 and t not in tg.node_types for t, n in mins):
         return ()
-    # Adding the minimum counts to every count vector keeps them in
-    # lexicographic order, so only the splits that meet them are made.
-    floor = tuple(max(min_by_type.get(t, 0), 0) for t in types)
+    types = sorted(tg.node_types)
+    floor = {t: n for t, n in mins if n > 0}
+    base = sum(floor.values())
     hosts: list[TypedGraph] = []
-    for total in range(sum(floor), max_nodes + 1):
-        for extra in _count_vectors(total - sum(floor), len(types)):
-            counts = tuple(f + e for f, e in zip(floor, extra))
-            hosts.extend(_hosts_for_split(tg, types, counts))
+    for total in range(base, max_nodes + 1):
+        # A split adds a multiset of node types to the minimum counts. The
+        # multisets, as sorted tuples of types, come in the reverse of the
+        # lexicographic order of their count vectors, so reversed they give
+        # the splits in order, each naming only the types it has.
+        for extra in reversed(list(itertools.combinations_with_replacement(types, total - base))):
+            count_of = dict(floor)
+            for t in extra:
+                count_of[t] = count_of.get(t, 0) + 1
+            present = tuple(sorted(count_of))
+            hosts.extend(_hosts_for_split(tg, present, tuple(count_of[t] for t in present)))
     return tuple(hosts)
 
 

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, lru_cache
+from itertools import permutations
+from typing import Callable, Iterator, Mapping
 
 from .errors import AnfError, MismatchError
 from .graphs import (
     GraphMorphism,
     TypedGraph,
-    empty_morphism_into,
+    _plan,
     enumerate_monomorphisms,
     iter_monomorphisms,
 )
@@ -86,6 +87,11 @@ class Exists(Condition):
 
     def anchor(self) -> TypedGraph | None:
         return self.morphism.domain
+
+    @cached_property
+    def _check(self) -> _Check:
+        """This node's existence check, compiled on first evaluation."""
+        return _compile_check(self)
 
     def __repr__(self) -> str:
         return f"Exists({self.morphism.codomain!r}, {self.sub!r})"
@@ -161,16 +167,25 @@ class Constraint:
         return validate_anf(self)
 
 
-def _satisfies(p: GraphMorphism, condition: Condition) -> bool:
+def _satisfies(condition: Condition, host: TypedGraph, node_map: Mapping[str, str],
+               edge_map: Mapping[str, str]) -> bool:
+    """Does the occurrence with these maps into ``host`` satisfy ``condition``?
+
+    The one evaluator of conditions. The maps are those of a total
+    injective occurrence of the condition's anchor; nothing is validated.
+    Each existential node runs its compiled check (:func:`_compile_check`),
+    which hands the maps of each extension it finds to this function for
+    the sub-condition, so no level builds a :class:`GraphMorphism`.
+    """
     if isinstance(condition, TrueCondition):
         return True
     if isinstance(condition, Not):
-        return not _satisfies(p, condition.sub)
-    if isinstance(condition, And):
-        return _satisfies(p, condition.left) and _satisfies(p, condition.right)
+        return not _satisfies(condition.sub, host, node_map, edge_map)
     if isinstance(condition, Exists):
-        sub = condition.sub
-        return any(_satisfies(q, sub) for q in iter_extensions(p, condition.morphism))
+        return condition._check(host, node_map, edge_map)
+    if isinstance(condition, And):
+        return (_satisfies(condition.left, host, node_map, edge_map)
+                and _satisfies(condition.right, host, node_map, edge_map))
     raise TypeError(f"unknown condition node {condition!r}")
 
 
@@ -180,7 +195,9 @@ def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphis
     ``p`` must be a total injective occurrence of the domain of ``a``; the
     results are the occurrences of the extended graph that agree with ``p``
     on the anchor. The search starts from the anchor's image and stops
-    when the caller stops iterating.
+    when the caller stops iterating. This is the API for the extensions
+    themselves; existence checks run the compiled check of an
+    :class:`Exists` node instead, which builds no morphism.
     """
     node_seed = {a.node_map[x]: p.node_map[x] for x in a.domain.node_ids}
     edge_seed = {a.edge_map[e]: p.edge_map[e] for e in a.domain.edge_ids}
@@ -193,6 +210,172 @@ def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
     return sorted(iter_extensions(p, a), key=GraphMorphism.sort_key)
 
 
+# --- compiled existence checks ------------------------------------------------
+
+_Check = Callable[[TypedGraph, Mapping[str, str], Mapping[str, str]], bool]
+
+
+def _compile_check(node: Exists) -> _Check:
+    """The existence check of ``node`` as one generated function.
+
+    ``check(host, pn, pe)`` takes the node and edge maps of an occurrence
+    of the anchor and tells whether it extends along ``node.morphism`` to
+    an occurrence that satisfies ``node.sub``. It runs the seeded search
+    plan of the extended graph as nested loops, with the same type tests,
+    step order, neighbour candidates and early edge probes as
+    :func:`iter_monomorphisms` seeded from the anchor. The source comes
+    from :func:`_check_source`; same-shaped nodes share its code object.
+    """
+    source, constants = _check_source(node)
+    return _check_factory(source)(*constants)
+
+
+@lru_cache(maxsize=256)
+def _check_factory(source: str) -> Callable[..., _Check]:
+    namespace = {"MismatchError": MismatchError, "permutations": permutations,
+                 "SATISFIES": _satisfies}
+    exec(compile(source, "<existence check>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _check_source(node: Exists) -> tuple[str, tuple[object, ...]]:
+    """The source of ``node``'s check factory and the constants it takes.
+
+    The source holds no type name or element id: each reaches the code as
+    an argument ``K<i>`` of the factory, next to the type graph ``TG`` and
+    the sub-condition ``SUB``. So the text depends only on the shape of
+    the search plan, and user text never becomes code.
+    """
+    a = node.morphism
+    pattern, anchor = a.codomain, a.domain
+    plan = _plan(pattern, frozenset(a.node_map.values()))
+    keys: dict[tuple[str, str], str] = {}
+
+    def k(role: str, value: str) -> str:
+        name = keys.get((role, value))
+        if name is None:
+            name = keys[role, value] = f"K{len(keys)}"
+        return name
+
+    lines: list[str] = []
+    depth = 2
+    # What ends this candidate: outside every loop the check fails.
+    fail = "return False"
+
+    def emit(text: str) -> None:
+        lines.append("    " * depth + text)
+
+    emit("tg = host._type_graph")
+    emit("if tg is not TG and tg != TG:")
+    emit("    raise MismatchError('pattern and host are typed over different type graphs')")
+    neighbours = any(source for _, _, source, _ in plan.steps)
+    if anchor.node_ids or neighbours:
+        emit("hn = host._nodes")
+    # The pattern node or edge -> the variable holding its host image.
+    node_var: dict[str, str] = {}
+    for x in anchor.node_ids:
+        v = a.node_map[x]
+        n = node_var[v] = f"n{len(node_var)}"
+        emit(f"{n} = pn[{k('anchor node', x)}]")
+        emit(f"if hn.get({n}) != {k('node type', pattern.node_type(v))}:")
+        emit("    return False")
+    if anchor.edge_ids or neighbours:
+        emit("he = host._edges")
+    pinned: dict[str, str] = {}
+    for e in anchor.edge_ids:
+        c = a.edge_map[e]
+        f = pinned[c] = f"f{len(pinned)}"
+        emit(f"{f} = pe[{k('anchor edge', e)}]")
+        emit(f"x = he.get({f})")
+        emit(f"if x is None or x[0] != {k('edge type', pattern.edge_type(c))}:")
+        emit("    return False")
+    if pattern.edge_ids:
+        emit("tr = host._triples")
+
+    def probe(etype: str, src: str, tgt: str) -> str:
+        return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
+
+    for etype, src, tgt in plan.seed_checks:
+        emit(f"if {probe(etype, src, tgt)} not in tr:")
+        emit("    return False")
+    if plan.scan_types:
+        emit("bt = host._by_type")
+    for ntype in plan.scan_types:
+        emit(f"if {k('node type', ntype)} not in bt:")
+        emit("    return False")
+    if neighbours:
+        emit("inc = host._incident")
+
+    for level, (v, ntype, source, checks) in enumerate(plan.steps):
+        n, ktype = f"n{len(node_var)}", k("node type", ntype)
+        if source is None:
+            emit(f"for {n} in bt[{ktype}]:")
+        else:
+            u, etype, outgoing = source
+            near, anchor_end, other_end = f"near{level}", *(("s", "t") if outgoing else ("t", "s"))
+            emit(f"{near} = {{}}")
+            emit(f"for e in inc[{node_var[u]}]:")
+            emit("    et, s, t = he[e]")
+            emit(f"    if et == {k('edge type', etype)} and {anchor_end} == {node_var[u]}"
+                 f" and hn[{other_end}] == {ktype}:")
+            emit(f"        {near}[{other_end}] = None")
+            emit(f"for {n} in {near}:")
+        depth += 1
+        fail = "continue"
+        # Host nodes of other types are told apart by their type already.
+        same = [node_var[w] for w in node_var if pattern.node_type(w) == ntype]
+        if same:
+            emit(f"if {' or '.join(f'{n} == {w}' for w in same)}:")
+            emit("    continue")
+        node_var[v] = n
+        for etype, src, tgt in checks:
+            emit(f"if {probe(etype, src, tgt)} not in tr:")
+            emit("    continue")
+
+    # Every node is placed, and every pattern edge has at least one host
+    # edge under the map. Within a signature group any injective choice of
+    # host edges that keeps the pinned anchor edges is an extension.
+    edge_var = dict(pinned)
+    last = isinstance(node.sub, TrueCondition)
+    for i, ((etype, src, tgt), p_edges) in enumerate(plan.groups):
+        pins = [pinned[e] for e in p_edges if e in pinned]
+        free = [e for e in p_edges if e not in pinned]
+        if last and len(p_edges) == 1 and not pins:
+            continue
+        h = f"h{i}"
+        emit(f"{h} = tr[{probe(etype, src, tgt)}]")
+        if last and len(p_edges) > 1:
+            emit(f"if len({h}) < {len(p_edges)}:")
+            emit(f"    {fail}")
+        for f in pins:
+            emit(f"if {f} not in {h}:")
+            emit(f"    {fail}")
+        if last or not free:
+            continue
+        names = [f"g{len(edge_var) + j}" for j in range(len(free))]
+        edge_var.update(zip(free, names))
+        pool = f"[x for x in {h} if {' and '.join(f'x != {f}' for f in pins)}]" if pins else h
+        if len(free) == 1:
+            emit(f"for {names[0]} in {pool}:")
+        else:
+            emit(f"for {', '.join(names)} in permutations({pool}, {len(free)}):")
+        depth += 1
+        fail = "continue"
+    if last:
+        emit("return True")
+    else:
+        nodes = ", ".join(f"{k('node', v)}: {node_var[v]}" for v in pattern.node_ids)
+        edges = ", ".join(f"{k('edge', e)}: {edge_var[e]}" for e in pattern.edge_ids)
+        emit(f"if SATISFIES(SUB, host, {{{nodes}}}, {{{edges}}}):")
+        emit("    return True")
+    if depth > 2 or not last:
+        lines.append("        return False")
+    params = ", ".join(["TG", "SUB", *keys.values()])
+    source = "\n".join([f"def make({params}):", "    def check(host, pn, pe):",
+                        *lines, "    return check", ""])
+    return source, (pattern.type_graph, node.sub, *(value for _, value in keys))
+
+
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:
     """Does the total injective occurrence ``p`` satisfy ``condition``?"""
     if not p.is_total() or not p.is_injective():
@@ -200,7 +383,7 @@ def satisfies(p: GraphMorphism, condition: Condition) -> bool:
     anchor = condition.anchor()
     if anchor is not None and anchor != p.domain:
         raise MismatchError("occurrence domain differs from the condition anchor")
-    return _satisfies(p, condition)
+    return _satisfies(condition, p.codomain, p.node_map, p.edge_map)
 
 
 def graph_satisfies(graph: TypedGraph, constraint: Constraint) -> bool:
@@ -208,7 +391,7 @@ def graph_satisfies(graph: TypedGraph, constraint: Constraint) -> bool:
     tg = constraint.type_graph
     if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
-    return _satisfies(empty_morphism_into(graph), constraint.condition)
+    return _satisfies(constraint.condition, graph, {}, {})
 
 
 # --- alternating normal form -------------------------------------------------
@@ -341,6 +524,13 @@ class ConsistencyReport:
     def satisfied(self) -> bool:
         return self.ci == 1
 
+    @cached_property
+    def violating_keys(self) -> frozenset[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """The :meth:`GraphMorphism.sort_key` of each violating occurrence,
+        built on first use. Every step from one host shares its report, so
+        they share this set too."""
+        return frozenset(p.sort_key() for p in self.violating_occurrences)
+
 
 def consistency_report(graph: TypedGraph, constraint: Constraint) -> ConsistencyReport:
     """Measure ``graph`` against an ANF constraint.
@@ -356,13 +546,16 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
         raise MismatchError("graph and constraint use different type graphs")
     occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
     occ = len(occurrences)
+    body = shape.body
     if shape.polarity == UNIVERSAL:
-        violating = tuple(p for p in occurrences if _satisfies(p, shape.body))
+        violating = tuple(p for p in occurrences
+                          if _satisfies(body, graph, p.node_map, p.edge_map))
         ro = occ
         ncv = len(violating)
     else:
         ro = 1
-        ncv = 0 if any(_satisfies(p, shape.body) for p in occurrences) else 1
+        ncv = 0 if any(_satisfies(body, graph, p.node_map, p.edge_map)
+                       for p in occurrences) else 1
         violating = ()
     ci = Fraction(1) if ro == 0 else Fraction(ro - ncv, ro)
     return ConsistencyReport(

@@ -112,7 +112,7 @@ def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
     rejected_dangling = 0
     for m in enumerate_monomorphisms(rule.lhs, host):
         # m is total, injective and anchored at the lhs, as satisfies asks.
-        if not _satisfies(m, rule.condition):
+        if not _satisfies(rule.condition, host, m.node_map, m.edge_map):
             rejected_condition += 1
             continue
         if not _dangling_ok(rule, host, m):

@@ -26,13 +26,14 @@ from gradcons import (
     inclusion,
     validate_graph,
 )
-from gradcons import conditions
+from gradcons import classify, conditions
 from gradcons.classify import (
     NO_COUNTEREXAMPLE,
     NO_WITNESS,
     PROVEN_NO,
     WITNESS_FOUND,
     _MAX_UNIVERSE_WORK,
+    _bounded_hosts_cached,
     _hosts_for_split,
     _least_masks,
     _split_ids,
@@ -235,6 +236,30 @@ class TestBoundedHosts:
             tracemalloc.stop()
         assert [g.node_count for g in hosts] == list(range(9))
         assert peak < 1_000_000
+
+    def test_splits_name_only_the_types_they_have(self, monkeypatch):
+        # The work of a split follows its own node types, not all those of
+        # the type graph, and copies no edge-type table.
+        splits = []
+        inner = _hosts_for_split
+
+        def recording(tg, types, counts):
+            splits.append(counts)
+            return inner(tg, types, counts)
+
+        def refuse(self):
+            raise AssertionError("edge types copied")
+
+        monkeypatch.setattr(classify, "_hosts_for_split", recording)
+        monkeypatch.setattr(TypeGraph, "edge_types", property(refuse))
+        tg = TypeGraph([f"T{i:02d}" for i in range(30)], [("r", "T00", "T01")])
+        hosts = _bounded_hosts_cached.__wrapped__(tg, 2, ())
+        assert len(splits) == 1 + 30 + 465 and all(all(counts) for counts in splits)
+        assert len(hosts) == 497 and sum(g.edge_count for g in hosts) == 1
+
+    def test_many_edgeless_types(self):
+        tg = TypeGraph([f"T{i:03d}" for i in range(300)])
+        assert len(_bounded_hosts_cached.__wrapped__(tg, 2, ())) == 45_451
 
     def test_cached_between_calls(self, tg2):
         assert bounded_hosts(tg2, 2) is bounded_hosts(tg2, 2)

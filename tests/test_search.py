@@ -11,6 +11,8 @@ import sys
 from collections import Counter
 
 from gradcons import (
+    FALSE,
+    TRUE,
     And,
     Exists,
     GraphMorphism,
@@ -27,7 +29,7 @@ from gradcons import (
 )
 from gradcons import conditions, graphs, rewriting
 from gradcons.cli import main
-from gradcons.conditions import Constraint, forall
+from gradcons.conditions import Constraint, _check_source, forall
 from gradcons.formats import emit_constraint_document, emit_graph_document
 from gradcons.generate import random_host, random_type_graph
 from gradcons.graphs import empty_morphism_into, iter_monomorphisms
@@ -79,6 +81,120 @@ class TestLazyExistsAgainstOracle:
             for condition in conditions_:
                 _check_every_exists(condition, host, outcomes)
         assert outcomes[True] >= 600 and outcomes[False] >= 600
+
+    def test_chains_with_loops_bundles_and_conjunctions(self):
+        rng = random.Random(61)
+        outcomes: Counter = Counter()
+        seen: Counter = Counter()
+        for case in range(400):
+            levels, universal = 3 + case % 2, case % 4 < 2
+            condition = _random_chain(rng, levels, universal)
+            for node in _exists_nodes(condition):
+                seen["bundle"] += _pins_a_bundle(node)
+                seen["loop"] += any(s == t for _, _, s, t in node.morphism.codomain.edge_items())
+                seen["and"] += isinstance(node.sub, And)
+            seen[levels, universal] += 1
+            for _ in range(3):
+                host = _with_parallel_edges(
+                    random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
+                _check_every_exists(condition, host, outcomes)
+        assert outcomes[True] >= 2000 and outcomes[False] >= 3000, outcomes
+        assert min(seen[levels, universal] for levels in (3, 4) for universal in (True, False)) == 100
+        assert seen["bundle"] >= 800 and seen["loop"] >= 1000 and seen["and"] >= 100, seen
+
+    def test_user_text_never_enters_the_source(self):
+        """Type names and ids that are not identifiers, or are code, give
+        the source of plain names and the verdicts of the oracle."""
+        odd = "__import__('os').system('exit 1')\n\"\\'"
+        outcomes: dict[str, Counter] = {}
+        for prefix in ("", odd):
+            def label(x: str) -> str:
+                return prefix + x
+
+            tg = TypeGraph([label("A"), label("B")], [(label("r"), label("A"), label("A")),
+                                                      (label("s"), label("A"), label("B"))])
+
+            def graph(nodes, edges):
+                return TypedGraph(tg, [(label(v), label(t)) for v, t in nodes],
+                                  [(label(e), label(t), label(x), label(y))
+                                   for e, t, x, y in edges])
+
+            anchor = graph([("a", "A"), ("b", "B")], [("ab", "s", "a", "b")])
+            scope = graph([("a", "A"), ("b", "B")], [("ab", "s", "a", "b"), ("ab2", "s", "a", "b")])
+            loop = graph([("a", "A"), ("b", "B")],
+                         [("ab", "s", "a", "b"), ("ab2", "s", "a", "b"), ("aa", "r", "a", "a")])
+            other = graph([("a", "A"), ("b", "B"), ("c", "A")],
+                          [("ab", "s", "a", "b"), ("ab2", "s", "a", "b"), ("ca", "r", "c", "a")])
+            condition = Exists(inclusion(anchor, scope), And(
+                Not(Exists(inclusion(scope, loop))), Exists(inclusion(scope, other))))
+            sources = [_check_source(node)[0] for node in _exists_nodes(condition)]
+            if prefix:
+                assert sources == plain_sources
+                assert [n._check.__code__ for n in _exists_nodes(condition)] == plain_codes
+            plain_sources = sources
+            plain_codes = [n._check.__code__ for n in _exists_nodes(condition)]
+            assert all("import" not in source for source in sources)
+            full = graph([("h", "A"), ("i", "A"), ("j", "B")],
+                         [("e1", "s", "h", "j"), ("e2", "s", "h", "j"), ("e3", "s", "h", "j"),
+                          ("e4", "r", "h", "h"), ("e5", "r", "i", "h"), ("e6", "s", "i", "j")])
+            outcomes[prefix] = Counter()
+            for host in (full, full.without(edge_ids=[label("e4")]),
+                         full.without(edge_ids=[label("e5")])):
+                _check_every_exists(condition, host, outcomes[prefix])
+        assert outcomes[odd] == outcomes[""] and len(outcomes[""]) == 2
+
+
+LOOPS = TypeGraph(["A", "B"], [("r", "A", "A"), ("s", "A", "B")])
+
+
+def _grown(graph: TypedGraph, rng: random.Random, level: int) -> TypedGraph:
+    """``graph`` with one more edge and maybe one more node. The edge may
+    be a loop or run parallel to an edge already there."""
+    nodes = list(graph.node_items())
+    edges = list(graph.edge_items())
+    if not any(t == "A" for _, t in nodes):
+        nodes.append((f"v{level}", "A"))
+    elif rng.random() < 0.5:
+        nodes.append((f"v{level}", rng.choice("AB")))
+    a_nodes = [v for v, t in nodes if t == "A"]
+    b_nodes = [v for v, t in nodes if t == "B"]
+    if edges and rng.random() < 0.35:
+        _, etype, src, tgt = rng.choice(edges)
+    elif b_nodes and rng.random() < 0.4:
+        etype, src, tgt = "s", rng.choice(a_nodes), rng.choice(b_nodes)
+    else:
+        etype, src, tgt = "r", rng.choice(a_nodes), rng.choice(a_nodes)
+    edges.append((f"x{level}", etype, src, tgt))
+    return TypedGraph(LOOPS, nodes, edges)
+
+
+def _random_chain(rng: random.Random, levels: int, universal: bool):
+    """An alternating chain of ``levels`` quantifiers over graphs that
+    grow level by level from an anchor that may have nodes and edges.
+    Some levels carry a second, negated branch in an And node."""
+    graphs_ = [TypedGraph(LOOPS)]
+    if rng.random() < 0.6:
+        graphs_[0] = _grown(graphs_[0], rng, 0)
+    for level in range(1, levels + 1):
+        graphs_.append(_grown(graphs_[-1], rng, level))
+    quantifiers = ["forall" if (i % 2 == 0) == universal else "exists" for i in range(levels)]
+    body = FALSE if quantifiers[-1] == "forall" else TRUE
+    for i in reversed(range(levels)):
+        a = inclusion(graphs_[i], graphs_[i + 1])
+        body = forall(a, body) if quantifiers[i] == "forall" else Exists(a, body)
+        if i and rng.random() < 0.3:
+            side = inclusion(graphs_[i], _grown(graphs_[i], rng, 9))
+            body = And(body, Not(Exists(side)))
+    return body
+
+
+def _pins_a_bundle(node: Exists) -> bool:
+    """Does an anchor edge share its signature with an edge the node adds?"""
+    a = node.morphism
+    pinned = set(a.edge_map.values())
+    infos = {a.codomain.edge_info(e) for e in pinned}
+    return any(a.codomain.edge_info(e) in infos
+               for e in a.codomain.edge_ids if e not in pinned)
 
 
 def _with_parallel_edges(graph: TypedGraph, rng: random.Random, share: float) -> TypedGraph:
@@ -186,15 +302,62 @@ def test_lean_rewrite_agrees_with_validated_apply():
 class TestSkippedWork:
     def test_reads_never_materialize_extensions(self, fixtures, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("extensions was called")
+            raise AssertionError("a generic extension search ran")
 
-        monkeypatch.setattr(conditions, "extensions", refuse)
+        # Existence checks run compiled code; neither the extension API
+        # nor the seeded generic search runs under a read.
+        for name in ("extensions", "iter_extensions", "iter_monomorphisms"):
+            monkeypatch.setattr(conditions, name, refuse)
         rng = random.Random(5)
         for host in (fixtures.host, random_host(fixtures.type_graph, rng, 12, 0.3)):
             for rule in fixtures.rule_list():
                 scan_matches(rule, host)
             for c in fixtures.constraint_list():
                 consistency_report(host, c)
+
+    def test_building_and_parsing_compile_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check was compiled")
+
+        monkeypatch.setattr(conditions, "_compile_check", refuse)
+        for fx in (cra.build_fixtures(), cra.load_fixtures()):
+            nodes = []
+            for c in fx.constraint_list():
+                assert c.shape.level >= 1
+                nodes += _exists_nodes(c.condition)
+            for rule in fx.rule_list():
+                nodes += _exists_nodes(rule.condition)
+            assert len(nodes) >= 8
+            assert not any("_check" in vars(node) for node in nodes)
+
+    def test_same_shaped_conditions_share_one_code_object(self):
+        built, loaded = cra.build_fixtures(), cra.load_fixtures()
+        conditions_ = [(c.condition, d.condition)
+                       for c, d in zip(built.constraint_list(), loaded.constraint_list())]
+        conditions_ += [(r.condition, s.condition)
+                        for r, s in zip(built.rule_list(), loaded.rule_list())]
+        pairs = [pair for ours, theirs in conditions_
+                 for pair in zip(_exists_nodes(ours), _exists_nodes(theirs))]
+        assert len(pairs) >= 8
+        for ours, theirs in pairs:
+            assert ours is not theirs and ours._check is not theirs._check
+            assert ours._check.__code__ is theirs._check.__code__
+
+    def test_reports_and_scans_enumerate_through_the_traced_name(self, fixtures, monkeypatch):
+        calls: Counter = Counter()
+        for module in (conditions, rewriting):
+            def counting(*args, _name=module.__name__, _inner=module.enumerate_monomorphisms,
+                         **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, "enumerate_monomorphisms", counting)
+        for rule in fixtures.rule_list():
+            scan_matches(rule, fixtures.host)
+        for c in fixtures.constraint_list():
+            consistency_report(fixtures.host, c)
+        assert calls == {"gradcons.conditions": len(fixtures.constraint_list()),
+                         "gradcons.rewriting": len(fixtures.rule_list())}
 
     def test_rule_search_compiles_each_plan_once_and_skips_validation(self, monkeypatch):
         compiled: Counter = Counter()
