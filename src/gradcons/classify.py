@@ -221,13 +221,33 @@ def _least_masks(slots: list[tuple[str, str, str]], groups: list[tuple[str, ...]
         images[:] = map(xor, images, flips[b])
 
 
-def _hosts_for_split(tg: TypeGraph, types: tuple[str, ...], counts: tuple[int, ...]):
-    # The work here follows the node types passed, so a caller passes the
-    # types present in the split and no others.
+def _edge_types_by_source(tg: TypeGraph) -> dict[str, list[tuple[str, str]]]:
+    """``(edge type, target type)`` of the edge types leaving each node
+    type, sorted by edge type."""
+    leaving: dict[str, list[tuple[str, str]]] = {}
+    for etype, (src_t, tgt_t) in sorted(tg.edge_types.items()):
+        leaving.setdefault(src_t, []).append((etype, tgt_t))
+    return leaving
+
+
+def _hosts_for_split(
+    tg: TypeGraph,
+    types: tuple[str, ...],
+    counts: tuple[int, ...],
+    leaving: dict[str, list[tuple[str, str]]] | None = None,
+):
+    """The hosts of one split, ``counts[i]`` nodes of ``types[i]``.
+
+    ``leaving`` is :func:`_edge_types_by_source` of ``tg``; a universe
+    builds it once for all its splits, and a single split here. Types with
+    count 0 are dropped, so the edge slots follow the types present.
+    """
+    if leaving is None:
+        leaving = _edge_types_by_source(tg)
     count_of = {t: c for t, c in zip(types, counts) if c}
     signatures = sorted(
         (etype, src_t, tgt_t)
-        for src_t in count_of for etype, tgt_t in tg.edge_types_leaving(src_t)
+        for src_t in count_of for etype, tgt_t in leaving.get(src_t, ())
         if tgt_t in count_of
     )
     n_slots = sum(count_of[src_t] * count_of[tgt_t] for _, src_t, tgt_t in signatures)
@@ -271,6 +291,7 @@ def _bounded_hosts_cached(tg: TypeGraph, max_nodes: int, mins: tuple[tuple[str, 
     if any(n > 0 and t not in tg.node_types for t, n in mins):
         return ()
     types = sorted(tg.node_types)
+    leaving = _edge_types_by_source(tg)
     floor = {t: n for t, n in mins if n > 0}
     base = sum(floor.values())
     hosts: list[TypedGraph] = []
@@ -284,7 +305,8 @@ def _bounded_hosts_cached(tg: TypeGraph, max_nodes: int, mins: tuple[tuple[str, 
             for t in extra:
                 count_of[t] = count_of.get(t, 0) + 1
             present = tuple(sorted(count_of))
-            hosts.extend(_hosts_for_split(tg, present, tuple(count_of[t] for t in present)))
+            counts = tuple(count_of[t] for t in present)
+            hosts.extend(_hosts_for_split(tg, present, counts, leaving))
     return tuple(hosts)
 
 

@@ -214,9 +214,14 @@ def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
 
 _Check = Callable[[TypedGraph, Mapping[str, str], Mapping[str, str]], bool]
 
+# The most loops one generated function nests. CPython refuses more than 20
+# statically nested blocks, so a longer search goes on in a further function
+# that takes the images placed so far.
+_LOOPS_PER_FUNCTION = 12
+
 
 def _compile_check(node: Exists) -> _Check:
-    """The existence check of ``node`` as one generated function.
+    """The existence check of ``node`` as generated code.
 
     ``check(host, pn, pe)`` takes the node and edge maps of an occurrence
     of the anchor and tells whether it extends along ``node.morphism`` to
@@ -224,7 +229,7 @@ def _compile_check(node: Exists) -> _Check:
     plan of the extended graph as nested loops, with the same type tests,
     step order, neighbour candidates and early edge probes as
     :func:`iter_monomorphisms` seeded from the anchor. The source comes
-    from :func:`_check_source`; same-shaped nodes share its code object.
+    from :func:`_check_source`; same-shaped nodes share its code objects.
     """
     source, constants = _check_source(node)
     return _check_factory(source)(*constants)
@@ -245,10 +250,25 @@ def _check_source(node: Exists) -> tuple[str, tuple[object, ...]]:
     an argument ``K<i>`` of the factory, next to the type graph ``TG`` and
     the sub-condition ``SUB``. So the text depends only on the shape of
     the search plan, and user text never becomes code.
+
+    The free nodes are placed in plan order, one loop each; then each
+    signature group with free edges gets one loop over its injective
+    assignments. The innermost body returns ``True`` for a ``TRUE``
+    sub-condition and evaluates the sub-condition on the maps otherwise.
+    Every :data:`_LOOPS_PER_FUNCTION` loops the search continues in a new
+    function ``s<i>``, so the nesting stays bounded for any pattern size.
     """
     a = node.morphism
     pattern, anchor = a.codomain, a.domain
     plan = _plan(pattern, frozenset(a.node_map.values()))
+    # A candidate can only be a host node placed before it if that node has
+    # its type. So a step tests its candidates against the set ``used``
+    # only where its type was placed before, and ``used`` holds the placed
+    # nodes of the types a later step places.
+    step_types = [ntype for _, ntype, _, _ in plan.steps]
+    seen = {pattern.node_type(a.node_map[x]) for x in anchor.node_ids}
+    tested = [t in seen or t in step_types[:level] for level, t in enumerate(step_types)]
+    tracked = any(tested)
     keys: dict[tuple[str, str], str] = {}
 
     def k(role: str, value: str) -> str:
@@ -259,15 +279,52 @@ def _check_source(node: Exists) -> tuple[str, tuple[object, ...]]:
 
     lines: list[str] = []
     depth = 2
+    loops = 0
+    functions = 0
     # What ends this candidate: outside every loop the check fails.
     fail = "return False"
+    # The depth of each node loop's body in the current function, and the
+    # node its candidate put into ``used``; the body ends by taking it out.
+    taken: list[tuple[int, str]] = []
 
-    def emit(text: str) -> None:
-        lines.append("    " * depth + text)
+    def emit(*texts: str) -> None:
+        lines.extend("    " * depth + text for text in texts)
 
-    emit("tg = host._type_graph")
-    emit("if tg is not TG and tg != TG:")
-    emit("    raise MismatchError('pattern and host are typed over different type graphs')")
+    def end_function() -> None:
+        for body, n in reversed(taken):
+            lines.append("    " * body + f"used.discard({n})")
+        taken.clear()
+        lines.append("        return False")
+
+    def make_room() -> None:
+        # Called before the code of a loop: with the current function full,
+        # the search goes on in a new one.
+        nonlocal depth, loops, functions, fail
+        if loops < _LOOPS_PER_FUNCTION:
+            return
+        functions += 1
+        args = ", ".join(["host", *(["used"] if tracked else []),
+                          *node_var.values(), *edge_var.values()])
+        emit(f"if s{functions}({args}):", "    return True")
+        end_function()
+        lines.append(f"    def s{functions}({args}):")
+        depth, loops, fail = 2, 0, "return False"
+        emit("hn, he, tr = host._nodes, host._edges, host._triples",
+             "bt, inc = host._by_type, host._incident")
+
+    def open_loop(header: str) -> None:
+        nonlocal depth, loops, fail
+        emit(header)
+        depth += 1
+        loops += 1
+        fail = "continue"
+
+    def fails(test: str) -> None:
+        emit(f"if {test}:", f"    {fail}")
+
+    emit("tg = host._type_graph",
+         "if tg is not TG and tg != TG:",
+         "    raise MismatchError('pattern and host are typed over different type graphs')")
     neighbours = any(source for _, _, source, _ in plan.steps)
     if anchor.node_ids or neighbours:
         emit("hn = host._nodes")
@@ -277,18 +334,16 @@ def _check_source(node: Exists) -> tuple[str, tuple[object, ...]]:
         v = a.node_map[x]
         n = node_var[v] = f"n{len(node_var)}"
         emit(f"{n} = pn[{k('anchor node', x)}]")
-        emit(f"if hn.get({n}) != {k('node type', pattern.node_type(v))}:")
-        emit("    return False")
+        fails(f"hn.get({n}) != {k('node type', pattern.node_type(v))}")
     if anchor.edge_ids or neighbours:
         emit("he = host._edges")
-    pinned: dict[str, str] = {}
+    edge_var: dict[str, str] = {}
     for e in anchor.edge_ids:
         c = a.edge_map[e]
-        f = pinned[c] = f"f{len(pinned)}"
-        emit(f"{f} = pe[{k('anchor edge', e)}]")
-        emit(f"x = he.get({f})")
-        emit(f"if x is None or x[0] != {k('edge type', pattern.edge_type(c))}:")
-        emit("    return False")
+        f = edge_var[c] = f"f{len(edge_var)}"
+        emit(f"{f} = pe[{k('anchor edge', e)}]", f"x = he.get({f})")
+        fails(f"x is None or x[0] != {k('edge type', pattern.edge_type(c))}")
+    pinned = dict(edge_var)
     if pattern.edge_ids:
         emit("tr = host._triples")
 
@@ -296,80 +351,73 @@ def _check_source(node: Exists) -> tuple[str, tuple[object, ...]]:
         return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
 
     for etype, src, tgt in plan.seed_checks:
-        emit(f"if {probe(etype, src, tgt)} not in tr:")
-        emit("    return False")
+        fails(f"{probe(etype, src, tgt)} not in tr")
     if plan.scan_types:
         emit("bt = host._by_type")
     for ntype in plan.scan_types:
-        emit(f"if {k('node type', ntype)} not in bt:")
-        emit("    return False")
+        fails(f"{k('node type', ntype)} not in bt")
     if neighbours:
         emit("inc = host._incident")
+    if tracked:
+        held = [n for v, n in node_var.items() if pattern.node_type(v) in step_types]
+        emit(f"used = {{{', '.join(held)}}}" if held else "used = set()")
 
     for level, (v, ntype, source, checks) in enumerate(plan.steps):
+        make_room()
         n, ktype = f"n{len(node_var)}", k("node type", ntype)
         if source is None:
-            emit(f"for {n} in bt[{ktype}]:")
+            open_loop(f"for {n} in bt[{ktype}]:")
         else:
             u, etype, outgoing = source
             near, anchor_end, other_end = f"near{level}", *(("s", "t") if outgoing else ("t", "s"))
-            emit(f"{near} = {{}}")
-            emit(f"for e in inc[{node_var[u]}]:")
-            emit("    et, s, t = he[e]")
-            emit(f"    if et == {k('edge type', etype)} and {anchor_end} == {node_var[u]}"
-                 f" and hn[{other_end}] == {ktype}:")
-            emit(f"        {near}[{other_end}] = None")
-            emit(f"for {n} in {near}:")
-        depth += 1
-        fail = "continue"
-        # Host nodes of other types are told apart by their type already.
-        same = [node_var[w] for w in node_var if pattern.node_type(w) == ntype]
-        if same:
-            emit(f"if {' or '.join(f'{n} == {w}' for w in same)}:")
-            emit("    continue")
+            emit(f"{near} = {{}}",
+                 f"for e in inc[{node_var[u]}]:",
+                 "    et, s, t = he[e]",
+                 f"    if et == {k('edge type', etype)} and {anchor_end} == {node_var[u]}"
+                 f" and hn[{other_end}] == {ktype}:",
+                 f"        {near}[{other_end}] = None")
+            open_loop(f"for {n} in {near}:")
+        if tested[level]:
+            fails(f"{n} in used")
         node_var[v] = n
         for etype, src, tgt in checks:
-            emit(f"if {probe(etype, src, tgt)} not in tr:")
-            emit("    continue")
+            fails(f"{probe(etype, src, tgt)} not in tr")
+        if ntype in step_types[level + 1:]:
+            emit(f"used.add({n})")
+            taken.append((depth, n))
 
     # Every node is placed, and every pattern edge has at least one host
     # edge under the map. Within a signature group any injective choice of
-    # host edges that keeps the pinned anchor edges is an extension.
-    edge_var = dict(pinned)
-    last = isinstance(node.sub, TrueCondition)
-    for i, ((etype, src, tgt), p_edges) in enumerate(plan.groups):
-        pins = [pinned[e] for e in p_edges if e in pinned]
+    # host edges that keeps the pinned anchor edges is an extension. The
+    # groups of pinned edges alone come first, as their tests need no loop.
+    groups = []
+    for i, (signature, p_edges) in enumerate(plan.groups):
         free = [e for e in p_edges if e not in pinned]
-        if last and len(p_edges) == 1 and not pins:
-            continue
+        pins = [pinned[e] for e in p_edges if e in pinned]
+        groups.append((bool(free), i, signature, pins, free))
+    for _, i, (etype, src, tgt), pins, free in sorted(groups):
+        if free:
+            make_room()
         h = f"h{i}"
         emit(f"{h} = tr[{probe(etype, src, tgt)}]")
-        if last and len(p_edges) > 1:
-            emit(f"if len({h}) < {len(p_edges)}:")
-            emit(f"    {fail}")
         for f in pins:
-            emit(f"if {f} not in {h}:")
-            emit(f"    {fail}")
-        if last or not free:
+            fails(f"{f} not in {h}")
+        if not free:
             continue
         names = [f"g{len(edge_var) + j}" for j in range(len(free))]
-        edge_var.update(zip(free, names))
         pool = f"[x for x in {h} if {' and '.join(f'x != {f}' for f in pins)}]" if pins else h
         if len(free) == 1:
-            emit(f"for {names[0]} in {pool}:")
+            open_loop(f"for {names[0]} in {pool}:")
         else:
-            emit(f"for {', '.join(names)} in permutations({pool}, {len(free)}):")
-        depth += 1
-        fail = "continue"
-    if last:
+            open_loop(f"for {', '.join(names)} in permutations({pool}, {len(free)}):")
+        edge_var.update(zip(free, names))
+    if isinstance(node.sub, TrueCondition):
         emit("return True")
     else:
         nodes = ", ".join(f"{k('node', v)}: {node_var[v]}" for v in pattern.node_ids)
         edges = ", ".join(f"{k('edge', e)}: {edge_var[e]}" for e in pattern.edge_ids)
-        emit(f"if SATISFIES(SUB, host, {{{nodes}}}, {{{edges}}}):")
-        emit("    return True")
-    if depth > 2 or not last:
-        lines.append("        return False")
+        emit(f"if SATISFIES(SUB, host, {{{nodes}}}, {{{edges}}}):", "    return True")
+    end_function()
     params = ", ".join(["TG", "SUB", *keys.values()])
     source = "\n".join([f"def make({params}):", "    def check(host, pn, pe):",
                         *lines, "    return check", ""])

@@ -22,7 +22,7 @@ class TypeGraph:
     signature. Type names are unique across both kinds.
     """
 
-    __slots__ = ("_node_types", "_edge_types", "_leaving")
+    __slots__ = ("_node_types", "_edge_types")
 
     def __init__(
         self,
@@ -48,10 +48,6 @@ class TypeGraph:
                 raise ValueError(f"edge type {name!r} references unknown node type")
         self._node_types = frozenset(nts)
         self._edge_types = dict(sorted(ets.items()))
-        leaving: dict[str, list[tuple[str, str]]] = {}
-        for name, (src, tgt) in self._edge_types.items():
-            leaving.setdefault(src, []).append((name, tgt))
-        self._leaving = {src: tuple(pairs) for src, pairs in leaving.items()}
 
     @property
     def node_types(self) -> frozenset[str]:
@@ -63,11 +59,6 @@ class TypeGraph:
 
     def signature(self, edge_type: str) -> tuple[str, str]:
         return self._edge_types[edge_type]
-
-    def edge_types_leaving(self, node_type: str) -> tuple[tuple[str, str], ...]:
-        """``(edge type, target type)`` of each edge type whose source is
-        ``node_type``, sorted by edge type."""
-        return self._leaving.get(node_type, ())
 
     def __eq__(self, other: object) -> bool:
         if self is other:

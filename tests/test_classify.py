@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -239,23 +240,27 @@ class TestBoundedHosts:
 
     def test_splits_name_only_the_types_they_have(self, monkeypatch):
         # The work of a split follows its own node types, not all those of
-        # the type graph, and copies no edge-type table.
+        # the type graph, and the edge-type table is read once per universe.
         splits = []
+        reads = Counter()
         inner = _hosts_for_split
+        edge_types = TypeGraph.edge_types
 
-        def recording(tg, types, counts):
+        def recording(tg, types, counts, leaving):
             splits.append(counts)
-            return inner(tg, types, counts)
+            return inner(tg, types, counts, leaving)
 
-        def refuse(self):
-            raise AssertionError("edge types copied")
+        def counting(self):
+            reads["edge_types"] += 1
+            return edge_types.fget(self)
 
         monkeypatch.setattr(classify, "_hosts_for_split", recording)
-        monkeypatch.setattr(TypeGraph, "edge_types", property(refuse))
+        monkeypatch.setattr(TypeGraph, "edge_types", property(counting))
         tg = TypeGraph([f"T{i:02d}" for i in range(30)], [("r", "T00", "T01")])
         hosts = _bounded_hosts_cached.__wrapped__(tg, 2, ())
         assert len(splits) == 1 + 30 + 465 and all(all(counts) for counts in splits)
         assert len(hosts) == 497 and sum(g.edge_count for g in hosts) == 1
+        assert reads == {"edge_types": 1}
 
     def test_many_edgeless_types(self):
         tg = TypeGraph([f"T{i:03d}" for i in range(300)])

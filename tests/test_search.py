@@ -17,12 +17,14 @@ from gradcons import (
     Exists,
     GraphMorphism,
     Not,
+    Rule,
     TypedGraph,
     TypeGraph,
     classify_rule_empirical,
     consistency_report,
     cra,
     enumerate_monomorphisms,
+    graph_satisfies,
     inclusion,
     satisfies,
     scan_matches,
@@ -143,6 +145,28 @@ class TestLazyExistsAgainstOracle:
                 _check_every_exists(condition, host, outcomes[prefix])
         assert outcomes[odd] == outcomes[""] and len(outcomes[""]) == 2
 
+
+    def test_searches_split_over_several_functions(self, monkeypatch):
+        """A search that fills its function goes on in the next one, with
+        the images placed so far; the verdicts stay the oracle's. Here a
+        function holds one loop, so every second loop starts a new one."""
+        monkeypatch.setattr(conditions, "_LOOPS_PER_FUNCTION", 1)
+        rng = random.Random(71)
+        outcomes: Counter = Counter()
+        split = 0
+        for case in range(150):
+            condition = _random_chain(rng, 3 + case % 2, case % 4 < 2)
+            split += sum("def s1(" in _check_source(node)[0] for node in _exists_nodes(condition))
+            for _ in range(2):
+                host = _with_parallel_edges(
+                    random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
+                _check_every_exists(condition, host, outcomes)
+        for constraint, _, transformations, rule, host in random_step_cases(60, seed=103):
+            for graph in (host, *(t.result for t in transformations)):
+                _check_every_exists(constraint.condition, graph, outcomes)
+                _check_every_exists(rule.condition, graph, outcomes)
+        assert outcomes[True] >= 500 and outcomes[False] >= 500, outcomes
+        assert split >= 300
 
 LOOPS = TypeGraph(["A", "B"], [("r", "A", "A"), ("s", "A", "B")])
 
@@ -422,3 +446,45 @@ class TestDeepPatterns:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("noPath: universal, occurrences=1, relevant=1, violations=1")
+
+    def test_existence_checks_on_long_patterns(self, tmp_path, capsys):
+        n = 600
+        tg = TypeGraph(["Start", "N"], [("first", "Start", "N"), ("next", "N", "N")])
+        ids = [f"n{i:04d}" for i in range(n)]
+        path = _path(tg, ids)
+        no_path = Constraint("noPath", forall(empty_morphism_into(path)))
+        broken = path.without(edge_ids=["e0300"])
+        assert not graph_satisfies(path, no_path) and graph_satisfies(broken, no_path)
+        (tmp_path / "path.json").write_text(emit_graph_document(path))
+        (tmp_path / "no_path.json").write_text(emit_constraint_document(no_path))
+        assert main(["satisfy", str(tmp_path / "path.json"), str(tmp_path / "no_path.json")]) == 0
+        assert capsys.readouterr().out == "noPath: violated\n"
+
+        # A rule whose NAC forbids a path of 30 nodes from its start node,
+        # over starts with paths of 29, 30 and 40 nodes; and a check whose
+        # sub-condition asks for one node more than its 30-node pattern.
+        lhs = TypedGraph(tg, [("p00", "Start")])
+        nac = _path(tg, [f"p{i:02d}" for i in range(30)])
+        longer = _path(tg, [f"p{i:02d}" for i in range(31)])
+        rule = Rule("mark", lhs, lhs, lhs, Not(Exists(inclusion(lhs, nac))))
+        reaches = Exists(inclusion(lhs, nac), Exists(inclusion(nac, longer)))
+        chains = [[f"c{c}x{i:02d}" for i in range(size)] for c, size in enumerate((29, 30, 40))]
+        host = TypedGraph(tg, [(v, "Start" if i == 0 else "N") for chain in chains
+                               for i, v in enumerate(chain)],
+                          [e for c, chain in enumerate(chains) for e in _path_edges(chain, f"c{c}")])
+        scan = scan_matches(rule, host)
+        assert [m.node_map["p00"] for m in scan.matches] == ["c0x00"]
+        assert scan.rejected_by_condition == 2
+        verdicts = [satisfies(GraphMorphism(lhs, host, {"p00": chain[0]}, {}), reaches)
+                    for chain in chains]
+        assert verdicts == [False, False, True]
+
+
+def _path_edges(ids: list[str], prefix: str = "e") -> list[tuple[str, str, str, str]]:
+    return [(f"{prefix}{i:04d}", "first" if i == 0 else "next", ids[i], ids[i + 1])
+            for i in range(len(ids) - 1)]
+
+
+def _path(tg: TypeGraph, ids: list[str]) -> TypedGraph:
+    """A path whose first node is a Start and the rest are N."""
+    return TypedGraph(tg, [(ids[0], "Start"), *((v, "N") for v in ids[1:])], _path_edges(ids))
