@@ -69,6 +69,13 @@ def _lands_in_context(p: GraphMorphism, t: Transformation) -> bool:
     ) and all(host.has_edge(e) and e not in t.removed_edges for e in p.edge_map.values())
 
 
+def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
+    """``before.ci <= after.ci`` on the counts, a report with ro = 0 read as 1/1."""
+    num_b, den_b = (before.ro - before.ncv, before.ro) if before.ro else (1, 1)
+    num_a, den_a = (after.ro - after.ncv, after.ro) if after.ro else (1, 1)
+    return num_b * den_a <= num_a * den_b
+
+
 def classify_step(
     t: Transformation,
     constraint: Constraint,
@@ -89,7 +96,7 @@ def classify_step(
 
     preserving = after.satisfied or not before.satisfied
     guaranteeing = after.satisfied
-    sustaining = before.ci <= after.ci
+    sustaining = _ci_at_most(before, after)
     improving = sustaining and before.ncv > 0 and before.ncv > after.ncv
     evidence: dict[str, GraphMorphism] = {}
 

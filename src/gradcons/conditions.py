@@ -25,17 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import permutations
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .errors import AnfError, MismatchError
 from .graphs import (
     GraphMorphism,
     TypedGraph,
-    _plan,
+    _extensions,
+    _search,
     enumerate_monomorphisms,
-    iter_monomorphisms,
 )
 
 
@@ -89,9 +88,11 @@ class Exists(Condition):
         return self.morphism.domain
 
     @cached_property
-    def _check(self) -> _Check:
-        """This node's existence check, compiled on first evaluation."""
-        return _compile_check(self)
+    def _check(self) -> Callable:
+        """This node's compiled search, made on first evaluation: the
+        ``"exists"`` form for a ``TRUE`` sub-condition, else ``"search"``."""
+        form = "exists" if isinstance(self.sub, TrueCondition) else "search"
+        return _search(self.morphism.codomain, form, *_anchor_keys(self.morphism))
 
     def __repr__(self) -> str:
         return f"Exists({self.morphism.codomain!r}, {self.sub!r})"
@@ -152,7 +153,7 @@ class Constraint:
         if root is not None and not root.is_empty():
             raise MismatchError(f"constraint {self.name!r} is not anchored at the empty graph")
 
-    @property
+    @cached_property
     def type_graph(self):
         root = self.condition.anchor()
         return root.type_graph if root is not None else None
@@ -173,16 +174,23 @@ def _satisfies(condition: Condition, host: TypedGraph, node_map: Mapping[str, st
 
     The one evaluator of conditions. The maps are those of a total
     injective occurrence of the condition's anchor; nothing is validated.
-    Each existential node runs its compiled check (:func:`_compile_check`),
-    which hands the maps of each extension it finds to this function for
-    the sub-condition, so no level builds a :class:`GraphMorphism`.
+    Each existential node runs its compiled search, and the sub-condition
+    is evaluated on the maps of each extension it yields, so no level
+    builds a :class:`GraphMorphism`.
     """
     if isinstance(condition, TrueCondition):
         return True
     if isinstance(condition, Not):
         return not _satisfies(condition.sub, host, node_map, edge_map)
     if isinstance(condition, Exists):
-        return condition._check(host, node_map, edge_map)
+        found = condition._check(host, node_map, edge_map)
+        if isinstance(condition.sub, TrueCondition):
+            return found
+        pattern = condition.morphism.codomain
+        nodes, edges = pattern.node_ids, pattern.edge_ids
+        return any(_satisfies(condition.sub, host, dict(zip(nodes, images)),
+                              dict(zip(edges, edge_images)))
+                   for images, edge_images in found)
     if isinstance(condition, And):
         return (_satisfies(condition.left, host, node_map, edge_map)
                 and _satisfies(condition.right, host, node_map, edge_map))
@@ -195,13 +203,12 @@ def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphis
     ``p`` must be a total injective occurrence of the domain of ``a``; the
     results are the occurrences of the extended graph that agree with ``p``
     on the anchor. The search starts from the anchor's image and stops
-    when the caller stops iterating. This is the API for the extensions
-    themselves; existence checks run the compiled check of an
-    :class:`Exists` node instead, which builds no morphism.
+    when the caller stops iterating; an :class:`Exists` node along ``a``
+    with a sub-condition other than ``TRUE`` runs the same search.
     """
-    node_seed = {a.node_map[x]: p.node_map[x] for x in a.domain.node_ids}
-    edge_seed = {a.edge_map[e]: p.edge_map[e] for e in a.domain.edge_ids}
-    return iter_monomorphisms(a.codomain, p.codomain, node_seed=node_seed, edge_seed=edge_seed)
+    if not p.is_injective():
+        raise ValueError("occurrence is not injective")
+    return _extensions(a.codomain, p.codomain, *_anchor_keys(a), p.node_map, p.edge_map)
 
 
 def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
@@ -210,218 +217,10 @@ def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
     return sorted(iter_extensions(p, a), key=GraphMorphism.sort_key)
 
 
-# --- compiled existence checks ------------------------------------------------
-
-_Check = Callable[[TypedGraph, Mapping[str, str], Mapping[str, str]], bool]
-
-# The most loops one generated function nests. CPython refuses more than 20
-# statically nested blocks, so a longer search goes on in a further function
-# that takes the images placed so far.
-_LOOPS_PER_FUNCTION = 12
-
-
-def _compile_check(node: Exists) -> _Check:
-    """The existence check of ``node`` as generated code.
-
-    ``check(host, pn, pe)`` takes the node and edge maps of an occurrence
-    of the anchor and tells whether it extends along ``node.morphism`` to
-    an occurrence that satisfies ``node.sub``. It runs the seeded search
-    plan of the extended graph as nested loops, with the same type tests,
-    step order, neighbour candidates and early edge probes as
-    :func:`iter_monomorphisms` seeded from the anchor. The source comes
-    from :func:`_check_source`; same-shaped nodes share its code objects.
-    """
-    source, constants = _check_source(node)
-    return _check_factory(source)(*constants)
-
-
-@lru_cache(maxsize=256)
-def _check_factory(source: str) -> Callable[..., _Check]:
-    namespace = {"MismatchError": MismatchError, "permutations": permutations,
-                 "SATISFIES": _satisfies}
-    exec(compile(source, "<existence check>", "exec"), namespace)
-    return namespace["make"]
-
-
-def _check_source(node: Exists) -> tuple[str, tuple[object, ...]]:
-    """The source of ``node``'s check factory and the constants it takes.
-
-    The source holds no type name or element id: each reaches the code as
-    an argument ``K<i>`` of the factory, next to the type graph ``TG`` and
-    the sub-condition ``SUB``. So the text depends only on the shape of
-    the search plan, and user text never becomes code.
-
-    The free nodes are placed in plan order, one loop each; then each
-    signature group with free edges gets one loop over its injective
-    assignments. The innermost body returns ``True`` for a ``TRUE``
-    sub-condition and evaluates the sub-condition on the maps otherwise.
-    Every :data:`_LOOPS_PER_FUNCTION` loops the search continues in a new
-    function ``s<i>``, so the nesting stays bounded for any pattern size.
-    """
-    a = node.morphism
-    pattern, anchor = a.codomain, a.domain
-    plan = _plan(pattern, frozenset(a.node_map.values()))
-    # A candidate can only be a host node placed before it if that node has
-    # its type. So a step tests its candidates against the set ``used``
-    # only where its type was placed before, and ``used`` holds the placed
-    # nodes of the types a later step places.
-    step_types = [ntype for _, ntype, _, _ in plan.steps]
-    seen = {pattern.node_type(a.node_map[x]) for x in anchor.node_ids}
-    tested = [t in seen or t in step_types[:level] for level, t in enumerate(step_types)]
-    tracked = any(tested)
-    keys: dict[tuple[str, str], str] = {}
-
-    def k(role: str, value: str) -> str:
-        name = keys.get((role, value))
-        if name is None:
-            name = keys[role, value] = f"K{len(keys)}"
-        return name
-
-    lines: list[str] = []
-    depth = 2
-    loops = 0
-    functions = 0
-    # What ends this candidate: outside every loop the check fails.
-    fail = "return False"
-    # The depth of each node loop's body in the current function, and the
-    # node its candidate put into ``used``; the body ends by taking it out.
-    taken: list[tuple[int, str]] = []
-
-    def emit(*texts: str) -> None:
-        lines.extend("    " * depth + text for text in texts)
-
-    def end_function() -> None:
-        for body, n in reversed(taken):
-            lines.append("    " * body + f"used.discard({n})")
-        taken.clear()
-        lines.append("        return False")
-
-    def make_room() -> None:
-        # Called before the code of a loop: with the current function full,
-        # the search goes on in a new one.
-        nonlocal depth, loops, functions, fail
-        if loops < _LOOPS_PER_FUNCTION:
-            return
-        functions += 1
-        args = ", ".join(["host", *(["used"] if tracked else []),
-                          *node_var.values(), *edge_var.values()])
-        emit(f"if s{functions}({args}):", "    return True")
-        end_function()
-        lines.append(f"    def s{functions}({args}):")
-        depth, loops, fail = 2, 0, "return False"
-        emit("hn, he, tr = host._nodes, host._edges, host._triples",
-             "bt, inc = host._by_type, host._incident")
-
-    def open_loop(header: str) -> None:
-        nonlocal depth, loops, fail
-        emit(header)
-        depth += 1
-        loops += 1
-        fail = "continue"
-
-    def fails(test: str) -> None:
-        emit(f"if {test}:", f"    {fail}")
-
-    emit("tg = host._type_graph",
-         "if tg is not TG and tg != TG:",
-         "    raise MismatchError('pattern and host are typed over different type graphs')")
-    neighbours = any(source for _, _, source, _ in plan.steps)
-    if anchor.node_ids or neighbours:
-        emit("hn = host._nodes")
-    # The pattern node or edge -> the variable holding its host image.
-    node_var: dict[str, str] = {}
-    for x in anchor.node_ids:
-        v = a.node_map[x]
-        n = node_var[v] = f"n{len(node_var)}"
-        emit(f"{n} = pn[{k('anchor node', x)}]")
-        fails(f"hn.get({n}) != {k('node type', pattern.node_type(v))}")
-    if anchor.edge_ids or neighbours:
-        emit("he = host._edges")
-    edge_var: dict[str, str] = {}
-    for e in anchor.edge_ids:
-        c = a.edge_map[e]
-        f = edge_var[c] = f"f{len(edge_var)}"
-        emit(f"{f} = pe[{k('anchor edge', e)}]", f"x = he.get({f})")
-        fails(f"x is None or x[0] != {k('edge type', pattern.edge_type(c))}")
-    pinned = dict(edge_var)
-    if pattern.edge_ids:
-        emit("tr = host._triples")
-
-    def probe(etype: str, src: str, tgt: str) -> str:
-        return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
-
-    for etype, src, tgt in plan.seed_checks:
-        fails(f"{probe(etype, src, tgt)} not in tr")
-    if plan.scan_types:
-        emit("bt = host._by_type")
-    for ntype in plan.scan_types:
-        fails(f"{k('node type', ntype)} not in bt")
-    if neighbours:
-        emit("inc = host._incident")
-    if tracked:
-        held = [n for v, n in node_var.items() if pattern.node_type(v) in step_types]
-        emit(f"used = {{{', '.join(held)}}}" if held else "used = set()")
-
-    for level, (v, ntype, source, checks) in enumerate(plan.steps):
-        make_room()
-        n, ktype = f"n{len(node_var)}", k("node type", ntype)
-        if source is None:
-            open_loop(f"for {n} in bt[{ktype}]:")
-        else:
-            u, etype, outgoing = source
-            near, anchor_end, other_end = f"near{level}", *(("s", "t") if outgoing else ("t", "s"))
-            emit(f"{near} = {{}}",
-                 f"for e in inc[{node_var[u]}]:",
-                 "    et, s, t = he[e]",
-                 f"    if et == {k('edge type', etype)} and {anchor_end} == {node_var[u]}"
-                 f" and hn[{other_end}] == {ktype}:",
-                 f"        {near}[{other_end}] = None")
-            open_loop(f"for {n} in {near}:")
-        if tested[level]:
-            fails(f"{n} in used")
-        node_var[v] = n
-        for etype, src, tgt in checks:
-            fails(f"{probe(etype, src, tgt)} not in tr")
-        if ntype in step_types[level + 1:]:
-            emit(f"used.add({n})")
-            taken.append((depth, n))
-
-    # Every node is placed, and every pattern edge has at least one host
-    # edge under the map. Within a signature group any injective choice of
-    # host edges that keeps the pinned anchor edges is an extension. The
-    # groups of pinned edges alone come first, as their tests need no loop.
-    groups = []
-    for i, (signature, p_edges) in enumerate(plan.groups):
-        free = [e for e in p_edges if e not in pinned]
-        pins = [pinned[e] for e in p_edges if e in pinned]
-        groups.append((bool(free), i, signature, pins, free))
-    for _, i, (etype, src, tgt), pins, free in sorted(groups):
-        if free:
-            make_room()
-        h = f"h{i}"
-        emit(f"{h} = tr[{probe(etype, src, tgt)}]")
-        for f in pins:
-            fails(f"{f} not in {h}")
-        if not free:
-            continue
-        names = [f"g{len(edge_var) + j}" for j in range(len(free))]
-        pool = f"[x for x in {h} if {' and '.join(f'x != {f}' for f in pins)}]" if pins else h
-        if len(free) == 1:
-            open_loop(f"for {names[0]} in {pool}:")
-        else:
-            open_loop(f"for {', '.join(names)} in permutations({pool}, {len(free)}):")
-        edge_var.update(zip(free, names))
-    if isinstance(node.sub, TrueCondition):
-        emit("return True")
-    else:
-        nodes = ", ".join(f"{k('node', v)}: {node_var[v]}" for v in pattern.node_ids)
-        edges = ", ".join(f"{k('edge', e)}: {edge_var[e]}" for e in pattern.edge_ids)
-        emit(f"if SATISFIES(SUB, host, {{{nodes}}}, {{{edges}}}):", "    return True")
-    end_function()
-    params = ", ".join(["TG", "SUB", *keys.values()])
-    source = "\n".join([f"def make({params}):", "    def check(host, pn, pe):",
-                        *lines, "    return check", ""])
-    return source, (pattern.type_graph, node.sub, *(value for _, value in keys))
+def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """The seeded nodes and pinned edges along ``a``, keyed by anchor ids."""
+    return (tuple((x, a.node_map[x]) for x in a.domain.node_ids),
+            tuple((e, a.edge_map[e]) for e in a.domain.edge_ids))
 
 
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:
@@ -570,7 +369,7 @@ class ConsistencyReport:
 
     @property
     def satisfied(self) -> bool:
-        return self.ci == 1
+        return self.ncv == 0
 
     @cached_property
     def violating_keys(self) -> frozenset[tuple[tuple[str, ...], tuple[str, ...]]]:

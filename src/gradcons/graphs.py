@@ -9,8 +9,9 @@ the same type between the same nodes are distinct elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, permutations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import MismatchError
 
@@ -383,8 +384,11 @@ def empty_morphism_into(graph: TypedGraph) -> GraphMorphism:
     return GraphMorphism(empty_graph(graph.type_graph), graph, {}, {})
 
 
+_Keys = tuple[tuple[str, str], ...]
+
+
 class _Plan:
-    """The compiled search for one pattern and one set of seeded nodes.
+    """The search plan for one pattern and one set of seeded nodes.
 
     ``seed_checks`` are the pattern edges between seeded nodes, tested
     before any free node is placed. ``steps`` lists the free nodes in
@@ -397,10 +401,11 @@ class _Plan:
     of the steps without a source. ``groups`` are the pattern edges
     grouped by signature, in sorted order; within a group any injective
     assignment onto host edges of the image signature preserves structure.
-    ``edges`` lists the pattern edges group by group.
+    ``edges`` lists the pattern edges group by group. ``searches`` holds
+    the searches compiled from the plan (:func:`_search`).
     """
 
-    __slots__ = ("seed_checks", "steps", "scan_types", "groups", "edges")
+    __slots__ = ("seed_checks", "steps", "scan_types", "groups", "edges", "searches")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
@@ -429,6 +434,7 @@ class _Plan:
             groups.setdefault(pattern.edge_info(e), []).append(e)
         self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
         self.edges = tuple(e for _, p_edges in self.groups for e in p_edges)
+        self.searches: dict[tuple[str, _Keys, _Keys], Callable] = {}
 
 
 def _edges_within(
@@ -471,51 +477,31 @@ def iter_monomorphisms(
 ) -> Iterator[GraphMorphism]:
     """Every total injective morphism pattern -> host, lazily, in search order.
 
-    ``node_seed``/``edge_seed`` pin parts of the map in advance; seeded
-    entries must be type-correct and injective. In a seeded search, a free
-    node adjacent to a node placed before it (first of all a seeded one)
-    takes its candidates from the host neighbours of that node's image,
-    so a search anchored at an occurrence looks only around it. Stopping
-    the iteration stops the search, so the first witness of an existence
-    check ends it. Each morphism comes once. The search backtracks in one
-    loop, so the size of a pattern is not bounded by the recursion limit.
+    ``node_seed``/``edge_seed`` pin parts of the map in advance. A seed
+    that is not injective or maps an absent pattern element raises
+    ``ValueError``; a wrongly typed or absent host image leaves no
+    morphism. A seeded search runs the compiled :func:`_search`; an
+    unseeded one backtracks in one loop, so the size of a pattern is not
+    bounded by the recursion limit. Stopping the iteration stops the
+    search. Each morphism comes once.
     """
     if pattern._type_graph is not host._type_graph and pattern._type_graph != host._type_graph:
         raise MismatchError("pattern and host are typed over different type graphs")
-    host_nodes = host._nodes
-    host_edges = host._edges
-    if node_seed:
-        node_map = dict(node_seed)
-        used = set(node_map.values())
-        if len(used) != len(node_map):
-            raise ValueError("node seed is not injective")
-    else:
-        node_map = {}
-        used = set()
-    if edge_seed and len(set(edge_seed.values())) != len(edge_seed):
-        raise ValueError("edge seed is not injective")
-    for v, w in node_map.items():
-        ntype = pattern._nodes.get(v)
-        if ntype is None:
-            raise ValueError(f"seed maps absent pattern node {v!r}")
-        if host_nodes.get(w) != ntype:
-            return
-    if edge_seed:
-        for e, f in edge_seed.items():
-            info = pattern._edges.get(e)
-            if info is None:
-                raise ValueError(f"seed maps absent pattern edge {e!r}")
-            image = host_edges.get(f)
-            if image is None or image[0] != info[0]:
-                return
+    if node_seed or edge_seed:
+        node_seed, edge_seed = node_seed or {}, edge_seed or {}
+        for kind, seed, elements in (("node", node_seed, pattern._nodes),
+                                     ("edge", edge_seed, pattern._edges)):
+            if len(set(seed.values())) != len(seed):
+                raise ValueError(f"{kind} seed is not injective")
+            for x in seed:
+                if x not in elements:
+                    raise ValueError(f"seed maps absent pattern {kind} {x!r}")
+        yield from _extensions(pattern, host, tuple((v, v) for v in sorted(node_seed)),
+                               tuple((e, e) for e in sorted(edge_seed)), node_seed, edge_seed)
+        return
 
-    plan = _plan(pattern, frozenset(node_map))
-    # Each pinned pattern edge with its position among the edge images.
-    pins = [(plan.edges.index(e), f) for e, f in edge_seed.items()] if edge_seed else ()
+    plan = _plan(pattern, frozenset())
     probe = host.edges_with_signature
-    for etype, src, tgt in plan.seed_checks:
-        if not probe(etype, node_map[src], node_map[tgt]):
-            return
     by_type = host._by_type
     # A node type the host lacks leaves no candidates for a type scan.
     for ntype in plan.scan_types:
@@ -524,7 +510,8 @@ def iter_monomorphisms(
 
     steps = plan.steps
     depth = len(steps)
-    incident = host._incident
+    node_map: dict[str, str] = {}
+    used: set[str] = set()
     # The host nodes still to try at each step; the step being placed
     # (``depth`` once every node is placed); and whether that step was just
     # entered from the one before it, or is resumed for its next candidate.
@@ -536,7 +523,7 @@ def iter_monomorphisms(
             # Within a signature group any injective choice of host edges
             # preserves structure, and different groups have disjoint host
             # edges, so the edge maps are the product of the groups'
-            # permutations, filtered by the pinned edges.
+            # permutations.
             choices = []
             for (etype, src, tgt), p_edges in plan.groups:
                 h_edges = probe(etype, node_map[src], node_map[tgt])
@@ -545,32 +532,15 @@ def iter_monomorphisms(
                 choices.append(permutations(h_edges, len(p_edges)))
             else:
                 for combo in product(*choices):
-                    images = tuple(chain.from_iterable(combo))
-                    for k, f in pins:
-                        if images[k] != f:
-                            break
-                    else:
-                        yield GraphMorphism(
-                            pattern, host, dict(node_map), dict(zip(plan.edges, images)))
+                    yield GraphMorphism(pattern, host, dict(node_map),
+                                        dict(zip(plan.edges, chain.from_iterable(combo))))
             if not depth:
                 return
             level -= 1
             fresh = False
-        v, ntype, source, checks = steps[level]
+        v, ntype, _, checks = steps[level]
         if fresh:
-            if source is None:
-                candidates[level] = iter(by_type[ntype])
-            else:
-                u, etype, outgoing = source
-                anchor = node_map[u]
-                near: dict[str, None] = {}
-                for e in incident.get(anchor, ()):
-                    ftype, fsrc, ftgt = host_edges[e]
-                    if ftype == etype and (fsrc if outgoing else ftgt) == anchor:
-                        w = ftgt if outgoing else fsrc
-                        if host_nodes[w] == ntype:
-                            near[w] = None
-                candidates[level] = iter(near)
+            candidates[level] = iter(by_type[ntype])
         else:
             used.discard(node_map[v])
         for w in candidates[level]:
@@ -609,9 +579,7 @@ def enumerate_monomorphisms(
     The order is lexicographic over the images of the sorted pattern node ids,
     with ties broken the same way on sorted pattern edge ids, so results are
     reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
-    in advance (used to enumerate extensions along a fixed anchor); seeded
-    entries must be type-correct and injective. This is the sorted form of
-    :func:`iter_monomorphisms`.
+    in advance, as for :func:`iter_monomorphisms`, whose sorted form this is.
 
     Duplicate-free: each returned morphism appears exactly once.
     """
@@ -619,3 +587,227 @@ def enumerate_monomorphisms(
         iter_monomorphisms(pattern, host, node_seed=node_seed, edge_seed=edge_seed),
         key=GraphMorphism.sort_key,
     )
+
+
+# --- compiled seeded searches -------------------------------------------------
+
+# The most loops one generated function nests. CPython refuses more than 20
+# statically nested blocks, so a longer search goes on in a further function
+# that takes the images placed so far.
+_LOOPS_PER_FUNCTION = 12
+
+
+def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Callable:
+    """The seeded search of ``pattern`` as generated code, kept on its plan.
+
+    ``nodes``/``edges`` pair each seeded pattern node and pinned pattern
+    edge with the key under which the function, called as ``(host, pn,
+    pe)``, reads its image from ``pn``/``pe``. The ``"exists"`` form tells
+    whether the images extend to a total injective morphism pattern ->
+    host; the ``"search"`` form yields each one as the tuples of its node
+    and edge images over the sorted pattern ids.
+    """
+    searches = _plan(pattern, frozenset(v for _, v in nodes)).searches
+    search = searches.get((form, nodes, edges))
+    if search is None:
+        source, constants = _search_source(pattern, form, nodes, edges)
+        search = searches[form, nodes, edges] = _search_factory(source)(*constants)
+    return search
+
+
+def _extensions(
+    pattern: TypedGraph, host: TypedGraph, nodes: _Keys, edges: _Keys,
+    pn: Mapping[str, str], pe: Mapping[str, str],
+) -> Iterator[GraphMorphism]:
+    """The morphisms of the ``"search"`` form of :func:`_search`, lazily."""
+    node_ids, edge_ids = pattern._node_ids, pattern._edge_ids
+    for images, edge_images in _search(pattern, "search", nodes, edges)(host, pn, pe):
+        yield GraphMorphism(pattern, host, dict(zip(node_ids, images)),
+                            dict(zip(edge_ids, edge_images)))
+
+
+@lru_cache(maxsize=256)
+def _search_factory(source: str) -> Callable[..., Callable]:
+    namespace = {"MismatchError": MismatchError, "permutations": permutations}
+    exec(compile(source, "<seeded search>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _search_source(
+    pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys
+) -> tuple[str, tuple[object, ...]]:
+    """The source of a search factory and the constants it takes.
+
+    Type names, element ids and keys reach the code only as arguments
+    ``K<i>`` of the factory, next to the type graph ``TG``, so the text
+    depends on the form and the plan's shape alone. The free nodes are
+    placed in plan order, one loop each; then each signature group with
+    free edges gets one loop over its injective assignments. Every
+    :data:`_LOOPS_PER_FUNCTION` loops the search goes on in a new
+    function ``s<i>``, so the nesting stays bounded for any pattern size.
+    """
+    exists = form == "exists"
+    plan = _plan(pattern, frozenset(v for _, v in nodes))
+    # A candidate can only be a host node placed before it if that node has
+    # its type. So a step tests its candidates against the set ``used``
+    # only where its type was placed before, and ``used`` holds the placed
+    # nodes of the types a later step places.
+    step_types = [ntype for _, ntype, _, _ in plan.steps]
+    seen = {pattern.node_type(v) for _, v in nodes}
+    tested = [t in seen or t in step_types[:level] for level, t in enumerate(step_types)]
+    tracked = any(tested)
+    keys: dict[tuple[str, str], str] = {}
+
+    def k(role: str, value: str) -> str:
+        name = keys.get((role, value))
+        if name is None:
+            name = keys[role, value] = f"K{len(keys)}"
+        return name
+
+    lines: list[str] = []
+    depth = 2
+    loops = 0
+    functions = 0
+    # What ends this candidate: outside every loop the function ends.
+    done = "return False" if exists else "return"
+    fail = done
+    # The depth of each node loop's body in the current function, and the
+    # node its candidate put into ``used``; the body ends by taking it out.
+    taken: list[tuple[int, str]] = []
+
+    def emit(*texts: str) -> None:
+        lines.extend("    " * depth + text for text in texts)
+
+    def end_function() -> None:
+        for body, n in reversed(taken):
+            lines.append("    " * body + f"used.discard({n})")
+        taken.clear()
+        if exists:
+            lines.append("        return False")
+
+    def make_room() -> None:
+        # Called before the code of a loop: with the current function full,
+        # the search goes on in a new one.
+        nonlocal depth, loops, functions, fail
+        if loops < _LOOPS_PER_FUNCTION:
+            return
+        functions += 1
+        args = ", ".join(["host", *(["used"] if tracked else []),
+                          *node_var.values(), *edge_var.values()])
+        if exists:
+            emit(f"if s{functions}({args}):", "    return True")
+        else:
+            emit(f"yield from s{functions}({args})")
+        end_function()
+        lines.append(f"    def s{functions}({args}):")
+        depth, loops, fail = 2, 0, done
+        emit("hn, he, tr = host._nodes, host._edges, host._triples",
+             "bt, inc = host._by_type, host._incident")
+
+    def open_loop(header: str) -> None:
+        nonlocal depth, loops, fail
+        emit(header)
+        depth += 1
+        loops += 1
+        fail = "continue"
+
+    def fails(test: str) -> None:
+        emit(f"if {test}:", f"    {fail}")
+
+    emit("tg = host._type_graph",
+         "if tg is not TG and tg != TG:",
+         "    raise MismatchError('pattern and host are typed over different type graphs')")
+    neighbours = any(source for _, _, source, _ in plan.steps)
+    if nodes or neighbours:
+        emit("hn = host._nodes")
+    # The pattern node or edge -> the variable holding its host image.
+    node_var: dict[str, str] = {}
+    for key, v in nodes:
+        n = node_var[v] = f"n{len(node_var)}"
+        emit(f"{n} = pn[{k('node key', key)}]")
+        fails(f"hn.get({n}) != {k('node type', pattern.node_type(v))}")
+    if edges or neighbours:
+        emit("he = host._edges")
+    edge_var: dict[str, str] = {}
+    for key, c in edges:
+        f = edge_var[c] = f"f{len(edge_var)}"
+        emit(f"{f} = pe[{k('edge key', key)}]", f"x = he.get({f})")
+        fails(f"x is None or x[0] != {k('edge type', pattern.edge_type(c))}")
+    pinned = dict(edge_var)
+    if pattern.edge_ids:
+        emit("tr = host._triples")
+
+    def probe(etype: str, src: str, tgt: str) -> str:
+        return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
+
+    for etype, src, tgt in plan.seed_checks:
+        fails(f"{probe(etype, src, tgt)} not in tr")
+    if plan.scan_types:
+        emit("bt = host._by_type")
+    for ntype in plan.scan_types:
+        fails(f"{k('node type', ntype)} not in bt")
+    if neighbours:
+        emit("inc = host._incident")
+    if tracked:
+        held = [n for v, n in node_var.items() if pattern.node_type(v) in step_types]
+        emit(f"used = {{{', '.join(held)}}}" if held else "used = set()")
+
+    for level, (v, ntype, source, checks) in enumerate(plan.steps):
+        make_room()
+        n, ktype = f"n{len(node_var)}", k("node type", ntype)
+        if source is None:
+            open_loop(f"for {n} in bt[{ktype}]:")
+        else:
+            u, etype, outgoing = source
+            near, anchor_end, other_end = f"near{level}", *(("s", "t") if outgoing else ("t", "s"))
+            emit(f"{near} = {{}}",
+                 f"for e in inc[{node_var[u]}]:",
+                 "    et, s, t = he[e]",
+                 f"    if et == {k('edge type', etype)} and {anchor_end} == {node_var[u]}"
+                 f" and hn[{other_end}] == {ktype}:",
+                 f"        {near}[{other_end}] = None")
+            open_loop(f"for {n} in {near}:")
+        if tested[level]:
+            fails(f"{n} in used")
+        node_var[v] = n
+        for etype, src, tgt in checks:
+            fails(f"{probe(etype, src, tgt)} not in tr")
+        if ntype in step_types[level + 1:]:
+            emit(f"used.add({n})")
+            taken.append((depth, n))
+
+    # Every node is placed, and every pattern edge has at least one host
+    # edge under the map. Within a signature group any injective choice of
+    # host edges that keeps the pinned edges preserves structure. The
+    # groups of pinned edges alone come first, as their tests need no loop.
+    groups = []
+    for i, (signature, p_edges) in enumerate(plan.groups):
+        free = [e for e in p_edges if e not in pinned]
+        pins = [pinned[e] for e in p_edges if e in pinned]
+        groups.append((bool(free), i, signature, pins, free))
+    for _, i, (etype, src, tgt), pins, free in sorted(groups):
+        if free:
+            make_room()
+        h = f"h{i}"
+        emit(f"{h} = tr[{probe(etype, src, tgt)}]")
+        for f in pins:
+            fails(f"{f} not in {h}")
+        if not free:
+            continue
+        names = [f"g{len(edge_var) + j}" for j in range(len(free))]
+        pool = f"[x for x in {h} if {' and '.join(f'x != {f}' for f in pins)}]" if pins else h
+        if len(free) == 1:
+            open_loop(f"for {names[0]} in {pool}:")
+        else:
+            open_loop(f"for {', '.join(names)} in permutations({pool}, {len(free)}):")
+        edge_var.update(zip(free, names))
+    if exists:
+        emit("return True")
+    else:
+        emit("yield (" + "".join(f"{node_var[v]}, " for v in pattern.node_ids) + "), ("
+             + "".join(f"{edge_var[e]}, " for e in pattern.edge_ids) + ")")
+    end_function()
+    params = ", ".join(["TG", *keys.values()])
+    source = "\n".join([f"def make({params}):", "    def search(host, pn, pe):",
+                        *lines, "    return search", ""])
+    return source, (pattern.type_graph, *(value for _, value in keys))

@@ -161,6 +161,22 @@ class TestClassifyStepUniversal:
         assert not v.improving and not v.directly_improving
         assert v.evidence == {}
 
+    def test_count_comparisons_agree_with_the_fractions(self):
+        """``satisfied`` and the sustaining test read the counts, not
+        ``ci``; on every report with ro <= 6 they agree with the exact
+        fractions, ro = 0 reading as ci = 1."""
+        reports = [
+            conditions.ConsistencyReport("c", conditions.UNIVERSAL, ro, ro, ncv,
+                                         Fraction(1) if ro == 0 else Fraction(ro - ncv, ro))
+            for ro in range(7) for ncv in range(ro + 1)
+        ]
+        assert len(reports) == 28
+        for before in reports:
+            assert before.satisfied == (before.ci == 1)
+            for after in reports:
+                assert classify._ci_at_most(before, after) == (before.ci <= after.ci), (
+                    before, after)
+
 
 class TestClassifyStepExistential:
     @pytest.fixture

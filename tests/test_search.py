@@ -10,6 +10,8 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
 from gradcons import (
     FALSE,
     TRUE,
@@ -31,7 +33,7 @@ from gradcons import (
 )
 from gradcons import conditions, graphs, rewriting
 from gradcons.cli import main
-from gradcons.conditions import Constraint, _check_source, forall
+from gradcons.conditions import Constraint, _anchor_keys, forall
 from gradcons.formats import emit_constraint_document, emit_graph_document
 from gradcons.generate import random_host, random_type_graph
 from gradcons.graphs import empty_morphism_into, iter_monomorphisms
@@ -39,6 +41,12 @@ from gradcons.rewriting import _rewrite
 
 from .oracles import dpo_by_sets, monos_by_permutation, satisfies_by_permutation
 from .suites import random_step_cases
+
+
+def _check_source(node: Exists) -> str:
+    """The generated source of an :class:`Exists` node's search."""
+    form = "exists" if node.sub == TRUE else "search"
+    return graphs._search_source(node.morphism.codomain, form, *_anchor_keys(node.morphism))[0]
 
 
 def _exists_nodes(condition):
@@ -129,13 +137,14 @@ class TestLazyExistsAgainstOracle:
                           [("ab", "s", "a", "b"), ("ab2", "s", "a", "b"), ("ca", "r", "c", "a")])
             condition = Exists(inclusion(anchor, scope), And(
                 Not(Exists(inclusion(scope, loop))), Exists(inclusion(scope, other))))
-            sources = [_check_source(node)[0] for node in _exists_nodes(condition)]
+            sources = [_check_source(node) for node in _exists_nodes(condition)]
             if prefix:
                 assert sources == plain_sources
                 assert [n._check.__code__ for n in _exists_nodes(condition)] == plain_codes
             plain_sources = sources
             plain_codes = [n._check.__code__ for n in _exists_nodes(condition)]
             assert all("import" not in source for source in sources)
+            assert sum("yield" in source for source in sources) == 1  # both forms
             full = graph([("h", "A"), ("i", "A"), ("j", "B")],
                          [("e1", "s", "h", "j"), ("e2", "s", "h", "j"), ("e3", "s", "h", "j"),
                           ("e4", "r", "h", "h"), ("e5", "r", "i", "h"), ("e6", "s", "i", "j")])
@@ -150,13 +159,13 @@ class TestLazyExistsAgainstOracle:
         """A search that fills its function goes on in the next one, with
         the images placed so far; the verdicts stay the oracle's. Here a
         function holds one loop, so every second loop starts a new one."""
-        monkeypatch.setattr(conditions, "_LOOPS_PER_FUNCTION", 1)
+        monkeypatch.setattr(graphs, "_LOOPS_PER_FUNCTION", 1)
         rng = random.Random(71)
         outcomes: Counter = Counter()
         split = 0
         for case in range(150):
             condition = _random_chain(rng, 3 + case % 2, case % 4 < 2)
-            split += sum("def s1(" in _check_source(node)[0] for node in _exists_nodes(condition))
+            split += sum("def s1(" in _check_source(node) for node in _exists_nodes(condition))
             for _ in range(2):
                 host = _with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
@@ -270,22 +279,121 @@ def _seeded_cases(rng: random.Random):
     yield pattern, host, oracle, [({}, {"x1": "e2"}), ({"v": "b"}, {"x0": "e3", "y": "f1"})]
 
 
+def _compare_seeded_cases() -> None:
+    compared = nonempty = 0
+    for pattern, host, oracle, seeds in _seeded_cases(random.Random(53)):
+        for node_seed, edge_seed in seeds:
+            want = _seeded_oracle(oracle, node_seed, edge_seed)
+            got = enumerate_monomorphisms(
+                pattern, host, node_seed=node_seed, edge_seed=edge_seed)
+            assert got == want, (pattern.edge_items(), host.edge_items(), node_seed)
+            lazy = list(iter_monomorphisms(
+                pattern, host, node_seed=node_seed, edge_seed=edge_seed))
+            assert len(lazy) == len(want)
+            assert sorted(lazy, key=GraphMorphism.sort_key) == want
+            compared += 1
+            nonempty += bool(want)
+    assert compared >= 600 and nonempty >= 300
+
+
+class _CountingTriples(dict):
+    """A host's edge index that counts its lookups, as generated code
+    reads the index itself."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
 class TestSeededEnumerationAgainstOracle:
     def test_random_seeds_with_parallel_edges(self):
-        compared = nonempty = 0
-        for pattern, host, oracle, seeds in _seeded_cases(random.Random(53)):
-            for node_seed, edge_seed in seeds:
-                want = _seeded_oracle(oracle, node_seed, edge_seed)
-                got = enumerate_monomorphisms(
-                    pattern, host, node_seed=node_seed, edge_seed=edge_seed)
-                assert got == want, (pattern.edge_items(), host.edge_items(), node_seed)
-                lazy = list(iter_monomorphisms(
-                    pattern, host, node_seed=node_seed, edge_seed=edge_seed))
-                assert len(lazy) == len(want)
-                assert sorted(lazy, key=GraphMorphism.sort_key) == want
-                compared += 1
-                nonempty += bool(want)
-        assert compared >= 600 and nonempty >= 300
+        _compare_seeded_cases()
+
+    def test_random_seeds_split_over_several_functions(self, monkeypatch):
+        """With one loop per generated function, searches of two or more
+        loops yield from a further function."""
+        split = Counter()
+        source = graphs._search_source
+
+        def counting(*args):
+            text, constants = source(*args)
+            split[args[1]] += "yield from s1(" in text
+            return text, constants
+
+        monkeypatch.setattr(graphs, "_LOOPS_PER_FUNCTION", 1)
+        monkeypatch.setattr(graphs, "_search_source", counting)
+        _compare_seeded_cases()
+        assert split["search"] >= 150 and not split["exists"], split
+
+    def test_seed_contract(self):
+        tg = TypeGraph(["A", "B"], [("r", "A", "A"), ("s", "A", "B")])
+        pattern = TypedGraph(tg, [("u", "A"), ("v", "A"), ("w", "B")],
+                             [("x", "r", "u", "v"), ("y", "s", "v", "w")])
+        host = TypedGraph(tg, [("a", "A"), ("b", "A"), ("c", "B"), ("d", "A")],
+                          [("e1", "r", "a", "b"), ("e2", "s", "b", "c"), ("e3", "r", "d", "a"),
+                           ("e4", "r", "a", "b"), ("e5", "s", "a", "c")])
+        oracle = monos_by_permutation(pattern, host)
+        raises = [
+            ({"u": "a", "v": "a"}, {}),  # not injective
+            ({}, {"x": "e1", "y": "e1"}),
+            ({"z": "a"}, {}),  # absent pattern elements
+            ({}, {"q": "e1"}),
+            # Absence raises after a wrongly typed image too, in either order.
+            ({"w": "a", "z": "b"}, {}),
+            ({"z": "b", "w": "a"}, {}),
+            ({}, {"x": "e2", "q": "e1"}),
+            ({"u": "c"}, {"q": "e1"}),
+        ]
+        for node_seed, edge_seed in raises:
+            for search in (iter_monomorphisms, enumerate_monomorphisms):
+                with pytest.raises(ValueError):
+                    list(search(pattern, host, node_seed=node_seed, edge_seed=edge_seed))
+        empty = [
+            ({"u": "c"}, {}),  # wrongly typed images
+            ({}, {"x": "e2"}),
+            ({"u": "gone"}, {}),  # absent host elements
+            ({}, {"y": "gone"}),
+            ({"u": "a"}, {"x": "e3"}),  # a pin that misses the seeded node
+        ]
+        pinned = [
+            ({}, {"x": "e4"}),  # pins whose endpoints are free
+            ({}, {"y": "e2", "x": "e1"}),
+            ({"w": "c"}, {"x": "e3"}),
+        ]
+        for node_seed, edge_seed in empty + pinned:
+            want = _seeded_oracle(oracle, node_seed, edge_seed)
+            assert bool(want) == ((node_seed, edge_seed) in pinned)
+            assert enumerate_monomorphisms(
+                pattern, host, node_seed=node_seed, edge_seed=edge_seed) == want
+            lazy = list(iter_monomorphisms(
+                pattern, host, node_seed=node_seed, edge_seed=edge_seed))
+            assert sorted(lazy, key=GraphMorphism.sort_key) == want
+
+    def test_stopping_a_seeded_search_stops_its_probes(self):
+        """The first of 9 900 extensions leaves the rest unprobed, both
+        through a seed and along an anchor."""
+        tg = TypeGraph(["A", "B"], [("s", "A", "B")])
+        star = TypedGraph(tg, [("a", "A"), ("b1", "B"), ("b2", "B")],
+                          [("x1", "s", "a", "b1"), ("x2", "s", "a", "b2")])
+        center = TypedGraph(tg, [("a", "A")])
+        host = TypedGraph(tg, [("h", "A"), *((f"k{i:03d}", "B") for i in range(100))],
+                          [(f"e{i:03d}", "s", "h", f"k{i:03d}") for i in range(100)])
+        host._triples = _CountingTriples(host._triples)
+        p = GraphMorphism(center, host, {"a": "h"}, {})
+        for search in (lambda: iter_monomorphisms(star, host, node_seed={"a": "h"}),
+                       lambda: conditions.iter_extensions(p, inclusion(center, star))):
+            host._triples.lookups = 0
+            assert next(search(), None) is not None
+            first = host._triples.lookups
+            host._triples.lookups = 0
+            assert len(list(search())) == 9900
+            assert first * 1000 < host._triples.lookups, (first, host._triples.lookups)
 
     def test_parallel_edges_give_each_neighbour_once(self):
         tg = TypeGraph(["T"], [("r", "T", "T")])
@@ -324,26 +432,40 @@ def test_lean_rewrite_agrees_with_validated_apply():
 
 
 class TestSkippedWork:
-    def test_reads_never_materialize_extensions(self, fixtures, monkeypatch):
+    def test_reads_never_materialize_extensions(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a generic extension search ran")
+            raise AssertionError("extensions were materialized")
 
-        # Existence checks run compiled code; neither the extension API
-        # nor the seeded generic search runs under a read.
-        for name in ("extensions", "iter_extensions", "iter_monomorphisms"):
+        source = graphs._search_source
+        compiled = []
+
+        def exists_only(pattern, form, nodes, edges):
+            assert form == "exists", "a search form was compiled"
+            compiled.append(pattern)
+            return source(pattern, form, nodes, edges)
+
+        # Existence checks of the CRA conditions all have a TRUE
+        # sub-condition, so a read compiles the exists form alone and
+        # neither the extension API nor a seeded enumeration runs.
+        # Fresh fixtures hold no compiled search yet.
+        for name in ("extensions", "iter_extensions"):
             monkeypatch.setattr(conditions, name, refuse)
+        monkeypatch.setattr(graphs, "_extensions", refuse)
+        monkeypatch.setattr(graphs, "_search_source", exists_only)
+        fresh = cra.build_fixtures()
         rng = random.Random(5)
-        for host in (fixtures.host, random_host(fixtures.type_graph, rng, 12, 0.3)):
-            for rule in fixtures.rule_list():
+        for host in (fresh.host, random_host(fresh.type_graph, rng, 12, 0.3)):
+            for rule in fresh.rule_list():
                 scan_matches(rule, host)
-            for c in fixtures.constraint_list():
+            for c in fresh.constraint_list():
                 consistency_report(host, c)
+        assert len(compiled) >= 4
 
     def test_building_and_parsing_compile_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a check was compiled")
+            raise AssertionError("a search was compiled")
 
-        monkeypatch.setattr(conditions, "_compile_check", refuse)
+        monkeypatch.setattr(graphs, "_search_factory", refuse)
         for fx in (cra.build_fixtures(), cra.load_fixtures()):
             nodes = []
             for c in fx.constraint_list():
@@ -363,9 +485,16 @@ class TestSkippedWork:
         pairs = [pair for ours, theirs in conditions_
                  for pair in zip(_exists_nodes(ours), _exists_nodes(theirs))]
         assert len(pairs) >= 8
+        forms = Counter()
         for ours, theirs in pairs:
             assert ours is not theirs and ours._check is not theirs._check
             assert ours._check.__code__ is theirs._check.__code__
+            forms[ours.sub == TRUE] += 1
+            if ours.sub != TRUE:
+                # The extension API along the same morphism runs this search.
+                a = ours.morphism
+                assert ours._check is graphs._search(a.codomain, "search", *_anchor_keys(a))
+        assert forms[True] and forms[False], forms
 
     def test_reports_and_scans_enumerate_through_the_traced_name(self, fixtures, monkeypatch):
         calls: Counter = Counter()
@@ -478,6 +607,23 @@ class TestDeepPatterns:
         verdicts = [satisfies(GraphMorphism(lhs, host, {"p00": chain[0]}, {}), reaches)
                     for chain in chains]
         assert verdicts == [False, False, True]
+
+
+    def test_seeded_searches_on_long_patterns(self):
+        """Seeded at either end, the 600-node path finds itself through a
+        search split over 101 generated functions."""
+        n = 600
+        tg = TypeGraph(["Start", "N"], [("first", "Start", "N"), ("next", "N", "N")])
+        ids = [f"n{i:04d}" for i in range(n)]
+        path = _path(tg, ids)
+        identity = inclusion(path, path)
+        assert enumerate_monomorphisms(path, path, node_seed={ids[-1]: ids[-1]}) == [identity]
+        start = TypedGraph(tg, [(ids[0], "Start")])
+        p = GraphMorphism(start, path, {ids[0]: ids[0]}, {})
+        assert conditions.extensions(p, inclusion(start, path)) == [identity]
+        broken = path.without(edge_ids=["e0300"])
+        q = GraphMorphism(start, broken, {ids[0]: ids[0]}, {})
+        assert conditions.extensions(q, inclusion(start, path)) == []
 
 
 def _path_edges(ids: list[str], prefix: str = "e") -> list[tuple[str, str, str, str]]:
