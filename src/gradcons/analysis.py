@@ -29,11 +29,12 @@ application exists anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .conditions import UNIVERSAL, AnfShape, Constraint, _satisfies
 from .errors import UnsupportedShapeError
-from .graphs import GraphMorphism, TypedGraph
+from .graphs import GraphMorphism, TypedGraph, inclusion
 from .rewriting import Rule, _fresh_id
 
 
@@ -52,100 +53,38 @@ class Overlap:
     pattern_injection: GraphMorphism
 
 
-def _injective_matchings(
-    left: tuple[str, ...],
-    right: tuple[str, ...],
-    compatible,
-) -> Iterator[dict[str, str]]:
-    """All partial injective maps left -> right honoring ``compatible``."""
-
-    def rec(i: int, used: set[str], acc: dict[str, str]) -> Iterator[dict[str, str]]:
-        if i == len(left):
-            yield dict(acc)
-            return
-        x = left[i]
-        yield from rec(i + 1, used, acc)
-        for y in right:
-            if y in used or not compatible(x, y):
-                continue
-            acc[x] = y
-            used.add(y)
-            yield from rec(i + 1, used, acc)
-            del acc[x]
-            used.discard(y)
-
-    yield from rec(0, set(), {})
-
-
-def _gluings(
-    side: TypedGraph, pattern: TypedGraph
-) -> Iterator[tuple[dict[str, str], dict[str, str]]]:
-    """All ways to identify parts of ``side`` with parts of ``pattern``.
-
-    Yields (node identification, edge identification) pairs, side id to
-    pattern id; edges may only be identified when their endpoints are.
-    Distinct identifications give non-isomorphic cospans, so this already
-    enumerates overlaps up to the relevant notion of equivalence.
-    """
-
-    def node_ok(x: str, y: str) -> bool:
-        return side.node_type(x) == pattern.node_type(y)
-
-    for node_pairs in _injective_matchings(side.node_ids, pattern.node_ids, node_ok):
-
-        def edge_ok(e: str, f: str) -> bool:
-            etype, es, et = side.edge_info(e)
-            ftype, fs, ft = pattern.edge_info(f)
-            return etype == ftype and node_pairs.get(es) == fs and node_pairs.get(et) == ft
-
-        for edge_pairs in _injective_matchings(side.edge_ids, pattern.edge_ids, edge_ok):
-            yield node_pairs, edge_pairs
-
-
 def _build_overlap(
-    kind: str,
-    side: TypedGraph,
-    pattern: TypedGraph,
-    node_pairs: dict[str, str],
-    edge_pairs: dict[str, str],
+    kind: str, side: TypedGraph, pattern: TypedGraph, identified: dict[str, str]
 ) -> Overlap:
     """Construct the glued graph with side ids kept verbatim and fresh ids
-    for unidentified pattern elements."""
-    identified_nodes = {y: x for x, y in node_pairs.items()}
-    identified_edges = {y: x for x, y in edge_pairs.items()}
+    for unidentified pattern elements. ``identified`` sends each
+    identified pattern node and edge to its side partner."""
     taken = set(side.node_ids) | set(side.edge_ids)
 
     pattern_node_id: dict[str, str] = {}
     extra_nodes: list[tuple[str, str]] = []
     for y in pattern.node_ids:
-        if y in identified_nodes:
-            pattern_node_id[y] = identified_nodes[y]
-        else:
-            fresh = _fresh_id(y, taken.__contains__)
-            taken.add(fresh)
-            pattern_node_id[y] = fresh
-            extra_nodes.append((fresh, pattern.node_type(y)))
+        x = identified.get(y)
+        if x is None:
+            x = _fresh_id(y, taken.__contains__)
+            taken.add(x)
+            extra_nodes.append((x, pattern.node_type(y)))
+        pattern_node_id[y] = x
 
     pattern_edge_id: dict[str, str] = {}
     extra_edges: list[tuple[str, str, str, str]] = []
     for f in pattern.edge_ids:
-        if f in identified_edges:
-            pattern_edge_id[f] = identified_edges[f]
-        else:
-            fresh = _fresh_id(f, taken.__contains__)
-            taken.add(fresh)
-            pattern_edge_id[f] = fresh
+        e = identified.get(f)
+        if e is None:
+            e = _fresh_id(f, taken.__contains__)
+            taken.add(e)
             ftype, fs, ft = pattern.edge_info(f)
-            extra_edges.append((fresh, ftype, pattern_node_id[fs], pattern_node_id[ft]))
+            extra_edges.append((e, ftype, pattern_node_id[fs], pattern_node_id[ft]))
+        pattern_edge_id[f] = e
 
     glued = side.with_added(extra_nodes, extra_edges)
-    rule_injection = GraphMorphism(
-        side, glued,
-        {n: n for n in side.node_ids},
-        {e: e for e in side.edge_ids},
-    )
     pattern_injection = GraphMorphism(pattern, glued, pattern_node_id, pattern_edge_id)
-    return Overlap(kind, glued, rule_injection, pattern_injection)
+    return Overlap(kind, glued, inclusion(side, glued), pattern_injection)
 
 
 def _overlaps(
@@ -153,19 +92,51 @@ def _overlaps(
 ) -> tuple[Overlap, ...]:
     """Gluings of ``side`` with ``pattern`` that identify one of the given
     rule nodes or edges, where none of the given nodes touches a pattern
-    edge outside the identification."""
+    edge outside the identification.
+
+    One backtracking loop visits the side's nodes, then its edges. Each
+    is first left out, then identified with each unused pattern element of
+    its type, in id order; an edge only with one between its endpoints'
+    partners. Distinct identifications give non-isomorphic cospans, so
+    these are the overlaps up to equivalence.
+    """
+    elements = side.node_ids + side.edge_ids
+    split, depth = side.node_count, len(elements)
+    # Side id -> pattern id and back; node and edge ids never clash.
+    partner: dict[str, str] = {}
+    owner: dict[str, str] = {}
+    candidates: list[Iterator[str | None]] = [iter(())] * depth
     found = []
-    for node_pairs, edge_pairs in _gluings(side, pattern):
-        if not (any(x in nodes for x in node_pairs) or any(x in edges for x in edge_pairs)):
+    level, fresh = 0, True
+    while level >= 0:
+        if level == depth:
+            changed = [y for x, y in partner.items() if x in nodes]
+            if (changed or not edges.isdisjoint(partner)) and all(
+                f in owner for y in changed for f in pattern.incident_edges(y)
+            ):
+                found.append(_build_overlap(kind, side, pattern, owner))
+            level, fresh = level - 1, False
             continue
-        images = {y for x, y in node_pairs.items() if x in nodes}
-        identified = set(edge_pairs.values())
-        if any(
-            f not in identified and not images.isdisjoint(pattern.edge_info(f)[1:])
-            for f in pattern.edge_ids
-        ):
+        x = elements[level]
+        if fresh:
+            if level < split:
+                pool = pattern.nodes_of_type(side.node_type(x))
+            else:
+                etype, src, tgt = side.edge_info(x)
+                pool = pattern.edges_with_signature(etype, partner.get(src), partner.get(tgt))
+            # ``None`` leaves the element out.
+            candidates[level] = chain((None,), pool)
+        else:
+            owner.pop(partner.pop(x, None), None)
+        for y in candidates[level]:
+            if y not in owner:
+                break
+        else:
+            level, fresh = level - 1, False
             continue
-        found.append(_build_overlap(kind, side, pattern, node_pairs, edge_pairs))
+        if y is not None:
+            partner[x], owner[y] = y, x
+        level, fresh = level + 1, True
     return tuple(found)
 
 

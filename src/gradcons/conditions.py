@@ -78,8 +78,9 @@ class Exists(Condition):
         a = self.morphism
         if not (a.is_total() and a.is_injective()):
             raise MismatchError("condition morphisms must be total and injective")
-        if a.check():
-            raise MismatchError(f"condition morphism is malformed: {a.check()[0]}")
+        problems = a.check()
+        if problems:
+            raise MismatchError(f"condition morphism is malformed: {problems[0]}")
         inner = self.sub.anchor()
         if inner is not None and inner != a.codomain:
             raise MismatchError("sub-condition is not anchored at the extended graph")
@@ -364,8 +365,11 @@ class ConsistencyReport:
     occ: int
     ro: int
     ncv: int
-    ci: Fraction
     violating_occurrences: tuple[GraphMorphism, ...] = field(default=())
+
+    @property
+    def ci(self) -> Fraction:
+        return Fraction(1) if self.ro == 0 else Fraction(self.ro - self.ncv, self.ro)
 
     @property
     def satisfied(self) -> bool:
@@ -404,13 +408,11 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
         ncv = 0 if any(_satisfies(body, graph, p.node_map, p.edge_map)
                        for p in occurrences) else 1
         violating = ()
-    ci = Fraction(1) if ro == 0 else Fraction(ro - ncv, ro)
     return ConsistencyReport(
         constraint_name=constraint.name,
         polarity=shape.polarity,
         occ=occ,
         ro=ro,
         ncv=ncv,
-        ci=ci,
         violating_occurrences=violating,
     )

@@ -480,7 +480,8 @@ def iter_monomorphisms(
     ``node_seed``/``edge_seed`` pin parts of the map in advance. A seed
     that is not injective or maps an absent pattern element raises
     ``ValueError``; a wrongly typed or absent host image leaves no
-    morphism. A seeded search runs the compiled :func:`_search`; an
+    morphism. A pinned edge seeds its endpoints with those of its image.
+    A seeded search runs the compiled :func:`_search`; an
     unseeded one backtracks in one loop, so the size of a pattern is not
     bounded by the recursion limit. Stopping the iteration stops the
     search. Each morphism comes once.
@@ -496,8 +497,18 @@ def iter_monomorphisms(
             for x in seed:
                 if x not in elements:
                     raise ValueError(f"seed maps absent pattern {kind} {x!r}")
-        yield from _extensions(pattern, host, tuple((v, v) for v in sorted(node_seed)),
-                               tuple((e, e) for e in sorted(edge_seed)), node_seed, edge_seed)
+        nodes = dict(node_seed)
+        for c, f in edge_seed.items():
+            info = host._edges.get(f)
+            if info is None:
+                return
+            for v, w in zip(pattern._edges[c][1:], info[1:]):
+                if nodes.setdefault(v, w) != w:
+                    return
+        if len(set(nodes.values())) != len(nodes):
+            return
+        yield from _extensions(pattern, host, tuple((v, v) for v in sorted(nodes)),
+                               tuple((e, e) for e in sorted(edge_seed)), nodes, edge_seed)
         return
 
     plan = _plan(pattern, frozenset())

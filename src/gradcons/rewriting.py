@@ -199,8 +199,9 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
         raise MatchError("match codomain is not the host")
     if not (match.is_total() and match.is_injective()):
         raise MatchError("match must be total and injective")
-    if match.check():
-        raise MatchError(f"match is not structure-preserving: {match.check()[0]}")
+    problems = match.check()
+    if problems:
+        raise MatchError(f"match is not structure-preserving: {problems[0]}")
     if not satisfies(match, rule.condition):
         raise MatchError("match violates the application condition")
     if not _dangling_ok(rule, host, match):

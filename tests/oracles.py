@@ -27,6 +27,7 @@ from gradcons import (
     TypedGraph,
     satisfies,
 )
+from gradcons.analysis import _build_overlap
 from gradcons.classify import _MAX_UNIVERSE_WORK, _split_ids
 
 
@@ -473,3 +474,63 @@ def split_hosts_by_scan(
         edges = [(eid, *slots[i]) for eid, i in zip(edge_ids, present)]
         hosts.append(TypedGraph(tg, nodes, edges))
     return hosts
+
+
+def _injective_matchings(left, right, compatible):
+    """All partial injective maps left -> right honoring ``compatible``."""
+
+    def rec(i, used, acc):
+        if i == len(left):
+            yield dict(acc)
+            return
+        x = left[i]
+        yield from rec(i + 1, used, acc)
+        for y in right:
+            if y in used or not compatible(x, y):
+                continue
+            acc[x] = y
+            used.add(y)
+            yield from rec(i + 1, used, acc)
+            del acc[x]
+            used.discard(y)
+
+    yield from rec(0, set(), {})
+
+
+def _gluings(side, pattern):
+    """Every (node identification, edge identification) of ``side`` with
+    ``pattern``; an edge only where its endpoints are identified."""
+
+    def node_ok(x, y):
+        return side.node_type(x) == pattern.node_type(y)
+
+    for node_pairs in _injective_matchings(side.node_ids, pattern.node_ids, node_ok):
+
+        def edge_ok(e, f):
+            etype, es, et = side.edge_info(e)
+            ftype, fs, ft = pattern.edge_info(f)
+            return etype == ftype and node_pairs.get(es) == fs and node_pairs.get(et) == ft
+
+        for edge_pairs in _injective_matchings(side.edge_ids, pattern.edge_ids, edge_ok):
+            yield node_pairs, edge_pairs
+
+
+def overlaps_by_gluing(kind, side, pattern, nodes, edges):
+    """The overlaps of ``analysis._overlaps``, by enumerating every partial
+    injective identification recursively and filtering afterwards: keep
+    those that identify one of ``nodes``/``edges`` and leave no pattern
+    edge at the image of one of ``nodes`` unidentified. Same order."""
+    found = []
+    for node_pairs, edge_pairs in _gluings(side, pattern):
+        if not (any(x in nodes for x in node_pairs) or any(x in edges for x in edge_pairs)):
+            continue
+        images = {y for x, y in node_pairs.items() if x in nodes}
+        identified = set(edge_pairs.values())
+        if any(
+            f not in identified and not images.isdisjoint(pattern.edge_info(f)[1:])
+            for f in pattern.edge_ids
+        ):
+            continue
+        identified = {y: x for x, y in (*node_pairs.items(), *edge_pairs.items())}
+        found.append(_build_overlap(kind, side, pattern, identified))
+    return tuple(found)

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from gradcons import (
@@ -20,6 +23,7 @@ from gradcons import (
     independence_table,
     rule_conflicts_on_check,
 )
+from gradcons import analysis
 from gradcons.analysis import (
     CONJECTURED_DIRECTLY_SUSTAINING,
     CONJECTURED_INCONCLUSIVE,
@@ -32,6 +36,12 @@ from gradcons.analysis import (
     PROVEN_IMPROVING,
     PROVEN_NOT_DIRECTLY_SUSTAINING,
 )
+from gradcons.cli import main
+from gradcons.errors import GradconsError
+from gradcons.formats import emit_constraints_library, emit_rule_document
+from gradcons.generate import random_linear_constraint, random_rule, random_type_graph
+
+from .oracles import overlaps_by_gluing
 
 # The one note each criterion gives on the CRA scenario, by short key.
 NOTES = {
@@ -328,3 +338,77 @@ class TestIndependenceTable:
         table = independence_table(fixtures.rule_list(), fixtures.constraint_list())
         text = table.render_text()
         assert "moveFeature" in text and "seq:c1.scop" in text
+
+
+def _random_pair(seed):
+    rng = random.Random(seed)
+    tg = random_type_graph(rng)
+    rule = random_rule(tg, rng, f"r{seed}")
+    return rule, random_linear_constraint(tg, rng, f"c{seed}", max_level=4)
+
+
+def _criteria(rule, constraint):
+    """Both criteria, with and without ``allow_conjecture``; a refusal as
+    its type and message."""
+    results = []
+    for conjecture in (False, True):
+        for criterion in (criterion_direct_sustain, criterion_direct_improve):
+            try:
+                results.append(criterion(rule, constraint, allow_conjecture=conjecture))
+            except GradconsError as exc:
+                results.append((type(exc).__name__, str(exc)))
+    return results
+
+
+def _compare_with_gluings(pairs, monkeypatch) -> int:
+    """Both criteria give the same results over the recursive reference,
+    and every overlap search they make returns the reference's overlaps,
+    order included. Returns the number of overlaps compared."""
+    search = analysis._overlaps
+    compared = 0
+
+    def checked(*args):
+        nonlocal compared
+        want = overlaps_by_gluing(*args)
+        assert search(*args) == want, args[0]
+        compared += len(want)
+        return want
+
+    for rule, constraint in pairs:
+        results = _criteria(rule, constraint)
+        with monkeypatch.context() as patched:
+            patched.setattr(analysis, "_overlaps", checked)
+            assert _criteria(rule, constraint) == results, (rule.name, constraint.name)
+    return compared
+
+
+class TestOverlapsAgainstGluings:
+    def test_cra_pairs_and_the_deep_chain(self, fixtures, monkeypatch):
+        pairs = [(rule, c) for rule in fixtures.rule_list() for c in fixtures.constraint_list()]
+        pairs += [(rule, _cra_chain(fixtures, 3)) for rule in fixtures.rule_list()]
+        assert _compare_with_gluings(pairs, monkeypatch) > 80
+
+    def test_random_pairs(self, monkeypatch):
+        pairs = [_random_pair(seed) for seed in range(7000, 7200)]
+        assert _compare_with_gluings(pairs, monkeypatch) > 2000
+
+    def test_side_longer_than_the_recursion_limit(self, fixtures, tmp_path, capsys):
+        n = 1100
+        assert n > sys.getrecursionlimit()
+        tg = fixtures.type_graph
+        # One Feature added next to an interface of n Classes.
+        classes = TypedGraph(tg, [(f"c{i:04d}", "Class") for i in range(n)])
+        rule = Rule("addFeature", classes, classes, classes.with_added([("f", "Feature")]))
+        no_feature = Constraint(
+            "noFeature", Not(Exists(empty_morphism_into(TypedGraph(tg, [("F", "Feature")])))))
+        res = criterion_direct_sustain(rule, no_feature)
+        assert res.verdict == PROVEN_NOT_DIRECTLY_SUSTAINING and len(res.evidence) == 1
+        [ov] = res.evidence
+        assert ov.pattern_injection.node_map == {"F": "f"}
+
+        (tmp_path / "rule.json").write_text(emit_rule_document(rule))
+        (tmp_path / "constraints.json").write_text(emit_constraints_library(tg, [no_feature]))
+        code = main(["analyze", str(tmp_path / "rule.json"), str(tmp_path / "constraints.json")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "direct sustainment:    proven_not_directly_sustaining" in out

@@ -165,16 +165,18 @@ class TestClassifyStepUniversal:
         """``satisfied`` and the sustaining test read the counts, not
         ``ci``; on every report with ro <= 6 they agree with the exact
         fractions, ro = 0 reading as ci = 1."""
-        reports = [
-            conditions.ConsistencyReport("c", conditions.UNIVERSAL, ro, ro, ncv,
-                                         Fraction(1) if ro == 0 else Fraction(ro - ncv, ro))
-            for ro in range(7) for ncv in range(ro + 1)
-        ]
+        exact = {(ro, ncv): Fraction(1) if ro == 0 else Fraction(ro - ncv, ro)
+                 for ro in range(7) for ncv in range(ro + 1)}
+        reports = [conditions.ConsistencyReport("c", conditions.UNIVERSAL, ro, ro, ncv)
+                   for ro, ncv in exact]
         assert len(reports) == 28
         for before in reports:
-            assert before.satisfied == (before.ci == 1)
+            ci_before = exact[before.ro, before.ncv]
+            assert before.ci == ci_before
+            assert before.satisfied == (ci_before == 1)
             for after in reports:
-                assert classify._ci_at_most(before, after) == (before.ci <= after.ci), (
+                ci_after = exact[after.ro, after.ncv]
+                assert classify._ci_at_most(before, after) == (ci_before <= ci_after), (
                     before, after)
 
 

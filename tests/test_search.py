@@ -395,6 +395,30 @@ class TestSeededEnumerationAgainstOracle:
             assert len(list(search())) == 9900
             assert first * 1000 < host._triples.lookups, (first, host._triples.lookups)
 
+    def test_pinned_edges_seed_their_endpoints(self):
+        """A pin places its edge's endpoints, so the search reads them off
+        its image instead of scanning their type; a pin whose endpoints
+        clash with a seed or with each other leaves nothing."""
+        tg = TypeGraph(["T"], [("r", "T", "T")])
+        pattern = TypedGraph(tg, [("u", "T"), ("v", "T")], [("x", "r", "u", "v")])
+        ids = [f"n{i:03d}" for i in range(200)]
+        host = TypedGraph(tg, [(v, "T") for v in ids],
+                          [(f"e{i:03d}", "r", ids[i], ids[i + 1]) for i in range(199)])
+        host._triples = _CountingTriples(host._triples)
+        [m] = iter_monomorphisms(pattern, host, edge_seed={"x": "e100"})
+        assert (m.node_map, m.edge_map) == ({"u": "n100", "v": "n101"}, {"x": "e100"})
+        assert host._triples.lookups == 2
+
+        two = TypedGraph(tg, [("a", "T"), ("b", "T")],
+                         [("f1", "r", "a", "b"), ("f2", "r", "b", "a"), ("f3", "r", "a", "a")])
+        chain = pattern.with_added([("w", "T")], [("y", "r", "v", "w")])
+        for pat, node_seed, edge_seed in ((pattern, {"u": "b"}, {"x": "f1"}),
+                                          (pattern, {}, {"x": "f3"}),
+                                          (chain, {}, {"x": "f1", "y": "f2"}),
+                                          (pattern, {}, {"x": "gone"})):
+            assert list(iter_monomorphisms(pat, two, node_seed=node_seed,
+                                           edge_seed=edge_seed)) == []
+
     def test_parallel_edges_give_each_neighbour_once(self):
         tg = TypeGraph(["T"], [("r", "T", "T")])
         pattern = TypedGraph(tg, [("u", "T"), ("v", "T")], [("x", "r", "u", "v")])
