@@ -98,8 +98,11 @@ def _overlaps(
     is first left out, then identified with each unused pattern element of
     its type, in id order; an edge only with one between its endpoints'
     partners. Distinct identifications give non-isomorphic cospans, so
-    these are the overlaps up to equivalence.
+    these are the overlaps up to equivalence. Without a given element no
+    identification is kept, so none is visited.
     """
+    if not nodes and not edges:
+        return ()
     elements = side.node_ids + side.edge_ids
     split, depth = side.node_count, len(elements)
     # Side id -> pattern id and back; node and edge ids never clash.

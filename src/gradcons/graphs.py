@@ -8,10 +8,11 @@ the same type between the same nodes are distinct elements.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import MismatchError
 
@@ -84,7 +85,7 @@ class TypedGraph:
     broken inputs (e.g. from files) can still be represented and reported on.
     Instances are immutable by convention: no method mutates, no accessor
     hands out a mutable part, and derived graphs are new objects. Graphs
-    built through :func:`_assembled` may therefore share parts.
+    built through :func:`_assembled` or ``_patched`` may therefore share parts.
     """
 
     __slots__ = (
@@ -151,6 +152,80 @@ class TypedGraph:
         self._incident = {k: tuple(v) for k, v in incident.items()}
         # Search plans for this graph as a pattern, compiled on first use.
         self._plans: dict[frozenset[str], _Plan] | None = None
+
+    def _patched(
+        self,
+        removed_nodes: Collection[str],
+        removed_edges: Collection[str],
+        created_nodes: Collection[tuple[str, str]] = (),
+        created_edges: Collection[tuple[str, str, str, str]] = (),
+    ) -> TypedGraph:
+        """This graph minus the removed elements plus the created ones.
+
+        The dicts of this graph are copied (the copies share its value
+        tuples) and only the changed entries are patched: a removed id is
+        cut out of its sorted tuples, a created id inserted at its sorted
+        place, and a node type loses its entry with its last node. Parts
+        that no change touches are shared. Removals go first, so a created
+        id may equal a removed one. Trusted input: the removed ids are
+        present, no kept edge ends at a removed node, the created ids are
+        not kept ones, and each created edge ends at kept or created nodes.
+        The result equals ``TypedGraph(...)`` over the same elements, index
+        tuple orders included.
+        """
+        nodes, node_ids, by_type = self._nodes, self._node_ids, self._by_type
+        edges, edge_ids = self._edges, self._edge_ids
+        triples, incident = self._triples, self._incident
+        edges_change = removed_edges or created_edges
+        nodes_change = removed_nodes or created_nodes
+        if edges_change:
+            edges, triples = dict(edges), dict(triples)
+        if nodes_change:
+            nodes, by_type = dict(nodes), dict(by_type)
+        if edges_change or nodes_change:
+            incident = dict(incident)
+        # Removed edges go before removed nodes and created edges after
+        # created nodes, so each incidence entry an edge touches exists.
+        for eid in removed_edges:
+            info = edges.pop(eid)
+            edge_ids = _removed(edge_ids, eid)
+            bundle = _removed(triples[info], eid)
+            if bundle:
+                triples[info] = bundle
+            else:
+                del triples[info]
+            _, src, tgt = info
+            incident[src] = _removed(incident[src], eid)
+            if tgt != src:
+                incident[tgt] = _removed(incident[tgt], eid)
+        for nid in removed_nodes:
+            ntype = nodes.pop(nid)
+            del incident[nid]
+            node_ids = _removed(node_ids, nid)
+            same = _removed(by_type[ntype], nid)
+            if same:
+                by_type[ntype] = same
+            else:
+                del by_type[ntype]
+        for nid, ntype in created_nodes:
+            nodes[nid] = ntype
+            incident[nid] = ()
+            node_ids = _inserted(node_ids, nid)
+            by_type[ntype] = _inserted(by_type.get(ntype, ()), nid)
+        for eid, etype, src, tgt in created_edges:
+            info = edges[eid] = (etype, src, tgt)
+            edge_ids = _inserted(edge_ids, eid)
+            triples[info] = _inserted(triples.get(info, ()), eid)
+            incident[src] = _inserted(incident[src], eid)
+            if tgt != src:
+                incident[tgt] = _inserted(incident[tgt], eid)
+        graph = TypedGraph.__new__(TypedGraph)
+        graph._type_graph = self._type_graph
+        graph._nodes, graph._node_ids, graph._by_type = nodes, node_ids, by_type
+        graph._edges, graph._edge_ids = edges, edge_ids
+        graph._triples, graph._incident = triples, incident
+        graph._plans = None
+        return graph
 
     @property
     def type_graph(self) -> TypeGraph:
@@ -256,6 +331,18 @@ def _node_index(
     for nid in node_ids:
         by_type.setdefault(nodes[nid], []).append(nid)
     return node_ids, {t: tuple(ids) for t, ids in by_type.items()}
+
+
+def _removed(ids: tuple[str, ...], x: str) -> tuple[str, ...]:
+    """The sorted ``ids`` without ``x``, which they contain."""
+    i = bisect_left(ids, x)
+    return ids[:i] + ids[i + 1:]
+
+
+def _inserted(ids: tuple[str, ...], x: str) -> tuple[str, ...]:
+    """The sorted ``ids`` with ``x``, which they lack, at its place."""
+    i = bisect_left(ids, x)
+    return ids[:i] + (x,) + ids[i:]
 
 
 def _assembled(

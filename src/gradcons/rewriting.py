@@ -19,8 +19,6 @@ from .errors import MatchError, MismatchError, RuleError
 from .graphs import (
     GraphMorphism,
     TypedGraph,
-    _assembled,
-    _node_index,
     enumerate_monomorphisms,
     inclusion,
     validate_graph,
@@ -150,7 +148,8 @@ class Transformation:
 
     @cached_property
     def context(self) -> TypedGraph:
-        return self.host.without(self.removed_nodes, self.removed_edges)
+        # The gluing condition leaves no kept edge at a removed node.
+        return self.host._patched(self.removed_nodes, self.removed_edges)
 
     @cached_property
     def host_embedding(self) -> GraphMorphism:
@@ -211,58 +210,40 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
     ``find_matches(rule, host)``."""
-    removed_nodes = frozenset(match.node_map[v] for v in rule.deleted_nodes)
-    removed_edges = frozenset(match.edge_map[e] for e in rule.deleted_edges)
+    node_map, edge_map = match.node_map, match.edge_map
+    removed_nodes = frozenset(map(node_map.__getitem__, rule.deleted_nodes))
+    removed_edges = frozenset(map(edge_map.__getitem__, rule.deleted_edges))
 
     # Fresh ids avoid the context (the host minus the removed images)
     # and each other.
+    host_nodes, host_edges = host._nodes, host._edges
     fresh: dict[str, str] = {}
     chosen: set[str] = set()
 
     def taken(x: str) -> bool:
         return x in chosen or (
-            (host.has_node(x) or host.has_edge(x))
+            (x in host_nodes or x in host_edges)
             and x not in removed_nodes and x not in removed_edges
         )
 
+    prefix = f"{rule.name}.{step}."
     for rid in (*rule.created_nodes, *rule.created_edges):
-        fresh[rid] = _fresh_id(f"{rule.name}.{step}.{rid}", taken)
-        chosen.add(fresh[rid])
+        fresh[rid] = x = _fresh_id(prefix + rid, taken)
+        chosen.add(x)
 
-    def rhs_node_image(n: str) -> str:
-        return fresh[n] if n in fresh else match.node_map[n]
-
-    # The result is the host's parts, copied and patched; without node
-    # changes it shares the host's node part.
-    if removed_nodes or rule.created_nodes:
-        nodes = dict(host._nodes)
-        for n in removed_nodes:
-            del nodes[n]
-        for n in rule.created_nodes:
-            nodes[fresh[n]] = rule.rhs.node_type(n)
-        node_ids, by_type = _node_index(nodes)
-    else:
-        nodes, node_ids, by_type = host._nodes, host._node_ids, host._by_type
-    edges = dict(host._edges)
-    for e in removed_edges:
-        del edges[e]
+    # The result copies the host's dicts, which share their untouched
+    # index tuples, and patches only the removed and created elements.
+    rhs = rule.rhs
+    image = {n: fresh[n] if n in fresh else node_map[n] for n in rhs.node_ids}
+    created_nodes = [(image[n], rhs.node_type(n)) for n in rule.created_nodes]
+    created_edges = []
     for e in rule.created_edges:
-        etype, src, tgt = rule.rhs.edge_info(e)
-        edges[fresh[e]] = (etype, rhs_node_image(src), rhs_node_image(tgt))
-    result = _assembled(host.type_graph, nodes, node_ids, by_type, edges, tuple(sorted(edges)))
+        etype, src, tgt = rhs.edge_info(e)
+        created_edges.append((fresh[e], etype, image[src], image[tgt]))
+    result = host._patched(removed_nodes, removed_edges, created_nodes, created_edges)
 
     comatch = GraphMorphism(
-        rule.rhs, result,
-        {n: rhs_node_image(n) for n in rule.rhs.node_ids},
-        {e: fresh[e] if e in fresh else match.edge_map[e] for e in rule.rhs.edge_ids},
+        rhs, result, image,
+        {e: fresh[e] if e in fresh else edge_map[e] for e in rhs.edge_ids},
     )
-    return Transformation(
-        rule=rule,
-        host=host,
-        match=match,
-        result=result,
-        comatch=comatch,
-        removed_nodes=removed_nodes,
-        removed_edges=removed_edges,
-        step=step,
-    )
+    return Transformation(rule, host, match, result, comatch, removed_nodes, removed_edges, step)

@@ -154,6 +154,25 @@ class TestOverlaps:
         assert rule_conflicts_on_check(create_a, single) == ()
         assert rule_conflicts_on_check(link, loop_pair) == ()
 
+    def test_no_search_without_a_deleted_element(self, fixtures, monkeypatch):
+        lookups = []
+        nodes_of_type = TypedGraph.nodes_of_type
+
+        def counted(graph, ntype):
+            lookups.append(ntype)
+            return nodes_of_type(graph, ntype)
+
+        monkeypatch.setattr(TypedGraph, "nodes_of_type", counted)
+        rule = _add_feature(fixtures.type_graph, 200)
+        for name in ("c1", "c3"):
+            for _, morphism in fixtures.constraints[name].shape.chain:
+                assert rule_conflicts_on_check(rule, morphism.codomain) == ()
+        assert lookups == []
+        # The same wrapper sees the dependency search of a smaller rule.
+        c1 = fixtures.constraints["c1"].shape.outer_graph
+        check_depends_on_rule(_add_feature(fixtures.type_graph, 2), c1)
+        assert lookups
+
     def test_dependency_on_created_node(self, small_rules, patterns):
         _, create_a, _ = small_rules
         single, edge, _ = patterns
@@ -382,6 +401,12 @@ def _compare_with_gluings(pairs, monkeypatch) -> int:
     return compared
 
 
+def _add_feature(tg, n: int) -> Rule:
+    """A rule that adds one Feature next to an interface of n Classes."""
+    classes = TypedGraph(tg, [(f"c{i:04d}", "Class") for i in range(n)])
+    return Rule("addFeature", classes, classes, classes.with_added([("f", "Feature")]))
+
+
 class TestOverlapsAgainstGluings:
     def test_cra_pairs_and_the_deep_chain(self, fixtures, monkeypatch):
         pairs = [(rule, c) for rule in fixtures.rule_list() for c in fixtures.constraint_list()]
@@ -396,9 +421,7 @@ class TestOverlapsAgainstGluings:
         n = 1100
         assert n > sys.getrecursionlimit()
         tg = fixtures.type_graph
-        # One Feature added next to an interface of n Classes.
-        classes = TypedGraph(tg, [(f"c{i:04d}", "Class") for i in range(n)])
-        rule = Rule("addFeature", classes, classes, classes.with_added([("f", "Feature")]))
+        rule = _add_feature(tg, n)
         no_feature = Constraint(
             "noFeature", Not(Exists(empty_morphism_into(TypedGraph(tg, [("F", "Feature")])))))
         res = criterion_direct_sustain(rule, no_feature)
