@@ -31,7 +31,7 @@ from operator import xor
 from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
 from .errors import BoundError
 from .generate import random_host
-from .graphs import GraphMorphism, TypeGraph, TypedGraph, _assembled, _node_index
+from .graphs import GraphMorphism, TypeGraph, TypedGraph
 from .rewriting import Rule, Transformation, _fresh_id, _rewrite, find_matches
 
 
@@ -273,11 +273,10 @@ def _hosts_for_split(
             "lower the bound"
         )
     node_ids_by_type, edge_ids = _split_ids(types, counts, n_slots)
-    # Every host of the split shares the node part, the edge ids and the
-    # slot tuples; the sorted edge ids depend only on the edge count
-    # ("e10" sorts before "e2").
-    nodes = {nid: t for t in types for nid in node_ids_by_type[t]}
-    node_ids, by_type = _node_index(nodes)
+    # Every host of the split shares the node parts of its edgeless graph,
+    # the edge ids and the slot tuples; the sorted edge ids depend only on
+    # the edge count ("e10" sorts before "e2").
+    edgeless = TypedGraph(tg, ((nid, t) for t in types for nid in node_ids_by_type[t]))
     sorted_edge_ids = [tuple(sorted(edge_ids[:k])) for k in range(n_slots + 1)]
 
     slots = [
@@ -290,7 +289,7 @@ def _hosts_for_split(
     for mask in sorted(_least_masks(slots, groups)):
         present = [slots[i] for i in range(n_slots) if mask >> i & 1]
         edges = dict(zip(edge_ids, present))
-        yield _assembled(tg, nodes, node_ids, by_type, edges, sorted_edge_ids[len(edges)])
+        yield edgeless._with_edges(edges, sorted_edge_ids[len(edges)])
 
 
 @lru_cache(maxsize=32)

@@ -134,7 +134,7 @@ def _cmd_validate(args) -> int:
             failures.append((path, exc.problems))
             continue
         fmt = doc.get("format") if isinstance(doc, dict) else None
-        if fmt not in parsers:
+        if not isinstance(fmt, str) or fmt not in parsers:
             failures.append((path, [f"unknown document format {fmt!r}"]))
             continue
         kind, parser = parsers[fmt]

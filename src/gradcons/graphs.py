@@ -85,7 +85,7 @@ class TypedGraph:
     broken inputs (e.g. from files) can still be represented and reported on.
     Instances are immutable by convention: no method mutates, no accessor
     hands out a mutable part, and derived graphs are new objects. Graphs
-    built through :func:`_assembled` or ``_patched`` may therefore share parts.
+    derived through ``_with_edges`` or ``_patched`` may therefore share parts.
     """
 
     __slots__ = (
@@ -109,34 +109,39 @@ class TypedGraph:
             if eid in edge_dict or eid in node_dict:
                 raise ValueError(f"duplicate element id {eid!r}")
             edge_dict[eid] = (etype, src, tgt)
-        node_ids, by_type = _node_index(node_dict)
-        self._assemble(type_graph, node_dict, node_ids, by_type, edge_dict, tuple(sorted(edge_dict)))
-
-    def _assemble(
-        self,
-        type_graph: TypeGraph,
-        nodes: dict[str, str],
-        node_ids: tuple[str, ...],
-        by_type: dict[str, tuple[str, ...]],
-        edges: dict[str, tuple[str, str, str]],
-        edge_ids: tuple[str, ...],
-    ) -> None:
-        """Build the edge indices over trusted parts: ids unique across
-        nodes and edges, ``node_ids``/``edge_ids`` the sorted keys and
-        ``by_type`` as :func:`_node_index` makes it. The parts may be
-        shared with other graphs and are never mutated."""
         self._type_graph = type_graph
-        self._nodes = nodes
-        self._node_ids = node_ids
-        self._by_type = by_type
+        self._nodes = node_dict
+        self._node_ids = tuple(sorted(node_dict))
+        by_type: dict[str, list[str]] = {}
+        for nid in self._node_ids:
+            by_type.setdefault(node_dict[nid], []).append(nid)
+        self._by_type = {t: tuple(ids) for t, ids in by_type.items()}
+        self._index_edges(edge_dict, tuple(sorted(edge_dict)))
+
+    def _with_edges(
+        self, edges: dict[str, tuple[str, str, str]], edge_ids: tuple[str, ...]
+    ) -> TypedGraph:
+        """This graph's nodes, their parts shared, with ``edges`` instead of
+        its own. Trusted input: ``edge_ids`` are the sorted keys of
+        ``edges``, no edge id is a node id, and ``edges`` and ``edge_ids``
+        may be shared with other graphs but are never mutated."""
+        graph = TypedGraph.__new__(TypedGraph)
+        graph._type_graph, graph._nodes = self._type_graph, self._nodes
+        graph._node_ids, graph._by_type = self._node_ids, self._by_type
+        graph._index_edges(edges, edge_ids)
+        return graph
+
+    def _index_edges(
+        self, edges: dict[str, tuple[str, str, str]], edge_ids: tuple[str, ...]
+    ) -> None:
+        """Set the edge parts, then index edges by (type, src, tgt) and nodes
+        by incident edges; edges with dangling endpoints are skipped here and
+        surface through validate_graph instead."""
+        nodes = self._nodes
         self._edges = edges
         self._edge_ids = edge_ids
-
-        # Index edges by (type, src, tgt) and nodes by incident edges;
-        # edges with dangling endpoints are skipped here and surface through
-        # validate_graph instead.
         triples: dict[tuple[str, str, str], tuple[str, ...]] = {}
-        incident: dict[str, list[str]] = {nid: [] for nid in node_ids}
+        incident: dict[str, list[str]] = {nid: [] for nid in self._node_ids}
         for eid in edge_ids:
             info = edges[eid]
             _, src, tgt = info
@@ -322,17 +327,6 @@ class TypedGraph:
         return f"TypedGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def _node_index(
-    nodes: dict[str, str]
-) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
-    """The sorted node ids and the sorted ids of each present node type."""
-    node_ids = tuple(sorted(nodes))
-    by_type: dict[str, list[str]] = {}
-    for nid in node_ids:
-        by_type.setdefault(nodes[nid], []).append(nid)
-    return node_ids, {t: tuple(ids) for t, ids in by_type.items()}
-
-
 def _removed(ids: tuple[str, ...], x: str) -> tuple[str, ...]:
     """The sorted ``ids`` without ``x``, which they contain."""
     i = bisect_left(ids, x)
@@ -343,20 +337,6 @@ def _inserted(ids: tuple[str, ...], x: str) -> tuple[str, ...]:
     """The sorted ``ids`` with ``x``, which they lack, at its place."""
     i = bisect_left(ids, x)
     return ids[:i] + (x,) + ids[i:]
-
-
-def _assembled(
-    type_graph: TypeGraph,
-    nodes: dict[str, str],
-    node_ids: tuple[str, ...],
-    by_type: dict[str, tuple[str, ...]],
-    edges: dict[str, tuple[str, str, str]],
-    edge_ids: tuple[str, ...],
-) -> TypedGraph:
-    """A graph over trusted, possibly shared parts (see ``TypedGraph._assemble``)."""
-    graph = TypedGraph.__new__(TypedGraph)
-    graph._assemble(type_graph, nodes, node_ids, by_type, edges, edge_ids)
-    return graph
 
 
 def empty_graph(type_graph: TypeGraph) -> TypedGraph:
@@ -370,11 +350,12 @@ def validate_graph(graph: TypedGraph) -> list[str]:
     for nid, ntype in graph.node_items():
         if ntype not in tg.node_types:
             problems.append(f"node {nid!r} has unknown type {ntype!r}")
+    signatures = tg.edge_types
     for eid, etype, src, tgt in graph.edge_items():
-        if etype not in tg.edge_types:
+        if etype not in signatures:
             problems.append(f"edge {eid!r} has unknown type {etype!r}")
             continue
-        want_src, want_tgt = tg.signature(etype)
+        want_src, want_tgt = signatures[etype]
         if not graph.has_node(src):
             problems.append(f"edge {eid!r} has absent source node {src!r}")
         elif graph.node_type(src) != want_src:

@@ -216,13 +216,12 @@ def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> T
 
     # Fresh ids avoid the context (the host minus the removed images)
     # and each other.
-    host_nodes, host_edges = host._nodes, host._edges
     fresh: dict[str, str] = {}
     chosen: set[str] = set()
 
     def taken(x: str) -> bool:
         return x in chosen or (
-            (x in host_nodes or x in host_edges)
+            (host.has_node(x) or host.has_edge(x))
             and x not in removed_nodes and x not in removed_edges
         )
 

@@ -81,10 +81,13 @@ class TestValidate:
 
     def test_unknown_format_marker(self, docs, tmp_path, capsys):
         stray = tmp_path / "stray.json"
-        stray.write_text('{"format": "gradcons/nothing@9"}\n')
-        code, out, _ = run(capsys, "validate", str(stray))
-        assert code == 2
-        assert "unknown document format" in out
+        # An array or object marker cannot be a dict key, yet is reported
+        # like any other unknown one.
+        for marker in ('"gradcons/nothing@9"', "[]", "{}"):
+            stray.write_text('{"format": %s}\n' % marker)
+            code, out, _ = run(capsys, "validate", str(stray))
+            assert code == 2
+            assert "unknown document format" in out
 
     def test_missing_file_exits_2(self, docs, capsys):
         code, out, _ = run(capsys, "validate", str(docs / "absent.json"))

@@ -298,7 +298,7 @@ def _compare_seeded_cases() -> None:
 
 class _CountingTriples(dict):
     """A host's edge index that counts its lookups, as generated code
-    reads the index itself."""
+    reads the index itself and ``edges_with_signature`` through ``get``."""
 
     lookups = 0
 
@@ -309,6 +309,10 @@ class _CountingTriples(dict):
     def __contains__(self, key):
         self.lookups += 1
         return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
 
 
 class TestSeededEnumerationAgainstOracle:
@@ -460,22 +464,29 @@ class TestSkippedWork:
         def refuse(*args, **kwargs):
             raise AssertionError("extensions were materialized")
 
-        source = graphs._search_source
+        source, extensions = graphs._search_source, graphs._extensions
         compiled = []
 
-        def exists_only(pattern, form, nodes, edges):
-            assert form == "exists", "a search form was compiled"
-            compiled.append(pattern)
+        def no_seeded_search(pattern, form, nodes, edges):
+            assert form == "exists" or not nodes, "a seeded search form was compiled"
+            if form == "exists":
+                compiled.append(pattern)
             return source(pattern, form, nodes, edges)
 
+        def unseeded_only(pattern, host, nodes, *args):
+            assert not nodes, "extensions were materialized"
+            return extensions(pattern, host, nodes, *args)
+
         # Existence checks of the CRA conditions all have a TRUE
-        # sub-condition, so a read compiles the exists form alone and
-        # neither the extension API nor a seeded enumeration runs.
-        # Fresh fixtures hold no compiled search yet.
+        # sub-condition, so a read compiles the exists form for them and
+        # neither the extension API nor a seeded enumeration runs. Outer
+        # searches have no seed, whichever engine runs them. Fresh
+        # fixtures hold no compiled search yet.
         for name in ("extensions", "iter_extensions"):
             monkeypatch.setattr(conditions, name, refuse)
-        monkeypatch.setattr(graphs, "_extensions", refuse)
-        monkeypatch.setattr(graphs, "_search_source", exists_only)
+        for module in (graphs, conditions):
+            monkeypatch.setattr(module, "_extensions", unseeded_only)
+        monkeypatch.setattr(graphs, "_search_source", no_seeded_search)
         fresh = cra.build_fixtures()
         rng = random.Random(5)
         for host in (fresh.host, random_host(fresh.type_graph, rng, 12, 0.3)):
@@ -557,22 +568,15 @@ class TestSkippedWork:
         assert len(compiled) >= 4
         assert max(compiled.values()) == 1
 
-    def test_stopping_an_unseeded_search_stops_its_probes(self, fixtures, monkeypatch):
-        probes = Counter()
-        probe = TypedGraph.edges_with_signature
-
-        def counting(self, *args):
-            probes["calls"] += 1
-            return probe(self, *args)
-
-        monkeypatch.setattr(TypedGraph, "edges_with_signature", counting)
+    def test_stopping_an_unseeded_search_stops_its_probes(self, fixtures):
         host = random_host(fixtures.type_graph, random.Random(7), 100, 0.03)
+        host._triples = probes = _CountingTriples(host._triples)
         pattern = fixtures.constraints["c3"].shape.outer_graph
         assert next(iter_monomorphisms(pattern, host), None) is not None
-        first = probes.pop("calls")
+        first, probes.lookups = probes.lookups, 0
         every = list(iter_monomorphisms(pattern, host))
         assert len(every) > 1
-        assert first * 10 < probes["calls"], (first, probes["calls"])
+        assert first * 10 < probes.lookups, (first, probes.lookups)
 
 
 class TestDeepPatterns:

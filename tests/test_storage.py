@@ -3,12 +3,16 @@
 Universe hosts share their split's node part, edge ids and slot tuples,
 and rewrite results and their contexts are the host's dicts copied and
 patched. Each such graph must be indistinguishable from the same
-elements passed through ``TypedGraph(type_graph, nodes, edges)``.
+elements passed through ``TypedGraph(type_graph, nodes, edges)``. Only
+``graphs.py`` builds or reads those parts.
 """
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
+import gradcons
 from gradcons import Rule, TypedGraph, TypeGraph, apply, bounded_hosts, cra, find_matches
 from gradcons.classify import _hosts_for_split
 
@@ -224,3 +228,25 @@ def test_rewrite_results_share_the_host_indices():
         tracemalloc.stop()
     assert len(results) == 108
     assert retained / len(results) < 34_100
+
+
+def test_only_graphs_reads_graph_storage():
+    # Of the private names of graphs.py, other modules may import only
+    # the entry points of the search compiler.
+    entry_points = {"_search", "_extensions"}
+    slots = set(TypedGraph.__slots__)
+    offences = []
+    for path in sorted(Path(gradcons.__file__).parent.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr in slots:
+                offences.append(f"{where} reads .{node.attr}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "graphs" and node.attr.startswith("_")):
+                offences.append(f"{where} reads graphs.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("graphs", "gradcons.graphs"):
+                offences += [f"{where} imports {alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and alias.name not in entry_points]
+    assert not offences, offences
