@@ -32,7 +32,7 @@ from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_
 from .errors import BoundError
 from .generate import random_host
 from .graphs import GraphMorphism, TypeGraph, TypedGraph
-from .rewriting import Rule, Transformation, _fresh_id, _rewrite, find_matches
+from .rewriting import Rule, Transformation, _fresh_id, _rewritten, find_matches
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,19 @@ class StepVerdict:
     evidence: dict[str, GraphMorphism] = field(default_factory=dict)
 
 
-def _lands_in_context(p: GraphMorphism, t: Transformation) -> bool:
+_Key = tuple[tuple[str, ...], tuple[str, ...]]
+
+
+def _in_context(key: _Key, host: TypedGraph, removed_nodes: frozenset[str],
+                removed_edges: frozenset[str]) -> bool:
     # The track morphism is the partial identity on the context, so
     # composing with it is total exactly when the occurrence factors
     # through the context: every image is a host element that the step
     # did not remove. Created elements never are (fresh ids avoid the
     # context).
-    host = t.host
-    return all(
-        host.has_node(v) and v not in t.removed_nodes for v in p.node_map.values()
-    ) and all(host.has_edge(e) and e not in t.removed_edges for e in p.edge_map.values())
+    nodes, edges = key
+    return (removed_nodes.isdisjoint(nodes) and removed_edges.isdisjoint(edges)
+            and all(map(host.has_node, nodes)) and all(map(host.has_edge, edges)))
 
 
 def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
@@ -74,6 +77,78 @@ def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
     num_b, den_b = (before.ro - before.ncv, before.ro) if before.ro else (1, 1)
     num_a, den_a = (after.ro - after.ncv, after.ro) if after.ro else (1, 1)
     return num_b * den_a <= num_a * den_b
+
+
+_Flags = tuple[bool, bool, bool, bool, bool, bool]
+
+
+def _judge(
+    polarity: str,
+    before: ConsistencyReport,
+    after: ConsistencyReport,
+    host: TypedGraph,
+    removed_nodes: frozenset[str],
+    removed_edges: frozenset[str],
+) -> tuple[_Flags, dict[str, GraphMorphism]]:
+    """The six flags of a step, in :class:`StepVerdict` order, and the
+    occurrences that decided the direct ones, as the reports hold them:
+    an invalidated occurrence comes as the result's occurrence."""
+    preserving = after.satisfied or not before.satisfied
+    guaranteeing = after.satisfied
+    sustaining = _ci_at_most(before, after)
+    improving = sustaining and before.ncv > 0 and before.ncv > after.ncv
+    evidence: dict[str, GraphMorphism] = {}
+
+    if polarity == EXISTENTIAL:
+        directly_sustaining = preserving
+        directly_improving = directly_sustaining and not before.satisfied and guaranteeing
+    else:
+        # A violating result occurrence inside the context is the image of
+        # a host occurrence, which is invalidated when it was valid; one
+        # outside the context is new. Invalidation is looked for first.
+        violating = tuple(zip(after.violating_occurrences, after._keys))
+        for q, key in violating:
+            if (key not in before.violating_keys
+                    and _in_context(key, host, removed_nodes, removed_edges)):
+                evidence["invalidated_occurrence"] = q
+                break
+        if not evidence:
+            for q, key in violating:
+                if not _in_context(key, host, removed_nodes, removed_edges):
+                    evidence["new_violating_occurrence"] = q
+                    break
+        directly_sustaining = not evidence
+
+        directly_improving = False
+        if directly_sustaining and not before.satisfied:
+            for p, key in zip(before.violating_occurrences, before._keys):
+                if not _in_context(key, host, removed_nodes, removed_edges):
+                    evidence["destroyed_occurrence"] = p
+                    break
+                if key not in after.violating_keys:
+                    evidence["repaired_occurrence"] = p
+                    break
+            directly_improving = bool(evidence)
+
+    flags = (preserving, guaranteeing, sustaining, improving,
+             directly_sustaining, directly_improving)
+    return flags, evidence
+
+
+def _verdict(
+    t: Transformation,
+    constraint_name: str,
+    before: ConsistencyReport,
+    after: ConsistencyReport,
+    flags: _Flags,
+    evidence: dict[str, GraphMorphism],
+) -> StepVerdict:
+    """The record of a step that :func:`_judge` has judged."""
+    q = evidence.get("invalidated_occurrence")
+    if q is not None:
+        evidence = dict(evidence, invalidated_occurrence=GraphMorphism(
+            q.domain, t.host, q.node_map, q.edge_map))
+    return StepVerdict(constraint_name, *flags, before, after, evidence)
 
 
 def classify_step(
@@ -85,64 +160,18 @@ def classify_step(
 
     Every flag is read off the reports of host and result. Since the track
     morphism is the identity on the ids of the context, an occurrence that
-    lands in the context has the same maps on both sides, so occurrences
-    are compared by :meth:`GraphMorphism.sort_key`. Evidence is the first
-    hit in canonical order. ``report_before`` may carry a precomputed
-    measurement of the host to avoid recomputation in scans; passing it
-    never changes the outcome.
+    lands in the context has the same images on both sides, so
+    occurrences are compared by their keys (:meth:`GraphMorphism.sort_key`),
+    and landing is tested on the images. Evidence is the first hit in
+    canonical order. ``report_before`` may carry a precomputed measurement
+    of the host to avoid recomputation in scans; passing it never changes
+    the outcome.
     """
     before = report_before if report_before is not None else consistency_report(t.host, constraint)
     after = consistency_report(t.result, constraint)
-
-    preserving = after.satisfied or not before.satisfied
-    guaranteeing = after.satisfied
-    sustaining = _ci_at_most(before, after)
-    improving = sustaining and before.ncv > 0 and before.ncv > after.ncv
-    evidence: dict[str, GraphMorphism] = {}
-
-    if constraint.shape.polarity == EXISTENTIAL:
-        directly_sustaining = preserving
-        directly_improving = directly_sustaining and not before.satisfied and guaranteeing
-    else:
-        # A violating result occurrence inside the context is the image of
-        # a host occurrence, which is invalidated when it was valid; one
-        # outside the context is new. Invalidation is looked for first.
-        for q in after.violating_occurrences:
-            if _lands_in_context(q, t) and q.sort_key() not in before.violating_keys:
-                evidence["invalidated_occurrence"] = GraphMorphism(
-                    q.domain, t.host, q.node_map, q.edge_map
-                )
-                break
-        if not evidence:
-            for q in after.violating_occurrences:
-                if not _lands_in_context(q, t):
-                    evidence["new_violating_occurrence"] = q
-                    break
-        directly_sustaining = not evidence
-
-        directly_improving = False
-        if directly_sustaining and not before.satisfied:
-            for p in before.violating_occurrences:
-                if not _lands_in_context(p, t):
-                    evidence["destroyed_occurrence"] = p
-                    break
-                if p.sort_key() not in after.violating_keys:
-                    evidence["repaired_occurrence"] = p
-                    break
-            directly_improving = bool(evidence)
-
-    return StepVerdict(
-        constraint_name=constraint.name,
-        preserving=preserving,
-        guaranteeing=guaranteeing,
-        sustaining=sustaining,
-        improving=improving,
-        directly_sustaining=directly_sustaining,
-        directly_improving=directly_improving,
-        report_before=before,
-        report_after=after,
-        evidence=evidence,
-    )
+    flags, evidence = _judge(constraint.shape.polarity, before, after, t.host,
+                             t.removed_nodes, t.removed_edges)
+    return _verdict(t, constraint.name, before, after, flags, evidence)
 
 
 # --- bounded host universes --------------------------------------------------
@@ -359,6 +388,7 @@ UNIVERSAL_CLAIMS = (
     "strongly_improving",
 )
 WITNESS_CLAIMS = ("improving", "directly_improving")
+_CLAIMS = UNIVERSAL_CLAIMS + WITNESS_CLAIMS
 
 
 @dataclass(frozen=True)
@@ -425,8 +455,10 @@ def classify_rule_empirical(
         for _ in range(samples)
     )
 
-    counterexamples: dict[str, tuple[Transformation, StepVerdict]] = {}
-    witnesses: dict[str, tuple[Transformation, StepVerdict]] = {}
+    # Each step is judged on its raw parts. A step is recorded, once, only
+    # when it becomes the first counterexample or witness of some claim.
+    polarity = constraint.shape.polarity
+    found: dict[str, tuple[Transformation, StepVerdict]] = {}
     hosts_examined = 0
     steps_examined = 0
     for host in itertools.chain(exhaustive, sampled):
@@ -436,41 +468,32 @@ def classify_rule_empirical(
             continue
         before = consistency_report(host, constraint)
         for m in matches:
-            t = _rewrite(rule, host, m, 0)
-            verdict = classify_step(t, constraint, report_before=before)
+            result, removed_nodes, removed_edges = _rewritten(rule, host, m, 0)
+            after = consistency_report(result, constraint)
+            flags, evidence = _judge(polarity, before, after, host, removed_nodes, removed_edges)
             steps_examined += 1
-            failed = {
-                "preserving": not verdict.preserving,
-                "guaranteeing": not verdict.guaranteeing,
-                "sustaining": not verdict.sustaining,
-                "directly_sustaining": not verdict.directly_sustaining,
-                "strongly_improving": before.ncv > 0 and not verdict.improving,
-            }
-            for claim, bad in failed.items():
-                if bad and claim not in counterexamples:
-                    counterexamples[claim] = (t, verdict)
-            if verdict.improving and "improving" not in witnesses:
-                witnesses["improving"] = (t, verdict)
-            if verdict.directly_improving and "directly_improving" not in witnesses:
-                witnesses["directly_improving"] = (t, verdict)
+            (preserving, guaranteeing, sustaining, improving,
+             directly_sustaining, directly_improving) = flags
+            # Per claim of UNIVERSAL_CLAIMS + WITNESS_CLAIMS: does the step
+            # refute it, or witness it?
+            hits = (not preserving, not guaranteeing, not sustaining, not directly_sustaining,
+                    before.ncv > 0 and not improving, improving, directly_improving)
+            new = [claim for claim, hit in zip(_CLAIMS, hits) if hit and claim not in found]
+            if new:
+                t = Transformation(rule, host, m, result, removed_nodes, removed_edges, 0)
+                record = (t, _verdict(t, constraint.name, before, after, flags, evidence))
+                found.update(dict.fromkeys(new, record))
     if steps_examined == 0:
         raise BoundError(
             f"bound {bound} admits no match of rule {rule.name!r} in the searched universe"
         )
 
     claims: dict[str, ClaimResult] = {}
-    for claim in UNIVERSAL_CLAIMS:
-        if claim in counterexamples:
-            t, v = counterexamples[claim]
-            claims[claim] = ClaimResult(claim, PROVEN_NO, t, v)
-        else:
-            claims[claim] = ClaimResult(claim, NO_COUNTEREXAMPLE)
-    for claim in WITNESS_CLAIMS:
-        if claim in witnesses:
-            t, v = witnesses[claim]
-            claims[claim] = ClaimResult(claim, WITNESS_FOUND, t, v)
-        else:
-            claims[claim] = ClaimResult(claim, NO_WITNESS)
+    for claim in _CLAIMS:
+        yes, no = ((PROVEN_NO, NO_COUNTEREXAMPLE) if claim in UNIVERSAL_CLAIMS
+                   else (WITNESS_FOUND, NO_WITNESS))
+        claims[claim] = (ClaimResult(claim, yes, *found[claim]) if claim in found
+                         else ClaimResult(claim, no))
 
     return RuleClassification(
         rule_name=rule.name,

@@ -376,11 +376,18 @@ class ConsistencyReport:
         return self.ncv == 0
 
     @cached_property
+    def _keys(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+        """The :meth:`GraphMorphism.sort_key` of each violating occurrence,
+        in their order. :func:`consistency_report` sets them as it builds
+        the report; a report built by hand derives them on first use."""
+        return tuple(p.sort_key() for p in self.violating_occurrences)
+
+    @cached_property
     def violating_keys(self) -> frozenset[tuple[tuple[str, ...], tuple[str, ...]]]:
         """The :meth:`GraphMorphism.sort_key` of each violating occurrence,
         built on first use. Every step from one host shares its report, so
         they share this set too."""
-        return frozenset(p.sort_key() for p in self.violating_occurrences)
+        return frozenset(self._keys)
 
 
 def consistency_report(graph: TypedGraph, constraint: Constraint) -> ConsistencyReport:
@@ -389,7 +396,9 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     Universal: ro = occurrence count of the outer pattern, ncv = number of
     occurrences violating the remainder of the chain, each violating
     occurrence materialized as evidence in canonical order. Existential:
-    ro = 1 and ncv is 0 or 1. ci = 1 - ncv/ro with 0/0 read as 0.
+    ro = 1 and ncv is 0 or 1. ci = 1 - ncv/ro with 0/0 read as 0. The
+    key of each violating occurrence is read off its maps, which
+    :func:`enumerate_monomorphisms` fills in sorted pattern id order.
     """
     shape = constraint.shape
     tg = constraint.type_graph
@@ -397,22 +406,20 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
         raise MismatchError("graph and constraint use different type graphs")
     occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
     occ = len(occurrences)
-    body = shape.body
-    if shape.polarity == UNIVERSAL:
-        violating = tuple(p for p in occurrences
-                          if _satisfies(body, graph, p.node_map, p.edge_map))
+    body, polarity = shape.body, shape.polarity
+    keys = ()
+    if polarity == UNIVERSAL:
+        violating = tuple([p for p in occurrences
+                           if _satisfies(body, graph, p.node_map, p.edge_map)])
         ro = occ
         ncv = len(violating)
+        keys = tuple([(tuple(p.node_map.values()), tuple(p.edge_map.values()))
+                      for p in violating])
     else:
         ro = 1
         ncv = 0 if any(_satisfies(body, graph, p.node_map, p.edge_map)
                        for p in occurrences) else 1
         violating = ()
-    return ConsistencyReport(
-        constraint_name=constraint.name,
-        polarity=shape.polarity,
-        occ=occ,
-        ro=ro,
-        ncv=ncv,
-        violating_occurrences=violating,
-    )
+    report = ConsistencyReport(constraint.name, polarity, occ, ro, ncv, violating)
+    vars(report)["_keys"] = keys
+    return report

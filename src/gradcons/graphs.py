@@ -471,9 +471,13 @@ class _Plan:
     assignment onto host edges of the image signature preserves structure.
     ``edges`` lists the pattern edges group by group. ``searches`` holds
     the searches compiled from the plan (:func:`_search`).
+
+    ``edge_order`` lists the index in ``edges`` of each sorted pattern
+    edge id, or is ``None`` when the two orders agree.
     """
 
-    __slots__ = ("seed_checks", "steps", "scan_types", "groups", "edges", "searches")
+    __slots__ = ("seed_checks", "steps", "scan_types", "groups", "edges", "searches",
+                 "edge_order")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
@@ -503,6 +507,9 @@ class _Plan:
         self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
         self.edges = tuple(e for _, p_edges in self.groups for e in p_edges)
         self.searches: dict[tuple[str, _Keys, _Keys], Callable] = {}
+        self.edge_order = None
+        if self.edges != pattern.edge_ids:
+            self.edge_order = tuple(map(self.edges.index, pattern.edge_ids))
 
 
 def _edges_within(
@@ -554,8 +561,59 @@ def iter_monomorphisms(
     bounded by the recursion limit. Stopping the iteration stops the
     search. Each morphism comes once.
     """
+    node_ids, edge_ids = pattern._node_ids, pattern._edge_ids
+    for images, edge_images in _images(pattern, host, node_seed, edge_seed):
+        yield GraphMorphism(pattern, host, dict(zip(node_ids, images)),
+                            dict(zip(edge_ids, edge_images)))
+
+
+def enumerate_monomorphisms(
+    pattern: TypedGraph,
+    host: TypedGraph,
+    *,
+    node_seed: Mapping[str, str] | None = None,
+    edge_seed: Mapping[str, str] | None = None,
+) -> list[GraphMorphism]:
+    """All total injective morphisms pattern -> host, in canonical order.
+
+    The order is lexicographic over the images of the sorted pattern node ids,
+    with ties broken the same way on sorted pattern edge ids, so results are
+    reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
+    in advance, as for :func:`iter_monomorphisms`, whose sorted form this is.
+    The image tuples are sorted before any morphism is built, and each
+    morphism's maps list the pattern ids in sorted order, so their values
+    read off its :meth:`GraphMorphism.sort_key`.
+
+    Duplicate-free: each returned morphism appears exactly once.
+    """
+    node_ids, edge_ids = pattern._node_ids, pattern._edge_ids
+    if len(node_ids) == 1 and not edge_ids and not (node_seed or edge_seed):
+        # The occurrences of one node are the host nodes of its type, which
+        # the host keeps in sorted order.
+        _check_type_graphs(pattern, host)
+        [v] = node_ids
+        return [GraphMorphism(pattern, host, {v: w}, {})
+                for w in host._by_type.get(pattern._nodes[v], ())]
+    return [GraphMorphism(pattern, host, dict(zip(node_ids, images)),
+                          dict(zip(edge_ids, edge_images)))
+            for images, edge_images in sorted(_images(pattern, host, node_seed, edge_seed))]
+
+
+def _check_type_graphs(pattern: TypedGraph, host: TypedGraph) -> None:
     if pattern._type_graph is not host._type_graph and pattern._type_graph != host._type_graph:
         raise MismatchError("pattern and host are typed over different type graphs")
+
+
+def _images(
+    pattern: TypedGraph,
+    host: TypedGraph,
+    node_seed: Mapping[str, str] | None,
+    edge_seed: Mapping[str, str] | None,
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The morphisms of :func:`iter_monomorphisms` as the tuples of their
+    node and edge images over the sorted pattern ids: for a total morphism,
+    its :meth:`GraphMorphism.sort_key`."""
+    _check_type_graphs(pattern, host)
     if node_seed or edge_seed:
         node_seed, edge_seed = node_seed or {}, edge_seed or {}
         for kind, seed, elements in (("node", node_seed, pattern._nodes),
@@ -575,8 +633,8 @@ def iter_monomorphisms(
                     return
         if len(set(nodes.values())) != len(nodes):
             return
-        yield from _extensions(pattern, host, tuple((v, v) for v in sorted(nodes)),
-                               tuple((e, e) for e in sorted(edge_seed)), nodes, edge_seed)
+        yield from _search(pattern, "search", tuple((v, v) for v in sorted(nodes)),
+                           tuple((e, e) for e in sorted(edge_seed)))(host, nodes, edge_seed)
         return
 
     plan = _plan(pattern, frozenset())
@@ -589,6 +647,7 @@ def iter_monomorphisms(
 
     steps = plan.steps
     depth = len(steps)
+    node_ids, edge_order = pattern._node_ids, plan.edge_order
     node_map: dict[str, str] = {}
     used: set[str] = set()
     # The host nodes still to try at each step; the step being placed
@@ -601,8 +660,8 @@ def iter_monomorphisms(
         if level == depth:
             # Within a signature group any injective choice of host edges
             # preserves structure, and different groups have disjoint host
-            # edges, so the edge maps are the product of the groups'
-            # permutations.
+            # edges, so the edge images are the product of the groups'
+            # permutations, put back into sorted pattern order.
             choices = []
             for (etype, src, tgt), p_edges in plan.groups:
                 h_edges = probe(etype, node_map[src], node_map[tgt])
@@ -610,9 +669,12 @@ def iter_monomorphisms(
                     break
                 choices.append(permutations(h_edges, len(p_edges)))
             else:
+                node_images = tuple(map(node_map.__getitem__, node_ids))
                 for combo in product(*choices):
-                    yield GraphMorphism(pattern, host, dict(node_map),
-                                        dict(zip(plan.edges, chain.from_iterable(combo))))
+                    edge_images = tuple(chain.from_iterable(combo))
+                    if edge_order is not None:
+                        edge_images = tuple(map(edge_images.__getitem__, edge_order))
+                    yield node_images, edge_images
             if not depth:
                 return
             level -= 1
@@ -644,28 +706,6 @@ def iter_monomorphisms(
         used.add(w)
         level += 1
         fresh = True
-
-
-def enumerate_monomorphisms(
-    pattern: TypedGraph,
-    host: TypedGraph,
-    *,
-    node_seed: Mapping[str, str] | None = None,
-    edge_seed: Mapping[str, str] | None = None,
-) -> list[GraphMorphism]:
-    """All total injective morphisms pattern -> host, in canonical order.
-
-    The order is lexicographic over the images of the sorted pattern node ids,
-    with ties broken the same way on sorted pattern edge ids, so results are
-    reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
-    in advance, as for :func:`iter_monomorphisms`, whose sorted form this is.
-
-    Duplicate-free: each returned morphism appears exactly once.
-    """
-    return sorted(
-        iter_monomorphisms(pattern, host, node_seed=node_seed, edge_seed=edge_seed),
-        key=GraphMorphism.sort_key,
-    )
 
 
 # --- compiled seeded searches -------------------------------------------------

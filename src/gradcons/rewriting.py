@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Mapping
 
 from .conditions import TRUE, Condition, TrueCondition, _satisfies, satisfies
 from .errors import MatchError, MismatchError, RuleError
@@ -73,6 +73,15 @@ class Rule:
     def created_edges(self) -> tuple[str, ...]:
         return tuple(e for e in self.rhs.edge_ids if not self.interface.has_edge(e))
 
+    @cached_property
+    def _created(self) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str, str, str], ...]]:
+        """What every step creates, read off the rhs once: each created
+        node as ``(id, type)`` and each created edge as ``(id, type,
+        source, target)``, in rhs ids."""
+        rhs = self.rhs
+        return (tuple((n, rhs.node_type(n)) for n in self.created_nodes),
+                tuple((e, *rhs.edge_info(e)) for e in self.created_edges))
+
     def is_plain(self) -> bool:
         """True when the application condition is trivially satisfied."""
         return isinstance(self.condition, TrueCondition)
@@ -87,13 +96,15 @@ class MatchScan:
     rejected_by_dangling: int
 
 
-def _dangling_ok(rule: Rule, host: TypedGraph, m: GraphMorphism) -> bool:
+def _dangling_ok(rule: Rule, host: TypedGraph, node_map: Mapping[str, str],
+                 edge_map: Mapping[str, str]) -> bool:
     # Gluing: an edge of the host incident to a deleted node must itself be
     # in the match image, else the node cannot be removed.
-    image_edges = set(m.edge_map.values())
+    if not rule.deleted_nodes:
+        return True
+    image_edges = set(edge_map.values())
     for v in rule.deleted_nodes:
-        w = m.node_map[v]
-        for e in host.incident_edges(w):
+        for e in host.incident_edges(node_map[v]):
             if e not in image_edges:
                 return False
     return True
@@ -108,12 +119,14 @@ def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
     kept: list[GraphMorphism] = []
     rejected_condition = 0
     rejected_dangling = 0
+    condition = None if rule.is_plain() else rule.condition
     for m in enumerate_monomorphisms(rule.lhs, host):
         # m is total, injective and anchored at the lhs, as satisfies asks.
-        if not _satisfies(rule.condition, host, m.node_map, m.edge_map):
+        node_map, edge_map = m.node_map, m.edge_map
+        if condition is not None and not _satisfies(condition, host, node_map, edge_map):
             rejected_condition += 1
             continue
-        if not _dangling_ok(rule, host, m):
+        if not _dangling_ok(rule, host, node_map, edge_map):
             rejected_dangling += 1
             continue
         kept.append(m)
@@ -130,21 +143,34 @@ class Transformation:
     """One rewriting step host => result with all boundary morphisms.
 
     ``removed_nodes`` / ``removed_edges`` are the images of the deleted
-    elements. ``context`` is the host minus them; ``host_embedding`` and
+    elements. ``comatch`` is the rhs -> result morphism. ``context`` is
+    the host minus the removed images; ``host_embedding`` and
     ``result_embedding`` are its id-preserving inclusions into host and
-    result. ``track`` is the partial morphism host -> result defined exactly
-    on surviving elements (where it is the identity on ids). These four
-    are built on first access.
+    result. ``track`` is the partial morphism host -> result defined
+    exactly on surviving elements (where it is the identity on ids). These
+    five are built on first access.
     """
 
     rule: Rule
     host: TypedGraph
     match: GraphMorphism
     result: TypedGraph
-    comatch: GraphMorphism
     removed_nodes: frozenset[str]
     removed_edges: frozenset[str]
     step: int = 0
+
+    @cached_property
+    def comatch(self) -> GraphMorphism:
+        # The fresh ids depend only on the rule, the host, the removed
+        # images and the step, so they come out as the step chose them.
+        fresh = _fresh_ids(self.rule, self.host, self.removed_nodes, self.removed_edges,
+                           self.step)
+        rhs, node_map, edge_map = self.rule.rhs, self.match.node_map, self.match.edge_map
+        return GraphMorphism(
+            rhs, self.result,
+            {n: fresh[n] if n in fresh else node_map[n] for n in rhs.node_ids},
+            {e: fresh[e] if e in fresh else edge_map[e] for e in rhs.edge_ids},
+        )
 
     @cached_property
     def context(self) -> TypedGraph:
@@ -178,6 +204,32 @@ def _fresh_id(base: str, taken: Callable[[str], bool]) -> str:
     return candidate
 
 
+def _fresh_ids(rule: Rule, host: TypedGraph, removed_nodes: frozenset[str],
+               removed_edges: frozenset[str], step: int) -> dict[str, str]:
+    """The id of each element the step creates, by rhs id.
+
+    Fresh ids avoid the context (the host minus the removed images) and
+    each other. Each is ``<rule>.<step>.<id>`` when that id is free, as it
+    almost always is, and :func:`_fresh_id` of it otherwise.
+    """
+    fresh: dict[str, str] = {}
+    chosen = fresh.values()
+
+    def taken(x: str) -> bool:
+        return x in chosen or (
+            (host.has_node(x) or host.has_edge(x))
+            and x not in removed_nodes and x not in removed_edges
+        )
+
+    prefix = f"{rule.name}.{step}."
+    for rid in (*rule.created_nodes, *rule.created_edges):
+        x = prefix + rid
+        if x in chosen or host.has_node(x) or host.has_edge(x):
+            x = _fresh_id(x, taken)
+        fresh[rid] = x
+    return fresh
+
+
 def apply(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 0) -> Transformation:
     """Perform the rewriting step at ``match``.
 
@@ -203,46 +255,34 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
         raise MatchError(f"match is not structure-preserving: {problems[0]}")
     if not satisfies(match, rule.condition):
         raise MatchError("match violates the application condition")
-    if not _dangling_ok(rule, host, match):
+    if not _dangling_ok(rule, host, match.node_map, match.edge_map):
         raise MatchError("match violates the gluing condition")
 
 
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
     ``find_matches(rule, host)``."""
+    return Transformation(rule, host, match, *_rewritten(rule, host, match, step), step)
+
+
+def _rewritten(
+    rule: Rule, host: TypedGraph, match: GraphMorphism, step: int
+) -> tuple[TypedGraph, frozenset[str], frozenset[str]]:
+    """The raw parts of :func:`_rewrite`'s step: the result and the
+    removed node and edge images."""
     node_map, edge_map = match.node_map, match.edge_map
     removed_nodes = frozenset(map(node_map.__getitem__, rule.deleted_nodes))
     removed_edges = frozenset(map(edge_map.__getitem__, rule.deleted_edges))
-
-    # Fresh ids avoid the context (the host minus the removed images)
-    # and each other.
-    fresh: dict[str, str] = {}
-    chosen: set[str] = set()
-
-    def taken(x: str) -> bool:
-        return x in chosen or (
-            (host.has_node(x) or host.has_edge(x))
-            and x not in removed_nodes and x not in removed_edges
-        )
-
-    prefix = f"{rule.name}.{step}."
-    for rid in (*rule.created_nodes, *rule.created_edges):
-        fresh[rid] = x = _fresh_id(prefix + rid, taken)
-        chosen.add(x)
-
+    fresh = _fresh_ids(rule, host, removed_nodes, removed_edges, step)
     # The result copies the host's dicts, which share their untouched
     # index tuples, and patches only the removed and created elements.
-    rhs = rule.rhs
-    image = {n: fresh[n] if n in fresh else node_map[n] for n in rhs.node_ids}
-    created_nodes = [(image[n], rhs.node_type(n)) for n in rule.created_nodes]
-    created_edges = []
-    for e in rule.created_edges:
-        etype, src, tgt = rhs.edge_info(e)
-        created_edges.append((fresh[e], etype, image[src], image[tgt]))
+    new_nodes, new_edges = rule._created
+    created_nodes = [(fresh[n], ntype) for n, ntype in new_nodes]
+    created_edges = [
+        (fresh[e], etype,
+         fresh[src] if src in fresh else node_map[src],
+         fresh[tgt] if tgt in fresh else node_map[tgt])
+        for e, etype, src, tgt in new_edges
+    ]
     result = host._patched(removed_nodes, removed_edges, created_nodes, created_edges)
-
-    comatch = GraphMorphism(
-        rhs, result, image,
-        {e: fresh[e] if e in fresh else edge_map[e] for e in rhs.edge_ids},
-    )
-    return Transformation(rule, host, match, result, comatch, removed_nodes, removed_edges, step)
+    return result, removed_nodes, removed_edges

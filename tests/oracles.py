@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 from gradcons import (
@@ -25,10 +27,15 @@ from gradcons import (
     Transformation,
     TypeGraph,
     TypedGraph,
+    apply,
+    bounded_hosts,
+    classify_step,
+    find_matches,
     satisfies,
 )
 from gradcons.analysis import _build_overlap
 from gradcons.classify import _MAX_UNIVERSE_WORK, _split_ids
+from gradcons.generate import random_host
 
 
 def compose(first: GraphMorphism, second: GraphMorphism) -> GraphMorphism:
@@ -106,6 +113,35 @@ def dpo_by_sets(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 
     (rule name, step counter, rhs id, tilde suffixes on collision, nodes
     before edges in id order) without sharing its code.
     """
+    keep_nodes, keep_edges, fresh = _dpo_parts(rule, host, match, step)
+
+    def node_image(n):
+        return fresh[n] if n in fresh else match.node_map[n]
+
+    new_nodes = [(fresh[n], rule.rhs.node_type(n)) for n in rule.rhs.node_ids if n in fresh]
+    new_edges = []
+    for e in rule.rhs.edge_ids:
+        if e in fresh:
+            etype, src, tgt = rule.rhs.edge_info(e)
+            new_edges.append((fresh[e], etype, node_image(src), node_image(tgt)))
+    return TypedGraph(host.type_graph, keep_nodes + new_nodes, keep_edges + new_edges)
+
+
+def comatch_by_sets(t: Transformation) -> GraphMorphism:
+    """The comatch of a step, built at once from the naming contract that
+    :func:`dpo_by_sets` follows."""
+    *_, fresh = _dpo_parts(t.rule, t.host, t.match, t.step)
+    rhs, match = t.rule.rhs, t.match
+    return GraphMorphism(
+        rhs, t.result,
+        {n: fresh[n] if n in fresh else match.node_map[n] for n in rhs.node_ids},
+        {e: fresh[e] if e in fresh else match.edge_map[e] for e in rhs.edge_ids},
+    )
+
+
+def _dpo_parts(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int):
+    """The kept nodes and edges of a step, and the id of each created rhs
+    element."""
     removed_nodes = {
         match.node_map[n] for n in rule.lhs.node_ids if not rule.interface.has_node(n)
     }
@@ -134,16 +170,7 @@ def dpo_by_sets(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int = 
             serial += 1
         fresh[rid] = candidate
         taken.add(candidate)
-
-    def node_image(n):
-        return fresh[n] if n in fresh else match.node_map[n]
-
-    new_nodes = [(fresh[n], rule.rhs.node_type(n)) for n in created_nodes]
-    new_edges = []
-    for e in created_edges:
-        etype, src, tgt = rule.rhs.edge_info(e)
-        new_edges.append((fresh[e], etype, node_image(src), node_image(tgt)))
-    return TypedGraph(host.type_graph, keep_nodes + new_nodes, keep_edges + new_edges)
+    return keep_nodes, keep_edges, fresh
 
 
 def satisfies_by_permutation(p: GraphMorphism, condition, memo: dict | None = None) -> bool:
@@ -250,6 +277,48 @@ def classify_step_reference(t: Transformation, constraint: Constraint) -> tuple[
                 break
         flags["directly_improving"] = bool(evidence)
     return flags, evidence
+
+
+RULE_CLAIMS = (
+    "preserving", "guaranteeing", "sustaining", "directly_sustaining", "strongly_improving",
+    "improving", "directly_improving",
+)
+
+
+def classify_rule_reference(
+    rule: Rule, constraint: Constraint, bound: int, samples: int, seed: int
+) -> tuple[int, int, dict]:
+    """The rule search from public steps: validated ``apply`` plus
+    ``classify_step`` at every match of every host, the bounded universe
+    first, then the seeded sample drawn as the engine draws it.
+
+    Returns ``(hosts, steps, first)``, where ``first`` maps each claim of
+    :data:`RULE_CLAIMS` to the ``(transformation, verdict)`` of the first
+    step that refutes it (the five universal claims) or witnesses it (the
+    two improving ones), and lacks the claims that no step decides.
+    """
+    tg = rule.lhs.type_graph
+    needed = Counter(rule.lhs.node_type(v) for v in rule.lhs.node_ids)
+    rng = random.Random(seed)
+    hosts = list(bounded_hosts(tg, bound, needed))
+    for _ in range(samples):
+        hosts.append(random_host(tg, rng, rng.randint(bound + 1, bound + 3),
+                                 rng.uniform(0.1, 0.5)))
+    first: dict = {}
+    steps = 0
+    for host in hosts:
+        for m in find_matches(rule, host):
+            t = apply(rule, host, m)
+            v = classify_step(t, constraint)
+            steps += 1
+            decided = (not v.preserving, not v.guaranteeing, not v.sustaining,
+                       not v.directly_sustaining,
+                       v.report_before.ncv > 0 and not v.improving,
+                       v.improving, v.directly_improving)
+            for claim, hit in zip(RULE_CLAIMS, decided):
+                if hit:
+                    first.setdefault(claim, (t, v))
+    return len(hosts), steps, first
 
 
 # --- pushout checks -----------------------------------------------------------

@@ -103,6 +103,27 @@ def random_step_cases(n_cases: int, seed: int, max_steps_per_case: int = 4):
         yield constraint, before, [apply(rule, host, m, step=case) for m in matches], rule, host
 
 
+def random_rule_pairs(n_pairs: int, seed: int):
+    """Seeded random ``(rule, constraint)`` pairs: restricted analysis
+    pairs at even indices, free ones over at most two node and two edge
+    types at odd indices."""
+    rng = random.Random(seed)
+    for index in range(n_pairs):
+        if index % 2 == 0:
+            yield random_analysis_pair(rng, index)
+        else:
+            tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
+            rule = random_rule(tg, rng, name=f"r{index}")
+            yield rule, random_linear_constraint(tg, rng, f"c{index}", max_outer_nodes=2)
+
+
+def has_two_loop_types_on_one_node_type(tg) -> bool:
+    """Whether two edge types loop on one node type: the bound-3 universe
+    of such a type graph has 44 365 hosts."""
+    loop_types = [src for src, tgt in tg.edge_types.values() if src == tgt]
+    return len(loop_types) > len(set(loop_types))
+
+
 def run_step_implication_suite(
     n_cases: int, seed: int, max_steps_per_case: int = 4
 ) -> SuiteStats:

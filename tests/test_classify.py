@@ -39,17 +39,17 @@ from gradcons.classify import (
     _least_masks,
     _split_ids,
 )
-from gradcons.generate import (
-    random_analysis_pair,
-    random_host,
-    random_linear_constraint,
-    random_rule,
-    random_type_graph,
-)
+from gradcons.generate import random_host
 
 from . import oracles
-from .oracles import STEP_FLAGS, classify_step_reference, monos_by_permutation
-from .suites import random_step_cases
+from .oracles import (
+    RULE_CLAIMS,
+    STEP_FLAGS,
+    classify_rule_reference,
+    classify_step_reference,
+    monos_by_permutation,
+)
+from .suites import has_two_loop_types_on_one_node_type, random_rule_pairs, random_step_cases
 
 
 def _one_step(rule, host, **picks):
@@ -463,15 +463,13 @@ def _agrees_with_reference(t, constraint, before=None):
     flags, evidence = classify_step_reference(t, constraint)
     where = (t.rule.name, constraint.name, t.host.edge_items(), sorted(t.match.node_map.items()))
     assert {f: getattr(v, f) for f in STEP_FLAGS} == flags, where
-
-    def maps(found):
-        return {
-            label: (m.domain, m.codomain, dict(m.node_map), dict(m.edge_map))
-            for label, m in found.items()
-        }
-
-    assert maps(v.evidence) == maps(evidence), where
+    assert _maps(v.evidence) == _maps(evidence), where
     return v
+
+
+def _maps(found):
+    return {label: (m.domain, m.codomain, dict(m.node_map), dict(m.edge_map))
+            for label, m in found.items()}
 
 
 class TestClassifyStepAgainstReference:
@@ -505,18 +503,10 @@ class TestClassifyStepAgainstReference:
         # Every step over the bound-3 universe of each pair. Type graphs with
         # two loop types on one node type are skipped: their universe has
         # 44 365 hosts, too many for the permutation search.
-        rng = random.Random(17)
         steps = 0
         labels = set()
-        for index in range(40):
-            if index % 2 == 0:
-                rule, constraint = random_analysis_pair(rng, index)
-            else:
-                tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
-                rule = random_rule(tg, rng, name=f"r{index}")
-                constraint = random_linear_constraint(tg, rng, f"c{index}", max_outer_nodes=2)
-            loop_types = [src for src, tgt in rule.lhs.type_graph.edge_types.values() if src == tgt]
-            if len(loop_types) > len(set(loop_types)):
+        for rule, constraint in random_rule_pairs(40, seed=17):
+            if has_two_loop_types_on_one_node_type(rule.lhs.type_graph):
                 continue
             for host in bounded_hosts(rule.lhs.type_graph, 3):
                 before = consistency_report(host, constraint)
@@ -525,6 +515,61 @@ class TestClassifyStepAgainstReference:
                     labels.update(v.evidence)
                     steps += 1
         assert steps >= 500 and len(labels) >= 2
+
+
+def _search_agrees_with_reference(rule, constraint, bound, samples, seed=1):
+    """``classify_rule_empirical`` judges steps on their raw parts and
+    records only the first counterexample or witness of each claim; the
+    reference applies and classifies every step through the public API."""
+    got = classify_rule_empirical(rule, constraint, bound=bound, samples=samples, seed=seed)
+    hosts, steps, first = classify_rule_reference(rule, constraint, bound, samples, seed)
+    where = (rule.name, constraint.name)
+    assert (got.hosts_examined, got.steps_examined) == (hosts, steps), where
+    assert set(got.claims) == set(RULE_CLAIMS), where
+    for claim in RULE_CLAIMS:
+        result = got.claims[claim]
+        universal = claim in classify.UNIVERSAL_CLAIMS
+        if claim not in first:
+            assert result.status == (NO_COUNTEREXAMPLE if universal else NO_WITNESS), where
+            assert result.transformation is None and result.step_verdict is None, where
+            continue
+        assert result.status == (PROVEN_NO if universal else WITNESS_FOUND), (where, claim)
+        (t, v), (want_t, want_v) = (result.transformation, result.step_verdict), first[claim]
+        assert (t.host, t.match, t.result, t.step) == (
+            want_t.host, want_t.match, want_t.result, want_t.step), (where, claim)
+        assert t.comatch == want_t.comatch, (where, claim)
+        assert {f: getattr(v, f) for f in STEP_FLAGS} == {
+            f: getattr(want_v, f) for f in STEP_FLAGS}, (where, claim)
+        assert _maps(v.evidence) == _maps(want_v.evidence), (where, claim)
+        assert (v.report_before, v.report_after) == (want_v.report_before,
+                                                     want_v.report_after), (where, claim)
+    return got
+
+
+class TestRuleSearchAgainstReference:
+    def test_cra_pairs_at_bound_three(self, fixtures):
+        statuses = Counter()
+        for rule in fixtures.rule_list():
+            for c in fixtures.constraint_list():
+                got = _search_agrees_with_reference(rule, c, bound=3, samples=30)
+                statuses.update(claim.status for claim in got.claims.values())
+        assert all(statuses[s] for s in (PROVEN_NO, NO_COUNTEREXAMPLE, WITNESS_FOUND,
+                                         NO_WITNESS)), statuses
+
+    def test_random_pairs_at_bound_three(self):
+        # As in the classify_step differential, type graphs with two loop
+        # types on one node type are skipped: 44 365 hosts each.
+        pairs = 0
+        statuses = Counter()
+        for rule, constraint in random_rule_pairs(40, seed=17):
+            if has_two_loop_types_on_one_node_type(rule.lhs.type_graph):
+                continue
+            got = _search_agrees_with_reference(rule, constraint, bound=3, samples=10)
+            pairs += 1
+            statuses.update(claim.status for claim in got.claims.values())
+        assert pairs >= 30, pairs
+        assert all(statuses[s] for s in (PROVEN_NO, NO_COUNTEREXAMPLE, WITNESS_FOUND,
+                                         NO_WITNESS)), statuses
 
 
 def test_each_constraint_is_parsed_once(fixtures, monkeypatch):

@@ -166,6 +166,14 @@ class TestEnumerateMonomorphisms:
         found = enumerate_monomorphisms(pattern, host)
         assert [m.node_map["p"] for m in found] == ["a1", "a2"]
 
+    def test_type_graph_mismatch_is_rejected(self, tg2):
+        other = TypeGraph(["A"])
+        host = TypedGraph(other, [("a", "A")])
+        for pattern in (TypedGraph(tg2, [("p", "A")]),
+                        TypedGraph(tg2, [("p", "A"), ("q", "A")])):
+            with pytest.raises(MismatchError):
+                enumerate_monomorphisms(pattern, host)
+
     def test_parallel_edges_give_distinct_occurrences(self, tg2):
         pattern = TypedGraph(tg2, [("p", "A"), ("q", "B")], [("pe", "ab", "p", "q")])
         host = TypedGraph(

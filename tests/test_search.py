@@ -31,7 +31,7 @@ from gradcons import (
     satisfies,
     scan_matches,
 )
-from gradcons import conditions, graphs, rewriting
+from gradcons import classify, conditions, graphs, rewriting
 from gradcons.cli import main
 from gradcons.conditions import Constraint, _anchor_keys, forall
 from gradcons.formats import emit_constraint_document, emit_graph_document
@@ -39,7 +39,12 @@ from gradcons.generate import random_host, random_type_graph
 from gradcons.graphs import empty_morphism_into, iter_monomorphisms
 from gradcons.rewriting import _rewrite
 
-from .oracles import dpo_by_sets, monos_by_permutation, satisfies_by_permutation
+from .oracles import (
+    comatch_by_sets,
+    dpo_by_sets,
+    monos_by_permutation,
+    satisfies_by_permutation,
+)
 from .suites import random_step_cases
 
 
@@ -294,6 +299,73 @@ def _compare_seeded_cases() -> None:
             compared += 1
             nonempty += bool(want)
     assert compared >= 600 and nonempty >= 300
+
+
+class TestCanonicalOrderFromImages:
+    """Unseeded enumeration sorts the tuples of node and edge images over
+    the sorted pattern ids, and reports read their keys off the maps."""
+
+    def test_unseeded_enumeration_sorts_the_image_tuples(self):
+        seen: Counter = Counter()
+        rng = random.Random(59)
+        cases = []
+        for pattern, host, oracle, _ in _seeded_cases(random.Random(53)):
+            cases.append((pattern, host, oracle))
+            # The same pattern with its edge ids shuffled.
+            ids = list(pattern.edge_ids)
+            rng.shuffle(ids)
+            shuffled = TypedGraph(pattern.type_graph, pattern.node_items(),
+                                  [(x, *info) for x, (_, *info) in zip(ids, pattern.edge_items())])
+            cases.append((shuffled, host, monos_by_permutation(shuffled, host)))
+        # Edge ids sorted against their signature groups ("a" of type s
+        # after the group of type r), a loop, and a parallel bundle.
+        tg = TypeGraph(["T", "U"], [("r", "T", "T"), ("s", "T", "U")])
+        pattern = TypedGraph(tg, [("u", "T"), ("v", "T"), ("w", "U")],
+                             [("a", "s", "v", "w"), ("b", "r", "u", "v"), ("c", "r", "u", "u"),
+                              ("d", "r", "u", "v")])
+        host = TypedGraph(tg, [("p", "T"), ("q", "T"), ("x", "U"), ("y", "U")],
+                          [("e0", "r", "p", "q"), ("e1", "r", "p", "q"), ("e2", "r", "p", "q"),
+                           ("e3", "r", "p", "p"), ("e4", "s", "q", "x"), ("e5", "s", "q", "y"),
+                           ("e6", "r", "q", "p"), ("e7", "r", "q", "q")])
+        cases.append((pattern, host, monos_by_permutation(pattern, host)))
+        for pattern, host, oracle in cases:
+            got = enumerate_monomorphisms(pattern, host)
+            assert got == sorted(oracle, key=GraphMorphism.sort_key), pattern.edge_items()
+            assert got == sorted(iter_monomorphisms(pattern, host), key=GraphMorphism.sort_key)
+            for m in got:
+                assert (tuple(m.node_map), tuple(m.edge_map)) == (pattern.node_ids,
+                                                                  pattern.edge_ids)
+                assert (tuple(m.node_map.values()), tuple(m.edge_map.values())) == m.sort_key()
+            if got:
+                infos = [info for _, *info in pattern.edge_items()]
+                seen["reordered"] += graphs._plan(pattern, frozenset()).edge_order is not None
+                seen["bundle"] += len(set(map(tuple, infos))) < len(infos)
+                seen["loop"] += any(src == tgt for _, src, tgt in infos)
+                seen["one node"] += pattern.node_count == 1 and not infos
+        assert seen["reordered"] >= 20 and seen["bundle"] >= 15 and seen["loop"] >= 80, seen
+        assert seen["one node"] >= 50, seen
+
+    def test_report_keys_are_the_sort_keys(self):
+        keys = 0
+        for constraint, before, transformations, _, _ in random_step_cases(250, seed=101):
+            for report in (before, *(consistency_report(t.result, constraint)
+                                     for t in transformations)):
+                want = tuple(p.sort_key() for p in report.violating_occurrences)
+                assert report._keys == want
+                assert report.violating_keys == frozenset(want)
+                # The same report by hand, its maps listed in reverse.
+                reversed_maps = tuple(
+                    GraphMorphism(p.domain, p.codomain, dict(reversed(p.node_map.items())),
+                                  dict(reversed(p.edge_map.items())))
+                    for p in report.violating_occurrences)
+                hand = conditions.ConsistencyReport(
+                    report.constraint_name, report.polarity, report.occ, report.ro,
+                    report.ncv, reversed_maps)
+                assert hand == report
+                assert hand._keys == want and hand.violating_keys == frozenset(want)
+                keys += sum(len(p.node_map) + len(p.edge_map) > 1
+                            for p in report.violating_occurrences)
+        assert keys >= 100, keys
 
 
 class _CountingTriples(dict):
@@ -567,6 +639,56 @@ class TestSkippedWork:
             classify_rule_empirical(fresh.rules["moveFeature"], c, bound=3, samples=10)
         assert len(compiled) >= 4
         assert max(compiled.values()) == 1
+
+    def test_rule_search_records_only_kept_steps(self, monkeypatch):
+        # Steps are judged on their raw parts; a Transformation and a
+        # StepVerdict are built once for each step that becomes the first
+        # counterexample or witness of a claim, so at most 7 per call.
+        built: Counter = Counter()
+        for module, name in ((classify, "Transformation"), (rewriting, "Transformation"),
+                             (classify, "StepVerdict")):
+            def counting(*args, _name=name, _inner=getattr(module, name), **kwargs):
+                built[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        fresh = cra.build_fixtures()
+        steps = 0
+        for rule in fresh.rule_list():
+            for c in fresh.constraint_list():
+                built.clear()
+                result = classify_rule_empirical(rule, c, bound=3, samples=10)
+                kept = {id(claim.transformation) for claim in result.claims.values()
+                        if claim.transformation is not None}
+                assert built["Transformation"] == built["StepVerdict"] == len(kept) <= 7
+                steps += result.steps_examined
+        assert steps >= 1000
+
+    def test_comatch_is_built_on_first_access(self):
+        steps = 0
+        for _, _, transformations, _, _ in random_step_cases(n_cases=250, seed=101):
+            for t in transformations:
+                assert "comatch" not in vars(t)
+                assert t.comatch == comatch_by_sets(t)
+                steps += 1
+        assert steps >= 150
+        # Fresh ids that collide with kept host elements, and one that
+        # reuses the id of the node the step removes.
+        tg = TypeGraph(["T"], [("r", "T", "T")])
+        lhs = TypedGraph(tg, [("x", "T")])
+        rhs = TypedGraph(tg, [("x", "T"), ("y", "T")], [("e", "r", "x", "y")])
+        grow = Rule("grow", lhs, lhs, rhs)
+        host = TypedGraph(tg, [("a", "T"), ("grow.0.y", "T"), ("grow.0.y~0", "T")],
+                          [("grow.0.e", "r", "a", "a")])
+        t = _rewrite(grow, host, enumerate_monomorphisms(lhs, host)[0], 0)
+        assert t.comatch == comatch_by_sets(t)
+        assert dict(t.comatch.node_map) == {"x": "a", "y": "grow.0.y~1"}
+        assert dict(t.comatch.edge_map) == {"e": "grow.0.e~0"}
+        swap = Rule("swap", lhs, TypedGraph(tg), TypedGraph(tg, [("z", "T")]))
+        host = TypedGraph(tg, [("swap.0.z", "T")])
+        t = _rewrite(swap, host, enumerate_monomorphisms(lhs, host)[0], 0)
+        assert t.comatch == comatch_by_sets(t)
+        assert dict(t.comatch.node_map) == {"z": "swap.0.z"}
 
     def test_stopping_an_unseeded_search_stops_its_probes(self, fixtures):
         host = random_host(fixtures.type_graph, random.Random(7), 100, 0.03)
