@@ -75,14 +75,9 @@ class Exists(Condition):
     sub: Condition = TRUE
 
     def __post_init__(self) -> None:
-        a = self.morphism
-        if not (a.is_total() and a.is_injective()):
-            raise MismatchError("condition morphisms must be total and injective")
-        problems = a.check()
-        if problems:
-            raise MismatchError(f"condition morphism is malformed: {problems[0]}")
+        _check_embedding(self.morphism)
         inner = self.sub.anchor()
-        if inner is not None and inner != a.codomain:
+        if inner is not None and inner != self.morphism.codomain:
             raise MismatchError("sub-condition is not anchored at the extended graph")
 
     def anchor(self) -> TypedGraph | None:
@@ -201,14 +196,16 @@ def _satisfies(condition: Condition, host: TypedGraph, node_map: Mapping[str, st
 def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphism]:
     """The injective q with q . a = p, lazily and in no fixed order.
 
-    ``p`` must be a total injective occurrence of the domain of ``a``; the
-    results are the occurrences of the extended graph that agree with ``p``
-    on the anchor. The search starts from the anchor's image and stops
-    when the caller stops iterating; an :class:`Exists` node along ``a``
-    with a sub-condition other than ``TRUE`` runs the same search.
+    ``p`` must be a total injective occurrence of the domain of ``a``, and
+    ``a`` fit for an :class:`Exists` node; the results are the occurrences
+    of the extended graph that agree with ``p`` on the anchor. The search
+    starts from the anchor's image and stops when the caller stops
+    iterating; an :class:`Exists` node along ``a`` with a sub-condition
+    other than ``TRUE`` runs the same search.
     """
     if not p.is_injective():
         raise ValueError("occurrence is not injective")
+    _check_embedding(a)
     return _extensions(a.codomain, p.codomain, *_anchor_keys(a), p.node_map, p.edge_map)
 
 
@@ -216,6 +213,15 @@ def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
     """All injective q with q . a = p, in canonical order: the sorted
     form of :func:`iter_extensions`."""
     return sorted(iter_extensions(p, a), key=GraphMorphism.sort_key)
+
+
+def _check_embedding(a: GraphMorphism) -> None:
+    """Refuse ``a`` unless it is total, injective and structure-preserving."""
+    if not (a.is_total() and a.is_injective()):
+        raise MismatchError("condition morphisms must be total and injective")
+    problems = a.check()
+    if problems:
+        raise MismatchError(f"condition morphism is malformed: {problems[0]}")
 
 
 def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[str, str], ...], ...]:

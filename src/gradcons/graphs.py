@@ -458,46 +458,45 @@ _Keys = tuple[tuple[str, str], ...]
 class _Plan:
     """The search plan for one pattern and one set of seeded nodes.
 
-    ``seed_checks`` are the pattern edges between seeded nodes, tested
-    before any free node is placed. ``steps`` lists the free nodes in
-    search order as ``(node, type, source, checks)``. ``source`` is
-    ``None`` when the candidates are all host nodes of the type, or
-    ``(placed node, edge type, outgoing)`` when they are the host
-    neighbours of that node's image along edges of the type, leaving it
-    when ``outgoing``. ``checks`` are the pattern edges from the node to
-    itself or to nodes placed before it. ``scan_types`` are the node types
-    of the steps without a source. ``groups`` are the pattern edges
-    grouped by signature, in sorted order; within a group any injective
-    assignment onto host edges of the image signature preserves structure.
-    ``edges`` lists the pattern edges group by group. ``searches`` holds
-    the searches compiled from the plan (:func:`_search`).
+    ``steps`` lists the free nodes in search order as ``(node, type,
+    source, checks)``. ``source`` is ``None`` when the candidates are all
+    host nodes of the type, or ``(placed node, edge type, outgoing)`` when
+    they are the host neighbours of that node's image along edges of the
+    type, leaving it when ``outgoing``. ``checks`` are the signatures of
+    the pattern edges from the node to itself or to nodes placed before
+    it, but for the edge its candidates come along, which each of them
+    has. ``scan_types`` are the node types of the steps without a source.
+    ``groups`` are the pattern edges grouped by signature, in sorted
+    order; within a group any injective assignment onto host edges of the
+    image signature preserves structure. ``edges`` lists the pattern edges
+    group by group. ``searches`` holds the searches compiled from the plan
+    (:func:`_search`).
 
     ``edge_order`` lists the index in ``edges`` of each sorted pattern
     edge id, or is ``None`` when the two orders agree.
     """
 
-    __slots__ = ("seed_checks", "steps", "scan_types", "groups", "edges", "searches",
-                 "edge_order")
+    __slots__ = ("steps", "scan_types", "groups", "edges", "searches", "edge_order")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
-        self.seed_checks = _edges_within(pattern, pattern.edge_ids, placed)
         free = [v for v in pattern.node_ids if v not in placed]
         steps = []
         while free:
             # A seeded search places next the first free node adjacent to
             # a placed one; an unseeded one keeps the sorted order and
             # scans every node's type.
-            v, source = free[0], None
+            v, along, source = free[0], None, None
             if seeded:
                 for u in free:
-                    source = _neighbour_source(pattern, u, placed)
-                    if source is not None:
-                        v = u
+                    found = _neighbour_source(pattern, u, placed)
+                    if found is not None:
+                        v, (along, source) = u, found
                         break
             free.remove(v)
             placed.add(v)
-            checks = _edges_within(pattern, pattern.incident_edges(v), placed)
+            infos = [pattern.edge_info(e) for e in pattern.incident_edges(v) if e != along]
+            checks = tuple(info for info in infos if info[1] in placed and info[2] in placed)
             steps.append((v, pattern.node_type(v), source, checks))
         self.steps = tuple(steps)
         self.scan_types = tuple({ntype: None for _, ntype, source, _ in steps if source is None})
@@ -512,23 +511,17 @@ class _Plan:
             self.edge_order = tuple(map(self.edges.index, pattern.edge_ids))
 
 
-def _edges_within(
-    pattern: TypedGraph, edges: Iterable[str], nodes: set[str]
-) -> tuple[tuple[str, str, str], ...]:
-    """``(type, source, target)`` of the given edges with both ends in ``nodes``."""
-    infos = (pattern.edge_info(e) for e in edges)
-    return tuple(info for info in infos if info[1] in nodes and info[2] in nodes)
-
-
 def _neighbour_source(
     pattern: TypedGraph, v: str, placed: set[str]
-) -> tuple[str, str, bool] | None:
+) -> tuple[str, tuple[str, str, bool]] | None:
+    """The first pattern edge between ``v`` and another, placed node, and
+    the step source of ``v`` along it; ``None`` if there is none."""
     for e in pattern.incident_edges(v):
         etype, src, tgt = pattern.edge_info(e)
         if src == v and tgt != v and tgt in placed:
-            return tgt, etype, False
+            return e, (tgt, etype, False)
         if tgt == v and src != v and src in placed:
-            return src, etype, True
+            return e, (src, etype, True)
     return None
 
 
@@ -759,10 +752,12 @@ def _search_source(
 
     Type names, element ids and keys reach the code only as arguments
     ``K<i>`` of the factory, next to the type graph ``TG``, so the text
-    depends on the form and the plan's shape alone. The free nodes are
-    placed in plan order, one loop each; then each signature group with
-    free edges gets one loop over its injective assignments. Every
-    :data:`_LOOPS_PER_FUNCTION` loops the search goes on in a new
+    depends on the form and the plan's shape alone. Each pattern edge is
+    tested once: at entry a pinned edge, whose ends are seeded, by its
+    image, and one between seeded nodes by a probe; the others as the
+    plan's checks place them. One loop places each free node in plan
+    order, then one per signature group with free edges assigns those.
+    Every :data:`_LOOPS_PER_FUNCTION` loops the search goes on in a new
     function ``s<i>``, so the nesting stays bounded for any pattern size.
     """
     exists = form == "exists"
@@ -845,22 +840,23 @@ def _search_source(
         n = node_var[v] = f"n{len(node_var)}"
         emit(f"{n} = pn[{k('node key', key)}]")
         fails(f"hn.get({n}) != {k('node type', pattern.node_type(v))}")
+
+    def probe(etype: str, src: str, tgt: str) -> str:
+        return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
+
     if edges or neighbours:
         emit("he = host._edges")
     edge_var: dict[str, str] = {}
     for key, c in edges:
         f = edge_var[c] = f"f{len(edge_var)}"
-        emit(f"{f} = pe[{k('edge key', key)}]", f"x = he.get({f})")
-        fails(f"x is None or x[0] != {k('edge type', pattern.edge_type(c))}")
+        emit(f"{f} = pe[{k('edge key', key)}]")
+        fails(f"he.get({f}) != {probe(*pattern.edge_info(c))}")
     pinned = dict(edge_var)
-    if pattern.edge_ids:
+    if len(pinned) < len(pattern.edge_ids):
         emit("tr = host._triples")
-
-    def probe(etype: str, src: str, tgt: str) -> str:
-        return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
-
-    for etype, src, tgt in plan.seed_checks:
-        fails(f"{probe(etype, src, tgt)} not in tr")
+    for e, etype, src, tgt in pattern.edge_items():
+        if e not in pinned and src in node_var and tgt in node_var:
+            fails(f"{probe(etype, src, tgt)} not in tr")
     if plan.scan_types:
         emit("bt = host._by_type")
     for ntype in plan.scan_types:
@@ -897,24 +893,18 @@ def _search_source(
 
     # Every node is placed, and every pattern edge has at least one host
     # edge under the map. Within a signature group any injective choice of
-    # host edges that keeps the pinned edges preserves structure. The
-    # groups of pinned edges alone come first, as their tests need no loop.
-    groups = []
-    for i, (signature, p_edges) in enumerate(plan.groups):
+    # host edges that keeps the pinned edges preserves structure, so the
+    # free edges of a group take the group's other host edges.
+    for signature, p_edges in plan.groups:
         free = [e for e in p_edges if e not in pinned]
-        pins = [pinned[e] for e in p_edges if e in pinned]
-        groups.append((bool(free), i, signature, pins, free))
-    for _, i, (etype, src, tgt), pins, free in sorted(groups):
-        if free:
-            make_room()
-        h = f"h{i}"
-        emit(f"{h} = tr[{probe(etype, src, tgt)}]")
-        for f in pins:
-            fails(f"{f} not in {h}")
         if not free:
             continue
+        make_room()
+        pins = [pinned[e] for e in p_edges if e in pinned]
         names = [f"g{len(edge_var) + j}" for j in range(len(free))]
-        pool = f"[x for x in {h} if {' and '.join(f'x != {f}' for f in pins)}]" if pins else h
+        pool = f"tr[{probe(*signature)}]"
+        if pins:
+            pool = f"[x for x in {pool} if {' and '.join(f'x != {f}' for f in pins)}]"
         if len(free) == 1:
             open_loop(f"for {names[0]} in {pool}:")
         else:

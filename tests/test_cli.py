@@ -134,6 +134,31 @@ class TestValidate:
         ]
 
 
+    def test_type_graph_naming_a_node_type_twice_exits_2(self, docs, tmp_path, capsys):
+        doc = json.loads((docs / "host_graph.json").read_text())
+        doc["type_graph"]["node_types"].append("Class")
+        twice = tmp_path / "twice.json"
+        twice.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(twice))
+        assert code == 2
+        assert "twice.json: INVALID\n  - type_graph: duplicate node type name" in out
+
+    def test_extended_graph_without_its_anchor_exits_2(self, docs, tmp_path, capsys):
+        """c2 with an exists graph that drops the class its forall binds."""
+        doc = json.loads(emit_constraint_document(cra.build_fixtures().constraints["c2"]))
+        doc["condition"]["sub"]["graph"] = {"nodes": [{"id": "F", "type": "Feature"}],
+                                            "edges": []}
+        dropped = tmp_path / "dropped.json"
+        dropped.write_text(json.dumps(doc))
+        problem = ("condition.sub: extended graph does not contain its anchor: "
+                   "node 'C' not present in the larger graph")
+        code, out, _ = run(capsys, "validate", str(dropped))
+        assert code == 2
+        assert f"dropped.json: INVALID\n  - {problem}" in out
+        code, out, err = run(capsys, "report", str(docs / "host_graph.json"), str(dropped))
+        assert code == 2 and out == ""
+        assert err == f"error: {problem}\n"
+
     @pytest.mark.parametrize("depth, problem", [
         (3000, "nested too deeply to decode"),
         (500, "conditions nest deeper than 100 levels"),
@@ -383,6 +408,18 @@ class TestClassifyRule:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["results"][0]["steps_examined"] > 0
 
+    def test_condition_refusing_every_match_exits_3(self, docs, tmp_path, capsys):
+        lhs = TypedGraph(cra.build_fixtures().type_graph, [("C", "Class")])
+        never = Rule("never", lhs, lhs, lhs, Not(Exists(inclusion(lhs, lhs))))
+        (tmp_path / "never.json").write_text(emit_rule_document(never))
+        code, out, err = run(
+            capsys, "classify-rule", str(tmp_path / "never.json"),
+            str(docs / "constraints.json"), "--constraint", "c1",
+            "--bound", "2", "--samples", "5",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "admits no match of rule 'never'" in err
+
     def test_oversized_universe_exits_3(self, docs, capsys):
         code, _, err = run(
             capsys, "classify-rule", str(docs / "rule_moveFeature.json"),
@@ -484,6 +521,22 @@ class TestBench:
         assert payload["ok"] is True
         assert len(payload["independence"]["cells"]) == 40
         assert payload["independence"]["diffs"] == []
+
+    def test_both_tables_of_the_packaged_fixtures(self, capsys):
+        code, out, _ = run(capsys, "bench", "--format", "structured", "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] is True
+        table = payload["classification"]
+        assert table["cells"] == {f"{r}/{c}": list(cell)
+                                  for (r, c), cell in cra.CLASSIFICATION_GOLDEN.items()}
+        assert sum(map(len, table["cells"].values())) == 24
+        assert table["statically_proven"] == sorted(
+            f"{r}/{c}" for r, c in cra.STATIC_PROOF_GOLDEN)
+        assert table["diffs"] == []
+        code, out, _ = run(capsys, "bench", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("All 24 cells match")
 
     def test_missing_fixture_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "bench", "--fixtures", str(tmp_path / "missing"),

@@ -97,6 +97,31 @@ class TestSatisfaction:
         assert all(q.node_map["p"] == "a1" for q in exts)
         assert sorted(q.node_map["q"] for q in exts) == ["b1", "b2"]
 
+    def test_extensions_refuse_a_malformed_anchor(self, tg2, shapes):
+        """``a`` must be an embedding, as for an :class:`Exists` node: a
+        partial, a non-injective, or a total map whose edge does not run
+        between the images of its ends raises instead of finding nothing."""
+        _, pair = shapes
+        wide = pair.with_added([("r", "B")], [("f", "ab", "p", "r")])
+        host = TypedGraph(tg2, [("a1", "A"), ("b1", "B"), ("b2", "B")],
+                          [("e1", "ab", "a1", "b1"), ("e2", "ab", "a1", "b2")])
+        p = GraphMorphism(pair, host, {"p": "a1", "q": "b1"}, {"e": "e1"})
+        two = TypedGraph(tg2, [("p", "A"), ("q", "B"), ("q2", "B")])
+        malformed = [
+            GraphMorphism(pair, wide, {"p": "p", "q": "q"}, {}),  # not total
+            GraphMorphism(two, wide, {"p": "p", "q": "q", "q2": "q"}, {}),  # not injective
+            GraphMorphism(pair, wide, {"p": "p", "q": "q"}, {"e": "f"}),  # does not commute
+        ]
+        assert malformed[2].is_total() and malformed[2].is_injective()
+        for a in malformed:
+            with pytest.raises(MismatchError):
+                Exists(a)
+            q = GraphMorphism(a.domain, host, dict(zip(a.domain.node_ids, ("a1", "b1", "b2"))),
+                              dict(zip(a.domain.edge_ids, ("e1",))))
+            with pytest.raises(MismatchError):
+                extensions(q, a)
+        assert len(extensions(p, inclusion(pair, wide))) == 1
+
     def test_satisfies_rejects_partial_occurrences(self, tg2, shapes):
         single, _ = shapes
         host = TypedGraph(tg2, [("a1", "A")])

@@ -7,6 +7,7 @@ stand in for, and guards make sure the work they skip stays skipped.
 """
 
 import random
+import re
 import sys
 from collections import Counter
 
@@ -473,8 +474,9 @@ class TestSeededEnumerationAgainstOracle:
 
     def test_pinned_edges_seed_their_endpoints(self):
         """A pin places its edge's endpoints, so the search reads them off
-        its image instead of scanning their type; a pin whose endpoints
-        clash with a seed or with each other leaves nothing."""
+        its image instead of scanning their type, and tests the pin by its
+        image without the edge index; a pin whose endpoints clash with a
+        seed or with each other leaves nothing."""
         tg = TypeGraph(["T"], [("r", "T", "T")])
         pattern = TypedGraph(tg, [("u", "T"), ("v", "T")], [("x", "r", "u", "v")])
         ids = [f"n{i:03d}" for i in range(200)]
@@ -483,7 +485,7 @@ class TestSeededEnumerationAgainstOracle:
         host._triples = _CountingTriples(host._triples)
         [m] = iter_monomorphisms(pattern, host, edge_seed={"x": "e100"})
         assert (m.node_map, m.edge_map) == ({"u": "n100", "v": "n101"}, {"x": "e100"})
-        assert host._triples.lookups == 2
+        assert host._triples.lookups == 0
 
         two = TypedGraph(tg, [("a", "T"), ("b", "T")],
                          [("f1", "r", "a", "b"), ("f2", "r", "b", "a"), ("f3", "r", "a", "a")])
@@ -494,6 +496,26 @@ class TestSeededEnumerationAgainstOracle:
                                           (pattern, {}, {"x": "gone"})):
             assert list(iter_monomorphisms(pat, two, node_seed=node_seed,
                                            edge_seed=edge_seed)) == []
+
+    def test_each_pin_is_tested_once(self, fixtures):
+        """In the search of each existential node of the CRA conditions, one
+        test of the source reads a pinned edge: the one that compares its
+        image's entry with the edge's type and the images of its ends. No
+        other test names the image or probes that signature."""
+        pins = 0
+        conditions_ = [c.condition for c in fixtures.constraint_list()]
+        conditions_ += [r.condition for r in fixtures.rule_list()]
+        for node in (n for c in conditions_ for n in _exists_nodes(c)):
+            source = _check_source(node)
+            tests = [line.strip() for line in source.splitlines()
+                     if line.lstrip().startswith("if ")]
+            for i in range(node.morphism.domain.edge_count):
+                [test] = [t for t in tests if re.search(rf"\bf{i}\b", t)]
+                signature = re.fullmatch(rf"if he\.get\(f{i}\) != (\(.*\)):", test)
+                assert signature, source
+                assert [t for t in tests if signature[1] in t] == [test], source
+                pins += 1
+        assert pins >= 4
 
     def test_parallel_edges_give_each_neighbour_once(self):
         tg = TypeGraph(["T"], [("r", "T", "T")])

@@ -132,6 +132,18 @@ class TestRewriteResults:
         assert t.result.edges_with_signature("s", "a", "b") == ("e1", "join.0.e", "z1")
         assert t.result.incident_edges("a") == ("e1", "join.0.e", "z1")
 
+    def test_deleted_edge_leaves_the_rest_of_its_bundle(self):
+        ends = TypedGraph(AB, [("a", "A"), ("b", "B")])
+        rule = Rule("cut", ends.with_added([], [("e", "s", "a", "b")]), ends, ends)
+        host = ends.with_added([], [("e1", "s", "a", "b"), ("l", "r", "a", "a"),
+                                    ("z1", "s", "a", "b")])
+        cut_e1, cut_z1 = self.steps(rule, host)
+        for t, kept in ((cut_e1, "z1"), (cut_z1, "e1")):
+            assert t.removed_edges == {"e1", "z1"} - {kept}
+            assert t.result.edges_with_signature("s", "a", "b") == (kept,)
+            assert t.result.incident_edges("a") == tuple(sorted({"l", kept}))
+            assert t.result.incident_edges("b") == (kept,)
+
     def test_deleted_node_carries_a_loop(self):
         looped = TypedGraph(AB, [("v", "A")], [("l", "r", "v", "v")])
         rule = Rule("unloop", looped, TypedGraph(AB), TypedGraph(AB))
