@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import xor
 
-from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
+from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, _Key, consistency_report
 from .errors import BoundError
 from .generate import random_host
 from .graphs import GraphMorphism, TypeGraph, TypedGraph
@@ -57,9 +57,6 @@ class StepVerdict:
     evidence: dict[str, GraphMorphism] = field(default_factory=dict)
 
 
-_Key = tuple[tuple[str, ...], tuple[str, ...]]
-
-
 def _in_context(key: _Key, host: TypedGraph, removed_nodes: frozenset[str],
                 removed_edges: frozenset[str]) -> bool:
     # The track morphism is the partial identity on the context, so
@@ -73,10 +70,9 @@ def _in_context(key: _Key, host: TypedGraph, removed_nodes: frozenset[str],
 
 
 def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
-    """``before.ci <= after.ci`` on the counts, a report with ro = 0 read as 1/1."""
-    num_b, den_b = (before.ro - before.ncv, before.ro) if before.ro else (1, 1)
-    num_a, den_a = (after.ro - after.ncv, after.ro) if after.ro else (1, 1)
-    return num_b * den_a <= num_a * den_b
+    """``before.ci <= after.ci`` on the counts, ro = 0 (so ncv = 0) read as 1/1."""
+    ro_b, ro_a = before.ro or 1, after.ro or 1
+    return (ro_b - before.ncv) * ro_a <= (ro_a - after.ncv) * ro_b
 
 
 _Flags = tuple[bool, bool, bool, bool, bool, bool]
@@ -89,15 +85,14 @@ def _judge(
     host: TypedGraph,
     removed_nodes: frozenset[str],
     removed_edges: frozenset[str],
-) -> tuple[_Flags, dict[str, GraphMorphism]]:
-    """The six flags of a step, in :class:`StepVerdict` order, and the
-    occurrences that decided the direct ones, as the reports hold them:
-    an invalidated occurrence comes as the result's occurrence."""
+) -> tuple[_Flags, dict[str, _Key]]:
+    """The six flags of a step, in :class:`StepVerdict` order, and the keys
+    of the occurrences that decided the direct ones."""
     preserving = after.satisfied or not before.satisfied
     guaranteeing = after.satisfied
     sustaining = _ci_at_most(before, after)
     improving = sustaining and before.ncv > 0 and before.ncv > after.ncv
-    evidence: dict[str, GraphMorphism] = {}
+    evidence: dict[str, _Key] = {}
 
     if polarity == EXISTENTIAL:
         directly_sustaining = preserving
@@ -106,27 +101,26 @@ def _judge(
         # A violating result occurrence inside the context is the image of
         # a host occurrence, which is invalidated when it was valid; one
         # outside the context is new. Invalidation is looked for first.
-        violating = tuple(zip(after.violating_occurrences, after._keys))
-        for q, key in violating:
-            if (key not in before.violating_keys
+        for key in after.violating_keys:
+            if (key not in before.violating_key_set
                     and _in_context(key, host, removed_nodes, removed_edges)):
-                evidence["invalidated_occurrence"] = q
+                evidence["invalidated_occurrence"] = key
                 break
         if not evidence:
-            for q, key in violating:
+            for key in after.violating_keys:
                 if not _in_context(key, host, removed_nodes, removed_edges):
-                    evidence["new_violating_occurrence"] = q
+                    evidence["new_violating_occurrence"] = key
                     break
         directly_sustaining = not evidence
 
         directly_improving = False
         if directly_sustaining and not before.satisfied:
-            for p, key in zip(before.violating_occurrences, before._keys):
+            for key in before.violating_keys:
                 if not _in_context(key, host, removed_nodes, removed_edges):
-                    evidence["destroyed_occurrence"] = p
+                    evidence["destroyed_occurrence"] = key
                     break
-                if key not in after.violating_keys:
-                    evidence["repaired_occurrence"] = p
+                if key not in after.violating_key_set:
+                    evidence["repaired_occurrence"] = key
                     break
             directly_improving = bool(evidence)
 
@@ -141,14 +135,15 @@ def _verdict(
     before: ConsistencyReport,
     after: ConsistencyReport,
     flags: _Flags,
-    evidence: dict[str, GraphMorphism],
+    evidence: dict[str, _Key],
 ) -> StepVerdict:
-    """The record of a step that :func:`_judge` has judged."""
-    q = evidence.get("invalidated_occurrence")
-    if q is not None:
-        evidence = dict(evidence, invalidated_occurrence=GraphMorphism(
-            q.domain, t.host, q.node_map, q.edge_map))
-    return StepVerdict(constraint_name, *flags, before, after, evidence)
+    """The record of a step that :func:`_judge` has judged, its evidence
+    built as morphisms: a new violating occurrence into the result, the
+    others into the host."""
+    return StepVerdict(constraint_name, *flags, before, after, {
+        label: GraphMorphism.from_key(
+            after.pattern, t.result if label == "new_violating_occurrence" else t.host, key)
+        for label, key in evidence.items()})
 
 
 def classify_step(
@@ -270,16 +265,14 @@ def _hosts_for_split(
     tg: TypeGraph,
     types: tuple[str, ...],
     counts: tuple[int, ...],
-    leaving: dict[str, list[tuple[str, str]]] | None = None,
+    leaving: dict[str, list[tuple[str, str]]],
 ):
     """The hosts of one split, ``counts[i]`` nodes of ``types[i]``.
 
-    ``leaving`` is :func:`_edge_types_by_source` of ``tg``; a universe
-    builds it once for all its splits, and a single split here. Types with
-    count 0 are dropped, so the edge slots follow the types present.
+    ``leaving`` is :func:`_edge_types_by_source` of ``tg``, which a
+    universe builds once for all its splits. Types with count 0 are
+    dropped, so the edge slots follow the types present.
     """
-    if leaving is None:
-        leaving = _edge_types_by_source(tg)
     count_of = {t: c for t, c in zip(types, counts) if c}
     signatures = sorted(
         (etype, src_t, tgt_t)

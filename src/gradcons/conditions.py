@@ -206,6 +206,10 @@ def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphis
     if not p.is_injective():
         raise ValueError("occurrence is not injective")
     _check_embedding(a)
+    anchor = a.domain
+    if p.domain != anchor or (set(p.node_map), set(p.edge_map)) != (
+            set(anchor.node_ids), set(anchor.edge_ids)):
+        raise MismatchError("extensions are defined for total occurrences of the anchor")
     return _extensions(a.codomain, p.codomain, *_anchor_keys(a), p.node_map, p.edge_map)
 
 
@@ -356,22 +360,32 @@ def validate_anf(constraint: Constraint) -> AnfShape:
 
 # --- graduated consistency ---------------------------------------------------
 
+_Key = tuple[tuple[str, ...], tuple[str, ...]]
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Occurrence counts and the consistency index for one graph/constraint.
 
-    ``occ`` counts occurrences of the outer pattern, ``ro`` the relevant
-    occurrences, ``ncv`` the violating ones among them. ``ci`` is exact;
-    render to decimal only at output boundaries.
+    A report stores what it measured: ``occ`` occurrences of ``pattern`` in
+    ``graph``, ``ncv`` violating ones, and ``violating_keys``, the
+    :meth:`GraphMorphism.sort_key` of each violating occurrence in canonical
+    order. ``pattern`` and ``graph`` take no part in equality. ``ro``, the
+    exact ``ci`` (render it to decimal only at output boundaries) and the
+    violating occurrences as morphisms are derived on read.
     """
 
     constraint_name: str
     polarity: str
     occ: int
-    ro: int
     ncv: int
-    violating_occurrences: tuple[GraphMorphism, ...] = field(default=())
+    violating_keys: tuple[_Key, ...] = ()
+    pattern: TypedGraph | None = field(default=None, compare=False, repr=False)
+    graph: TypedGraph | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def ro(self) -> int:
+        return self.occ if self.polarity == UNIVERSAL else 1
 
     @property
     def ci(self) -> Fraction:
@@ -382,50 +396,40 @@ class ConsistencyReport:
         return self.ncv == 0
 
     @cached_property
-    def _keys(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-        """The :meth:`GraphMorphism.sort_key` of each violating occurrence,
-        in their order. :func:`consistency_report` sets them as it builds
-        the report; a report built by hand derives them on first use."""
-        return tuple(p.sort_key() for p in self.violating_occurrences)
+    def violating_key_set(self) -> frozenset[_Key]:
+        """``violating_keys`` as a set, built on first use. Every step from
+        one host shares its report, so they share this set too."""
+        return frozenset(self.violating_keys)
 
-    @cached_property
-    def violating_keys(self) -> frozenset[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """The :meth:`GraphMorphism.sort_key` of each violating occurrence,
-        built on first use. Every step from one host shares its report, so
-        they share this set too."""
-        return frozenset(self._keys)
+    @property
+    def violating_occurrences(self) -> tuple[GraphMorphism, ...]:
+        """The violating occurrences as morphisms, built on each read."""
+        return tuple(GraphMorphism.from_key(self.pattern, self.graph, key)
+                     for key in self.violating_keys)
 
 
 def consistency_report(graph: TypedGraph, constraint: Constraint) -> ConsistencyReport:
     """Measure ``graph`` against an ANF constraint.
 
     Universal: ro = occurrence count of the outer pattern, ncv = number of
-    occurrences violating the remainder of the chain, each violating
-    occurrence materialized as evidence in canonical order. Existential:
-    ro = 1 and ncv is 0 or 1. ci = 1 - ncv/ro with 0/0 read as 0. The
-    key of each violating occurrence is read off its maps, which
-    :func:`enumerate_monomorphisms` fills in sorted pattern id order.
+    occurrences violating the remainder of the chain, each kept by its key
+    in canonical order, read off the values of its maps, which
+    :func:`enumerate_monomorphisms` lists in sorted pattern id order.
+    Existential: ro = 1 and ncv is 0 or 1. ci = 1 - ncv/ro with 0/0 read as 0.
     """
     shape = constraint.shape
     tg = constraint.type_graph
     if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
-    occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
-    occ = len(occurrences)
+    pattern = shape.outer_graph
+    occurrences = enumerate_monomorphisms(pattern, graph)
     body, polarity = shape.body, shape.polarity
-    keys = ()
     if polarity == UNIVERSAL:
-        violating = tuple([p for p in occurrences
-                           if _satisfies(body, graph, p.node_map, p.edge_map)])
-        ro = occ
-        ncv = len(violating)
         keys = tuple([(tuple(p.node_map.values()), tuple(p.edge_map.values()))
-                      for p in violating])
+                      for p in occurrences if _satisfies(body, graph, p.node_map, p.edge_map)])
+        ncv = len(keys)
     else:
-        ro = 1
+        keys = ()
         ncv = 0 if any(_satisfies(body, graph, p.node_map, p.edge_map)
                        for p in occurrences) else 1
-        violating = ()
-    report = ConsistencyReport(constraint.name, polarity, occ, ro, ncv, violating)
-    vars(report)["_keys"] = keys
-    return report
+    return ConsistencyReport(constraint.name, polarity, len(occurrences), ncv, keys, pattern, graph)

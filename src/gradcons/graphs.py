@@ -428,6 +428,14 @@ class GraphMorphism:
             tuple(self.edge_map.get(e, "") for e in self.domain.edge_ids),
         )
 
+    @classmethod
+    def from_key(cls, domain: TypedGraph, codomain: TypedGraph, key: tuple) -> GraphMorphism:
+        """The total morphism whose :meth:`sort_key` is ``key``, its maps
+        listing the sorted domain ids. Nothing is validated."""
+        images, edge_images = key
+        return cls(domain, codomain, dict(zip(domain._node_ids, images)),
+                   dict(zip(domain._edge_ids, edge_images)))
+
     def __repr__(self) -> str:
         kind = "total" if self.is_total() else "partial"
         return f"GraphMorphism({kind}, nodes={dict(self.node_map)}, edges={dict(self.edge_map)})"
@@ -468,15 +476,15 @@ class _Plan:
     has. ``scan_types`` are the node types of the steps without a source.
     ``groups`` are the pattern edges grouped by signature, in sorted
     order; within a group any injective assignment onto host edges of the
-    image signature preserves structure. ``edges`` lists the pattern edges
-    group by group. ``searches`` holds the searches compiled from the plan
-    (:func:`_search`).
+    image signature preserves structure. ``searches`` holds the searches
+    compiled from the plan (:func:`_search`).
 
-    ``edge_order`` lists the index in ``edges`` of each sorted pattern
-    edge id, or is ``None`` when the two orders agree.
+    ``edge_order`` lists, for each sorted pattern edge id, its index among
+    the pattern edges listed group by group, or is ``None`` when the two
+    orders agree.
     """
 
-    __slots__ = ("steps", "scan_types", "groups", "edges", "searches", "edge_order")
+    __slots__ = ("steps", "scan_types", "groups", "searches", "edge_order")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
@@ -504,11 +512,10 @@ class _Plan:
         for e in pattern.edge_ids:
             groups.setdefault(pattern.edge_info(e), []).append(e)
         self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
-        self.edges = tuple(e for _, p_edges in self.groups for e in p_edges)
+        edges = tuple(e for _, p_edges in self.groups for e in p_edges)
+        self.edge_order = (None if edges == pattern.edge_ids
+                           else tuple(map(edges.index, pattern.edge_ids)))
         self.searches: dict[tuple[str, _Keys, _Keys], Callable] = {}
-        self.edge_order = None
-        if self.edges != pattern.edge_ids:
-            self.edge_order = tuple(map(self.edges.index, pattern.edge_ids))
 
 
 def _neighbour_source(
@@ -554,10 +561,8 @@ def iter_monomorphisms(
     bounded by the recursion limit. Stopping the iteration stops the
     search. Each morphism comes once.
     """
-    node_ids, edge_ids = pattern._node_ids, pattern._edge_ids
-    for images, edge_images in _images(pattern, host, node_seed, edge_seed):
-        yield GraphMorphism(pattern, host, dict(zip(node_ids, images)),
-                            dict(zip(edge_ids, edge_images)))
+    for key in _images(pattern, host, node_seed, edge_seed):
+        yield GraphMorphism.from_key(pattern, host, key)
 
 
 def enumerate_monomorphisms(
@@ -573,9 +578,8 @@ def enumerate_monomorphisms(
     with ties broken the same way on sorted pattern edge ids, so results are
     reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
     in advance, as for :func:`iter_monomorphisms`, whose sorted form this is.
-    The image tuples are sorted before any morphism is built, and each
-    morphism's maps list the pattern ids in sorted order, so their values
-    read off its :meth:`GraphMorphism.sort_key`.
+    The image tuples are sorted before any morphism is built from them by
+    :meth:`GraphMorphism.from_key`.
 
     Duplicate-free: each returned morphism appears exactly once.
     """
@@ -587,9 +591,8 @@ def enumerate_monomorphisms(
         [v] = node_ids
         return [GraphMorphism(pattern, host, {v: w}, {})
                 for w in host._by_type.get(pattern._nodes[v], ())]
-    return [GraphMorphism(pattern, host, dict(zip(node_ids, images)),
-                          dict(zip(edge_ids, edge_images)))
-            for images, edge_images in sorted(_images(pattern, host, node_seed, edge_seed))]
+    return [GraphMorphism.from_key(pattern, host, key)
+            for key in sorted(_images(pattern, host, node_seed, edge_seed))]
 
 
 def _check_type_graphs(pattern: TypedGraph, host: TypedGraph) -> None:
@@ -732,10 +735,8 @@ def _extensions(
     pn: Mapping[str, str], pe: Mapping[str, str],
 ) -> Iterator[GraphMorphism]:
     """The morphisms of the ``"search"`` form of :func:`_search`, lazily."""
-    node_ids, edge_ids = pattern._node_ids, pattern._edge_ids
-    for images, edge_images in _search(pattern, "search", nodes, edges)(host, pn, pe):
-        yield GraphMorphism(pattern, host, dict(zip(node_ids, images)),
-                            dict(zip(edge_ids, edge_images)))
+    for key in _search(pattern, "search", nodes, edges)(host, pn, pe):
+        yield GraphMorphism.from_key(pattern, host, key)
 
 
 @lru_cache(maxsize=256)

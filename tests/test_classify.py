@@ -35,6 +35,7 @@ from gradcons.classify import (
     WITNESS_FOUND,
     _MAX_UNIVERSE_WORK,
     _bounded_hosts_cached,
+    _edge_types_by_source,
     _hosts_for_split,
     _least_masks,
     _split_ids,
@@ -167,7 +168,7 @@ class TestClassifyStepUniversal:
         fractions, ro = 0 reading as ci = 1."""
         exact = {(ro, ncv): Fraction(1) if ro == 0 else Fraction(ro - ncv, ro)
                  for ro in range(7) for ncv in range(ro + 1)}
-        reports = [conditions.ConsistencyReport("c", conditions.UNIVERSAL, ro, ro, ncv)
+        reports = [conditions.ConsistencyReport("c", conditions.UNIVERSAL, ro, ncv)
                    for ro, ncv in exact]
         assert len(reports) == 28
         for before in reports:
@@ -352,7 +353,8 @@ class TestUniverseAgainstScan:
         sizes = []
         for n in range(4):
             expected = universe_data(oracles.split_hosts_by_scan, TWO_LOOPS, ("T",), (n,))
-            assert universe_data(_hosts_for_split, TWO_LOOPS, ("T",), (n,)) == expected
+            assert universe_data(_hosts_for_split, TWO_LOOPS, ("T",), (n,),
+                                 _edge_types_by_source(TWO_LOOPS)) == expected
             sizes.append(len(expected))
         assert sizes == [1, 4, 136, 44_224]
 

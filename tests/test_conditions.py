@@ -122,6 +122,25 @@ class TestSatisfaction:
                 extensions(q, a)
         assert len(extensions(p, inclusion(pair, wide))) == 1
 
+    def test_extensions_refuse_an_occurrence_that_is_not_total_on_the_anchor(
+            self, tg2, shapes):
+        """``p`` must be a total occurrence of ``a.domain``, as for
+        ``satisfies``: a partial one, one that maps an id the anchor lacks,
+        and one of another graph raise instead of failing in the search."""
+        single, pair = shapes
+        host = TypedGraph(tg2, [("a1", "A"), ("b1", "B")], [("e1", "ab", "a1", "b1")])
+        a = inclusion(single, pair)
+        partial = GraphMorphism(single, host, {}, {})
+        foreign = GraphMorphism(pair, host, {"p": "a1", "q": "b1"}, {"e": "e1"})
+        misnamed = GraphMorphism(single, host, {"x": "a1"}, {})
+        for p in (partial, foreign, misnamed):
+            with pytest.raises(MismatchError):
+                extensions(p, a)
+        for p in (partial, foreign):
+            with pytest.raises(MismatchError):
+                satisfies(p, Exists(a))
+        assert len(extensions(GraphMorphism(single, host, {"p": "a1"}, {}), a)) == 1
+
     def test_satisfies_rejects_partial_occurrences(self, tg2, shapes):
         single, _ = shapes
         host = TypedGraph(tg2, [("a1", "A")])
