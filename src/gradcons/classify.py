@@ -296,10 +296,12 @@ def _hosts_for_split(
         )
     node_ids_by_type, edge_ids = _split_ids(types, counts, n_slots)
     # Every host of the split shares the node parts of its edgeless graph,
-    # the edge ids and the slot tuples; the sorted edge ids depend only on
-    # the edge count ("e10" sorts before "e2").
+    # the edge ids, the slot tuples and the one-edge bundles of its
+    # signature index; the sorted edge ids depend only on the edge count
+    # ("e10" sorts before "e2").
     edgeless = TypedGraph(tg, ((nid, t) for t in types for nid in node_ids_by_type[t]))
     sorted_edge_ids = [tuple(sorted(edge_ids[:k])) for k in range(n_slots + 1)]
+    bundles = [(eid,) for eid in edge_ids]
 
     slots = [
         (etype, s, t)
@@ -311,7 +313,7 @@ def _hosts_for_split(
     for mask in sorted(_least_masks(slots, groups)):
         present = [slots[i] for i in range(n_slots) if mask >> i & 1]
         edges = dict(zip(edge_ids, present))
-        yield edgeless._with_edges(edges, sorted_edge_ids[len(edges)])
+        yield edgeless._with_edges(edges, sorted_edge_ids[len(edges)], bundles)
 
 
 @lru_cache(maxsize=32)

@@ -236,7 +236,9 @@ def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[str, str], ...], ...]:
 
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:
     """Does the total injective occurrence ``p`` satisfy ``condition``?"""
-    if not p.is_total() or not p.is_injective():
+    domain = p.domain
+    if not p.is_injective() or (set(p.node_map), set(p.edge_map)) != (
+            set(domain.node_ids), set(domain.edge_ids)):
         raise MismatchError("satisfaction is defined for total injective occurrences")
     anchor = condition.anchor()
     if anchor is not None and anchor != p.domain:

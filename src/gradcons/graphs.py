@@ -83,9 +83,11 @@ class TypedGraph:
     ``(id, type, source id, target id)`` tuples. Construction only rejects
     duplicate ids; full typing is checked by :func:`validate_graph` so that
     broken inputs (e.g. from files) can still be represented and reported on.
-    Instances are immutable by convention: no method mutates, no accessor
-    hands out a mutable part, and derived graphs are new objects. Graphs
-    derived through ``_with_edges`` or ``_patched`` may therefore share parts.
+    Instances are immutable by convention: no method changes the elements,
+    no accessor hands out a mutable part, and derived graphs are new
+    objects. Graphs derived through ``_with_edges`` or ``_patched`` may
+    therefore share parts. The incidence index and the search plans are
+    caches, built on first use.
     """
 
     __slots__ = (
@@ -116,47 +118,61 @@ class TypedGraph:
         for nid in self._node_ids:
             by_type.setdefault(node_dict[nid], []).append(nid)
         self._by_type = {t: tuple(ids) for t, ids in by_type.items()}
-        self._index_edges(edge_dict, tuple(sorted(edge_dict)))
-
-    def _with_edges(
-        self, edges: dict[str, tuple[str, str, str]], edge_ids: tuple[str, ...]
-    ) -> TypedGraph:
-        """This graph's nodes, their parts shared, with ``edges`` instead of
-        its own. Trusted input: ``edge_ids`` are the sorted keys of
-        ``edges``, no edge id is a node id, and ``edges`` and ``edge_ids``
-        may be shared with other graphs but are never mutated."""
-        graph = TypedGraph.__new__(TypedGraph)
-        graph._type_graph, graph._nodes = self._type_graph, self._nodes
-        graph._node_ids, graph._by_type = self._node_ids, self._by_type
-        graph._index_edges(edges, edge_ids)
-        return graph
-
-    def _index_edges(
-        self, edges: dict[str, tuple[str, str, str]], edge_ids: tuple[str, ...]
-    ) -> None:
-        """Set the edge parts, then index edges by (type, src, tgt) and nodes
-        by incident edges; edges with dangling endpoints are skipped here and
-        surface through validate_graph instead."""
-        nodes = self._nodes
-        self._edges = edges
-        self._edge_ids = edge_ids
+        self._edges = edge_dict
+        self._edge_ids = tuple(sorted(edge_dict))
+        # Edges by (type, src, tgt). Edges with dangling endpoints are
+        # skipped here and surface through validate_graph instead.
         triples: dict[tuple[str, str, str], tuple[str, ...]] = {}
-        incident: dict[str, list[str]] = {nid: [] for nid in self._node_ids}
-        for eid in edge_ids:
-            info = edges[eid]
+        for eid in self._edge_ids:
+            info = edge_dict[eid]
             _, src, tgt = info
-            if src not in nodes or tgt not in nodes:
+            if src not in node_dict or tgt not in node_dict:
                 continue
             # Keyed by the edge's own tuple. A bundle of k parallel edges
             # is copied k times, cheap for the few bundles a graph has.
             triples[info] = triples.get(info, ()) + (eid,)
-            incident[src].append(eid)
-            if tgt != src:
-                incident[tgt].append(eid)
         self._triples = triples
-        self._incident = {k: tuple(v) for k, v in incident.items()}
-        # Search plans for this graph as a pattern, compiled on first use.
+        # The incidence index, and the search plans for this graph as a
+        # pattern, are built on first use.
+        self._incident: dict[str, tuple[str, ...]] | None = None
         self._plans: dict[frozenset[str], _Plan] | None = None
+
+    def _with_edges(
+        self,
+        edges: dict[str, tuple[str, str, str]],
+        edge_ids: tuple[str, ...],
+        bundles: Iterable[tuple[str]],
+    ) -> TypedGraph:
+        """This graph's nodes, their parts shared, with ``edges`` instead of
+        its own. Trusted input: ``edges`` make a simple graph without
+        dangling edges, ``edge_ids`` are their sorted ids, ``bundles`` holds
+        ``(eid,)`` for each ``eid`` in the order of ``edges``, no edge id is
+        a node id, and ``edges``, ``edge_ids`` and the bundles may be shared
+        with other graphs but are never mutated."""
+        graph = TypedGraph.__new__(TypedGraph)
+        graph._type_graph, graph._nodes = self._type_graph, self._nodes
+        graph._node_ids, graph._by_type = self._node_ids, self._by_type
+        graph._edges, graph._edge_ids = edges, edge_ids
+        graph._triples = dict(zip(edges.values(), bundles))
+        graph._incident = graph._plans = None
+        return graph
+
+    def _incidence(self) -> dict[str, tuple[str, ...]]:
+        """The incident edges of each node in sorted order, built on first
+        use and kept; edges with dangling endpoints are skipped."""
+        incident = self._incident
+        if incident is None:
+            nodes, edges = self._nodes, self._edges
+            lists: dict[str, list[str]] = {nid: [] for nid in self._node_ids}
+            for eid in self._edge_ids:
+                _, src, tgt = edges[eid]
+                if src not in nodes or tgt not in nodes:
+                    continue
+                lists[src].append(eid)
+                if tgt != src:
+                    lists[tgt].append(eid)
+            incident = self._incident = {k: tuple(v) for k, v in lists.items()}
+        return incident
 
     def _patched(
         self,
@@ -176,7 +192,9 @@ class TypedGraph:
         present, no kept edge ends at a removed node, the created ids are
         not kept ones, and each created edge ends at kept or created nodes.
         The result equals ``TypedGraph(...)`` over the same elements, index
-        tuple orders included.
+        tuple orders included. The incidence index is patched only when
+        this graph has one; otherwise the result's too is left to be built
+        on first use.
         """
         nodes, node_ids, by_type = self._nodes, self._node_ids, self._by_type
         edges, edge_ids = self._edges, self._edge_ids
@@ -187,7 +205,7 @@ class TypedGraph:
             edges, triples = dict(edges), dict(triples)
         if nodes_change:
             nodes, by_type = dict(nodes), dict(by_type)
-        if edges_change or nodes_change:
+        if incident is not None and (edges_change or nodes_change):
             incident = dict(incident)
         # Removed edges go before removed nodes and created edges after
         # created nodes, so each incidence entry an edge touches exists.
@@ -199,13 +217,15 @@ class TypedGraph:
                 triples[info] = bundle
             else:
                 del triples[info]
-            _, src, tgt = info
-            incident[src] = _removed(incident[src], eid)
-            if tgt != src:
-                incident[tgt] = _removed(incident[tgt], eid)
+            if incident is not None:
+                _, src, tgt = info
+                incident[src] = _removed(incident[src], eid)
+                if tgt != src:
+                    incident[tgt] = _removed(incident[tgt], eid)
         for nid in removed_nodes:
             ntype = nodes.pop(nid)
-            del incident[nid]
+            if incident is not None:
+                del incident[nid]
             node_ids = _removed(node_ids, nid)
             same = _removed(by_type[ntype], nid)
             if same:
@@ -214,16 +234,18 @@ class TypedGraph:
                 del by_type[ntype]
         for nid, ntype in created_nodes:
             nodes[nid] = ntype
-            incident[nid] = ()
+            if incident is not None:
+                incident[nid] = ()
             node_ids = _inserted(node_ids, nid)
             by_type[ntype] = _inserted(by_type.get(ntype, ()), nid)
         for eid, etype, src, tgt in created_edges:
             info = edges[eid] = (etype, src, tgt)
             edge_ids = _inserted(edge_ids, eid)
             triples[info] = _inserted(triples.get(info, ()), eid)
-            incident[src] = _inserted(incident[src], eid)
-            if tgt != src:
-                incident[tgt] = _inserted(incident[tgt], eid)
+            if incident is not None:
+                incident[src] = _inserted(incident[src], eid)
+                if tgt != src:
+                    incident[tgt] = _inserted(incident[tgt], eid)
         graph = TypedGraph.__new__(TypedGraph)
         graph._type_graph = self._type_graph
         graph._nodes, graph._node_ids, graph._by_type = nodes, node_ids, by_type
@@ -267,7 +289,7 @@ class TypedGraph:
         return self._triples.get((etype, src, tgt), ())
 
     def incident_edges(self, nid: str) -> tuple[str, ...]:
-        return self._incident.get(nid, ())
+        return self._incidence().get(nid, ())
 
     @property
     def node_count(self) -> int:
@@ -863,7 +885,11 @@ def _search_source(
     for ntype in plan.scan_types:
         fails(f"{k('node type', ntype)} not in bt")
     if neighbours:
-        emit("inc = host._incident")
+        # The entry function builds the host's incidence index if it has
+        # none yet, so every later function finds it built.
+        emit("inc = host._incident",
+             "if inc is None:",
+             "    inc = host._incidence()")
     if tracked:
         held = [n for v, n in node_var.items() if pattern.node_type(v) in step_types]
         emit(f"used = {{{', '.join(held)}}}" if held else "used = set()")

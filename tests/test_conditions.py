@@ -124,9 +124,10 @@ class TestSatisfaction:
 
     def test_extensions_refuse_an_occurrence_that_is_not_total_on_the_anchor(
             self, tg2, shapes):
-        """``p`` must be a total occurrence of ``a.domain``, as for
-        ``satisfies``: a partial one, one that maps an id the anchor lacks,
-        and one of another graph raise instead of failing in the search."""
+        """``p`` must be a total occurrence of ``a.domain``, for
+        ``extensions`` and ``satisfies`` alike: a partial one, one that maps
+        an id the anchor lacks (with the anchor's sizes) and one of another
+        graph raise instead of failing in the search."""
         single, pair = shapes
         host = TypedGraph(tg2, [("a1", "A"), ("b1", "B")], [("e1", "ab", "a1", "b1")])
         a = inclusion(single, pair)
@@ -136,7 +137,6 @@ class TestSatisfaction:
         for p in (partial, foreign, misnamed):
             with pytest.raises(MismatchError):
                 extensions(p, a)
-        for p in (partial, foreign):
             with pytest.raises(MismatchError):
                 satisfies(p, Exists(a))
         assert len(extensions(GraphMorphism(single, host, {"p": "a1"}, {}), a)) == 1

@@ -1,10 +1,11 @@
 """Graphs built over shared parts against the public constructor.
 
-Universe hosts share their split's node part, edge ids and slot tuples,
-and rewrite results and their contexts are the host's dicts copied and
-patched. Each such graph must be indistinguishable from the same
-elements passed through ``TypedGraph(type_graph, nodes, edges)``. Only
-``graphs.py`` builds or reads those parts.
+Universe hosts share their split's node part, edge ids, slot tuples and
+one-edge bundles, and rewrite results and their contexts are the host's
+dicts copied and patched. Each such graph must be indistinguishable from
+the same elements passed through ``TypedGraph(type_graph, nodes,
+edges)``, its incidence index included once built. Only ``graphs.py``
+builds or reads those parts.
 """
 
 import ast
@@ -25,7 +26,7 @@ from gradcons import (
     cra,
     find_matches,
 )
-from gradcons.classify import _edge_types_by_source, _hosts_for_split
+from gradcons.classify import _bounded_hosts_cached, _edge_types_by_source, _hosts_for_split
 
 from .oracles import dpo_by_sets
 from .suites import random_step_cases
@@ -47,7 +48,28 @@ def assert_like_public(g: TypedGraph) -> None:
         assert g.edges_with_signature(*signature) == ref.edges_with_signature(*signature)
     for nid in g.node_ids:
         assert g.incident_edges(nid) == ref.incident_edges(nid)
-    assert (g._by_type, g._triples, g._incident) == (ref._by_type, ref._triples, ref._incident)
+    assert (g._by_type, g._triples) == (ref._by_type, ref._triples)
+    assert g._incidence() == ref._incidence()
+
+
+def assert_patched_like_public(t) -> None:
+    """Both branches of ``_patched`` on the host of step ``t``: a host with
+    an incidence index patches it into the context and the result, and a
+    host without one leaves theirs unbuilt, to be built on first use."""
+    created_nodes = [item for item in t.result.node_items() if not t.context.has_node(item[0])]
+    created_edges = [item for item in t.result.edge_items() if not t.context.has_edge(item[0])]
+    for built in (False, True):
+        host = TypedGraph(t.host.type_graph, t.host.node_items(), t.host.edge_items())
+        if built:
+            host._incidence()
+        for patched, expected in (
+            (host._patched(t.removed_nodes, t.removed_edges), t.context),
+            (host._patched(t.removed_nodes, t.removed_edges, created_nodes, created_edges),
+             t.result),
+        ):
+            assert (patched._incident is not None) == built
+            assert patched == expected
+            assert_like_public(patched)
 
 
 def assert_split_parts_shared(hosts) -> None:
@@ -72,6 +94,16 @@ class TestUniverseHosts:
                 assert_like_public(h)
             assert_split_parts_shared(hosts)
 
+    def test_incidence_index_is_built_on_first_use(self, tg2, fixtures):
+        for tg in (tg2, fixtures.type_graph):
+            # A fresh universe, not the cached one other tests have read.
+            hosts = _bounded_hosts_cached.__wrapped__(tg, 3, ())
+            assert hosts and all(h._incident is None for h in hosts)
+            for h in hosts:
+                ref = TypedGraph(tg, h.node_items(), h.edge_items())
+                assert h.incident_edges("absent") == ()
+                assert h._incident is not None and h._incident == ref._incidence()
+
     def test_every_seventh_host_of_the_two_loop_universe(self):
         # Split by split, without the cache behind bounded_hosts: the
         # universe has 44 365 hosts, some with 11 or more edges.
@@ -93,6 +125,7 @@ class TestRewriteResults:
     def check_step(t, kinds):
         assert_like_public(t.result)
         assert_like_public(t.context)
+        assert_patched_like_public(t)
         if t.removed_nodes:
             kinds.add("node deletion")
         if t.rule.created_nodes:
@@ -208,17 +241,20 @@ class TestRewriteResults:
 
 def test_universe_hosts_stay_compact():
     # Retained bytes per host of one split (2 nodes, 8 edge slots, 136
-    # hosts): 3 023 when every host held its own parts, 1 559 with shared
-    # parts and a per-node degree index, 926 without that index. The bound
-    # lies halfway between the last two.
+    # hosts), with a full collection before and after the measure: 1 070
+    # when each host built its own one-edge bundles and an incidence index
+    # it may never read, 571 with bundles shared by the split and the
+    # index built on first use. The bound lies halfway between the two.
+    gc.collect()
     tracemalloc.start()
     try:
         hosts = list(_hosts_for_split(TWO_LOOPS, ("T",), (2,), TWO_LOOPS_LEAVING))
+        gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(hosts) == 136
-    assert retained / len(hosts) < 1_240
+    assert retained / len(hosts) < 820
 
 
 def test_rewrite_results_share_the_host_indices():
@@ -227,7 +263,8 @@ def test_rewrite_results_share_the_host_indices():
     # two others. Retained bytes per result of 108 steps (up to 50 per
     # rule): 46 540 when each result rebuilt its signature and incidence
     # indices, 21 733 when it copies the host's dicts and shares their
-    # untouched tuples. The bound lies halfway between the two.
+    # untouched tuples (21 925 with a full collection before and after the
+    # measure). The bound lies halfway between the two.
     fx = cra.load_fixtures()
     classes = [f"C{i}" for i in range(80)]
     features = [f"F{i}" for i in range(80)]
@@ -244,9 +281,11 @@ def test_rewrite_results_share_the_host_indices():
     plan = [(rule, m) for rule in fx.rule_list() for m in find_matches(rule, host)[:50]]
     for rule, m in plan:  # compiles the application conditions outside the measure
         apply(rule, host, m)
+    gc.collect()
     tracemalloc.start()
     try:
         results = [apply(rule, host, m).result for rule, m in plan]
+        gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
