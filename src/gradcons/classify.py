@@ -32,7 +32,7 @@ from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, _Key, consis
 from .errors import BoundError
 from .generate import random_host
 from .graphs import GraphMorphism, TypeGraph, TypedGraph
-from .rewriting import Rule, Transformation, _fresh_id, _rewritten, find_matches
+from .rewriting import Rule, Transformation, _fresh_id, _rewritten, scan_matches
 
 
 @dataclass(frozen=True)
@@ -450,20 +450,23 @@ def classify_rule_empirical(
         for _ in range(samples)
     )
 
-    # Each step is judged on its raw parts. A step is recorded, once, only
-    # when it becomes the first counterexample or witness of some claim.
+    # Each step is judged on its raw parts, at the maps of its match key. A
+    # step is recorded, once, with its match as a morphism, only when it
+    # becomes the first counterexample or witness of some claim.
     polarity = constraint.shape.polarity
+    lhs_nodes, lhs_edges = rule.lhs.node_ids, rule.lhs.edge_ids
     found: dict[str, tuple[Transformation, StepVerdict]] = {}
     hosts_examined = 0
     steps_examined = 0
     for host in itertools.chain(exhaustive, sampled):
         hosts_examined += 1
-        matches = find_matches(rule, host)
-        if not matches:
+        keys = scan_matches(rule, host).keys
+        if not keys:
             continue
         before = consistency_report(host, constraint)
-        for m in matches:
-            result, removed_nodes, removed_edges = _rewritten(rule, host, m, 0)
+        for images, edge_images in keys:
+            node_map, edge_map = dict(zip(lhs_nodes, images)), dict(zip(lhs_edges, edge_images))
+            result, removed_nodes, removed_edges = _rewritten(rule, host, node_map, edge_map, 0)
             after = consistency_report(result, constraint)
             flags, evidence = _judge(polarity, before, after, host, removed_nodes, removed_edges)
             steps_examined += 1
@@ -475,6 +478,7 @@ def classify_rule_empirical(
                     before.ncv > 0 and not improving, improving, directly_improving)
             new = [claim for claim, hit in zip(_CLAIMS, hits) if hit and claim not in found]
             if new:
+                m = GraphMorphism(rule.lhs, host, node_map, edge_map)
                 t = Transformation(rule, host, m, result, removed_nodes, removed_edges, 0)
                 record = (t, _verdict(t, constraint.name, before, after, flags, evidence))
                 found.update(dict.fromkeys(new, record))

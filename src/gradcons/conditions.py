@@ -206,9 +206,7 @@ def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphis
     if not p.is_injective():
         raise ValueError("occurrence is not injective")
     _check_embedding(a)
-    anchor = a.domain
-    if p.domain != anchor or (set(p.node_map), set(p.edge_map)) != (
-            set(anchor.node_ids), set(anchor.edge_ids)):
+    if p.domain != a.domain or not p.is_total():
         raise MismatchError("extensions are defined for total occurrences of the anchor")
     return _extensions(a.codomain, p.codomain, *_anchor_keys(a), p.node_map, p.edge_map)
 
@@ -236,9 +234,7 @@ def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[str, str], ...], ...]:
 
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:
     """Does the total injective occurrence ``p`` satisfy ``condition``?"""
-    domain = p.domain
-    if not p.is_injective() or (set(p.node_map), set(p.edge_map)) != (
-            set(domain.node_ids), set(domain.edge_ids)):
+    if not (p.is_injective() and p.is_total()):
         raise MismatchError("satisfaction is defined for total injective occurrences")
     anchor = condition.anchor()
     if anchor is not None and anchor != p.domain:

@@ -404,10 +404,11 @@ class GraphMorphism:
     edge_map: Mapping[str, str]
 
     def is_total(self) -> bool:
-        return (
-            len(self.node_map) == self.domain.node_count
-            and len(self.edge_map) == self.domain.edge_count
-        )
+        """Is the morphism defined on every domain element, and on nothing
+        else: do its maps name exactly the domain's ids?"""
+        domain = self.domain
+        return (self.node_map.keys() == domain._nodes.keys()
+                and self.edge_map.keys() == domain._edges.keys())
 
     def is_injective(self) -> bool:
         return (
@@ -726,7 +727,7 @@ def _images(
         fresh = True
 
 
-# --- compiled seeded searches -------------------------------------------------
+# --- compiled searches --------------------------------------------------------
 
 # The most loops one generated function nests. CPython refuses more than 20
 # statically nested blocks, so a longer search goes on in a further function
@@ -735,14 +736,16 @@ _LOOPS_PER_FUNCTION = 12
 
 
 def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Callable:
-    """The seeded search of ``pattern`` as generated code, kept on its plan.
+    """The search of ``pattern`` as generated code, kept on its plan.
 
     ``nodes``/``edges`` pair each seeded pattern node and pinned pattern
     edge with the key under which the function, called as ``(host, pn,
     pe)``, reads its image from ``pn``/``pe``. The ``"exists"`` form tells
     whether the images extend to a total injective morphism pattern ->
     host; the ``"search"`` form yields each one as the tuples of its node
-    and edge images over the sorted pattern ids.
+    and edge images over the sorted pattern ids. Match scans run the
+    ``"search"`` form without seeds, over the plan that the interpreted
+    unseeded loop of :func:`_images` follows.
     """
     searches = _plan(pattern, frozenset(v for _, v in nodes)).searches
     search = searches.get((form, nodes, edges))
@@ -764,7 +767,7 @@ def _extensions(
 @lru_cache(maxsize=256)
 def _search_factory(source: str) -> Callable[..., Callable]:
     namespace = {"MismatchError": MismatchError, "permutations": permutations}
-    exec(compile(source, "<seeded search>", "exec"), namespace)
+    exec(compile(source, "<compiled search>", "exec"), namespace)
     return namespace["make"]
 
 

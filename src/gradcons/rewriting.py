@@ -10,19 +10,13 @@ the test suite verifies against the categorical universal property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .conditions import TRUE, Condition, TrueCondition, _satisfies, satisfies
+from .conditions import TRUE, Condition, TrueCondition, _Key, _satisfies
 from .errors import MatchError, MismatchError, RuleError
-from .graphs import (
-    GraphMorphism,
-    TypedGraph,
-    enumerate_monomorphisms,
-    inclusion,
-    validate_graph,
-)
+from .graphs import GraphMorphism, TypedGraph, _search, inclusion, validate_graph
 
 
 @dataclass(frozen=True)
@@ -89,11 +83,24 @@ class Rule:
 
 @dataclass(frozen=True)
 class MatchScan:
-    """Matches of a rule in a host plus per-filter rejection counts."""
+    """Matches of a rule in a host plus per-filter rejection counts.
 
-    matches: tuple[GraphMorphism, ...]
+    A scan stores what it found: ``keys``, the
+    :meth:`GraphMorphism.sort_key` of each kept match in canonical order,
+    and the two rejection counts. ``lhs`` and ``host`` take no part in
+    equality. ``matches`` builds the kept matches as morphisms on read.
+    """
+
+    keys: tuple[_Key, ...]
     rejected_by_condition: int
     rejected_by_dangling: int
+    lhs: TypedGraph = field(compare=False, repr=False)
+    host: TypedGraph = field(compare=False, repr=False)
+
+    @property
+    def matches(self) -> tuple[GraphMorphism, ...]:
+        """The kept matches as morphisms, built on each read."""
+        return tuple(GraphMorphism.from_key(self.lhs, self.host, key) for key in self.keys)
 
 
 def _dangling_ok(rule: Rule, host: TypedGraph, node_map: Mapping[str, str],
@@ -113,24 +120,32 @@ def _dangling_ok(rule: Rule, host: TypedGraph, node_map: Mapping[str, str],
 def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
     """All applicable matches in canonical order, with diagnostics.
 
-    The application condition is evaluated before the gluing condition, so
-    the rejection counts attribute each refusal to the first failing filter.
+    The lhs search runs as generated code without seeds and yields image
+    tuples, which sort natively into canonical order. The application
+    condition is evaluated before the gluing condition, on maps zipped from
+    each candidate, so the rejection counts attribute each refusal to the
+    first failing filter. No morphism is built.
     """
-    kept: list[GraphMorphism] = []
+    lhs = rule.lhs
+    keys = sorted(_search(lhs, "search", (), ())(host, {}, {}))
     rejected_condition = 0
     rejected_dangling = 0
     condition = None if rule.is_plain() else rule.condition
-    for m in enumerate_monomorphisms(rule.lhs, host):
-        # m is total, injective and anchored at the lhs, as satisfies asks.
-        node_map, edge_map = m.node_map, m.edge_map
-        if condition is not None and not _satisfies(condition, host, node_map, edge_map):
-            rejected_condition += 1
-            continue
-        if not _dangling_ok(rule, host, node_map, edge_map):
-            rejected_dangling += 1
-            continue
-        kept.append(m)
-    return MatchScan(tuple(kept), rejected_condition, rejected_dangling)
+    if condition is not None or rule.deleted_nodes:
+        node_ids, edge_ids = lhs.node_ids, lhs.edge_ids
+        kept = []
+        for key in keys:
+            # The key is a total injective occurrence of the lhs, as
+            # _satisfies asks.
+            node_map, edge_map = dict(zip(node_ids, key[0])), dict(zip(edge_ids, key[1]))
+            if condition is not None and not _satisfies(condition, host, node_map, edge_map):
+                rejected_condition += 1
+            elif not _dangling_ok(rule, host, node_map, edge_map):
+                rejected_dangling += 1
+            else:
+                kept.append(key)
+        keys = kept
+    return MatchScan(tuple(keys), rejected_condition, rejected_dangling, lhs, host)
 
 
 def find_matches(rule: Rule, host: TypedGraph) -> list[GraphMorphism]:
@@ -253,7 +268,7 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
     problems = match.check()
     if problems:
         raise MatchError(f"match is not structure-preserving: {problems[0]}")
-    if not satisfies(match, rule.condition):
+    if not _satisfies(rule.condition, host, match.node_map, match.edge_map):
         raise MatchError("match violates the application condition")
     if not _dangling_ok(rule, host, match.node_map, match.edge_map):
         raise MatchError("match violates the gluing condition")
@@ -262,15 +277,16 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
     ``find_matches(rule, host)``."""
-    return Transformation(rule, host, match, *_rewritten(rule, host, match, step), step)
+    return Transformation(rule, host, match,
+                          *_rewritten(rule, host, match.node_map, match.edge_map, step), step)
 
 
 def _rewritten(
-    rule: Rule, host: TypedGraph, match: GraphMorphism, step: int
+    rule: Rule, host: TypedGraph, node_map: Mapping[str, str], edge_map: Mapping[str, str],
+    step: int,
 ) -> tuple[TypedGraph, frozenset[str], frozenset[str]]:
-    """The raw parts of :func:`_rewrite`'s step: the result and the
-    removed node and edge images."""
-    node_map, edge_map = match.node_map, match.edge_map
+    """The raw parts of :func:`_rewrite`'s step at the match with these
+    maps: the result and the removed node and edge images."""
     removed_nodes = frozenset(map(node_map.__getitem__, rule.deleted_nodes))
     removed_edges = frozenset(map(edge_map.__getitem__, rule.deleted_edges))
     fresh = _fresh_ids(rule, host, removed_nodes, removed_edges, step)

@@ -50,7 +50,15 @@ def compose(first: GraphMorphism, second: GraphMorphism) -> GraphMorphism:
     return GraphMorphism(first.domain, second.codomain, node_map, edge_map)
 
 
-def _edge_assignments(pattern, host, node_map, injective):
+def _edges_between(host):
+    """The host edges of each ``(type, source, target)``, in sorted order."""
+    between: dict = {}
+    for e in host.edge_ids:
+        between.setdefault(host.edge_info(e), []).append(e)
+    return between
+
+
+def _edge_assignments(pattern, between, node_map, injective):
     pedges = list(pattern.edge_ids)
 
     def extend(i, acc, used):
@@ -59,11 +67,8 @@ def _edge_assignments(pattern, host, node_map, injective):
             return
         e = pedges[i]
         etype, src, tgt = pattern.edge_info(e)
-        for h in host.edge_ids:
+        for h in between.get((etype, node_map[src], node_map[tgt]), ()):
             if injective and h in used:
-                continue
-            htype, hsrc, htgt = host.edge_info(h)
-            if htype != etype or hsrc != node_map[src] or htgt != node_map[tgt]:
                 continue
             acc[e] = h
             yield from extend(i + 1, acc, used | {h})
@@ -72,34 +77,35 @@ def _edge_assignments(pattern, host, node_map, injective):
     yield from extend(0, {}, frozenset())
 
 
-def monos_by_permutation(pattern: TypedGraph, host: TypedGraph) -> list[GraphMorphism]:
-    """Every injective occurrence, by trying all injective node assignments."""
+def _node_assignments(pattern, host, injective):
+    """Every type-preserving assignment of host nodes to the sorted pattern
+    nodes, in lexicographic order of the images: the node permutations (or,
+    unless ``injective``, tuples) of the host that keep types."""
     pnodes = list(pattern.node_ids)
-    hnodes = list(host.node_ids)
-    found = []
-    for perm in itertools.permutations(hnodes, len(pnodes)):
-        node_map = dict(zip(pnodes, perm))
-        if any(pattern.node_type(p) != host.node_type(h) for p, h in node_map.items()):
+    candidates = [[h for h in host.node_ids if host.node_type(h) == pattern.node_type(p)]
+                  for p in pnodes]
+    for images in itertools.product(*candidates):
+        if injective and len(set(images)) < len(images):
             continue
-        for edge_map in _edge_assignments(pattern, host, node_map, injective=True):
-            found.append(GraphMorphism(pattern, host, node_map, edge_map))
-    return found
+        yield dict(zip(pnodes, images))
+
+
+def monos_by_permutation(pattern: TypedGraph, host: TypedGraph) -> list[GraphMorphism]:
+    """Every injective occurrence, by trying all injective node assignments
+    that keep types and then all injective edge assignments along them, in
+    canonical order."""
+    between = _edges_between(host)
+    return [GraphMorphism(pattern, host, node_map, edge_map)
+            for node_map in _node_assignments(pattern, host, injective=True)
+            for edge_map in _edge_assignments(pattern, between, node_map, injective=True)]
 
 
 def homs_brute(pattern: TypedGraph, host: TypedGraph) -> list[GraphMorphism]:
     """Every structure-preserving map, injective or not."""
-    pnodes = list(pattern.node_ids)
-    hnodes = list(host.node_ids)
-    found = []
-    if pnodes and not hnodes:
-        return found
-    for combo in itertools.product(hnodes, repeat=len(pnodes)):
-        node_map = dict(zip(pnodes, combo))
-        if any(pattern.node_type(p) != host.node_type(h) for p, h in node_map.items()):
-            continue
-        for edge_map in _edge_assignments(pattern, host, node_map, injective=False):
-            found.append(GraphMorphism(pattern, host, node_map, edge_map))
-    return found
+    between = _edges_between(host)
+    return [GraphMorphism(pattern, host, node_map, edge_map)
+            for node_map in _node_assignments(pattern, host, injective=False)
+            for edge_map in _edge_assignments(pattern, between, node_map, injective=False)]
 
 
 def morphism_key(m: GraphMorphism) -> tuple:
@@ -178,8 +184,9 @@ def satisfies_by_permutation(p: GraphMorphism, condition, memo: dict | None = No
     occurrence q of the extended graph, found by permutation search, has
     ``q . a = p`` and satisfies the sub-condition.
 
-    ``memo`` keeps the occurrences of each (pattern, graph) pair between
-    calls; the caller keeps both objects alive while it holds the memo.
+    ``memo`` keeps, between calls, the occurrences q of each (morphism,
+    graph) pair grouped by ``q . a``, read off as the images of the sorted
+    anchor ids; the caller keeps both objects alive while it holds the memo.
     """
     memo = {} if memo is None else memo
     if isinstance(condition, Not):
@@ -190,15 +197,43 @@ def satisfies_by_permutation(p: GraphMorphism, condition, memo: dict | None = No
     if not isinstance(condition, Exists):
         return True
     a = condition.morphism
-    key = (id(a.codomain), id(p.codomain))
+    anchor_nodes, anchor_edges = a.domain.node_ids, a.domain.edge_ids
+    key = (id(a), id(p.codomain))
     if key not in memo:
-        memo[key] = monos_by_permutation(a.codomain, p.codomain)
-    for q in memo[key]:
-        if all(q.node_map[a.node_map[x]] == y for x, y in p.node_map.items()) and all(
-            q.edge_map[a.edge_map[e]] == f for e, f in p.edge_map.items()
-        ) and satisfies_by_permutation(q, condition.sub, memo):
-            return True
-    return False
+        by_restriction = memo[key] = {}
+        for q in monos_by_permutation(a.codomain, p.codomain):
+            restriction = (tuple(q.node_map[a.node_map[x]] for x in anchor_nodes),
+                           tuple(q.edge_map[a.edge_map[e]] for e in anchor_edges))
+            by_restriction.setdefault(restriction, []).append(q)
+    restriction = (tuple(p.node_map[x] for x in anchor_nodes),
+                   tuple(p.edge_map[e] for e in anchor_edges))
+    return any(satisfies_by_permutation(q, condition.sub, memo)
+               for q in memo[key].get(restriction, ()))
+
+
+def scan_by_permutation(rule: Rule, host: TypedGraph) -> tuple[list[tuple], int, int]:
+    """A match scan from the definitions: the lhs occurrences by
+    permutation search in canonical order, the application condition by
+    :func:`satisfies_by_permutation`, then the gluing test by sets.
+
+    Returns the sort keys of the kept matches and the counts rejected by
+    the condition and by the gluing test, each match counted at the first
+    test it fails.
+    """
+    deleted = [v for v in rule.lhs.node_ids if not rule.interface.has_node(v)]
+    memo: dict = {}
+    kept, by_condition, by_gluing = [], 0, 0
+    for m in sorted(monos_by_permutation(rule.lhs, host), key=GraphMorphism.sort_key):
+        if not satisfies_by_permutation(m, rule.condition, memo):
+            by_condition += 1
+            continue
+        removed = {m.node_map[v] for v in deleted}
+        if removed and any(set(host.edge_info(e)[1:]) & removed
+                           for e in set(host.edge_ids) - set(m.edge_map.values())):
+            by_gluing += 1
+            continue
+        kept.append(m.sort_key())
+    return kept, by_condition, by_gluing
 
 
 # --- step classification ------------------------------------------------------

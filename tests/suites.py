@@ -16,6 +16,7 @@ from gradcons import (
     GraphMorphism,
     Transformation,
     TypedGraph,
+    TypeGraph,
     UNIVERSAL,
     UnsupportedShapeError,
     apply,
@@ -101,6 +102,33 @@ def random_step_cases(n_cases: int, seed: int, max_steps_per_case: int = 4):
         before = consistency_report(host, constraint)
         matches = find_matches(rule, host)[:max_steps_per_case]
         yield constraint, before, [apply(rule, host, m, step=case) for m in matches], rule, host
+
+
+def seeded_cra_model(tg: TypeGraph, rng: random.Random) -> TypedGraph:
+    """80 classes and 80 features, wired by ``rng``: 76 features assigned
+    to two classes each, 76 classes holding two features each, and every
+    feature depending on two others."""
+
+    def wiring(n):
+        # Two permutations that, read as columns, give each i two distinct
+        # targets other than i.
+        columns = []
+        while len(columns) < 2:
+            column = rng.sample(range(n), n)
+            if all(column[i] != i and all(c[i] != column[i] for c in columns)
+                   for i in range(n)):
+                columns.append(column)
+        return columns
+
+    edges = []
+    for column in wiring(76):
+        edges += [(f"a{len(edges) + i}", "isAssigned", f"F{i}", f"C{j}")
+                  for i, j in enumerate(column)]
+    for column in wiring(80):
+        edges += [(f"d{len(edges) + i}", "dependsOn", f"F{i}", f"F{j}")
+                  for i, j in enumerate(column)]
+    nodes = [(f"C{i}", "Class") for i in range(80)] + [(f"F{i}", "Feature") for i in range(80)]
+    return TypedGraph(tg, nodes, edges)
 
 
 def random_rule_pairs(n_pairs: int, seed: int):

@@ -4,9 +4,12 @@ import pytest
 
 from gradcons import (
     GraphMorphism,
+    MatchError,
     MismatchError,
+    Rule,
     TypedGraph,
     TypeGraph,
+    apply,
     empty_graph,
     empty_morphism_into,
     enumerate_monomorphisms,
@@ -151,6 +154,15 @@ class TestMorphisms:
         assert not both.is_total()
         with pytest.raises(MismatchError):
             compose(s, f)
+
+    def test_a_map_of_the_right_size_off_the_domain_ids_is_partial(self, tg2):
+        single = TypedGraph(tg2, [("v", "A")])
+        host = TypedGraph(tg2, [("a1", "A")])
+        misnamed = GraphMorphism(single, host, {"x": "a1"}, {})
+        assert not misnamed.is_total()
+        assert repr(misnamed).startswith("GraphMorphism(partial,")
+        with pytest.raises(MatchError, match="total and injective"):
+            apply(Rule("keep", single, single, single), host, misnamed)
 
     def test_empty_morphism_into(self, tg2):
         g = TypedGraph(tg2, [("a", "A")])

@@ -23,6 +23,7 @@ from gradcons import (
     Rule,
     TypedGraph,
     TypeGraph,
+    bounded_hosts,
     classify_rule_empirical,
     consistency_report,
     cra,
@@ -45,8 +46,9 @@ from .oracles import (
     dpo_by_sets,
     monos_by_permutation,
     satisfies_by_permutation,
+    scan_by_permutation,
 )
-from .suites import random_step_cases
+from .suites import random_step_cases, seeded_cra_model
 
 
 def _check_source(node: Exists) -> str:
@@ -561,6 +563,53 @@ def test_lean_rewrite_agrees_with_validated_apply():
     assert steps >= 150
 
 
+def _scan_agrees_with_oracle(rule, host) -> tuple[int, int, int]:
+    """The scan's kept keys and rejection counts against
+    :func:`scan_by_permutation`; returns the three counts."""
+    scan = scan_matches(rule, host)
+    got = (list(scan.keys), scan.rejected_by_condition, scan.rejected_by_dangling)
+    assert got == scan_by_permutation(rule, host), (rule.name, host.edge_items())
+    return len(scan.keys), scan.rejected_by_condition, scan.rejected_by_dangling
+
+
+class TestScanAgainstOracle:
+    """``scan_matches`` sorts the image tuples of the compiled lhs search
+    and filters them on zipped maps; the oracle finds the occurrences by
+    permutation and tests the condition and gluing from the definitions."""
+
+    def test_seeded_random_step_suite(self):
+        totals = [0, 0, 0]
+        for _, _, _, rule, host in random_step_cases(250, seed=101):
+            totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
+        assert all(totals), totals
+
+    def test_cra_rules_on_the_bound_three_universe(self, fixtures):
+        totals = [0, 0, 0]
+        for host in bounded_hosts(fixtures.type_graph, 3):
+            for rule in fixtures.rule_list():
+                totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
+        # The CRA conditions refuse every match the gluing test would.
+        assert totals[0] and totals[1], totals
+
+    def test_parallel_edges_in_two_signature_groups(self):
+        # The search assigns edge group x (pattern edge b) outside group y
+        # (pattern edge a), so its yields are not in canonical order.
+        tg = TypeGraph(["A"], [("x", "A", "A"), ("y", "A", "A")])
+        lhs = TypedGraph(tg, [("u", "A"), ("v", "A")],
+                         [("a", "y", "u", "v"), ("b", "x", "u", "v")])
+        host = TypedGraph(tg, [("n1", "A"), ("n2", "A")],
+                          [("x1", "x", "n1", "n2"), ("x2", "x", "n1", "n2"),
+                           ("y1", "y", "n1", "n2"), ("y2", "y", "n1", "n2")])
+        assert _scan_agrees_with_oracle(Rule("keep", lhs, lhs, lhs), host) == (4, 0, 0)
+
+    def test_cra_rules_on_the_seeded_160_node_model(self, fixtures):
+        host = seeded_cra_model(fixtures.type_graph, random.Random(1))
+        counts = {rule.name: _scan_agrees_with_oracle(rule, host)
+                  for rule in fixtures.rule_list()}
+        assert counts["moveFeature"][0] > 10_000
+        assert all(kept for kept, _, _ in counts.values()), counts
+
+
 class TestSkippedWork:
     def test_reads_never_materialize_extensions(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -633,21 +682,40 @@ class TestSkippedWork:
                 assert ours._check is graphs._search(a.codomain, "search", *_anchor_keys(a))
         assert forms[True] and forms[False], forms
 
-    def test_reports_and_scans_enumerate_through_the_traced_name(self, fixtures, monkeypatch):
+    def test_reports_use_the_traced_name_and_scans_build_no_morphism(self, fixtures, monkeypatch):
+        # Reports enumerate through the name that the benchmark tracer
+        # wraps, once per constraint.
         calls: Counter = Counter()
-        for module in (conditions, rewriting):
-            def counting(*args, _name=module.__name__, _inner=module.enumerate_monomorphisms,
-                         **kwargs):
-                calls[_name] += 1
-                return _inner(*args, **kwargs)
 
-            monkeypatch.setattr(module, "enumerate_monomorphisms", counting)
-        for rule in fixtures.rule_list():
-            scan_matches(rule, fixtures.host)
+        def counting(*args, _inner=conditions.enumerate_monomorphisms, **kwargs):
+            calls["enumerate"] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, "enumerate_monomorphisms", counting)
         for c in fixtures.constraint_list():
             consistency_report(fixtures.host, c)
-        assert calls == {"gradcons.conditions": len(fixtures.constraint_list()),
-                         "gradcons.rewriting": len(fixtures.rule_list())}
+        assert calls["enumerate"] == len(fixtures.constraint_list())
+
+        # A scan runs the compiled lhs search and keeps image tuples: it
+        # builds no morphism, and reading its matches builds one per key.
+        built: Counter = Counter()
+
+        def counting_init(self, *args, _inner=GraphMorphism.__init__, **kwargs):
+            built["morphisms"] += 1
+            _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(GraphMorphism, "__init__", counting_init)
+        rng = random.Random(5)
+        kept = rejected = 0
+        for host in (fixtures.host, random_host(fixtures.type_graph, rng, 12, 0.3)):
+            for rule in fixtures.rule_list():
+                scan = scan_matches(rule, host)
+                assert not built
+                assert [m.sort_key() for m in scan.matches] == list(scan.keys)
+                assert built.pop("morphisms", 0) == len(scan.keys)
+                kept += len(scan.keys)
+                rejected += scan.rejected_by_condition + scan.rejected_by_dangling
+        assert kept and rejected
 
     def test_rule_search_compiles_each_plan_once_and_skips_validation(self, monkeypatch):
         compiled: Counter = Counter()

@@ -25,11 +25,12 @@ from gradcons import (
     consistency_report,
     cra,
     find_matches,
+    scan_matches,
 )
 from gradcons.classify import _bounded_hosts_cached, _edge_types_by_source, _hosts_for_split
 
 from .oracles import dpo_by_sets
-from .suites import random_step_cases
+from .suites import random_step_cases, seeded_cra_model
 
 TWO_LOOPS = TypeGraph(["T"], [("r0", "T", "T"), ("r1", "T", "T")])
 TWO_LOOPS_LEAVING = _edge_types_by_source(TWO_LOOPS)
@@ -293,33 +294,6 @@ def test_rewrite_results_share_the_host_indices():
     assert retained / len(results) < 34_100
 
 
-def _seeded_cra_model(tg: TypeGraph, rng: random.Random) -> TypedGraph:
-    """80 classes and 80 features, wired by ``rng``: 76 features assigned
-    to two classes each, 76 classes holding two features each, and every
-    feature depending on two others."""
-
-    def wiring(n):
-        # Two permutations that, read as columns, give each i two distinct
-        # targets other than i.
-        columns = []
-        while len(columns) < 2:
-            column = rng.sample(range(n), n)
-            if all(column[i] != i and all(c[i] != column[i] for c in columns)
-                   for i in range(n)):
-                columns.append(column)
-        return columns
-
-    edges = []
-    for column in wiring(76):
-        edges += [(f"a{len(edges) + i}", "isAssigned", f"F{i}", f"C{j}")
-                  for i, j in enumerate(column)]
-    for column in wiring(80):
-        edges += [(f"d{len(edges) + i}", "dependsOn", f"F{i}", f"F{j}")
-                  for i, j in enumerate(column)]
-    nodes = [(f"C{i}", "Class") for i in range(80)] + [(f"F{i}", "Feature") for i in range(80)]
-    return TypedGraph(tg, nodes, edges)
-
-
 def test_reports_keep_only_the_keys_of_their_violations():
     # A c3 report on a seeded 160-node CRA model: retained bytes per
     # violating occurrence were 641 when the report kept each one as a
@@ -328,7 +302,7 @@ def test_reports_keep_only_the_keys_of_their_violations():
     # before and after the measure empties the interpreter's free lists,
     # so temporaries parked there are not counted as retained.
     fx = cra.load_fixtures()
-    host = _seeded_cra_model(fx.type_graph, random.Random(1))
+    host = seeded_cra_model(fx.type_graph, random.Random(1))
     c3 = fx.constraints["c3"]
     consistency_report(host, c3)  # compiles the constraint outside the measure
     gc.collect()
@@ -341,6 +315,27 @@ def test_reports_keep_only_the_keys_of_their_violations():
         tracemalloc.stop()
     assert report.ncv > 500
     assert retained / report.ncv < 420
+
+
+def test_scans_keep_only_the_keys_of_their_matches():
+    # moveFeature on the same model: retained bytes per kept match were 440
+    # when the scan kept each match as a morphism with two dicts, and are
+    # 176 with its key alone. The bound lies halfway between the two; the
+    # full collections are as in the report test above.
+    fx = cra.load_fixtures()
+    host = seeded_cra_model(fx.type_graph, random.Random(1))
+    rule = fx.rules["moveFeature"]
+    scan_matches(rule, host)  # compiles the search and the condition outside the measure
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scan = scan_matches(rule, host)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(scan.keys) > 10_000
+    assert retained / len(scan.keys) < 308
 
 
 def test_only_graphs_reads_graph_storage():
