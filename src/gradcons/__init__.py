@@ -11,7 +11,9 @@ between a rule and a constraint's patterns.
 The usual entry points:
 
 - :class:`TypeGraph`, :class:`TypedGraph`, :func:`enumerate_monomorphisms`
-  for the graph model,
+  for the graph model and every occurrence of a pattern,
+  :func:`extensions` for the occurrences that extend a given one (the
+  seeded question, asked along ``inclusion(anchor, pattern)``),
 - :class:`Exists`, :func:`forall`, :class:`Constraint`, :func:`validate_anf`,
   :func:`graph_satisfies`, :func:`consistency_report` for constraints,
 - :class:`Rule`, :func:`find_matches`, :func:`apply` for rewriting,

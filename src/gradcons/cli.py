@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import cra
-from .analysis import criterion_direct_improve, criterion_direct_sustain, independence_table
+from .analysis import criterion_direct_improve, criterion_direct_sustain
 from .classify import UNIVERSAL_CLAIMS, WITNESS_CLAIMS, classify_rule_empirical, classify_step
 from .conditions import Constraint, consistency_report, graph_satisfies
 from .errors import AnfError, ContradictionError, DocumentError, GradconsError, MatchError
@@ -88,18 +88,19 @@ def _parse_match_spec(spec: str) -> dict[str, str]:
 
 def _select_match(rule: Rule, host: TypedGraph, spec: str | None) -> GraphMorphism:
     scan = scan_matches(rule, host)
-    candidates = list(scan.matches)
+    candidates = scan.keys
+    # A key lists the node images over the sorted lhs node ids, so bindings
+    # are tested by position and only the selected match becomes a morphism.
+    node_ids = rule.lhs.node_ids
     if spec is not None:
         wanted = _parse_match_spec(spec)
         unknown = [k for k in wanted if not rule.lhs.has_node(k)]
         if unknown:
             raise MatchError(f"match spec names ids not in the rule's left side: {unknown}")
-        candidates = [
-            m for m in candidates
-            if all(m.node_map.get(k) == v for k, v in wanted.items())
-        ]
+        bound = [(node_ids.index(k), v) for k, v in wanted.items()]
+        candidates = [key for key in candidates if all(key[0][i] == v for i, v in bound)]
     if len(candidates) == 1:
-        return candidates[0]
+        return GraphMorphism.from_key(rule.lhs, host, candidates[0])
     if not candidates:
         raise MatchError(
             f"no applicable match of {rule.name!r}"
@@ -108,7 +109,7 @@ def _select_match(rule: Rule, host: TypedGraph, spec: str | None) -> GraphMorphi
             f"{scan.rejected_by_dangling} by the gluing condition)"
         )
     listing = "; ".join(
-        ",".join(f"{k}={v}" for k, v in sorted(m.node_map.items())) for m in candidates
+        ",".join(f"{k}={v}" for k, v in zip(node_ids, images)) for images, _ in candidates
     )
     raise MatchError(
         f"{len(candidates)} matches of {rule.name!r} apply, disambiguate with --match: {listing}"

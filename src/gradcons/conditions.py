@@ -29,13 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .errors import AnfError, MismatchError
-from .graphs import (
-    GraphMorphism,
-    TypedGraph,
-    _extensions,
-    _search,
-    enumerate_monomorphisms,
-)
+from .graphs import GraphMorphism, TypedGraph, _search, enumerate_monomorphisms
 
 
 class Condition:
@@ -198,17 +192,24 @@ def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphis
 
     ``p`` must be a total injective occurrence of the domain of ``a``, and
     ``a`` fit for an :class:`Exists` node; the results are the occurrences
-    of the extended graph that agree with ``p`` on the anchor. The search
-    starts from the anchor's image and stops when the caller stops
-    iterating; an :class:`Exists` node along ``a`` with a sub-condition
-    other than ``TRUE`` runs the same search.
+    of the extended graph that agree with ``p`` on the anchor. This is the
+    one seeded search: with ``a = inclusion(anchor, pattern)``, the
+    occurrences of ``pattern`` that ``p`` fixes on ``anchor``. A wrongly
+    typed or absent image in ``p``, or an edge image whose ends are not
+    those of its end nodes, leaves none. The search starts from the
+    anchor's image and stops when the caller stops iterating; an
+    :class:`Exists` node along ``a`` with a sub-condition other than
+    ``TRUE`` runs the same search.
     """
     if not p.is_injective():
         raise ValueError("occurrence is not injective")
     _check_embedding(a)
     if p.domain != a.domain or not p.is_total():
         raise MismatchError("extensions are defined for total occurrences of the anchor")
-    return _extensions(a.codomain, p.codomain, *_anchor_keys(a), p.node_map, p.edge_map)
+    pattern, host = a.codomain, p.codomain
+    search = _search(pattern, "search", *_anchor_keys(a))
+    return (GraphMorphism.from_key(pattern, host, key)
+            for key in search(host, p.node_map, p.edge_map))
 
 
 def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:

@@ -30,7 +30,7 @@ from .conditions import (
     forall,
     negate,
 )
-from .errors import DocumentError, MismatchError
+from .errors import DocumentError, MismatchError, RuleError
 from .graphs import TypeGraph, TypedGraph, empty_graph, inclusion, validate_graph
 from .rewriting import Rule
 
@@ -396,8 +396,8 @@ def parse_rule_document(document: str | Mapping[str, Any]) -> Rule:
     _finish(problems)
     try:
         return Rule(name, lhs, interface, rhs, condition)
-    except Exception as exc:
-        raise DocumentError([str(exc)])
+    except RuleError as exc:
+        raise DocumentError([str(exc)]) from exc
 
 
 def emit_rule_document(rule: Rule) -> str:

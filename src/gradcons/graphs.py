@@ -279,9 +279,6 @@ class TypedGraph:
         """Return ``(type, source id, target id)`` for an edge."""
         return self._edges[eid]
 
-    def edge_type(self, eid: str) -> str:
-        return self._edges[eid][0]
-
     def nodes_of_type(self, ntype: str) -> tuple[str, ...]:
         return self._by_type.get(ntype, ())
 
@@ -566,48 +563,18 @@ def _plan(pattern: TypedGraph, seeded: frozenset[str]) -> _Plan:
     return plan
 
 
-def iter_monomorphisms(
-    pattern: TypedGraph,
-    host: TypedGraph,
-    *,
-    node_seed: Mapping[str, str] | None = None,
-    edge_seed: Mapping[str, str] | None = None,
-) -> Iterator[GraphMorphism]:
-    """Every total injective morphism pattern -> host, lazily, in search order.
-
-    ``node_seed``/``edge_seed`` pin parts of the map in advance. A seed
-    that is not injective or maps an absent pattern element raises
-    ``ValueError``; a wrongly typed or absent host image leaves no
-    morphism. A pinned edge seeds its endpoints with those of its image.
-    A seeded search runs the compiled :func:`_search`; an
-    unseeded one backtracks in one loop, so the size of a pattern is not
-    bounded by the recursion limit. Stopping the iteration stops the
-    search. Each morphism comes once.
-    """
-    for key in _images(pattern, host, node_seed, edge_seed):
-        yield GraphMorphism.from_key(pattern, host, key)
-
-
-def enumerate_monomorphisms(
-    pattern: TypedGraph,
-    host: TypedGraph,
-    *,
-    node_seed: Mapping[str, str] | None = None,
-    edge_seed: Mapping[str, str] | None = None,
-) -> list[GraphMorphism]:
+def enumerate_monomorphisms(pattern: TypedGraph, host: TypedGraph) -> list[GraphMorphism]:
     """All total injective morphisms pattern -> host, in canonical order.
 
     The order is lexicographic over the images of the sorted pattern node ids,
     with ties broken the same way on sorted pattern edge ids, so results are
-    reproducible across runs. ``node_seed``/``edge_seed`` pin parts of the map
-    in advance, as for :func:`iter_monomorphisms`, whose sorted form this is.
-    The image tuples are sorted before any morphism is built from them by
-    :meth:`GraphMorphism.from_key`.
-
-    Duplicate-free: each returned morphism appears exactly once.
+    reproducible across runs. The image tuples of :func:`_images` are sorted
+    before any morphism is built from them by :meth:`GraphMorphism.from_key`.
+    Each morphism appears exactly once. The occurrences that extend a given
+    one along a morphism are :func:`gradcons.conditions.extensions`.
     """
     node_ids, edge_ids = pattern._node_ids, pattern._edge_ids
-    if len(node_ids) == 1 and not edge_ids and not (node_seed or edge_seed):
+    if len(node_ids) == 1 and not edge_ids:
         # The occurrences of one node are the host nodes of its type, which
         # the host keeps in sorted order.
         _check_type_graphs(pattern, host)
@@ -615,7 +582,7 @@ def enumerate_monomorphisms(
         return [GraphMorphism(pattern, host, {v: w}, {})
                 for w in host._by_type.get(pattern._nodes[v], ())]
     return [GraphMorphism.from_key(pattern, host, key)
-            for key in sorted(_images(pattern, host, node_seed, edge_seed))]
+            for key in sorted(_images(pattern, host))]
 
 
 def _check_type_graphs(pattern: TypedGraph, host: TypedGraph) -> None:
@@ -624,38 +591,14 @@ def _check_type_graphs(pattern: TypedGraph, host: TypedGraph) -> None:
 
 
 def _images(
-    pattern: TypedGraph,
-    host: TypedGraph,
-    node_seed: Mapping[str, str] | None,
-    edge_seed: Mapping[str, str] | None,
+    pattern: TypedGraph, host: TypedGraph
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The morphisms of :func:`iter_monomorphisms` as the tuples of their
-    node and edge images over the sorted pattern ids: for a total morphism,
-    its :meth:`GraphMorphism.sort_key`."""
+    """Every total injective morphism pattern -> host, lazily and in search
+    order, as the tuples of its node and edge images over the sorted
+    pattern ids: its :meth:`GraphMorphism.sort_key`. The search backtracks
+    in one loop, so the size of a pattern is not bounded by the recursion
+    limit, and stopping the iteration stops it."""
     _check_type_graphs(pattern, host)
-    if node_seed or edge_seed:
-        node_seed, edge_seed = node_seed or {}, edge_seed or {}
-        for kind, seed, elements in (("node", node_seed, pattern._nodes),
-                                     ("edge", edge_seed, pattern._edges)):
-            if len(set(seed.values())) != len(seed):
-                raise ValueError(f"{kind} seed is not injective")
-            for x in seed:
-                if x not in elements:
-                    raise ValueError(f"seed maps absent pattern {kind} {x!r}")
-        nodes = dict(node_seed)
-        for c, f in edge_seed.items():
-            info = host._edges.get(f)
-            if info is None:
-                return
-            for v, w in zip(pattern._edges[c][1:], info[1:]):
-                if nodes.setdefault(v, w) != w:
-                    return
-        if len(set(nodes.values())) != len(nodes):
-            return
-        yield from _search(pattern, "search", tuple((v, v) for v in sorted(nodes)),
-                           tuple((e, e) for e in sorted(edge_seed)))(host, nodes, edge_seed)
-        return
-
     plan = _plan(pattern, frozenset())
     probe = host.edges_with_signature
     by_type = host._by_type
@@ -740,12 +683,14 @@ def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Calla
 
     ``nodes``/``edges`` pair each seeded pattern node and pinned pattern
     edge with the key under which the function, called as ``(host, pn,
-    pe)``, reads its image from ``pn``/``pe``. The ``"exists"`` form tells
-    whether the images extend to a total injective morphism pattern ->
-    host; the ``"search"`` form yields each one as the tuples of its node
-    and edge images over the sorted pattern ids. Match scans run the
-    ``"search"`` form without seeds, over the plan that the interpreted
-    unseeded loop of :func:`_images` follows.
+    pe)``, reads its image from ``pn``/``pe``: the anchor id it comes
+    from along a condition morphism, so an :class:`Exists` node and
+    ``iter_extensions`` along the same morphism share one function. The
+    ``"exists"`` form tells whether the images extend to a total
+    injective morphism pattern -> host; the ``"search"`` form yields each
+    one as the tuples of its node and edge images over the sorted pattern
+    ids. Match scans run the ``"search"`` form without seeds, over the
+    plan that the interpreted loop of :func:`_images` follows.
     """
     searches = _plan(pattern, frozenset(v for _, v in nodes)).searches
     search = searches.get((form, nodes, edges))
@@ -753,15 +698,6 @@ def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Calla
         source, constants = _search_source(pattern, form, nodes, edges)
         search = searches[form, nodes, edges] = _search_factory(source)(*constants)
     return search
-
-
-def _extensions(
-    pattern: TypedGraph, host: TypedGraph, nodes: _Keys, edges: _Keys,
-    pn: Mapping[str, str], pe: Mapping[str, str],
-) -> Iterator[GraphMorphism]:
-    """The morphisms of the ``"search"`` form of :func:`_search`, lazily."""
-    for key in _search(pattern, "search", nodes, edges)(host, pn, pe):
-        yield GraphMorphism.from_key(pattern, host, key)
 
 
 @lru_cache(maxsize=256)

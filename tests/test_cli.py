@@ -8,17 +8,22 @@ exactly as a shell user would see them.
 import contextlib
 import io
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcons import cra
-from gradcons.cli import main
+from gradcons.cli import _select_match, main
 from gradcons.conditions import FALSE, Constraint, Exists, Not, forall
 from gradcons.formats import emit_constraint_document, emit_rule_document, parse_graph_document
-from gradcons.graphs import TypedGraph, TypeGraph, empty_morphism_into, inclusion
+from gradcons.errors import MatchError
+from gradcons.graphs import GraphMorphism, TypedGraph, TypeGraph, empty_morphism_into, inclusion
 from gradcons.rewriting import Rule, scan_matches
+
+from .suites import seeded_cra_model
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +328,33 @@ class TestApply:
         )
         assert (code, out) == (2, "")
         assert err == "error: match spec binds 'f' more than once\n"
+
+
+class TestMatchSelection:
+    """``--match`` filters the scan's keys; only the selected match is
+    built as a morphism, and an ambiguity is listed from the keys."""
+
+    def test_a_bound_match_builds_one_morphism(self, fixtures, monkeypatch):
+        host = seeded_cra_model(fixtures.type_graph, random.Random(1))
+        rule = fixtures.rules["moveFeature"]
+        keys = scan_matches(rule, host).keys
+        assert len(keys) > 10_000
+        by_nodes = Counter(images for images, _ in keys)
+        key = next(key for key in keys if by_nodes[key[0]] == 1)
+        spec = ",".join(f"{k}={v}" for k, v in zip(rule.lhs.node_ids, key[0]))
+        built = Counter()
+
+        def counting(cls, *args, _inner=GraphMorphism.from_key.__func__):
+            built["from_key"] += 1
+            return _inner(cls, *args)
+
+        monkeypatch.setattr(GraphMorphism, "from_key", classmethod(counting))
+        assert _select_match(rule, host, spec).sort_key() == key
+        assert built["from_key"] == 1
+        c_src = rule.lhs.node_ids.index("c_src")
+        with pytest.raises(MatchError, match="disambiguate with --match"):
+            _select_match(rule, host, f"c_src={key[0][c_src]}")
+        assert built["from_key"] == 1
 
 
 class TestClassifyStep:

@@ -242,6 +242,17 @@ class TestParseErrors:
             parse_rule_document(doc)
         assert "interface is not part of the lhs" in problems_of(err)
 
+    def test_only_rule_errors_read_as_bad_documents(self, fixtures, monkeypatch):
+        # A fault of the engine while building a rule is not a fault of
+        # the file, so it is not turned into a DocumentError.
+        def broken(self):
+            raise TypeError("engine fault")
+
+        text = emit_rule_document(fixtures.rules["createClass"])
+        monkeypatch.setattr(Rule, "__post_init__", broken)
+        with pytest.raises(TypeError, match="engine fault"):
+            parse_rule_document(text)
+
     def test_several_problems_are_collected_together(self, fixtures):
         doc = json.loads(emit_graph_document(fixtures.host))
         doc["format"] = "nope"

@@ -13,6 +13,7 @@ from gradcons import (
     empty_graph,
     empty_morphism_into,
     enumerate_monomorphisms,
+    extensions,
     inclusion,
     validate_graph,
 )
@@ -216,7 +217,10 @@ class TestEnumerateMonomorphisms:
             [("x", "A"), ("y", "A"), ("z", "A")],
             [("e1", "aa", "x", "y"), ("e2", "aa", "x", "z")],
         )
-        found = enumerate_monomorphisms(pattern, host, node_seed={"p": "x", "q": "z"})
+        # Seeded through the extensions along the inclusion of the seeded nodes.
+        seeds = TypedGraph(tg2, [("p", "A"), ("q", "A")])
+        p = GraphMorphism(seeds, host, {"p": "x", "q": "z"}, {})
+        found = extensions(p, inclusion(seeds, pattern))
         assert len(found) == 1 and found[0].edge_map["pe"] == "e2"
 
     def test_matches_oracle_on_random_pairs(self):

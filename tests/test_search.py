@@ -11,8 +11,6 @@ import re
 import sys
 from collections import Counter
 
-import pytest
-
 from gradcons import (
     FALSE,
     TRUE,
@@ -38,7 +36,7 @@ from gradcons.cli import main
 from gradcons.conditions import Constraint, _anchor_keys, forall
 from gradcons.formats import emit_constraint_document, emit_graph_document
 from gradcons.generate import random_host, random_type_graph
-from gradcons.graphs import empty_morphism_into, iter_monomorphisms
+from gradcons.graphs import empty_morphism_into
 from gradcons.rewriting import _rewrite
 
 from .oracles import (
@@ -253,6 +251,24 @@ def _seeded_oracle(oracle, node_seed, edge_seed):
     )
 
 
+def _seeded(pattern, host, node_seed, edge_seed):
+    """The seeded question as an extension: ``p`` maps the seeded nodes
+    and the pinned edges with their ends as given, and ``a`` includes the
+    anchor they span into ``pattern``. ``node_seed`` names the ends of
+    every pinned edge."""
+    anchor = TypedGraph(pattern.type_graph, [(v, pattern.node_type(v)) for v in node_seed],
+                        [(e, *pattern.edge_info(e)) for e in edge_seed])
+    return GraphMorphism(anchor, host, node_seed, edge_seed), inclusion(anchor, pattern)
+
+
+def _with_ends(pattern, host, node_seed, edge_seed):
+    """``node_seed`` with the ends of each pinned edge's pattern edge sent
+    to those of its image, for seeds that some occurrence agrees with."""
+    ends = {v: w for e, f in edge_seed.items()
+            for v, w in zip(pattern.edge_info(e)[1:], host.edge_info(f)[1:])}
+    return {**ends, **node_seed}
+
+
 def _seeded_cases(rng: random.Random):
     """Patterns and hosts with parallel edges, their oracle morphisms and
     the seeds to try: random ones, then a fixed bundle."""
@@ -292,11 +308,11 @@ def _compare_seeded_cases() -> None:
     for pattern, host, oracle, seeds in _seeded_cases(random.Random(53)):
         for node_seed, edge_seed in seeds:
             want = _seeded_oracle(oracle, node_seed, edge_seed)
-            got = enumerate_monomorphisms(
-                pattern, host, node_seed=node_seed, edge_seed=edge_seed)
+            p, a = _seeded(pattern, host, _with_ends(pattern, host, node_seed, edge_seed),
+                           edge_seed)
+            got = conditions.extensions(p, a)
             assert got == want, (pattern.edge_items(), host.edge_items(), node_seed)
-            lazy = list(iter_monomorphisms(
-                pattern, host, node_seed=node_seed, edge_seed=edge_seed))
+            lazy = list(conditions.iter_extensions(p, a))
             assert len(lazy) == len(want)
             assert sorted(lazy, key=GraphMorphism.sort_key) == want
             compared += 1
@@ -334,7 +350,7 @@ class TestCanonicalOrderFromImages:
         for pattern, host, oracle in cases:
             got = enumerate_monomorphisms(pattern, host)
             assert got == sorted(oracle, key=GraphMorphism.sort_key), pattern.edge_items()
-            assert got == sorted(iter_monomorphisms(pattern, host), key=GraphMorphism.sort_key)
+            assert [m.sort_key() for m in got] == sorted(graphs._images(pattern, host))
             for m in got:
                 assert (tuple(m.node_map), tuple(m.edge_map)) == (pattern.node_ids,
                                                                   pattern.edge_ids)
@@ -419,6 +435,9 @@ class TestSeededEnumerationAgainstOracle:
         assert split["search"] >= 150 and not split["exists"], split
 
     def test_seed_contract(self):
+        """An anchor occurrence with a wrongly typed or absent image, or a
+        pinned edge whose image does not join the images of its ends,
+        extends to nothing; consistent pins extend as the oracle says."""
         tg = TypeGraph(["A", "B"], [("r", "A", "A"), ("s", "A", "B")])
         pattern = TypedGraph(tg, [("u", "A"), ("v", "A"), ("w", "B")],
                              [("x", "r", "u", "v"), ("y", "s", "v", "w")])
@@ -426,86 +445,71 @@ class TestSeededEnumerationAgainstOracle:
                           [("e1", "r", "a", "b"), ("e2", "s", "b", "c"), ("e3", "r", "d", "a"),
                            ("e4", "r", "a", "b"), ("e5", "s", "a", "c")])
         oracle = monos_by_permutation(pattern, host)
-        raises = [
-            ({"u": "a", "v": "a"}, {}),  # not injective
-            ({}, {"x": "e1", "y": "e1"}),
-            ({"z": "a"}, {}),  # absent pattern elements
-            ({}, {"q": "e1"}),
-            # Absence raises after a wrongly typed image too, in either order.
-            ({"w": "a", "z": "b"}, {}),
-            ({"z": "b", "w": "a"}, {}),
-            ({}, {"x": "e2", "q": "e1"}),
-            ({"u": "c"}, {"q": "e1"}),
-        ]
-        for node_seed, edge_seed in raises:
-            for search in (iter_monomorphisms, enumerate_monomorphisms):
-                with pytest.raises(ValueError):
-                    list(search(pattern, host, node_seed=node_seed, edge_seed=edge_seed))
         empty = [
             ({"u": "c"}, {}),  # wrongly typed images
-            ({}, {"x": "e2"}),
+            ({"u": "b", "v": "c"}, {"x": "e2"}),
             ({"u": "gone"}, {}),  # absent host elements
-            ({}, {"y": "gone"}),
-            ({"u": "a"}, {"x": "e3"}),  # a pin that misses the seeded node
+            ({"v": "b", "w": "c"}, {"y": "gone"}),
+            ({"u": "a", "v": "b"}, {"x": "e3"}),  # a pin that misses its ends' images
         ]
         pinned = [
-            ({}, {"x": "e4"}),  # pins whose endpoints are free
-            ({}, {"y": "e2", "x": "e1"}),
-            ({"w": "c"}, {"x": "e3"}),
+            ({"u": "a", "v": "b"}, {"x": "e4"}),
+            ({"u": "a", "v": "b", "w": "c"}, {"y": "e2", "x": "e1"}),
+            ({"u": "d", "v": "a", "w": "c"}, {"x": "e3"}),
         ]
         for node_seed, edge_seed in empty + pinned:
             want = _seeded_oracle(oracle, node_seed, edge_seed)
             assert bool(want) == ((node_seed, edge_seed) in pinned)
-            assert enumerate_monomorphisms(
-                pattern, host, node_seed=node_seed, edge_seed=edge_seed) == want
-            lazy = list(iter_monomorphisms(
-                pattern, host, node_seed=node_seed, edge_seed=edge_seed))
+            p, a = _seeded(pattern, host, node_seed, edge_seed)
+            assert conditions.extensions(p, a) == want
+            lazy = list(conditions.iter_extensions(p, a))
             assert sorted(lazy, key=GraphMorphism.sort_key) == want
 
     def test_stopping_a_seeded_search_stops_its_probes(self):
-        """The first of 9 900 extensions leaves the rest unprobed, both
-        through a seed and along an anchor."""
+        """The first of 9 900 extensions of the centre of a star, or of 99
+        of one of its spokes, leaves the rest unprobed."""
         tg = TypeGraph(["A", "B"], [("s", "A", "B")])
         star = TypedGraph(tg, [("a", "A"), ("b1", "B"), ("b2", "B")],
                           [("x1", "s", "a", "b1"), ("x2", "s", "a", "b2")])
-        center = TypedGraph(tg, [("a", "A")])
         host = TypedGraph(tg, [("h", "A"), *((f"k{i:03d}", "B") for i in range(100))],
                           [(f"e{i:03d}", "s", "h", f"k{i:03d}") for i in range(100)])
         host._triples = _CountingTriples(host._triples)
-        p = GraphMorphism(center, host, {"a": "h"}, {})
-        for search in (lambda: iter_monomorphisms(star, host, node_seed={"a": "h"}),
-                       lambda: conditions.iter_extensions(p, inclusion(center, star))):
+        for node_seed, edge_seed, count, ratio in (({"a": "h"}, {}, 9900, 1000),
+                                                   ({"a": "h", "b1": "k000"}, {"x1": "e000"},
+                                                    99, 10)):
+            p, a = _seeded(star, host, node_seed, edge_seed)
             host._triples.lookups = 0
-            assert next(search(), None) is not None
+            assert next(conditions.iter_extensions(p, a), None) is not None
             first = host._triples.lookups
             host._triples.lookups = 0
-            assert len(list(search())) == 9900
-            assert first * 1000 < host._triples.lookups, (first, host._triples.lookups)
+            assert len(list(conditions.iter_extensions(p, a))) == count
+            assert first * ratio < host._triples.lookups, (first, host._triples.lookups)
 
     def test_pinned_edges_seed_their_endpoints(self):
-        """A pin places its edge's endpoints, so the search reads them off
-        its image instead of scanning their type, and tests the pin by its
-        image without the edge index; a pin whose endpoints clash with a
-        seed or with each other leaves nothing."""
+        """A pinned edge's ends are in the anchor, so the search tests the
+        pin by its image without the edge index; a pin whose image does
+        not join the images of its ends, or is absent, leaves nothing."""
         tg = TypeGraph(["T"], [("r", "T", "T")])
         pattern = TypedGraph(tg, [("u", "T"), ("v", "T")], [("x", "r", "u", "v")])
         ids = [f"n{i:03d}" for i in range(200)]
         host = TypedGraph(tg, [(v, "T") for v in ids],
                           [(f"e{i:03d}", "r", ids[i], ids[i + 1]) for i in range(199)])
         host._triples = _CountingTriples(host._triples)
-        [m] = iter_monomorphisms(pattern, host, edge_seed={"x": "e100"})
+        p, a = _seeded(pattern, host, {"u": "n100", "v": "n101"}, {"x": "e100"})
+        [m] = conditions.iter_extensions(p, a)
         assert (m.node_map, m.edge_map) == ({"u": "n100", "v": "n101"}, {"x": "e100"})
         assert host._triples.lookups == 0
 
-        two = TypedGraph(tg, [("a", "T"), ("b", "T")],
-                         [("f1", "r", "a", "b"), ("f2", "r", "b", "a"), ("f3", "r", "a", "a")])
+        three = TypedGraph(tg, [("a", "T"), ("b", "T"), ("c", "T")],
+                           [("f1", "r", "a", "b"), ("f2", "r", "b", "a"), ("f3", "r", "a", "a")])
         chain = pattern.with_added([("w", "T")], [("y", "r", "v", "w")])
-        for pat, node_seed, edge_seed in ((pattern, {"u": "b"}, {"x": "f1"}),
-                                          (pattern, {}, {"x": "f3"}),
-                                          (chain, {}, {"x": "f1", "y": "f2"}),
-                                          (pattern, {}, {"x": "gone"})):
-            assert list(iter_monomorphisms(pat, two, node_seed=node_seed,
-                                           edge_seed=edge_seed)) == []
+        for pat, node_seed, edge_seed in ((pattern, {"u": "b", "v": "a"}, {"x": "f1"}),
+                                          (pattern, {"u": "a", "v": "b"}, {"x": "f3"}),
+                                          (chain, {"u": "a", "v": "b", "w": "c"},
+                                           {"x": "f1", "y": "f2"}),
+                                          (pattern, {"u": "a", "v": "b"}, {"x": "gone"})):
+            assert list(conditions.iter_extensions(*_seeded(pat, three, node_seed,
+                                                            edge_seed))) == []
 
     def test_each_pin_is_tested_once(self, fixtures):
         """In the search of each existential node of the CRA conditions, one
@@ -532,10 +536,9 @@ class TestSeededEnumerationAgainstOracle:
         pattern = TypedGraph(tg, [("u", "T"), ("v", "T")], [("x", "r", "u", "v")])
         host = TypedGraph(tg, [("a", "T"), ("b", "T")],
                           [("e1", "r", "a", "b"), ("e2", "r", "a", "b")])
-        found = list(iter_monomorphisms(pattern, host, node_seed={"u": "a"}))
-        assert sorted(m.edge_map["x"] for m in found) == ["e1", "e2"]
-        found = list(iter_monomorphisms(pattern, host, node_seed={"v": "b"}))
-        assert sorted(m.edge_map["x"] for m in found) == ["e1", "e2"]
+        for node_seed in ({"u": "a"}, {"v": "b"}):
+            found = list(conditions.iter_extensions(*_seeded(pattern, host, node_seed, {})))
+            assert sorted(m.edge_map["x"] for m in found) == ["e1", "e2"]
 
 
 def test_lean_rewrite_agrees_with_validated_apply():
@@ -615,7 +618,7 @@ class TestSkippedWork:
         def refuse(*args, **kwargs):
             raise AssertionError("extensions were materialized")
 
-        source, extensions = graphs._search_source, graphs._extensions
+        source = graphs._search_source
         compiled = []
 
         def no_seeded_search(pattern, form, nodes, edges):
@@ -624,19 +627,13 @@ class TestSkippedWork:
                 compiled.append(pattern)
             return source(pattern, form, nodes, edges)
 
-        def unseeded_only(pattern, host, nodes, *args):
-            assert not nodes, "extensions were materialized"
-            return extensions(pattern, host, nodes, *args)
-
         # Existence checks of the CRA conditions all have a TRUE
         # sub-condition, so a read compiles the exists form for them and
-        # neither the extension API nor a seeded enumeration runs. Outer
-        # searches have no seed, whichever engine runs them. Fresh
-        # fixtures hold no compiled search yet.
+        # the extension API does not run. Outer searches have no seed,
+        # whichever engine runs them. Fresh fixtures hold no compiled
+        # search yet.
         for name in ("extensions", "iter_extensions"):
             monkeypatch.setattr(conditions, name, refuse)
-        for module in (graphs, conditions):
-            monkeypatch.setattr(module, "_extensions", unseeded_only)
         monkeypatch.setattr(graphs, "_search_source", no_seeded_search)
         fresh = cra.build_fixtures()
         rng = random.Random(5)
@@ -792,9 +789,9 @@ class TestSkippedWork:
         host = random_host(fixtures.type_graph, random.Random(7), 100, 0.03)
         host._triples = probes = _CountingTriples(host._triples)
         pattern = fixtures.constraints["c3"].shape.outer_graph
-        assert next(iter_monomorphisms(pattern, host), None) is not None
+        assert next(graphs._images(pattern, host), None) is not None
         first, probes.lookups = probes.lookups, 0
-        every = list(iter_monomorphisms(pattern, host))
+        every = list(graphs._images(pattern, host))
         assert len(every) > 1
         assert first * 10 < probes.lookups, (first, probes.lookups)
 
@@ -865,7 +862,9 @@ class TestDeepPatterns:
         ids = [f"n{i:04d}" for i in range(n)]
         path = _path(tg, ids)
         identity = inclusion(path, path)
-        assert enumerate_monomorphisms(path, path, node_seed={ids[-1]: ids[-1]}) == [identity]
+        end = TypedGraph(tg, [(ids[-1], "N")])
+        p = GraphMorphism(end, path, {ids[-1]: ids[-1]}, {})
+        assert conditions.extensions(p, inclusion(end, path)) == [identity]
         start = TypedGraph(tg, [(ids[0], "Start")])
         p = GraphMorphism(start, path, {ids[0]: ids[0]}, {})
         assert conditions.extensions(p, inclusion(start, path)) == [identity]

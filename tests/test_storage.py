@@ -340,8 +340,8 @@ def test_scans_keep_only_the_keys_of_their_matches():
 
 def test_only_graphs_reads_graph_storage():
     # Of the private names of graphs.py, other modules may import only
-    # the entry points of the search compiler.
-    entry_points = {"_search", "_extensions"}
+    # the entry point of the search compiler.
+    entry_points = {"_search"}
     slots = set(TypedGraph.__slots__)
     offences = []
     for path in sorted(Path(gradcons.__file__).parent.glob("*.py")):
