@@ -33,7 +33,7 @@ from itertools import chain
 from typing import Iterator
 
 from .conditions import UNIVERSAL, AnfShape, Constraint, _satisfies
-from .errors import UnsupportedShapeError
+from .errors import MismatchError, UnsupportedShapeError
 from .graphs import GraphMorphism, TypedGraph, inclusion
 from .rewriting import Rule, _fresh_id
 
@@ -334,10 +334,14 @@ def criterion_direct_improve(
     verdict ``proven_improving`` additionally requires direct
     sustainment (taken from ``sustain`` when supplied, computed
     otherwise) and a plain rule, and only atomic negative constraints
-    reach it; elsewhere a holding necessary condition stays just that.
+    reach it; elsewhere a holding necessary condition stays just that. A
+    ``sustain`` result for another rule or constraint is refused with
+    :class:`MismatchError`.
     """
     shape = _fragment(constraint, allow_conjecture)
     name = constraint.name
+    if sustain and (sustain.rule_name, sustain.constraint_name) != (rule.name, name):
+        raise MismatchError(f"sustain result is for another pair than ({rule.name!r}, {name!r})")
 
     if shape.level == 1:
         conflicts = rule_conflicts_on_check(rule, shape.outer_graph)

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import xor
 
-from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, _Key, consistency_report
-from .errors import BoundError
+from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
+from .errors import BoundError, MismatchError
 from .generate import random_host
-from .graphs import GraphMorphism, TypeGraph, TypedGraph
+from .graphs import GraphMorphism, TypeGraph, TypedGraph, _Key
 from .rewriting import Rule, Transformation, _fresh_id, _rewritten, scan_matches
 
 
@@ -39,10 +39,11 @@ from .rewriting import Rule, Transformation, _fresh_id, _rewritten, scan_matches
 class StepVerdict:
     """All six step classifications plus the measurements and witnesses.
 
-    ``evidence`` maps labels (``invalidated_occurrence``,
+    ``evidence_keys`` maps labels (``invalidated_occurrence``,
     ``new_violating_occurrence``, ``repaired_occurrence``,
-    ``destroyed_occurrence``) to the occurrence morphisms that decided the
-    direct classifications.
+    ``destroyed_occurrence``) to the keys (:meth:`GraphMorphism.sort_key`)
+    of the occurrences that decided the direct classifications.
+    ``evidence`` builds them as morphisms on read.
     """
 
     constraint_name: str
@@ -54,7 +55,16 @@ class StepVerdict:
     directly_improving: bool
     report_before: ConsistencyReport
     report_after: ConsistencyReport
-    evidence: dict[str, GraphMorphism] = field(default_factory=dict)
+    evidence_keys: dict[str, _Key] = field(default_factory=dict)
+
+    @property
+    def evidence(self) -> dict[str, GraphMorphism]:
+        """The evidence as morphisms, built on each read: a new violating
+        occurrence into the result, the others into the host."""
+        after = self.report_after
+        return {label: GraphMorphism.from_key(after.pattern, (
+            after if label == "new_violating_occurrence" else self.report_before).graph, key)
+            for label, key in self.evidence_keys.items()}
 
 
 def _in_context(key: _Key, host: TypedGraph, removed_nodes: frozenset[str],
@@ -75,9 +85,6 @@ def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
     return (ro_b - before.ncv) * ro_a <= (ro_a - after.ncv) * ro_b
 
 
-_Flags = tuple[bool, bool, bool, bool, bool, bool]
-
-
 def _judge(
     polarity: str,
     before: ConsistencyReport,
@@ -85,7 +92,7 @@ def _judge(
     host: TypedGraph,
     removed_nodes: frozenset[str],
     removed_edges: frozenset[str],
-) -> tuple[_Flags, dict[str, _Key]]:
+) -> tuple[tuple[bool, ...], dict[str, _Key]]:
     """The six flags of a step, in :class:`StepVerdict` order, and the keys
     of the occurrences that decided the direct ones."""
     preserving = after.satisfied or not before.satisfied
@@ -101,8 +108,9 @@ def _judge(
         # A violating result occurrence inside the context is the image of
         # a host occurrence, which is invalidated when it was valid; one
         # outside the context is new. Invalidation is looked for first.
+        violating_before, violating_after = set(before.violating_keys), set(after.violating_keys)
         for key in after.violating_keys:
-            if (key not in before.violating_key_set
+            if (key not in violating_before
                     and _in_context(key, host, removed_nodes, removed_edges)):
                 evidence["invalidated_occurrence"] = key
                 break
@@ -119,7 +127,7 @@ def _judge(
                 if not _in_context(key, host, removed_nodes, removed_edges):
                     evidence["destroyed_occurrence"] = key
                     break
-                if key not in after.violating_key_set:
+                if key not in violating_after:
                     evidence["repaired_occurrence"] = key
                     break
             directly_improving = bool(evidence)
@@ -127,23 +135,6 @@ def _judge(
     flags = (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving)
     return flags, evidence
-
-
-def _verdict(
-    t: Transformation,
-    constraint_name: str,
-    before: ConsistencyReport,
-    after: ConsistencyReport,
-    flags: _Flags,
-    evidence: dict[str, _Key],
-) -> StepVerdict:
-    """The record of a step that :func:`_judge` has judged, its evidence
-    built as morphisms: a new violating occurrence into the result, the
-    others into the host."""
-    return StepVerdict(constraint_name, *flags, before, after, {
-        label: GraphMorphism.from_key(
-            after.pattern, t.result if label == "new_violating_occurrence" else t.host, key)
-        for label, key in evidence.items()})
 
 
 def classify_step(
@@ -160,13 +151,17 @@ def classify_step(
     and landing is tested on the images. Evidence is the first hit in
     canonical order. ``report_before`` may carry a precomputed measurement
     of the host to avoid recomputation in scans; passing it never changes
-    the outcome.
+    the outcome. A report of another graph or constraint is refused with
+    :class:`MismatchError`.
     """
-    before = report_before if report_before is not None else consistency_report(t.host, constraint)
+    before = report_before or consistency_report(t.host, constraint)
+    if before.graph != t.host or (before.constraint_name, before.pattern) != (
+            constraint.name, constraint.shape.outer_graph):
+        raise MismatchError(f"report_before does not measure the host against {constraint.name!r}")
     after = consistency_report(t.result, constraint)
     flags, evidence = _judge(constraint.shape.polarity, before, after, t.host,
                              t.removed_nodes, t.removed_edges)
-    return _verdict(t, constraint.name, before, after, flags, evidence)
+    return StepVerdict(constraint.name, *flags, before, after, evidence)
 
 
 # --- bounded host universes --------------------------------------------------
@@ -480,7 +475,7 @@ def classify_rule_empirical(
             if new:
                 m = GraphMorphism(rule.lhs, host, node_map, edge_map)
                 t = Transformation(rule, host, m, result, removed_nodes, removed_edges, 0)
-                record = (t, _verdict(t, constraint.name, before, after, flags, evidence))
+                record = (t, StepVerdict(constraint.name, *flags, before, after, evidence))
                 found.update(dict.fromkeys(new, record))
     if steps_examined == 0:
         raise BoundError(
@@ -494,13 +489,5 @@ def classify_rule_empirical(
         claims[claim] = (ClaimResult(claim, yes, *found[claim]) if claim in found
                          else ClaimResult(claim, no))
 
-    return RuleClassification(
-        rule_name=rule.name,
-        constraint_name=constraint.name,
-        bound=bound,
-        samples=samples,
-        seed=seed,
-        hosts_examined=hosts_examined,
-        steps_examined=steps_examined,
-        claims=claims,
-    )
+    return RuleClassification(rule.name, constraint.name, bound, samples, seed,
+                              hosts_examined, steps_examined, claims)

@@ -94,6 +94,9 @@ def _select_match(rule: Rule, host: TypedGraph, spec: str | None) -> GraphMorphi
     node_ids = rule.lhs.node_ids
     if spec is not None:
         wanted = _parse_match_spec(spec)
+        edges = [k for k in wanted if rule.lhs.has_edge(k)]
+        if edges:
+            raise MatchError(f"--match binds lhs nodes only, not the lhs edges {edges}")
         unknown = [k for k in wanted if not rule.lhs.has_node(k)]
         if unknown:
             raise MatchError(f"match spec names ids not in the rule's left side: {unknown}")

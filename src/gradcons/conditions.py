@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 from .errors import AnfError, MismatchError
-from .graphs import GraphMorphism, TypedGraph, _search, enumerate_monomorphisms
+from .graphs import GraphMorphism, TypedGraph, _Key, _search, enumerate_monomorphisms
 
 
 class Condition:
@@ -359,9 +359,6 @@ def validate_anf(constraint: Constraint) -> AnfShape:
 
 # --- graduated consistency ---------------------------------------------------
 
-_Key = tuple[tuple[str, ...], tuple[str, ...]]
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Occurrence counts and the consistency index for one graph/constraint.
@@ -393,12 +390,6 @@ class ConsistencyReport:
     @property
     def satisfied(self) -> bool:
         return self.ncv == 0
-
-    @cached_property
-    def violating_key_set(self) -> frozenset[_Key]:
-        """``violating_keys`` as a set, built on first use. Every step from
-        one host shares its report, so they share this set too."""
-        return frozenset(self.violating_keys)
 
     @property
     def violating_occurrences(self) -> tuple[GraphMorphism, ...]:

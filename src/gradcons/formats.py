@@ -349,10 +349,15 @@ def parse_constraints_library(document: str | Mapping[str, Any]) -> list[Constra
     if not isinstance(entries, list):
         problems.append("constraints must be a list")
         entries = []
+    position: dict[str, int] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             problems.append(f"constraints[{i}] must be an object with a name")
             continue
+        first = position.setdefault(entry["name"], i)
+        if first != i:
+            problems.append(f"constraints[{i}] repeats the name {entry['name']!r} of "
+                            f"constraints[{first}]")
         condition = _parse_condition(
             entry.get("condition"), tg, empty_graph(tg), f"constraints[{i}].condition", problems
         )

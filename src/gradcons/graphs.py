@@ -386,13 +386,18 @@ def validate_graph(graph: TypedGraph) -> list[str]:
     return problems
 
 
+# An occurrence's :meth:`GraphMorphism.sort_key`: node images, then edge images.
+_Key = tuple[tuple[str, ...], tuple[str, ...]]
+
+
 @dataclass(frozen=True, slots=True)
 class GraphMorphism:
     """A possibly-partial, structure-preserving map between typed graphs.
 
     ``node_map`` / ``edge_map`` send domain ids to codomain ids; elements
-    absent from the maps are where the morphism is undefined. Equality is
-    componentwise. Instances are value objects; do not mutate the maps.
+    absent from the maps are where the morphism is undefined. Equality and
+    hashing are componentwise. Instances are value objects; do not mutate
+    the maps.
     """
 
     domain: TypedGraph
@@ -441,7 +446,7 @@ class GraphMorphism:
                 problems.append(f"edge {e!r} does not commute with its endpoints")
         return problems
 
-    def sort_key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    def sort_key(self) -> _Key:
         """Canonical ordering key: images listed over sorted domain ids."""
         return (
             tuple(self.node_map.get(v, "") for v in self.domain.node_ids),
@@ -449,12 +454,16 @@ class GraphMorphism:
         )
 
     @classmethod
-    def from_key(cls, domain: TypedGraph, codomain: TypedGraph, key: tuple) -> GraphMorphism:
+    def from_key(cls, domain: TypedGraph, codomain: TypedGraph, key: _Key) -> GraphMorphism:
         """The total morphism whose :meth:`sort_key` is ``key``, its maps
         listing the sorted domain ids. Nothing is validated."""
         images, edge_images = key
         return cls(domain, codomain, dict(zip(domain._node_ids, images)),
                    dict(zip(domain._edge_ids, edge_images)))
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, frozenset(self.node_map.items()),
+                     frozenset(self.edge_map.items())))
 
     def __repr__(self) -> str:
         kind = "total" if self.is_total() else "partial"

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .conditions import TRUE, Condition, TrueCondition, _Key, _satisfies
+from .conditions import TRUE, Condition, TrueCondition, _satisfies
 from .errors import MatchError, MismatchError, RuleError
-from .graphs import GraphMorphism, TypedGraph, _search, inclusion, validate_graph
+from .graphs import GraphMorphism, TypedGraph, _Key, _search, inclusion, validate_graph
 
 
 @dataclass(frozen=True)

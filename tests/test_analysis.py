@@ -37,7 +37,7 @@ from gradcons.analysis import (
     PROVEN_NOT_DIRECTLY_SUSTAINING,
 )
 from gradcons.cli import main
-from gradcons.errors import GradconsError
+from gradcons.errors import GradconsError, MismatchError
 from gradcons.formats import emit_constraints_library, emit_rule_document
 from gradcons.generate import random_linear_constraint, random_rule, random_type_graph
 
@@ -334,6 +334,13 @@ class TestImproveCriterion:
         with_hint = criterion_direct_improve(rule, c, sustain=sustain)
         without = criterion_direct_improve(rule, c)
         assert with_hint.verdict == without.verdict
+
+    def test_a_sustain_result_for_another_pair_is_refused(self, fixtures):
+        rule, other = fixtures.rules["deleteEmptyClass"], fixtures.rules["createClass"]
+        c1, c2 = fixtures.constraints["c1"], fixtures.constraints["c2"]
+        for sustain in (criterion_direct_sustain(other, c2), criterion_direct_sustain(rule, c1)):
+            with pytest.raises(MismatchError, match="sustain result is for"):
+                criterion_direct_improve(rule, c2, sustain=sustain)
 
 
 class TestIndependenceTable:

@@ -12,6 +12,7 @@ from gradcons import (
     Constraint,
     Exists,
     GraphMorphism,
+    MismatchError,
     Rule,
     TypedGraph,
     TypeGraph,
@@ -87,6 +88,7 @@ class TestClassifyStepUniversal:
         assert not v.preserving and not v.directly_sustaining
         assert set(v.evidence) == {"new_violating_occurrence"}
         assert v.evidence["new_violating_occurrence"].node_map["F1"] == "f1"
+        assert v.evidence["new_violating_occurrence"].codomain is t.result
 
     def test_destroyed_occurrence_improves_directly(self, fixtures):
         tg = fixtures.type_graph
@@ -125,6 +127,50 @@ class TestClassifyStepUniversal:
         c3 = fixtures.constraints["c3"]
         before = consistency_report(fixtures.host, c3)
         assert classify_step(t, c3, report_before=before) == classify_step(t, c3)
+
+    def test_a_report_of_another_graph_or_constraint_is_refused(self, fixtures):
+        """``report_before`` must measure the step's host against the same
+        constraint; an equal copy of the host is the same graph."""
+        t = _one_step(fixtures.rules["moveFeature"], fixtures.host, f="f3")
+        c2, c3 = fixtures.constraints["c2"], fixtures.constraints["c3"]
+        assert classify_step(t, c3).improving
+        with pytest.raises(MismatchError, match="does not measure the host"):
+            classify_step(t, c3, report_before=consistency_report(fixtures.host, c2))
+        renamed = Constraint("c3", c2.condition)
+        with pytest.raises(MismatchError, match="does not measure the host"):
+            classify_step(t, c3, report_before=consistency_report(fixtures.host, renamed))
+        with pytest.raises(MismatchError, match="does not measure the host"):
+            classify_step(t, c3, report_before=consistency_report(t.result, c3))
+        copy = TypedGraph(fixtures.type_graph, fixtures.host.node_items(),
+                          fixtures.host.edge_items())
+        assert (classify_step(t, c3, report_before=consistency_report(copy, c3))
+                == classify_step(t, c3))
+
+    def test_evidence_is_built_on_read(self, fixtures, monkeypatch):
+        """A verdict keeps the keys of its evidence: classifying builds no
+        morphism beyond those of measuring host and result, and each read
+        of ``evidence`` builds one per label."""
+        t = _one_step(fixtures.rules["moveFeature"], fixtures.host, f="f3")
+        constraints = fixtures.constraint_list()
+        built = Counter()
+
+        def counting(cls, *args, _inner=GraphMorphism.from_key.__func__):
+            built["from_key"] += 1
+            return _inner(cls, *args)
+
+        monkeypatch.setattr(GraphMorphism, "from_key", classmethod(counting))
+        for c in constraints:
+            consistency_report(t.host, c), consistency_report(t.result, c)
+        measuring = built["from_key"]
+        verdicts = [classify_step(t, c) for c in constraints]
+        assert built["from_key"] == 2 * measuring
+        evidence = [v.evidence for v in verdicts]
+        assert built["from_key"] == 2 * measuring + 2
+        assert [sorted(e) for e in evidence] == [
+            [], ["invalidated_occurrence"], ["destroyed_occurrence"]]
+        assert all(m.codomain is t.host for e in evidence for m in e.values())
+        assert verdicts[2].evidence_keys == {"destroyed_occurrence": (
+            ("c1", "c2", "f1", "f3"), ("asg_f1", "asg_f3", "dep_13"))}
 
     def test_direct_sustainment_without_sustainment(self):
         # Every looped node needs an r0 edge to another node. T02 lacks one;

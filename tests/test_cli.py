@@ -251,6 +251,16 @@ class TestSatisfyAndReport:
         ]
         assert by_name["c2"]["satisfied"] is True
 
+    def test_report_refuses_a_repeated_constraint_name(self, docs, tmp_path, capsys):
+        library = json.loads((docs / "constraints.json").read_text())
+        library["constraints"].append({**library["constraints"][2], "name": "c1"})
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(library))
+        code, out, err = run(capsys, "report", str(docs / "host_graph.json"), str(path))
+        assert (code, out) == (2, "")
+        assert "constraints[3] repeats the name 'c1' of constraints[0]" in err
+        assert "Traceback" not in err
+
 
 class TestApply:
     def test_apply_with_explicit_match(self, docs, capsys):
@@ -319,6 +329,14 @@ class TestApply:
         )
         assert code == 3
         assert "ids not in the rule's left side" in err
+
+    def test_match_spec_naming_an_lhs_edge_exits_3(self, docs, capsys):
+        code, out, err = run(
+            capsys, "apply", str(docs / "rule_moveFeature.json"),
+            str(docs / "host_graph.json"), "--match", "e_old=asg_f1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: --match binds lhs nodes only, not the lhs edges ['e_old']\n"
 
     @pytest.mark.parametrize("spec", ["f=zz,f=f1,c_tgt=c2", "f=f1,f=zz,c_tgt=c2"])
     def test_match_spec_binding_an_id_twice_exits_2(self, docs, capsys, spec):

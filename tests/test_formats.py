@@ -78,6 +78,19 @@ class TestRoundTrips:
         text = emit_constraints_library(fixtures.type_graph, fixtures.constraint_list())
         assert parse_constraints_library(text) == fixtures.constraint_list()
 
+    def test_equal_values_hash_equal(self, fixtures):
+        """Constraints, their condition nodes and rules are frozen values:
+        parsed twice from one document, they are equal and hash equal."""
+        text = emit_constraints_library(fixtures.type_graph, fixtures.constraint_list())
+        first, second = parse_constraints_library(text), parse_constraints_library(text)
+        assert all(a is not b for a, b in zip(first, second))
+        assert len({first[2], second[2]}) == 1
+        assert len(set(first) | set(second)) == 3
+        for rule in fixtures.rule_list():
+            again = parse_rule_document(emit_rule_document(rule))
+            assert again == rule and hash(again) == hash(rule)
+            assert hash(again.condition) == hash(rule.condition)
+
     def test_parsers_accept_mappings(self, fixtures):
         doc = json.loads(emit_graph_document(fixtures.host))
         assert parse_graph_document(doc) == fixtures.host
@@ -234,6 +247,15 @@ class TestParseErrors:
         with pytest.raises(DocumentError) as err:
             parse_constraints_library(doc)
         assert "constraints[0] must be an object with a name" in problems_of(err)
+
+    def test_library_names_are_unique(self, fixtures):
+        doc = json.loads(
+            emit_constraints_library(fixtures.type_graph, fixtures.constraint_list())
+        )
+        doc["constraints"].append({**doc["constraints"][2], "name": "c1"})
+        with pytest.raises(DocumentError) as err:
+            parse_constraints_library(doc)
+        assert problems_of(err) == "constraints[3] repeats the name 'c1' of constraints[0]"
 
     def test_rule_with_interface_outside_lhs(self, fixtures):
         doc = json.loads(emit_rule_document(fixtures.rules["createClass"]))

@@ -263,15 +263,46 @@ def _seeded(pattern, host, node_seed, edge_seed):
 
 def _with_ends(pattern, host, node_seed, edge_seed):
     """``node_seed`` with the ends of each pinned edge's pattern edge sent
-    to those of its image, for seeds that some occurrence agrees with."""
+    to those of its image, unless ``node_seed`` sends them elsewhere."""
     ends = {v: w for e, f in edge_seed.items()
             for v, w in zip(pattern.edge_info(e)[1:], host.edge_info(f)[1:])}
     return {**ends, **node_seed}
 
 
+def _misplaced_pin(pattern, host, rng: random.Random):
+    """A seed that sends the ends of a pattern edge to host nodes of their
+    types and pins the edge to a host edge of its type that does not join
+    them, or ``None`` when the host has no such choice."""
+    if not pattern.edge_count:
+        return None
+    e = rng.choice(pattern.edge_ids)
+    etype, src, tgt = pattern.edge_info(e)
+    ends: dict[str, str] = {}
+    for v in dict.fromkeys((src, tgt)):
+        choices = [w for w in host.node_ids
+                   if host.node_type(w) == pattern.node_type(v) and w not in ends.values()]
+        if not choices:
+            return None
+        ends[v] = rng.choice(choices)
+    off = [f for f in host.edge_ids
+           if host.edge_info(f)[0] == etype and host.edge_info(f) != (etype, ends[src], ends[tgt])]
+    return (ends, {e: rng.choice(off)}) if off else None
+
+
+def _pins_fit(pattern, host, nodes, edge_seed) -> bool:
+    """Does the image of each pinned edge have its type and join the
+    images of its ends under ``nodes``?"""
+    def image(etype, src, tgt):
+        return etype, nodes[src], nodes[tgt]
+    return all(host.edge_info(f) == image(*pattern.edge_info(e)) for e, f in edge_seed.items())
+
+
 def _seeded_cases(rng: random.Random):
     """Patterns and hosts with parallel edges, their oracle morphisms and
-    the seeds to try: random ones, then a fixed bundle."""
+    the seeds to try: random ones, then fixed bundles. Seeds with a
+    misplaced pin come from a generator of their own, so the other seeds
+    stay as they were."""
+    pins = random.Random(61)
     for _ in range(300):
         tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
         pattern = _with_parallel_edges(random_host(tg, rng, rng.randint(1, 3), 0.5), rng, 0.2)
@@ -288,6 +319,9 @@ def _seeded_cases(rng: random.Random):
         if len(nodes) <= host.node_count:
             seeds.append((dict(zip(nodes, rng.sample(host.node_ids, len(nodes)))), {}))
         seeds.append(({}, {}))
+        misplaced = _misplaced_pin(pattern, host, pins)
+        if misplaced is not None:
+            seeds.append(misplaced)
         yield pattern, host, oracle, seeds
     # Three parallel pattern edges over a bundle of four host edges, next
     # to a second signature group, with one edge of the bundle pinned.
@@ -301,15 +335,23 @@ def _seeded_cases(rng: random.Random):
                        ("g0", "r", "a", "c"), ("g1", "r", "c", "a")])
     oracle = monos_by_permutation(pattern, host)
     yield pattern, host, oracle, [({}, {"x1": "e2"}), ({"v": "b"}, {"x0": "e3", "y": "f1"})]
+    # A pinned edge that joins the images of its ends, of the right type
+    # or of another type with the same signature.
+    tg = TypeGraph(["T"], [("r", "T", "T"), ("s", "T", "T")])
+    pattern = TypedGraph(tg, [("u", "T"), ("v", "T")], [("x", "r", "u", "v")])
+    host = TypedGraph(tg, [("a", "T"), ("b", "T")], [("e", "r", "a", "b"), ("f", "s", "a", "b")])
+    oracle = monos_by_permutation(pattern, host)
+    yield pattern, host, oracle, [({}, {"x": "e"}), ({}, {"x": "f"})]
 
 
 def _compare_seeded_cases() -> None:
-    compared = nonempty = 0
+    compared = nonempty = misplaced = 0
     for pattern, host, oracle, seeds in _seeded_cases(random.Random(53)):
         for node_seed, edge_seed in seeds:
             want = _seeded_oracle(oracle, node_seed, edge_seed)
-            p, a = _seeded(pattern, host, _with_ends(pattern, host, node_seed, edge_seed),
-                           edge_seed)
+            nodes = _with_ends(pattern, host, node_seed, edge_seed)
+            misplaced += not _pins_fit(pattern, host, nodes, edge_seed)
+            p, a = _seeded(pattern, host, nodes, edge_seed)
             got = conditions.extensions(p, a)
             assert got == want, (pattern.edge_items(), host.edge_items(), node_seed)
             lazy = list(conditions.iter_extensions(p, a))
@@ -317,7 +359,7 @@ def _compare_seeded_cases() -> None:
             assert sorted(lazy, key=GraphMorphism.sort_key) == want
             compared += 1
             nonempty += bool(want)
-    assert compared >= 600 and nonempty >= 300
+    assert compared >= 600 and nonempty >= 300 and misplaced >= 100
 
 
 class TestCanonicalOrderFromImages:
