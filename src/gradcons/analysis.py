@@ -28,7 +28,7 @@ application exists anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
@@ -423,7 +423,7 @@ class IndependenceTable:
 
     rule_names: tuple[str, ...]
     columns: tuple[tuple[str, str], ...]  # (group, constraint name)
-    counts: dict[tuple[str, str, str], int]
+    counts: dict[tuple[str, str, str], int] = field(hash=False)
 
     def sign(self, rule_name: str, group: str, constraint_name: str) -> str:
         count = self.counts[(rule_name, group, constraint_name)]

@@ -55,7 +55,7 @@ class StepVerdict:
     directly_improving: bool
     report_before: ConsistencyReport
     report_after: ConsistencyReport
-    evidence_keys: dict[str, _Key] = field(default_factory=dict)
+    evidence_keys: dict[str, _Key] = field(default_factory=dict, hash=False)
 
     @property
     def evidence(self) -> dict[str, GraphMorphism]:
@@ -406,7 +406,7 @@ class RuleClassification:
     seed: int
     hosts_examined: int
     steps_examined: int
-    claims: dict[str, ClaimResult]
+    claims: dict[str, ClaimResult] = field(hash=False)
 
     def claim(self, name: str) -> ClaimResult:
         return self.claims[name]

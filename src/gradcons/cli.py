@@ -422,8 +422,7 @@ def _cmd_bench(args) -> int:
                 "samples": cls.samples,
                 "seed": cls.seed,
                 "cells": {
-                    f"{r}/{c}": [cls.cells[(r, c)].sustaining, cls.cells[(r, c)].improving]
-                    for (r, c) in sorted(cls.cells)
+                    f"{r}/{c}": list(pair) for (r, c), pair in sorted(cls.cells.items())
                 },
                 "statically_proven": sorted(f"{r}/{c}" for r, c in cls.statically_proven),
                 "diffs": list(cls.diffs),

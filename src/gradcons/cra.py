@@ -21,7 +21,7 @@ the reproduction functions diff against them and flag any drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
@@ -338,21 +338,13 @@ STATIC_PROOF_GOLDEN = frozenset(
 
 
 @dataclass(frozen=True)
-class ClassificationCell:
-    sustaining: str
-    improving: str
-    sustaining_provenance: str
-    improving_provenance: str
-
-
-@dataclass(frozen=True)
 class ClassificationReproduction:
     bound: int
     samples: int
     seed: int
-    cells: dict[tuple[str, str], ClassificationCell]
+    cells: dict[tuple[str, str], tuple[str, str]] = field(hash=False)
     statically_proven: frozenset[tuple[str, str]]
-    empirical: dict[tuple[str, str], RuleClassification]
+    empirical: dict[tuple[str, str], RuleClassification] = field(hash=False)
     diffs: tuple[str, ...]
 
     @property
@@ -368,8 +360,9 @@ class ClassificationReproduction:
         )
         lines = [header]
         for rule_name in RULE_NAMES:
-            sus = " ".join(f"{self.cells[(rule_name, c)].sustaining:>4}" for c in CONSTRAINT_NAMES)
-            imp = " ".join(f"{self.cells[(rule_name, c)].improving:>4}" for c in CONSTRAINT_NAMES)
+            pairs = [self.cells[(rule_name, c)] for c in CONSTRAINT_NAMES]
+            sus = " ".join(f"{sign:>4}" for sign, _ in pairs)
+            imp = " ".join(f"{sign:>4}" for _, sign in pairs)
             lines.append(f"{rule_name.ljust(width)}             {sus}             {imp}")
         lines.append("")
         lines.append(f"search bound {self.bound} nodes, {self.samples} random hosts, seed {self.seed}")
@@ -389,9 +382,10 @@ def _classify_pair(
     bound: int,
     samples: int,
     seed: int,
-) -> tuple[ClassificationCell, bool, RuleClassification]:
-    """The pair's cell, whether the static criterion proves it directly
-    sustaining, and the search result behind the cell."""
+) -> tuple[tuple[str, str], bool, RuleClassification]:
+    """The pair's (sustaining, improving) cell, whether the static
+    criterion proves it directly sustaining, and the search result behind
+    the cell."""
     static_sustain = criterion_direct_sustain(rule, constraint)
     static_improve = criterion_direct_improve(rule, constraint, sustain=static_sustain)
     empirical = classify_rule_empirical(rule, constraint, bound=bound, samples=samples, seed=seed)
@@ -401,52 +395,30 @@ def _classify_pair(
     strong = empirical.claim("strongly_improving")
 
     proven = static_sustain.verdict == PROVEN_DIRECTLY_SUSTAINING
-    if proven:
-        if sustaining.status == PROVEN_NO or direct.status == PROVEN_NO:
-            raise ContradictionError(
-                f"{rule.name}/{constraint.name}: statically certified sustaining, "
-                "but the search produced a counterexample step"
-            )
-        sus_cell = "+"
-        sus_from = "static proof"
-    elif sustaining.status == PROVEN_NO:
-        sus_cell = "-"
-        sus_from = "counterexample step found"
-    elif direct.status == PROVEN_NO:
-        sus_cell = "(+)"
-        sus_from = (
-            f"no counterexample up to bound {bound}, "
-            "but direct sustainment has one"
+    if proven and PROVEN_NO in (sustaining.status, direct.status):
+        raise ContradictionError(
+            f"{rule.name}/{constraint.name}: statically certified sustaining, "
+            "but the search produced a counterexample step"
         )
-    else:
-        sus_cell = "+"
-        sus_from = f"no counterexample up to bound {bound} (search evidence only)"
-
     if static_improve.verdict == NECESSARY_CONDITION_FAILS and improving.status == WITNESS_FOUND:
         raise ContradictionError(
             f"{rule.name}/{constraint.name}: improvement statically impossible, "
             "but the search produced an improving step"
         )
-    if sus_cell == "-":
-        imp_cell = "-"
-        imp_from = "not sustaining"
-    elif improving.status != WITNESS_FOUND:
-        imp_cell = "-"
-        imp_from = "no improving application found"
-    elif strong.status == PROVEN_NO:
-        imp_cell = "+"
-        imp_from = "improving application found; some application on an inconsistent host does not improve"
+    # A static proof has no counterexample (checked above), so it reads "+".
+    if sustaining.status == PROVEN_NO:
+        sus = "-"
+    elif direct.status == PROVEN_NO:
+        sus = "(+)"
     else:
-        imp_cell = "+*"
-        imp_from = "improving application found; every application on an inconsistent host improved"
-
-    cell = ClassificationCell(
-        sustaining=sus_cell,
-        improving=imp_cell,
-        sustaining_provenance=sus_from,
-        improving_provenance=imp_from,
-    )
-    return cell, proven, empirical
+        sus = "+"
+    if sus == "-" or improving.status != WITNESS_FOUND:
+        imp = "-"
+    elif strong.status == PROVEN_NO:
+        imp = "+"
+    else:
+        imp = "+*"
+    return (sus, imp), proven, empirical
 
 
 def reproduce_classification_table(
@@ -462,7 +434,7 @@ def reproduce_classification_table(
     counterexample raises :class:`ContradictionError`.
     """
     fixtures = fixtures or load_fixtures()
-    cells: dict[tuple[str, str], ClassificationCell] = {}
+    cells: dict[tuple[str, str], tuple[str, str]] = {}
     empirical: dict[tuple[str, str], RuleClassification] = {}
     proven = set()
     for rule_name in RULE_NAMES:
@@ -477,15 +449,11 @@ def reproduce_classification_table(
 
     diffs = []
     for key, (want_sus, want_imp) in sorted(CLASSIFICATION_GOLDEN.items()):
-        got = cells[key]
-        if got.sustaining != want_sus:
-            diffs.append(
-                f"{key[0]}/{key[1]} sustaining: computed {got.sustaining}, expected {want_sus}"
-            )
-        if got.improving != want_imp:
-            diffs.append(
-                f"{key[0]}/{key[1]} improving: computed {got.improving}, expected {want_imp}"
-            )
+        got_sus, got_imp = cells[key]
+        if got_sus != want_sus:
+            diffs.append(f"{key[0]}/{key[1]} sustaining: computed {got_sus}, expected {want_sus}")
+        if got_imp != want_imp:
+            diffs.append(f"{key[0]}/{key[1]} improving: computed {got_imp}, expected {want_imp}")
     if frozenset(proven) != STATIC_PROOF_GOLDEN:
         extra = sorted(set(proven) - STATIC_PROOF_GOLDEN)
         missing = sorted(STATIC_PROOF_GOLDEN - set(proven))

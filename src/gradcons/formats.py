@@ -354,8 +354,9 @@ def parse_constraints_library(document: str | Mapping[str, Any]) -> list[Constra
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             problems.append(f"constraints[{i}] must be an object with a name")
             continue
-        first = position.setdefault(entry["name"], i)
-        if first != i:
+        if not entry["name"]:
+            problems.append(f"constraints[{i}] name must be a nonempty string")
+        elif (first := position.setdefault(entry["name"], i)) != i:
             problems.append(f"constraints[{i}] repeats the name {entry['name']!r} of "
                             f"constraints[{first}]")
         condition = _parse_condition(

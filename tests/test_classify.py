@@ -495,6 +495,18 @@ class TestClassifyRuleEmpirical:
         assert result.claim("strongly_improving").status == PROVEN_NO
         assert result.claim("sustaining").status == NO_COUNTEREXAMPLE
 
+    def test_equal_records_hash_equal(self, fixtures):
+        """Two runs of one step and of one rule search give equal records
+        that hash equal: verdicts, rule classifications and their claims."""
+        rule, c3 = fixtures.rules["moveFeature"], fixtures.constraints["c3"]
+        verdicts = [classify_step(_one_step(rule, fixtures.host, f="f3"), c3) for _ in range(2)]
+        searches = [classify_rule_empirical(rule, c3, bound=4, samples=0) for _ in range(2)]
+        claims = list(zip(searches[0].claims.values(), searches[1].claims.values()))
+        assert any(first.step_verdict is not None for first, _ in claims)
+        for first, second in (verdicts, searches, *claims):
+            assert first is not second and first == second
+            assert hash(first) == hash(second) and len({first, second}) == 1
+
     def test_deterministic_for_fixed_seed(self, fixtures):
         def statuses():
             r = classify_rule_empirical(

@@ -261,6 +261,19 @@ class TestSatisfyAndReport:
         assert "constraints[3] repeats the name 'c1' of constraints[0]" in err
         assert "Traceback" not in err
 
+    def test_an_empty_constraint_name_exits_2(self, docs, tmp_path, capsys):
+        library = json.loads((docs / "constraints.json").read_text())
+        library["constraints"][0]["name"] = ""
+        path = tmp_path / "unnamed.json"
+        path.write_text(json.dumps(library))
+        problem = "constraints[0] name must be a nonempty string"
+        code, out, err = run(capsys, "report", str(docs / "host_graph.json"), str(path))
+        assert (code, out) == (2, "")
+        assert problem in err and "Traceback" not in err
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 2
+        assert f"unnamed.json: INVALID\n  - {problem}" in out
+
 
 class TestApply:
     def test_apply_with_explicit_match(self, docs, capsys):

@@ -1,10 +1,12 @@
 """Tests for the packaged modeling scenario and its reference tables."""
 
+from dataclasses import replace
+
 import pytest
 
-from gradcons import cra
+from gradcons import classify_step, cra
 from gradcons.classify import NO_COUNTEREXAMPLE, PROVEN_NO, WITNESS_FOUND
-from gradcons.errors import DocumentError
+from gradcons.errors import ContradictionError, DocumentError
 
 
 class TestFixtureFiles:
@@ -128,18 +130,64 @@ class TestClassificationReproduction:
         assert rep.statically_proven == cra.STATIC_PROOF_GOLDEN
         assert "All 24 cells match" in rep.render_text()
 
-    def test_cell_provenance(self, rep):
-        af_c2 = rep.cells[("assignFeature", "c2")]
-        assert af_c2.sustaining_provenance == "static proof"
-        assert "some application" in af_c2.improving_provenance
+    def test_cells_follow_the_legend(self, rep, fixtures):
+        """Each cell re-derived from the claim statuses behind it and the
+        static proofs, as the legend above CLASSIFICATION_GOLDEN reads; the
+        step behind every refuted or witnessed claim replays its verdict."""
+        assert rep.cells == cra.CLASSIFICATION_GOLDEN
+        for key, result in rep.empirical.items():
+            constraint = fixtures.constraints[key[1]]
+            for claim in result.claims.values():
+                if claim.transformation is not None:
+                    assert classify_step(claim.transformation, constraint) == claim.step_verdict
+            status = {name: claim.status for name, claim in result.claims.items()}
+            if key in rep.statically_proven:
+                assert PROVEN_NO not in (status["sustaining"], status["directly_sustaining"])
+            if status["sustaining"] == PROVEN_NO:
+                sus = "-"  # a counterexample step
+            elif status["directly_sustaining"] == PROVEN_NO:
+                sus = "(+)"  # sustaining held throughout, direct sustainment did not
+            else:
+                sus = "+"  # a static proof, or no counterexample in the search
+            if sus == "-" or status["improving"] != WITNESS_FOUND:
+                imp = "-"
+            elif status["strongly_improving"] == PROVEN_NO:
+                imp = "+"  # some application on an inconsistent host did not improve
+            else:
+                imp = "+*"  # every application on an inconsistent host improved
+            assert rep.cells[key] == (sus, imp), key
 
-        mf_c1 = rep.cells[("moveFeature", "c1")]
-        assert mf_c1.sustaining == "(+)"
-        assert "direct" in mf_c1.sustaining_provenance
+    def test_static_results_cross_check_the_search(self, fixtures, monkeypatch):
+        """createClass/c2 is statically sustaining and statically not
+        improving: a search claiming otherwise is a contradiction, and the
+        sustaining one is reported first."""
+        search = cra.classify_rule_empirical
 
-        dec_c2 = rep.cells[("deleteEmptyClass", "c2")]
-        assert dec_c2.improving == "+*"
-        assert "every application" in dec_c2.improving_provenance
+        def contradicting(statuses):
+            def run(*args, **kwargs):
+                result = search(*args, **kwargs)
+                claims = {name: replace(claim, status=statuses.get(name, claim.status))
+                          for name, claim in result.claims.items()}
+                return replace(result, claims=claims)
+            return run
+
+        for statuses, message in [
+            ({"sustaining": PROVEN_NO, "improving": WITNESS_FOUND}, "statically certified"),
+            ({"directly_sustaining": PROVEN_NO}, "statically certified"),
+            ({"improving": WITNESS_FOUND}, "improvement statically impossible"),
+        ]:
+            monkeypatch.setattr(cra, "classify_rule_empirical", contradicting(statuses))
+            with pytest.raises(ContradictionError, match=message):
+                cra._classify_pair(fixtures.rules["createClass"], fixtures.constraints["c2"],
+                                   bound=3, samples=0, seed=1)
+
+    def test_equal_reproductions_hash_equal(self, fixtures):
+        independence = [cra.reproduce_independence_table(fixtures) for _ in range(2)]
+        classification = [cra.reproduce_classification_table(fixtures, bound=3, samples=0)
+                          for _ in range(2)]
+        for first, second in (independence, classification):
+            assert first is not second and first == second
+            assert hash(first) == hash(second) and len({first, second}) == 1
 
     def test_empirical_claims_behind_the_cells(self, rep):
         mf_c3 = rep.empirical[("moveFeature", "c3")]

@@ -257,6 +257,15 @@ class TestParseErrors:
             parse_constraints_library(doc)
         assert problems_of(err) == "constraints[3] repeats the name 'c1' of constraints[0]"
 
+    def test_library_names_are_nonempty(self, fixtures):
+        doc = json.loads(
+            emit_constraints_library(fixtures.type_graph, fixtures.constraint_list())
+        )
+        doc["constraints"][0]["name"] = ""
+        with pytest.raises(DocumentError) as err:
+            parse_constraints_library(doc)
+        assert problems_of(err) == "constraints[0] name must be a nonempty string"
+
     def test_rule_with_interface_outside_lhs(self, fixtures):
         doc = json.loads(emit_rule_document(fixtures.rules["createClass"]))
         doc["interface"]["nodes"].append({"id": "ghost", "type": "Feature"})
