@@ -29,6 +29,7 @@ application exists anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
@@ -42,49 +43,46 @@ from .rewriting import Rule, _fresh_id
 class Overlap:
     """One jointly surjective gluing of a rule side with a pattern.
 
-    ``rule_injection`` embeds the rule's lhs (conflict) or rhs
-    (dependency); ``pattern_injection`` embeds the constraint pattern.
-    Every element of ``graph`` is hit by at least one of the two.
+    ``side`` is the rule's lhs (conflict) or rhs (dependency).
+    ``identified`` pairs each identified pattern node, then edge, with
+    its side partner, in pattern order. The glued ``graph`` and both
+    injections are built on first read: ``rule_injection`` embeds the
+    side, ``pattern_injection`` the pattern, and every element of
+    ``graph`` is hit by at least one of the two.
     """
 
     kind: str  # "conflict" or "dependency"
-    graph: TypedGraph
-    rule_injection: GraphMorphism
-    pattern_injection: GraphMorphism
+    side: TypedGraph
+    pattern: TypedGraph
+    identified: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def pattern_injection(self) -> GraphMorphism:
+        """Into the glued graph, which keeps the side's ids and gives each
+        unidentified pattern node, then edge, a fresh id."""
+        side, pattern = self.side, self.pattern
+        image = dict(self.identified)
+        taken = {*side.node_ids, *side.edge_ids}
+        for y in pattern.node_ids + pattern.edge_ids:
+            if y not in image:
+                image[y] = x = _fresh_id(y, taken.__contains__)
+                taken.add(x)
+        # Identified elements have side ids, fresh ones never do.
+        glued = side.with_added(
+            [(image[y], t) for y, t in pattern.node_items() if not side.has_node(image[y])],
+            [(image[f], t, image[src], image[tgt]) for f, t, src, tgt in pattern.edge_items()
+             if not side.has_edge(image[f])],
+        )
+        return GraphMorphism(pattern, glued, {y: image[y] for y in pattern.node_ids},
+                             {f: image[f] for f in pattern.edge_ids})
 
-def _build_overlap(
-    kind: str, side: TypedGraph, pattern: TypedGraph, identified: dict[str, str]
-) -> Overlap:
-    """Construct the glued graph with side ids kept verbatim and fresh ids
-    for unidentified pattern elements. ``identified`` sends each
-    identified pattern node and edge to its side partner."""
-    taken = set(side.node_ids) | set(side.edge_ids)
+    @property
+    def graph(self) -> TypedGraph:
+        return self.pattern_injection.codomain
 
-    pattern_node_id: dict[str, str] = {}
-    extra_nodes: list[tuple[str, str]] = []
-    for y in pattern.node_ids:
-        x = identified.get(y)
-        if x is None:
-            x = _fresh_id(y, taken.__contains__)
-            taken.add(x)
-            extra_nodes.append((x, pattern.node_type(y)))
-        pattern_node_id[y] = x
-
-    pattern_edge_id: dict[str, str] = {}
-    extra_edges: list[tuple[str, str, str, str]] = []
-    for f in pattern.edge_ids:
-        e = identified.get(f)
-        if e is None:
-            e = _fresh_id(f, taken.__contains__)
-            taken.add(e)
-            ftype, fs, ft = pattern.edge_info(f)
-            extra_edges.append((e, ftype, pattern_node_id[fs], pattern_node_id[ft]))
-        pattern_edge_id[f] = e
-
-    glued = side.with_added(extra_nodes, extra_edges)
-    pattern_injection = GraphMorphism(pattern, glued, pattern_node_id, pattern_edge_id)
-    return Overlap(kind, glued, inclusion(side, glued), pattern_injection)
+    @cached_property
+    def rule_injection(self) -> GraphMorphism:
+        return inclusion(self.side, self.graph)
 
 
 def _overlaps(
@@ -105,6 +103,7 @@ def _overlaps(
         return ()
     elements = side.node_ids + side.edge_ids
     split, depth = side.node_count, len(elements)
+    pattern_elements = pattern.node_ids + pattern.edge_ids
     # Side id -> pattern id and back; node and edge ids never clash.
     partner: dict[str, str] = {}
     owner: dict[str, str] = {}
@@ -117,7 +116,8 @@ def _overlaps(
             if (changed or not edges.isdisjoint(partner)) and all(
                 f in owner for y in changed for f in pattern.incident_edges(y)
             ):
-                found.append(_build_overlap(kind, side, pattern, owner))
+                found.append(Overlap(kind, side, pattern, tuple(
+                    (y, owner[y]) for y in pattern_elements if y in owner)))
             level, fresh = level - 1, False
             continue
         x = elements[level]
@@ -232,16 +232,11 @@ def _repairs(rule: Rule, shape: AnfShape) -> tuple[Overlap, ...]:
     the continuation's anchor image, since the anchor part must come from
     the surviving host."""
     continuation = shape.chain[1][1]
-    anchor_nodes = set(continuation.node_map.values())
-    anchor_edges = set(continuation.edge_map.values())
-    created_nodes = set(rule.created_nodes)
-    created_edges = set(rule.created_edges)
+    anchor = {*continuation.node_map.values(), *continuation.edge_map.values()}
+    created = {*rule.created_nodes, *rule.created_edges}
     return tuple(
         ov for ov in check_depends_on_rule(rule, continuation.codomain)
-        if not any(y in anchor_nodes and x in created_nodes
-                   for y, x in ov.pattern_injection.node_map.items())
-        and not any(y in anchor_edges and x in created_edges
-                    for y, x in ov.pattern_injection.edge_map.items())
+        if not any(y in anchor and x in created for y, x in ov.identified)
     )
 
 

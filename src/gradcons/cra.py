@@ -66,8 +66,8 @@ _CONSTRAINTS_FILE = "constraints.json"
 class CraFixtures:
     type_graph: TypeGraph
     host: TypedGraph
-    rules: dict[str, Rule]
-    constraints: dict[str, Constraint]
+    rules: dict[str, Rule] = field(hash=False)
+    constraints: dict[str, Constraint] = field(hash=False)
 
     def rule_list(self) -> list[Rule]:
         return [self.rules[n] for n in RULE_NAMES]

@@ -23,6 +23,7 @@ from gradcons import (
     GraphMorphism,
     MismatchError,
     Not,
+    Overlap,
     Rule,
     Transformation,
     TypeGraph,
@@ -33,7 +34,6 @@ from gradcons import (
     find_matches,
     satisfies,
 )
-from gradcons.analysis import _build_overlap
 from gradcons.classify import _MAX_UNIVERSE_WORK, _split_ids
 from gradcons.generate import random_host
 
@@ -635,6 +635,29 @@ def overlaps_by_gluing(kind, side, pattern, nodes, edges):
             for f in pattern.edge_ids
         ):
             continue
-        identified = {y: x for x, y in (*node_pairs.items(), *edge_pairs.items())}
-        found.append(_build_overlap(kind, side, pattern, identified))
+        owner = {y: x for x, y in (*node_pairs.items(), *edge_pairs.items())}
+        found.append(Overlap(kind, side, pattern, tuple(
+            (y, owner[y]) for y in (*pattern.node_ids, *pattern.edge_ids) if y in owner)))
     return tuple(found)
+
+
+def repairs_by_injection(rule, shape):
+    """The overlaps that ``analysis._repairs`` keeps, filtered on each
+    overlap's pattern injection rather than its identification: drop a
+    dependency overlap with the continuation pattern where a created rhs
+    node or edge is the image of an anchor node or edge. The overlaps
+    come from :func:`overlaps_by_gluing`, in its order."""
+    continuation = shape.chain[1][1]
+    anchor_nodes = set(continuation.node_map.values())
+    anchor_edges = set(continuation.edge_map.values())
+    created_nodes = set(rule.created_nodes)
+    created_edges = set(rule.created_edges)
+    overlaps = overlaps_by_gluing("dependency", rule.rhs, continuation.codomain,
+                                  created_nodes, created_edges)
+    return tuple(
+        ov for ov in overlaps
+        if not any(y in anchor_nodes and x in created_nodes
+                   for y, x in ov.pattern_injection.node_map.items())
+        and not any(y in anchor_edges and x in created_edges
+                    for y, x in ov.pattern_injection.edge_map.items())
+    )

@@ -41,7 +41,7 @@ from gradcons.errors import GradconsError, MismatchError
 from gradcons.formats import emit_constraints_library, emit_rule_document
 from gradcons.generate import random_linear_constraint, random_rule, random_type_graph
 
-from .oracles import overlaps_by_gluing
+from .oracles import overlaps_by_gluing, repairs_by_injection
 
 # The one note each criterion gives on the CRA scenario, by short key.
 NOTES = {
@@ -187,6 +187,16 @@ class TestOverlaps:
         deps = check_depends_on_rule(link, loop_pair)
         assert deps
         assert all("me" in ov.pattern_injection.edge_map.values() for ov in deps)
+
+    def test_fresh_ids_avoid_the_side(self, tg2):
+        lhs = TypedGraph(tg2, [("P", "A")])
+        nothing = empty_graph(tg2)
+        pair = TypedGraph(tg2, [("P", "A"), ("Q", "A")])
+        overlaps = rule_conflicts_on_check(Rule("deleteP", lhs, nothing, nothing), pair)
+        assert [ov.identified for ov in overlaps] == [(("P", "P"),), (("Q", "P"),)]
+        assert overlaps[1].pattern_injection.node_map == {"P": "P~0", "Q": "P"}
+        for ov in overlaps:
+            _check_glued_graph(ov)
 
     def test_overlap_graph_is_a_union_of_both_images(self, small_rules, patterns):
         _, _, link = small_rules
@@ -360,6 +370,24 @@ class TestIndependenceTable:
         assert table.counts[("deleteEmptyClass", "seq_dependent", "c2")] == 0
         assert table.sign("deleteEmptyClass", "seq_dependent", "c2") == "-"
 
+    def test_counting_builds_no_glued_graph(self, fixtures, monkeypatch):
+        built = []
+        with_added = TypedGraph.with_added
+
+        def counted(graph, *args):
+            built.append(graph)
+            return with_added(graph, *args)
+
+        monkeypatch.setattr(TypedGraph, "with_added", counted)
+        table = independence_table(fixtures.rule_list(), fixtures.constraint_list())
+        assert sum(table.counts.values()) == 46 and built == []
+        c1 = fixtures.constraints["c1"].shape.outer_graph
+        ov = check_depends_on_rule(fixtures.rules["assignFeature"], c1)[0]
+        assert built == []
+        graph = ov.graph
+        assert ov.graph is graph and ov.rule_injection.codomain is graph
+        assert built == [ov.side]
+
     def test_rendering(self, fixtures):
         table = independence_table(fixtures.rule_list(), fixtures.constraint_list())
         text = table.render_text()
@@ -386,22 +414,53 @@ def _criteria(rule, constraint):
     return results
 
 
+def _check_glued_graph(ov) -> None:
+    """Both injections of the overlap are total, injective and structure
+    preserving and jointly cover its glued graph. The side is included by
+    id; each identified pattern element goes to its side partner, and
+    each other one to an id outside the side."""
+    side, graph = ov.side, ov.graph
+    images = ([], [])
+    for m, domain in ((ov.rule_injection, side), (ov.pattern_injection, ov.pattern)):
+        assert m.domain is domain and m.codomain is graph
+        assert m.is_total() and m.is_injective() and m.check() == []
+        images[0].extend(m.node_map.values())
+        images[1].extend(m.edge_map.values())
+    assert set(images[0]) == set(graph.node_ids) and set(images[1]) == set(graph.edge_ids)
+    assert set(side.node_items()) <= set(graph.node_items())
+    assert set(side.edge_items()) <= set(graph.edge_items())
+    partner = dict(ov.identified)
+    side_ids = {*side.node_ids, *side.edge_ids}
+    for y, x in (*ov.pattern_injection.node_map.items(), *ov.pattern_injection.edge_map.items()):
+        assert (x == partner[y]) if y in partner else (x not in side_ids), (y, x)
+
+
 def _compare_with_gluings(pairs, monkeypatch) -> int:
     """Both criteria give the same results over the recursive reference,
     and every overlap search they make returns the reference's overlaps,
-    order included. Returns the number of overlaps compared."""
+    order included, each with a well-formed glued graph. ``_repairs``
+    keeps the overlaps that the reference filter keeps, wherever a
+    constraint has a continuation. Returns the number of overlaps
+    compared."""
     search = analysis._overlaps
     compared = 0
 
     def checked(*args):
         nonlocal compared
         want = overlaps_by_gluing(*args)
-        assert search(*args) == want, args[0]
+        got = search(*args)
+        assert got == want, args[0]
+        for ov in got:
+            _check_glued_graph(ov)
         compared += len(want)
         return want
 
     for rule, constraint in pairs:
         results = _criteria(rule, constraint)
+        shape = constraint.shape
+        if shape.level >= 2:
+            assert analysis._repairs(rule, shape) == repairs_by_injection(rule, shape), (
+                rule.name, constraint.name)
         with monkeypatch.context() as patched:
             patched.setattr(analysis, "_overlaps", checked)
             assert _criteria(rule, constraint) == results, (rule.name, constraint.name)

@@ -33,6 +33,11 @@ class TestFixtureFiles:
             assert c.type_graph is tg
             assert c.shape.outer_graph.type_graph is tg
 
+    def test_equal_loads_hash_equal(self):
+        first, second = cra.load_fixtures(), cra.load_fixtures()
+        assert first is not second and first == second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+
     def test_rule_and_constraint_lists_follow_canonical_order(self, fixtures):
         assert [r.name for r in fixtures.rule_list()] == list(cra.RULE_NAMES)
         assert [c.name for c in fixtures.constraint_list()] == list(cra.CONSTRAINT_NAMES)
