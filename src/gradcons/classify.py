@@ -28,11 +28,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import xor
 
-from .conditions import EXISTENTIAL, ConsistencyReport, Constraint, consistency_report
+from .conditions import (
+    EXISTENTIAL,
+    ConsistencyReport,
+    Constraint,
+    consistency_report,
+    searches_per_step,
+    step_report,
+)
 from .errors import BoundError, MismatchError
 from .generate import random_host
 from .graphs import GraphMorphism, TypeGraph, TypedGraph, _Key
-from .rewriting import Rule, Transformation, _fresh_id, _rewritten, scan_matches
+from .rewriting import Rule, Transformation, _created_ids, _fresh_id, _rewritten, scan_matches
 
 
 @dataclass(frozen=True)
@@ -151,14 +158,18 @@ def classify_step(
     and landing is tested on the images. Evidence is the first hit in
     canonical order. ``report_before`` may carry a precomputed measurement
     of the host to avoid recomputation in scans; passing it never changes
-    the outcome. A report of another graph or constraint is refused with
-    :class:`MismatchError`.
+    the outcome. The result's report is derived from the host's where
+    that pays (:func:`searches_per_step`, :func:`step_report`). A report
+    of another graph or constraint is refused with :class:`MismatchError`.
     """
     before = report_before or consistency_report(t.host, constraint)
-    if before.graph != t.host or (before.constraint_name, before.pattern) != (
-            constraint.name, constraint.shape.outer_graph):
+    if before.graph != t.host or (before.constraint is not constraint
+                                  and before.constraint != constraint):
         raise MismatchError(f"report_before does not measure the host against {constraint.name!r}")
-    after = consistency_report(t.result, constraint)
+    if before.occ > searches_per_step(constraint, t.rule._changed_types):
+        after = step_report(before, t.result, (t.removed_nodes, t.removed_edges), t.created)
+    else:
+        after = consistency_report(t.result, constraint)
     flags, evidence = _judge(constraint.shape.polarity, before, after, t.host,
                              t.removed_nodes, t.removed_edges)
     return StepVerdict(constraint.name, *flags, before, after, evidence)
@@ -450,6 +461,7 @@ def classify_rule_empirical(
     # becomes the first counterexample or witness of some claim.
     polarity = constraint.shape.polarity
     lhs_nodes, lhs_edges = rule.lhs.node_ids, rule.lhs.edge_ids
+    derive_above = searches_per_step(constraint, rule._changed_types)
     found: dict[str, tuple[Transformation, StepVerdict]] = {}
     hosts_examined = 0
     steps_examined = 0
@@ -459,10 +471,16 @@ def classify_rule_empirical(
         if not keys:
             continue
         before = consistency_report(host, constraint)
+        derive = before.occ > derive_above
         for images, edge_images in keys:
             node_map, edge_map = dict(zip(lhs_nodes, images)), dict(zip(lhs_edges, edge_images))
-            result, removed_nodes, removed_edges = _rewritten(rule, host, node_map, edge_map, 0)
-            after = consistency_report(result, constraint)
+            result, removed_nodes, removed_edges, fresh = _rewritten(
+                rule, host, node_map, edge_map, 0)
+            if derive:
+                after = step_report(before, result, (removed_nodes, removed_edges),
+                                    _created_ids(rule, fresh))
+            else:
+                after = consistency_report(result, constraint)
             flags, evidence = _judge(polarity, before, after, host, removed_nodes, removed_edges)
             steps_examined += 1
             (preserving, guaranteeing, sustaining, improving,

@@ -23,10 +23,12 @@ as 0 (so a graph with no relevant occurrences is fully consistent).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from .errors import AnfError, MismatchError
 from .graphs import GraphMorphism, TypedGraph, _Key, _search, enumerate_monomorphisms
@@ -156,6 +158,16 @@ class Constraint:
         every access; only successful parses are cached.
         """
         return validate_anf(self)
+
+    @cached_property
+    def _step_searches(self) -> _StepSearches | None:
+        """The seeded searches that derive a step's report from the
+        host's, or ``None`` when the constraint is existential or deeper
+        than two levels (:func:`step_report`)."""
+        shape = self.shape
+        if shape.polarity != UNIVERSAL or shape.level > 2:
+            return None
+        return _StepSearches(shape)
 
 
 def _satisfies(condition: Condition, host: TypedGraph, node_map: Mapping[str, str],
@@ -363,12 +375,13 @@ def validate_anf(constraint: Constraint) -> AnfShape:
 class ConsistencyReport:
     """Occurrence counts and the consistency index for one graph/constraint.
 
-    A report stores what it measured: ``occ`` occurrences of ``pattern`` in
-    ``graph``, ``ncv`` violating ones, and ``violating_keys``, the
-    :meth:`GraphMorphism.sort_key` of each violating occurrence in canonical
-    order. ``pattern`` and ``graph`` take no part in equality. ``ro``, the
-    exact ``ci`` (render it to decimal only at output boundaries) and the
-    violating occurrences as morphisms are derived on read.
+    A report stores what it measured: ``occ`` occurrences of the outer
+    pattern in ``graph``, ``ncv`` violating ones, and ``violating_keys``,
+    the :meth:`GraphMorphism.sort_key` of each violating occurrence in
+    canonical order. ``constraint`` and ``graph`` take no part in
+    equality. ``ro``, the exact ``ci`` (render it to decimal only at
+    output boundaries), the ``pattern`` and the violating occurrences as
+    morphisms are derived on read.
     """
 
     constraint_name: str
@@ -376,7 +389,7 @@ class ConsistencyReport:
     occ: int
     ncv: int
     violating_keys: tuple[_Key, ...] = ()
-    pattern: TypedGraph | None = field(default=None, compare=False, repr=False)
+    constraint: Constraint | None = field(default=None, compare=False, repr=False)
     graph: TypedGraph | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -390,6 +403,11 @@ class ConsistencyReport:
     @property
     def satisfied(self) -> bool:
         return self.ncv == 0
+
+    @property
+    def pattern(self) -> TypedGraph | None:
+        """The outer pattern of the measured constraint."""
+        return None if self.constraint is None else self.constraint.shape.outer_graph
 
     @property
     def violating_occurrences(self) -> tuple[GraphMorphism, ...]:
@@ -411,8 +429,7 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     tg = constraint.type_graph
     if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
-    pattern = shape.outer_graph
-    occurrences = enumerate_monomorphisms(pattern, graph)
+    occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
     body, polarity = shape.body, shape.polarity
     if polarity == UNIVERSAL:
         keys = tuple([(tuple(p.node_map.values()), tuple(p.edge_map.values()))
@@ -422,4 +439,171 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
         keys = ()
         ncv = 0 if any(_satisfies(body, graph, p.node_map, p.edge_map)
                        for p in occurrences) else 1
-    return ConsistencyReport(constraint.name, polarity, len(occurrences), ncv, keys, pattern, graph)
+    return ConsistencyReport(constraint.name, polarity, len(occurrences), ncv, keys,
+                             constraint, graph)
+
+
+# --- step reports ------------------------------------------------------------
+
+class _StepSearches:
+    """The seeded searches that find, for a universal constraint of one or
+    two levels, the occurrences at the elements a step changes.
+
+    At a node of type T, a search runs for each node of type T of the outer
+    pattern P, seeded there; at an edge of type E, one for each edge of
+    type E of P, pinned there together with its ends. For ∀(P, ∃C) the
+    same searches run over the witness pattern C, and ``positions``
+    restrict a key of C to one of P along the chain morphism P -> C.
+    ``at`` keeps, per changed element type, the compiled searches (which
+    :func:`_search` keeps on the patterns' plans), and ``counts``, per
+    rule's changed element types, how many searches a step runs.
+    """
+
+    __slots__ = ("patterns", "positions", "at", "counts")
+
+    def __init__(self, shape: AnfShape):
+        self.patterns = tuple(morphism.codomain for _, morphism in shape.chain)
+        self.positions = None
+        if len(shape.chain) == 2:
+            b, witness = shape.chain[1][1], self.patterns[1]
+            self.positions = (
+                tuple(witness.node_ids.index(b.node_map[v]) for v in b.domain.node_ids),
+                tuple(witness.edge_ids.index(b.edge_map[e]) for e in b.domain.edge_ids))
+        self.at: dict[tuple[str, str], tuple[tuple[tuple[Callable, bool], ...], ...]] = {}
+        self.counts: dict[tuple[tuple[str, str], ...], int] = {}
+
+    def count(self, changed_types: tuple[tuple[str, str], ...]) -> int:
+        """The number of searches a step whose changed elements have these
+        ``(kind, type)`` pairs runs, worked out once per rule."""
+        n = self.counts.get(changed_types)
+        if n is None:
+            n = 0
+            for kind, element_type in changed_types:
+                for graph in self.patterns:
+                    if kind == "node":
+                        n += len(graph.nodes_of_type(element_type))
+                    else:
+                        n += sum(etype == element_type for _, etype, _, _ in graph.edge_items())
+            self.counts[changed_types] = n
+        return n
+
+    def _compiled(self, kind: str, element_type: str):
+        """Per pattern, the searches at an element of this kind and type,
+        each with whether it pins a loop."""
+        found = self.at.get((kind, element_type))
+        if found is None:
+            per_pattern = []
+            for graph in self.patterns:
+                if kind == "node":
+                    per_pattern.append(tuple(
+                        (_search(graph, "search", (("x", v),), ()), False)
+                        for v, ntype in graph.node_items() if ntype == element_type))
+                    continue
+                searches = []
+                for c, etype, src, tgt in graph.edge_items():
+                    if etype == element_type:
+                        ends = (("s", src),) if src == tgt else (("s", src), ("t", tgt))
+                        searches.append((_search(graph, "search", ends, (("e", c),)), src == tgt))
+                per_pattern.append(tuple(searches))
+            found = self.at[kind, element_type] = tuple(per_pattern)
+        return found
+
+    def run(self, graph: TypedGraph, nodes: Collection[str],
+            edges: Collection[str]) -> tuple[set[_Key], set[_Key]]:
+        """The keys of the occurrences of P in ``graph`` that use one of
+        these elements, and those of the occurrences of P that an
+        occurrence of C using one of them restricts to."""
+        found: list[set[_Key]] = [set() for _ in self.patterns]
+        for x in nodes:
+            pn = {"x": x}
+            for keys, searches in zip(found, self._compiled("node", graph.node_type(x))):
+                for search, _ in searches:
+                    keys.update(search(graph, pn, {}))
+        for e in edges:
+            etype, src, tgt = graph.edge_info(e)
+            pn, pe, loop = {"s": src, "t": tgt}, {"e": e}, src == tgt
+            for keys, searches in zip(found, self._compiled("edge", etype)):
+                # A loop pins only pattern loops; a pattern edge between
+                # two nodes cannot land on one without losing injectivity.
+                for search, pins_loop in searches:
+                    if pins_loop == loop:
+                        keys.update(search(graph, pn, pe))
+        if self.positions is None:
+            return found[0], set()
+        node_pos, edge_pos = self.positions
+        return found[0], {(tuple(map(images.__getitem__, node_pos)),
+                           tuple(map(edge_images.__getitem__, edge_pos)))
+                          for images, edge_images in found[1]}
+
+
+def _place(keys: list[_Key], key: _Key, member: bool) -> None:
+    """Make ``key`` a member of the sorted ``keys``, or not."""
+    i = bisect_left(keys, key)
+    present = i < len(keys) and keys[i] == key
+    if member and not present:
+        keys.insert(i, key)
+    elif present and not member:
+        del keys[i]
+
+
+def searches_per_step(constraint: Constraint,
+                      changed_types: tuple[tuple[str, str], ...]) -> float:
+    """How many seeded searches :func:`step_report` runs for a step whose
+    rule deletes and creates elements of these ``(kind, type)`` pairs;
+    infinite for existential constraints and deeper chains, which it
+    measures again.
+
+    Deriving a step's report pays when the host has more occurrences than
+    this; on tiny hosts measuring again is cheaper. The count is worked
+    out once per rule and kept with the constraint's compiled searches.
+    """
+    searches = constraint._step_searches
+    return math.inf if searches is None else searches.count(changed_types)
+
+
+def step_report(
+    before: ConsistencyReport,
+    result: TypedGraph,
+    removed: tuple[Collection[str], Collection[str]],
+    created: tuple[Collection[str], Collection[str]],
+) -> ConsistencyReport:
+    """The report of a step's result, derived from ``before``, the host's.
+
+    ``removed`` holds the ids of the host nodes and edges the step
+    removed, ``created`` those of the result nodes and edges it created.
+    The track morphism is the identity on the context, so an occurrence
+    that avoids the changed elements has one key on both sides. The
+    occurrences of the outer pattern P that use a removed element are
+    destroyed, and those that use a created one are new. For ∀(P, ∃C), a
+    surviving occurrence can lose its last witness only if that witness
+    used a removed element, and gain one only through a created element.
+    So the body is re-checked only on the new occurrences and on the
+    survivors that an occurrence of C at a changed element restricts to;
+    every other survivor keeps its verdict and the host's key object. For
+    ∀(P, false) every occurrence violates. Existential constraints and
+    deeper chains are measured with :func:`consistency_report`. Either way
+    the report equals that of :func:`consistency_report`.
+    """
+    constraint = before.constraint
+    searches = constraint._step_searches
+    if searches is None:
+        return consistency_report(result, constraint)
+    destroyed, lost = searches.run(before.graph, *removed)
+    new, gained = searches.run(result, *created)
+    pattern, body = searches.patterns[0], constraint.shape.body
+    node_ids, edge_ids = pattern.node_ids, pattern.edge_ids
+
+    def violates(key: _Key) -> bool:
+        return _satisfies(body, result, dict(zip(node_ids, key[0])), dict(zip(edge_ids, key[1])))
+
+    keys = list(before.violating_keys)
+    # Destroyed keys go first: a created id may equal a removed one, so a
+    # new key may equal a destroyed one. A survivor's key equals neither.
+    for key in destroyed:
+        _place(keys, key, False)
+    for key in (lost | gained) - destroyed - new:
+        _place(keys, key, violates(key))
+    for key in new:
+        _place(keys, key, violates(key))
+    return ConsistencyReport(constraint.name, UNIVERSAL, before.occ - len(destroyed) + len(new),
+                             len(keys), tuple(keys), constraint, result)

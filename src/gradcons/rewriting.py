@@ -76,6 +76,18 @@ class Rule:
         return (tuple((n, rhs.node_type(n)) for n in self.created_nodes),
                 tuple((e, *rhs.edge_info(e)) for e in self.created_edges))
 
+    @cached_property
+    def _changed_types(self) -> tuple[tuple[str, str], ...]:
+        """``("node", type)`` or ``("edge", type)`` of each element a step
+        deletes or creates, sorted: the seeded searches that derive the
+        result's report depend on these alone."""
+        lhs, (new_nodes, new_edges) = self.lhs, self._created
+        return tuple(sorted(
+            [("node", lhs.node_type(n)) for n in self.deleted_nodes]
+            + [("edge", lhs.edge_info(e)[0]) for e in self.deleted_edges]
+            + [("node", ntype) for _, ntype in new_nodes]
+            + [("edge", etype) for _, etype, _, _ in new_edges]))
+
     def is_plain(self) -> bool:
         """True when the application condition is trivially satisfied."""
         return isinstance(self.condition, TrueCondition)
@@ -158,7 +170,8 @@ class Transformation:
     """One rewriting step host => result with all boundary morphisms.
 
     ``removed_nodes`` / ``removed_edges`` are the images of the deleted
-    elements. ``comatch`` is the rhs -> result morphism. ``context`` is
+    elements, and ``created`` the ids of the created node and edge images.
+    ``comatch`` is the rhs -> result morphism. ``context`` is
     the host minus the removed images; ``host_embedding`` and
     ``result_embedding`` are its id-preserving inclusions into host and
     result. ``track`` is the partial morphism host -> result defined
@@ -175,11 +188,19 @@ class Transformation:
     step: int = 0
 
     @cached_property
-    def comatch(self) -> GraphMorphism:
+    def _fresh(self) -> dict[str, str]:
         # The fresh ids depend only on the rule, the host, the removed
         # images and the step, so they come out as the step chose them.
-        fresh = _fresh_ids(self.rule, self.host, self.removed_nodes, self.removed_edges,
-                           self.step)
+        return _fresh_ids(self.rule, self.host, self.removed_nodes, self.removed_edges,
+                          self.step)
+
+    @property
+    def created(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        return _created_ids(self.rule, self._fresh)
+
+    @cached_property
+    def comatch(self) -> GraphMorphism:
+        fresh = self._fresh
         rhs, node_map, edge_map = self.rule.rhs, self.match.node_map, self.match.edge_map
         return GraphMorphism(
             rhs, self.result,
@@ -217,6 +238,13 @@ def _fresh_id(base: str, taken: Callable[[str], bool]) -> str:
         candidate = f"{base}~{serial}"
         serial += 1
     return candidate
+
+
+def _created_ids(rule: Rule, fresh: Mapping[str, str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ids of the created node and edge images, given the fresh id of
+    each element the rule creates."""
+    return (tuple(map(fresh.__getitem__, rule.created_nodes)),
+            tuple(map(fresh.__getitem__, rule.created_edges)))
 
 
 def _fresh_ids(rule: Rule, host: TypedGraph, removed_nodes: frozenset[str],
@@ -277,16 +305,18 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
     ``find_matches(rule, host)``."""
-    return Transformation(rule, host, match,
-                          *_rewritten(rule, host, match.node_map, match.edge_map, step), step)
+    result, removed_nodes, removed_edges, _ = _rewritten(rule, host, match.node_map,
+                                                         match.edge_map, step)
+    return Transformation(rule, host, match, result, removed_nodes, removed_edges, step)
 
 
 def _rewritten(
     rule: Rule, host: TypedGraph, node_map: Mapping[str, str], edge_map: Mapping[str, str],
     step: int,
-) -> tuple[TypedGraph, frozenset[str], frozenset[str]]:
+) -> tuple[TypedGraph, frozenset[str], frozenset[str], dict[str, str]]:
     """The raw parts of :func:`_rewrite`'s step at the match with these
-    maps: the result and the removed node and edge images."""
+    maps: the result, the removed node and edge images, and the fresh id
+    of each created element (:func:`_fresh_ids`)."""
     removed_nodes = frozenset(map(node_map.__getitem__, rule.deleted_nodes))
     removed_edges = frozenset(map(edge_map.__getitem__, rule.deleted_edges))
     fresh = _fresh_ids(rule, host, removed_nodes, removed_edges, step)
@@ -301,4 +331,4 @@ def _rewritten(
         for e, etype, src, tgt in new_edges
     ]
     result = host._patched(removed_nodes, removed_edges, created_nodes, created_edges)
-    return result, removed_nodes, removed_edges
+    return result, removed_nodes, removed_edges, fresh

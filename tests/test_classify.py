@@ -41,7 +41,7 @@ from gradcons.classify import (
     _least_masks,
     _split_ids,
 )
-from gradcons.generate import random_host
+from gradcons.generate import random_host, random_linear_constraint
 
 from . import oracles
 from .oracles import (
@@ -51,7 +51,12 @@ from .oracles import (
     classify_step_reference,
     monos_by_permutation,
 )
-from .suites import has_two_loop_types_on_one_node_type, random_rule_pairs, random_step_cases
+from .suites import (
+    has_two_loop_types_on_one_node_type,
+    random_rule_pairs,
+    random_step_cases,
+    seeded_cra_model,
+)
 
 
 def _one_step(rule, host, **picks):
@@ -145,6 +150,25 @@ class TestClassifyStepUniversal:
                           fixtures.host.edge_items())
         assert (classify_step(t, c3, report_before=consistency_report(copy, c3))
                 == classify_step(t, c3))
+
+    def test_a_report_of_another_body_is_refused(self, fixtures):
+        """A report of a constraint with the same name and outer pattern
+        but another body measures something else: here the fallback
+        feature F3 sits in the target class C2 instead of C1."""
+        c3 = fixtures.constraints["c3"]
+        p3 = c3.shape.outer_graph
+        ext = p3.with_added([("F3", "Feature")], [("as3", "isAssigned", "F3", "C2"),
+                                                  ("dep2", "dependsOn", "F1", "F3")])
+        variant = Constraint("c3", forall(empty_morphism_into(p3), Exists(inclusion(p3, ext))))
+        assert variant.shape.outer_graph == p3 and variant != c3
+        rule, host = fixtures.rules["moveFeature"], fixtures.host
+        other = consistency_report(host, variant)
+        steps = [apply(rule, host, m) for m in find_matches(rule, host)]
+        assert len(steps) == 3
+        for t in steps:
+            with pytest.raises(MismatchError, match="does not measure the host"):
+                classify_step(t, c3, report_before=other)
+            assert classify_step(t, variant, report_before=other) == classify_step(t, variant)
 
     def test_evidence_is_built_on_read(self, fixtures, monkeypatch):
         """A verdict keeps the keys of its evidence: classifying builds no
@@ -575,6 +599,120 @@ class TestClassifyStepAgainstReference:
                     labels.update(v.evidence)
                     steps += 1
         assert steps >= 500 and len(labels) >= 2
+
+
+class TestDerivedReportAgainstRecompute:
+    """The result's report derived from the host's equals a full
+    recompute, keys in order included. The derivation is called directly,
+    so it runs whether or not it would pay; existential constraints and
+    deeper chains take the recompute."""
+
+    @pytest.fixture
+    def recomputes(self, monkeypatch):
+        calls = []
+        original = conditions.consistency_report
+
+        def counting(graph, constraint):
+            calls.append(constraint.name)
+            return original(graph, constraint)
+
+        monkeypatch.setattr(conditions, "consistency_report", counting)
+        return calls
+
+    @staticmethod
+    def _agrees(t, constraint, before, recomputes, kinds):
+        done = len(recomputes)
+        got = conditions.step_report(before, t.result, (t.removed_nodes, t.removed_edges),
+                                     t.created)
+        shape = constraint.shape
+        recompute = shape.polarity == conditions.EXISTENTIAL or shape.level > 2
+        assert len(recomputes) - done == recompute, (constraint.name, shape.render())
+        want = consistency_report(t.result, constraint)
+        where = (t.rule.name, constraint.name, t.host.edge_items(), t.match.sort_key())
+        assert (got.occ, got.ncv, got.ro, got.ci, got.violating_keys) == (
+            want.occ, want.ncv, want.ro, want.ci, want.violating_keys), where
+        assert (got.constraint, got.graph) == (constraint, t.result), where
+        kinds[shape.polarity, shape.level] += 1
+
+    def test_seeded_random_step_suite(self, recomputes):
+        kinds = Counter()
+        rng = random.Random(5)
+        for constraint, before, transformations, _, host in random_step_cases(
+                n_cases=250, seed=101):
+            deeper = random_linear_constraint(host.type_graph, rng, "deep", max_level=3)
+            deeper_before = consistency_report(host, deeper)
+            for t in transformations:
+                self._agrees(t, constraint, before, recomputes, kinds)
+                self._agrees(t, deeper, deeper_before, recomputes, kinds)
+        assert all(kinds[polarity, level] for polarity in (conditions.UNIVERSAL,
+                   conditions.EXISTENTIAL) for level in (1, 2, 3)), kinds
+
+    def test_random_cra_hosts_and_bound_three_universes(self, fixtures, recomputes):
+        kinds = Counter()
+        rng = random.Random(31)
+        for _ in range(40):
+            host = random_host(fixtures.type_graph, rng, rng.randint(4, 8), rng.uniform(0.2, 0.5))
+            reports = {c.name: consistency_report(host, c) for c in fixtures.constraint_list()}
+            for rule in fixtures.rule_list():
+                for m in find_matches(rule, host):
+                    t = apply(rule, host, m)
+                    for c in fixtures.constraint_list():
+                        self._agrees(t, c, reports[c.name], recomputes, kinds)
+        for rule, constraint in random_rule_pairs(40, seed=17):
+            if has_two_loop_types_on_one_node_type(rule.lhs.type_graph):
+                continue
+            for host in bounded_hosts(rule.lhs.type_graph, 3):
+                before = consistency_report(host, constraint)
+                for m in find_matches(rule, host):
+                    self._agrees(apply(rule, host, m), constraint, before, recomputes, kinds)
+        assert kinds[conditions.UNIVERSAL, 1] and kinds[conditions.UNIVERSAL, 2], kinds
+
+    def test_seeded_cra_model(self, fixtures, cra_model_steps, recomputes):
+        reports, steps = cra_model_steps
+        kinds = Counter()
+        for t in steps:
+            for c, before in zip(fixtures.constraint_list(), reports):
+                self._agrees(t, c, before, recomputes, kinds)
+        assert kinds == {(conditions.UNIVERSAL, 1): 8, (conditions.UNIVERSAL, 2): 16}
+
+
+@pytest.fixture(scope="module")
+def cra_model_steps(fixtures):
+    """The reports of c1-c3 on the seeded 160-node model, and two steps
+    of each rule on it."""
+    host = seeded_cra_model(fixtures.type_graph, random.Random(1))
+    reports = [consistency_report(host, c) for c in fixtures.constraint_list()]
+    rng = random.Random(1)
+    steps = [apply(rule, host, m) for rule in fixtures.rule_list()
+             for m in rng.sample(find_matches(rule, host), 2)]
+    return reports, steps
+
+
+def test_large_host_steps_measure_nothing_again(fixtures, cra_model_steps, monkeypatch):
+    """On the 160-node model a step derives its result's report from the
+    host's: no outer pattern is enumerated, and a violating occurrence
+    that survives keeps the host report's key object."""
+    constraints = fixtures.constraint_list()
+    reports, steps = cra_model_steps
+    enumerated = []
+    original = conditions.enumerate_monomorphisms
+
+    def counting(pattern, graph):
+        enumerated.append(pattern)
+        return original(pattern, graph)
+
+    monkeypatch.setattr(conditions, "enumerate_monomorphisms", counting)
+    kept = 0
+    for t in steps:
+        for c, before in zip(constraints, reports):
+            after = classify_step(t, c, report_before=before).report_after
+            host_keys = {key: key for key in before.violating_keys}
+            for key in after.violating_keys:
+                if key in host_keys:
+                    assert host_keys[key] is key
+                    kept += 1
+    assert enumerated == []
+    assert kept > 1000
 
 
 def _search_agrees_with_reference(rule, constraint, bound, samples, seed=1):
