@@ -32,6 +32,7 @@ from .conditions import (
     EXISTENTIAL,
     ConsistencyReport,
     Constraint,
+    _changed_keys,
     consistency_report,
     searches_per_step,
     step_report,
@@ -99,9 +100,17 @@ def _judge(
     host: TypedGraph,
     removed_nodes: frozenset[str],
     removed_edges: frozenset[str],
+    dropped: list[_Key],
+    added: list[_Key],
 ) -> tuple[tuple[bool, ...], dict[str, _Key]]:
     """The six flags of a step, in :class:`StepVerdict` order, and the keys
-    of the occurrences that decided the direct ones."""
+    of the occurrences that decided the direct ones.
+
+    Only the violating keys the step changed can decide a direct flag,
+    and :func:`step_report` gives them in canonical order: ``dropped``,
+    the host's that are not keys of violating survivors, and ``added``,
+    the result's. Evidence is the least key that decides.
+    """
     preserving = after.satisfied or not before.satisfied
     guaranteeing = after.satisfied
     sustaining = _ci_at_most(before, after)
@@ -112,32 +121,29 @@ def _judge(
         directly_sustaining = preserving
         directly_improving = directly_sustaining and not before.satisfied and guaranteeing
     else:
-        # A violating result occurrence inside the context is the image of
-        # a host occurrence, which is invalidated when it was valid; one
-        # outside the context is new. Invalidation is looked for first.
-        violating_before, violating_after = set(before.violating_keys), set(after.violating_keys)
-        for key in after.violating_keys:
-            if (key not in violating_before
-                    and _in_context(key, host, removed_nodes, removed_edges)):
+        # An added key inside the context is the image of a host
+        # occurrence that was valid (it is no violating survivor), so it
+        # is invalidated; one outside the context is new. Invalidation is
+        # looked for first.
+        new = None
+        for key in added:
+            if _in_context(key, host, removed_nodes, removed_edges):
                 evidence["invalidated_occurrence"] = key
                 break
-        if not evidence:
-            for key in after.violating_keys:
-                if not _in_context(key, host, removed_nodes, removed_edges):
-                    evidence["new_violating_occurrence"] = key
-                    break
+            if new is None:
+                new = key
+        if new is not None and not evidence:
+            evidence["new_violating_occurrence"] = new
         directly_sustaining = not evidence
 
-        directly_improving = False
-        if directly_sustaining and not before.satisfied:
-            for key in before.violating_keys:
-                if not _in_context(key, host, removed_nodes, removed_edges):
-                    evidence["destroyed_occurrence"] = key
-                    break
-                if key not in violating_after:
-                    evidence["repaired_occurrence"] = key
-                    break
-            directly_improving = bool(evidence)
+        # A dropped key outside the context was destroyed, one inside it
+        # repaired; there is none when the host satisfied the constraint.
+        directly_improving = directly_sustaining and bool(dropped)
+        if directly_improving:
+            key = dropped[0]
+            label = ("repaired_occurrence" if _in_context(key, host, removed_nodes, removed_edges)
+                     else "destroyed_occurrence")
+            evidence[label] = key
 
     flags = (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving)
@@ -155,23 +161,30 @@ def classify_step(
     morphism is the identity on the ids of the context, an occurrence that
     lands in the context has the same images on both sides, so
     occurrences are compared by their keys (:meth:`GraphMorphism.sort_key`),
-    and landing is tested on the images. Evidence is the first hit in
+    and landing is tested on the images. The direct flags read only the
+    violating keys the step changed. Evidence is the first hit in
     canonical order. ``report_before`` may carry a precomputed measurement
     of the host to avoid recomputation in scans; passing it never changes
-    the outcome. The result's report is derived from the host's where
-    that pays (:func:`searches_per_step`, :func:`step_report`). A report
-    of another graph or constraint is refused with :class:`MismatchError`.
+    the outcome. The result's report, with the changed keys, is derived
+    from the host's where that pays (:func:`searches_per_step`,
+    :func:`step_report`); otherwise the result is measured again and the
+    two key tuples merged. A report of another graph or constraint is
+    refused with :class:`MismatchError`.
     """
     before = report_before or consistency_report(t.host, constraint)
     if before.graph != t.host or (before.constraint is not constraint
                                   and before.constraint != constraint):
         raise MismatchError(f"report_before does not measure the host against {constraint.name!r}")
+    removed_nodes, removed_edges = t.removed_nodes, t.removed_edges
     if before.occ > searches_per_step(constraint, t.rule._changed_types):
-        after = step_report(before, t.result, (t.removed_nodes, t.removed_edges), t.created)
+        after, dropped, added = step_report(before, t.result, (removed_nodes, removed_edges),
+                                            t.created)
     else:
         after = consistency_report(t.result, constraint)
+        dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
+                                       removed_nodes, removed_edges)
     flags, evidence = _judge(constraint.shape.polarity, before, after, t.host,
-                             t.removed_nodes, t.removed_edges)
+                             removed_nodes, removed_edges, dropped, added)
     return StepVerdict(constraint.name, *flags, before, after, evidence)
 
 
@@ -477,11 +490,14 @@ def classify_rule_empirical(
             result, removed_nodes, removed_edges, fresh = _rewritten(
                 rule, host, node_map, edge_map, 0)
             if derive:
-                after = step_report(before, result, (removed_nodes, removed_edges),
-                                    _created_ids(rule, fresh))
+                after, dropped, added = step_report(before, result, (removed_nodes, removed_edges),
+                                                    _created_ids(rule, fresh))
             else:
                 after = consistency_report(result, constraint)
-            flags, evidence = _judge(polarity, before, after, host, removed_nodes, removed_edges)
+                dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
+                                               removed_nodes, removed_edges)
+            flags, evidence = _judge(polarity, before, after, host, removed_nodes, removed_edges,
+                                     dropped, added)
             steps_examined += 1
             (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving) = flags

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .errors import AnfError, MismatchError
 from .graphs import GraphMorphism, TypedGraph, _Key, _search, enumerate_monomorphisms
@@ -536,14 +536,52 @@ class _StepSearches:
                           for images, edge_images in found[1]}
 
 
-def _place(keys: list[_Key], key: _Key, member: bool) -> None:
-    """Make ``key`` a member of the sorted ``keys``, or not."""
+def _place(keys: list[_Key], key: _Key, member: bool) -> bool:
+    """Make ``key`` a member of the sorted ``keys``, or not, and say
+    whether that changed them."""
     i = bisect_left(keys, key)
     present = i < len(keys) and keys[i] == key
     if member and not present:
         keys.insert(i, key)
-    elif present and not member:
+        return True
+    if present and not member:
         del keys[i]
+        return True
+    return False
+
+
+def _changed_keys(
+    before: Sequence[_Key], after: Sequence[_Key], removed_nodes: frozenset[str],
+    removed_edges: frozenset[str],
+) -> tuple[list[_Key], list[_Key]]:
+    """The violating keys of host and result that are not those of
+    violating survivors, in one merge of the two sorted tuples.
+
+    A key on one side only is dropped (destroyed or repaired) or added
+    (new or invalidated). A key on both sides is a survivor's unless it
+    uses a removed id, which a created element then took again: its
+    host occurrence was destroyed and its result occurrence is new.
+    """
+    dropped: list[_Key] = []
+    added: list[_Key] = []
+    i = j = 0
+    while i < len(before) and j < len(after):
+        b, a = before[i], after[j]
+        if b < a:
+            dropped.append(b)
+            i += 1
+        elif a < b:
+            added.append(a)
+            j += 1
+        else:
+            if not (removed_nodes.isdisjoint(b[0]) and removed_edges.isdisjoint(b[1])):
+                dropped.append(b)
+                added.append(a)
+            i += 1
+            j += 1
+    dropped += before[i:]
+    added += after[j:]
+    return dropped, added
 
 
 def searches_per_step(constraint: Constraint,
@@ -566,8 +604,9 @@ def step_report(
     result: TypedGraph,
     removed: tuple[Collection[str], Collection[str]],
     created: tuple[Collection[str], Collection[str]],
-) -> ConsistencyReport:
-    """The report of a step's result, derived from ``before``, the host's.
+) -> tuple[ConsistencyReport, list[_Key], list[_Key]]:
+    """The report of a step's result, derived from ``before``, the host's,
+    and the violating keys the step changed.
 
     ``removed`` holds the ids of the host nodes and edges the step
     removed, ``created`` those of the result nodes and edges it created.
@@ -583,11 +622,19 @@ def step_report(
     ∀(P, false) every occurrence violates. Existential constraints and
     deeper chains are measured with :func:`consistency_report`. Either way
     the report equals that of :func:`consistency_report`.
+
+    The keys come in canonical order: ``dropped``, the host's violating
+    keys that are not those of violating survivors (destroyed or
+    repaired), and ``added``, the result's (new or invalidated). A
+    derivation records what it deletes and inserts; a recompute merges
+    the two key tuples (:func:`_changed_keys`).
     """
     constraint = before.constraint
     searches = constraint._step_searches
     if searches is None:
-        return consistency_report(result, constraint)
+        after = consistency_report(result, constraint)
+        return (after, *_changed_keys(before.violating_keys, after.violating_keys,
+                                      *map(frozenset, removed)))
     destroyed, lost = searches.run(before.graph, *removed)
     new, gained = searches.run(result, *created)
     pattern, body = searches.patterns[0], constraint.shape.body
@@ -597,13 +644,24 @@ def step_report(
         return _satisfies(body, result, dict(zip(node_ids, key[0])), dict(zip(edge_ids, key[1])))
 
     keys = list(before.violating_keys)
+    dropped: list[_Key] = []
+    added: list[_Key] = []
+
+    def place(key: _Key, member: bool) -> None:
+        if _place(keys, key, member):
+            (added if member else dropped).append(key)
+
     # Destroyed keys go first: a created id may equal a removed one, so a
-    # new key may equal a destroyed one. A survivor's key equals neither.
+    # new key may equal a destroyed one, and may then be both dropped
+    # and added. A survivor's key equals neither.
     for key in destroyed:
-        _place(keys, key, False)
+        place(key, False)
     for key in (lost | gained) - destroyed - new:
-        _place(keys, key, violates(key))
+        place(key, violates(key))
     for key in new:
-        _place(keys, key, violates(key))
-    return ConsistencyReport(constraint.name, UNIVERSAL, before.occ - len(destroyed) + len(new),
-                             len(keys), tuple(keys), constraint, result)
+        place(key, violates(key))
+    dropped.sort()
+    added.sort()
+    report = ConsistencyReport(constraint.name, UNIVERSAL, before.occ - len(destroyed) + len(new),
+                                len(keys), tuple(keys), constraint, result)
+    return report, dropped, added

@@ -16,8 +16,10 @@ from collections import Counter
 from fractions import Fraction
 
 from gradcons import (
+    EXISTENTIAL,
     And,
     BoundError,
+    ConsistencyReport,
     Constraint,
     Exists,
     GraphMorphism,
@@ -309,6 +311,66 @@ def classify_step_reference(t: Transformation, constraint: Constraint) -> tuple[
                 break
             if not satisfies(q, body):
                 evidence["repaired_occurrence"] = p
+                break
+        flags["directly_improving"] = bool(evidence)
+    return flags, evidence
+
+
+def judge_by_scan(
+    before: ConsistencyReport,
+    after: ConsistencyReport,
+    host: TypedGraph,
+    removed_nodes: frozenset[str],
+    removed_edges: frozenset[str],
+) -> tuple[dict, dict]:
+    """The six step flags and the evidence keys, read off two reports by
+    walking every violating key of both.
+
+    An occurrence key is in the context when every image is a host
+    element the step did not remove. A violating result key in the
+    context that the host's report does not hold is invalidated, one
+    outside it is new; a violating host key outside the context is
+    destroyed, one the result's report does not hold is repaired. Each
+    label takes the first such key in canonical order, and invalidation
+    is looked for before novelty. Returns ``(flags, evidence_keys)``.
+    """
+    def in_context(key):
+        nodes, edges = key
+        return (all(host.has_node(x) and x not in removed_nodes for x in nodes)
+                and all(host.has_edge(e) and e not in removed_edges for e in edges))
+
+    flags = {
+        "preserving": after.ncv == 0 or before.ncv > 0,
+        "guaranteeing": after.ncv == 0,
+        "sustaining": after.ci >= before.ci,
+    }
+    flags["improving"] = flags["sustaining"] and 0 < before.ncv and after.ncv < before.ncv
+    evidence: dict = {}
+    if before.polarity == EXISTENTIAL:
+        flags["directly_sustaining"] = flags["preserving"]
+        flags["directly_improving"] = (
+            flags["preserving"] and before.ncv > 0 and flags["guaranteeing"])
+        return flags, evidence
+
+    violating_before, violating_after = set(before.violating_keys), set(after.violating_keys)
+    for key in after.violating_keys:
+        if key not in violating_before and in_context(key):
+            evidence["invalidated_occurrence"] = key
+            break
+    if not evidence:
+        for key in after.violating_keys:
+            if not in_context(key):
+                evidence["new_violating_occurrence"] = key
+                break
+    flags["directly_sustaining"] = not evidence
+    flags["directly_improving"] = False
+    if flags["directly_sustaining"] and before.ncv > 0:
+        for key in before.violating_keys:
+            if not in_context(key):
+                evidence["destroyed_occurrence"] = key
+                break
+            if key not in violating_after:
+                evidence["repaired_occurrence"] = key
                 break
         flags["directly_improving"] = bool(evidence)
     return flags, evidence

@@ -556,6 +556,39 @@ def _maps(found):
             for label, m in found.items()}
 
 
+def _seeded_random_steps():
+    """``(step, constraint, host report)`` of the seed-101 random step suite."""
+    for constraint, before, transformations, _, _ in random_step_cases(n_cases=250, seed=101):
+        for t in transformations:
+            yield t, constraint, before
+
+
+def _random_cra_host_steps(fixtures):
+    """Every step of every CRA rule on 40 random CRA hosts, against c1-c3."""
+    rng = random.Random(31)
+    for _ in range(40):
+        host = random_host(fixtures.type_graph, rng, rng.randint(4, 8), rng.uniform(0.2, 0.5))
+        reports = {c.name: consistency_report(host, c) for c in fixtures.constraint_list()}
+        for rule in fixtures.rule_list():
+            for m in find_matches(rule, host):
+                t = apply(rule, host, m)
+                for c in fixtures.constraint_list():
+                    yield t, c, reports[c.name]
+
+
+def _bound_three_steps():
+    """Every step over the bound-3 universe of 40 random rule pairs. Type
+    graphs with two loop types on one node type are skipped: their
+    universe has 44 365 hosts, too many for the permutation search."""
+    for rule, constraint in random_rule_pairs(40, seed=17):
+        if has_two_loop_types_on_one_node_type(rule.lhs.type_graph):
+            continue
+        for host in bounded_hosts(rule.lhs.type_graph, 3):
+            before = consistency_report(host, constraint)
+            for m in find_matches(rule, host):
+                yield apply(rule, host, m), constraint, before
+
+
 class TestClassifyStepAgainstReference:
     """``classify_step`` reads its direct flags off the two reports; the
     reference enumerates occurrences by permutation and follows each one
@@ -563,42 +596,73 @@ class TestClassifyStepAgainstReference:
 
     def test_seeded_random_step_suite(self):
         steps = 0
-        for constraint, before, transformations, _, _ in random_step_cases(
-                n_cases=250, seed=101):
-            for t in transformations:
-                _agrees_with_reference(t, constraint, before)
-                steps += 1
+        for t, constraint, before in _seeded_random_steps():
+            _agrees_with_reference(t, constraint, before)
+            steps += 1
         assert steps >= 150
 
     def test_random_cra_hosts(self, fixtures):
-        rng = random.Random(31)
         labels = set()
-        for _ in range(40):
-            host = random_host(fixtures.type_graph, rng, rng.randint(4, 8), rng.uniform(0.2, 0.5))
-            reports = {c.name: consistency_report(host, c) for c in fixtures.constraint_list()}
-            for rule in fixtures.rule_list():
-                for m in find_matches(rule, host):
-                    t = apply(rule, host, m)
-                    for c in fixtures.constraint_list():
-                        labels.update(_agrees_with_reference(t, c, reports[c.name]).evidence)
+        for t, c, before in _random_cra_host_steps(fixtures):
+            labels.update(_agrees_with_reference(t, c, before).evidence)
         assert len(labels) == 4
 
     def test_bound_three_universes(self):
-        # Every step over the bound-3 universe of each pair. Type graphs with
-        # two loop types on one node type are skipped: their universe has
-        # 44 365 hosts, too many for the permutation search.
         steps = 0
         labels = set()
-        for rule, constraint in random_rule_pairs(40, seed=17):
-            if has_two_loop_types_on_one_node_type(rule.lhs.type_graph):
-                continue
-            for host in bounded_hosts(rule.lhs.type_graph, 3):
-                before = consistency_report(host, constraint)
-                for m in find_matches(rule, host):
-                    v = _agrees_with_reference(apply(rule, host, m), constraint, before)
-                    labels.update(v.evidence)
-                    steps += 1
+        for t, constraint, before in _bound_three_steps():
+            labels.update(_agrees_with_reference(t, constraint, before).evidence)
+            steps += 1
         assert steps >= 500 and len(labels) >= 2
+
+
+EVIDENCE_LABELS = {"invalidated_occurrence", "new_violating_occurrence", "repaired_occurrence",
+                   "destroyed_occurrence"}
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Judge every step from the keys :func:`conditions.step_report`
+    records: ``searches_per_step`` is put below every occurrence count, so
+    each universal step of one or two levels derives its result's report
+    (existential constraints and deeper chains measure it again there).
+    Returns the list of constraint names ``step_report`` was called for."""
+    calls = []
+    original = classify.step_report
+
+    def recording(before, *args):
+        calls.append(before.constraint_name)
+        return original(before, *args)
+
+    monkeypatch.setattr(classify, "searches_per_step", lambda constraint, changed_types: -1)
+    monkeypatch.setattr(classify, "step_report", recording)
+    return calls
+
+
+class TestDerivedJudgementAgainstReference:
+    """The suites of :class:`TestClassifyStepAgainstReference`, with every
+    step judged from the keys the derivation dropped and added. Together
+    they reach every evidence label."""
+
+    @staticmethod
+    def _labels(steps, derived):
+        n, labels = 0, set()
+        for t, constraint, before in steps:
+            labels.update(_agrees_with_reference(t, constraint, before).evidence)
+            n += 1
+        assert len(derived) == n
+        return labels
+
+    def test_seeded_random_step_suite(self, derived):
+        assert self._labels(_seeded_random_steps(), derived) == {
+            "invalidated_occurrence", "new_violating_occurrence", "destroyed_occurrence"}
+
+    def test_random_cra_hosts(self, fixtures, derived):
+        assert self._labels(_random_cra_host_steps(fixtures), derived) == EVIDENCE_LABELS
+
+    def test_bound_three_universes(self, derived):
+        assert self._labels(_bound_three_steps(), derived) == {
+            "new_violating_occurrence", "destroyed_occurrence"}
 
 
 class TestDerivedReportAgainstRecompute:
@@ -622,8 +686,8 @@ class TestDerivedReportAgainstRecompute:
     @staticmethod
     def _agrees(t, constraint, before, recomputes, kinds):
         done = len(recomputes)
-        got = conditions.step_report(before, t.result, (t.removed_nodes, t.removed_edges),
-                                     t.created)
+        got, _, _ = conditions.step_report(before, t.result, (t.removed_nodes, t.removed_edges),
+                                           t.created)
         shape = constraint.shape
         recompute = shape.polarity == conditions.EXISTENTIAL or shape.level > 2
         assert len(recomputes) - done == recompute, (constraint.name, shape.render())
@@ -713,6 +777,82 @@ def test_large_host_steps_measure_nothing_again(fixtures, cra_model_steps, monke
                     kept += 1
     assert enumerated == []
     assert kept > 1000
+
+
+@pytest.mark.parametrize("derive", [False, True], ids=["recompute", "derived"])
+def test_a_created_id_that_reuses_a_removed_one(fixtures, request, derive):
+    """A rule that deletes a class and creates one, matched at the class
+    whose id is the created class's: the fresh id takes the removed one
+    again, so the empty class's key violates c2 on both sides, yet names a
+    new occurrence, not a survivor."""
+    tg = fixtures.type_graph
+    renew = Rule("renewClass", TypedGraph(tg, [("c", "Class")]), empty_graph(tg),
+                 TypedGraph(tg, [("n", "Class")]))
+    host = TypedGraph(tg, [("C0", "Class"), ("F0", "Feature"), ("renewClass.0.n", "Class")],
+                      [("a0", "isAssigned", "F0", "C0")])
+    t = _one_step(renew, host, c="renewClass.0.n")
+    assert t.created == (("renewClass.0.n",), ())
+    constraints = fixtures.constraint_list()
+    if derive:
+        derived = request.getfixturevalue("derived")
+    else:
+        # On this host measuring the result again pays for every constraint.
+        assert all(consistency_report(host, c).occ <= conditions.searches_per_step(
+            c, renew._changed_types) for c in constraints)
+    reused = (("renewClass.0.n",), ())
+    for c in constraints:
+        v = _agrees_with_reference(t, c)
+        if c.name == "c2":
+            assert reused in v.report_before.violating_keys
+            assert reused in v.report_after.violating_keys
+            assert v.evidence_keys == {"new_violating_occurrence": reused}
+    if derive:
+        assert derived == [c.name for c in constraints]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_judgement_agrees_with_a_scan_of_every_violating_key(fixtures, seed):
+    """On the seeded 160-node model, 60 steps per rule (all the matches
+    there are, when fewer): flags and evidence keys equal those read by
+    walking every violating key of both reports."""
+    host = seeded_cra_model(fixtures.type_graph, random.Random(seed))
+    constraints = fixtures.constraint_list()
+    reports = [consistency_report(host, c) for c in constraints]
+    rng = random.Random(seed)
+    labels = set()
+    for rule in fixtures.rule_list():
+        matches = find_matches(rule, host)
+        for m in rng.sample(matches, min(60, len(matches))):
+            t = apply(rule, host, m)
+            for c, before in zip(constraints, reports):
+                v = classify_step(t, c, report_before=before)
+                flags, evidence = oracles.judge_by_scan(before, v.report_after, host,
+                                                        t.removed_nodes, t.removed_edges)
+                where = (rule.name, c.name, m.sort_key())
+                assert {f: getattr(v, f) for f in STEP_FLAGS} == flags, where
+                assert v.evidence_keys == evidence, where
+                labels.update(evidence)
+    assert labels == EVIDENCE_LABELS
+
+
+def test_judging_a_large_host_step_reads_only_the_changed_keys(fixtures, cra_model_steps,
+                                                               monkeypatch):
+    """On the 160-node model, where c3 has over 500 violating occurrences,
+    a step tests at most 10 keys for lying in the context."""
+    reports, steps = cra_model_steps
+    calls = []
+    original = classify._in_context
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(classify, "_in_context", counting)
+    for t in steps:
+        for c, before in zip(fixtures.constraint_list(), reports):
+            done = len(calls)
+            classify_step(t, c, report_before=before)
+            assert len(calls) - done <= 10, (t.rule.name, c.name)
 
 
 def _search_agrees_with_reference(rule, constraint, bound, samples, seed=1):
