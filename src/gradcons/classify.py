@@ -40,7 +40,7 @@ from .conditions import (
 from .errors import BoundError, MismatchError
 from .generate import random_host
 from .graphs import GraphMorphism, TypeGraph, TypedGraph, _Key
-from .rewriting import Rule, Transformation, _created_ids, _fresh_id, _rewritten, scan_matches
+from .rewriting import Rule, Transformation, _fresh_id, _rewritten, scan_matches
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,6 @@ def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
 
 
 def _judge(
-    polarity: str,
     before: ConsistencyReport,
     after: ConsistencyReport,
     host: TypedGraph,
@@ -109,7 +108,8 @@ def _judge(
     Only the violating keys the step changed can decide a direct flag,
     and :func:`step_report` gives them in canonical order: ``dropped``,
     the host's that are not keys of violating survivors, and ``added``,
-    the result's. Evidence is the least key that decides.
+    the result's. Evidence is the least key that decides. The polarity
+    is the host report's.
     """
     preserving = after.satisfied or not before.satisfied
     guaranteeing = after.satisfied
@@ -117,7 +117,7 @@ def _judge(
     improving = sustaining and before.ncv > 0 and before.ncv > after.ncv
     evidence: dict[str, _Key] = {}
 
-    if polarity == EXISTENTIAL:
+    if before.polarity == EXISTENTIAL:
         directly_sustaining = preserving
         directly_improving = directly_sustaining and not before.satisfied and guaranteeing
     else:
@@ -183,8 +183,7 @@ def classify_step(
         after = consistency_report(t.result, constraint)
         dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
                                        removed_nodes, removed_edges)
-    flags, evidence = _judge(constraint.shape.polarity, before, after, t.host,
-                             removed_nodes, removed_edges, dropped, added)
+    flags, evidence = _judge(before, after, t.host, removed_nodes, removed_edges, dropped, added)
     return StepVerdict(constraint.name, *flags, before, after, evidence)
 
 
@@ -472,7 +471,6 @@ def classify_rule_empirical(
     # Each step is judged on its raw parts, at the maps of its match key. A
     # step is recorded, once, with its match as a morphism, only when it
     # becomes the first counterexample or witness of some claim.
-    polarity = constraint.shape.polarity
     lhs_nodes, lhs_edges = rule.lhs.node_ids, rule.lhs.edge_ids
     derive_above = searches_per_step(constraint, rule._changed_types)
     found: dict[str, tuple[Transformation, StepVerdict]] = {}
@@ -487,16 +485,16 @@ def classify_rule_empirical(
         derive = before.occ > derive_above
         for images, edge_images in keys:
             node_map, edge_map = dict(zip(lhs_nodes, images)), dict(zip(lhs_edges, edge_images))
-            result, removed_nodes, removed_edges, fresh = _rewritten(
-                rule, host, node_map, edge_map, 0)
+            fields = _rewritten(rule, host, node_map, edge_map, 0)
+            result, removed_nodes, removed_edges, created = fields
             if derive:
                 after, dropped, added = step_report(before, result, (removed_nodes, removed_edges),
-                                                    _created_ids(rule, fresh))
+                                                    created)
             else:
                 after = consistency_report(result, constraint)
                 dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
                                                removed_nodes, removed_edges)
-            flags, evidence = _judge(polarity, before, after, host, removed_nodes, removed_edges,
+            flags, evidence = _judge(before, after, host, removed_nodes, removed_edges,
                                      dropped, added)
             steps_examined += 1
             (preserving, guaranteeing, sustaining, improving,
@@ -508,7 +506,7 @@ def classify_rule_empirical(
             new = [claim for claim, hit in zip(_CLAIMS, hits) if hit and claim not in found]
             if new:
                 m = GraphMorphism(rule.lhs, host, node_map, edge_map)
-                t = Transformation(rule, host, m, result, removed_nodes, removed_edges, 0)
+                t = Transformation(rule, host, m, *fields, 0)
                 record = (t, StepVerdict(constraint.name, *flags, before, after, evidence))
                 found.update(dict.fromkeys(new, record))
     if steps_examined == 0:

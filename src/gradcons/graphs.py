@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import chain, permutations, product
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -709,7 +709,7 @@ def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Calla
     return search
 
 
-@lru_cache(maxsize=256)
+@cache
 def _search_factory(source: str) -> Callable[..., Callable]:
     namespace = {"MismatchError": MismatchError, "permutations": permutations}
     exec(compile(source, "<compiled search>", "exec"), namespace)

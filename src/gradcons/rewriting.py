@@ -170,9 +170,10 @@ class Transformation:
     """One rewriting step host => result with all boundary morphisms.
 
     ``removed_nodes`` / ``removed_edges`` are the images of the deleted
-    elements, and ``created`` the ids of the created node and edge images.
-    ``comatch`` is the rhs -> result morphism. ``context`` is
-    the host minus the removed images; ``host_embedding`` and
+    elements, and ``created`` the ids of the created node and edge images,
+    in the rule's ``created_nodes`` / ``created_edges`` order, as the
+    rewrite chose them. ``comatch`` is the rhs -> result morphism.
+    ``context`` is the host minus the removed images; ``host_embedding`` and
     ``result_embedding`` are its id-preserving inclusions into host and
     result. ``track`` is the partial morphism host -> result defined
     exactly on surviving elements (where it is the identity on ids). These
@@ -185,23 +186,14 @@ class Transformation:
     result: TypedGraph
     removed_nodes: frozenset[str]
     removed_edges: frozenset[str]
+    created: tuple[tuple[str, ...], tuple[str, ...]]
     step: int = 0
 
     @cached_property
-    def _fresh(self) -> dict[str, str]:
-        # The fresh ids depend only on the rule, the host, the removed
-        # images and the step, so they come out as the step chose them.
-        return _fresh_ids(self.rule, self.host, self.removed_nodes, self.removed_edges,
-                          self.step)
-
-    @property
-    def created(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        return _created_ids(self.rule, self._fresh)
-
-    @cached_property
     def comatch(self) -> GraphMorphism:
-        fresh = self._fresh
-        rhs, node_map, edge_map = self.rule.rhs, self.match.node_map, self.match.edge_map
+        rule, (nodes, edges) = self.rule, self.created
+        fresh = dict(zip((*rule.created_nodes, *rule.created_edges), (*nodes, *edges)))
+        rhs, node_map, edge_map = rule.rhs, self.match.node_map, self.match.edge_map
         return GraphMorphism(
             rhs, self.result,
             {n: fresh[n] if n in fresh else node_map[n] for n in rhs.node_ids},
@@ -240,16 +232,10 @@ def _fresh_id(base: str, taken: Callable[[str], bool]) -> str:
     return candidate
 
 
-def _created_ids(rule: Rule, fresh: Mapping[str, str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The ids of the created node and edge images, given the fresh id of
-    each element the rule creates."""
-    return (tuple(map(fresh.__getitem__, rule.created_nodes)),
-            tuple(map(fresh.__getitem__, rule.created_edges)))
-
-
 def _fresh_ids(rule: Rule, host: TypedGraph, removed_nodes: frozenset[str],
                removed_edges: frozenset[str], step: int) -> dict[str, str]:
-    """The id of each element the step creates, by rhs id.
+    """The id of each element the step creates, by rhs id: the created
+    nodes first, then the created edges, each in the rule's order.
 
     Fresh ids avoid the context (the host minus the removed images) and
     each other. Each is ``<rule>.<step>.<id>`` when that id is free, as it
@@ -305,18 +291,17 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
     ``find_matches(rule, host)``."""
-    result, removed_nodes, removed_edges, _ = _rewritten(rule, host, match.node_map,
-                                                         match.edge_map, step)
-    return Transformation(rule, host, match, result, removed_nodes, removed_edges, step)
+    return Transformation(rule, host, match,
+                          *_rewritten(rule, host, match.node_map, match.edge_map, step), step)
 
 
 def _rewritten(
     rule: Rule, host: TypedGraph, node_map: Mapping[str, str], edge_map: Mapping[str, str],
     step: int,
-) -> tuple[TypedGraph, frozenset[str], frozenset[str], dict[str, str]]:
-    """The raw parts of :func:`_rewrite`'s step at the match with these
-    maps: the result, the removed node and edge images, and the fresh id
-    of each created element (:func:`_fresh_ids`)."""
+) -> tuple[TypedGraph, frozenset[str], frozenset[str], tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The fields of :func:`_rewrite`'s step at the match with these maps,
+    in :class:`Transformation` order: the result, the removed node and edge
+    images, and the created node and edge ids (:func:`_fresh_ids`)."""
     removed_nodes = frozenset(map(node_map.__getitem__, rule.deleted_nodes))
     removed_edges = frozenset(map(edge_map.__getitem__, rule.deleted_edges))
     fresh = _fresh_ids(rule, host, removed_nodes, removed_edges, step)
@@ -331,4 +316,6 @@ def _rewritten(
         for e, etype, src, tgt in new_edges
     ]
     result = host._patched(removed_nodes, removed_edges, created_nodes, created_edges)
-    return result, removed_nodes, removed_edges, fresh
+    ids, n = tuple(fresh.values()), len(new_nodes)
+    created = (ids[:n], ids[n:])
+    return result, removed_nodes, removed_edges, created

@@ -28,7 +28,7 @@ from gradcons import (
     inclusion,
     validate_graph,
 )
-from gradcons import classify, conditions
+from gradcons import classify, conditions, rewriting
 from gradcons.classify import (
     NO_COUNTEREXAMPLE,
     NO_WITNESS,
@@ -808,6 +808,43 @@ def test_a_created_id_that_reuses_a_removed_one(fixtures, request, derive):
             assert v.evidence_keys == {"new_violating_occurrence": reused}
     if derive:
         assert derived == [c.name for c in constraints]
+
+
+def test_a_step_runs_the_fresh_id_policy_once(fixtures, monkeypatch):
+    """On the seeded 160-node model, applying a creating step, deriving its
+    result's report against c1-c3 and reading its comatch run the fresh-id
+    policy once: the step stores the ids it created."""
+    host = seeded_cra_model(fixtures.type_graph, random.Random(1))
+    constraints = fixtures.constraint_list()
+    reports = [consistency_report(host, c) for c in constraints]
+    fresh_runs, derived = [], []
+    original_fresh_ids, original_step_report = rewriting._fresh_ids, classify.step_report
+
+    def counting(*args):
+        fresh_runs.append(args[0].name)
+        return original_fresh_ids(*args)
+
+    def recording(before, *args):
+        derived.append(before.constraint_name)
+        return original_step_report(before, *args)
+
+    monkeypatch.setattr(rewriting, "_fresh_ids", counting)
+    monkeypatch.setattr(classify, "step_report", recording)
+    for name, picks in (("assignFeature", {"c": "C0", "f": "F76"}),
+                        ("createClass", {"f": "F76"})):
+        rule = fixtures.rules[name]
+        fresh_runs.clear()
+        derived.clear()
+        t = _one_step(rule, host, **picks)
+        for c, before in zip(constraints, reports):
+            classify_step(t, c, report_before=before)
+        comatch = t.comatch
+        assert derived == [c.name for c in constraints]
+        assert fresh_runs == [name]
+        assert t.created == (tuple(map(comatch.node_map.__getitem__, rule.created_nodes)),
+                             tuple(map(comatch.edge_map.__getitem__, rule.created_edges)))
+        assert t.created != ((), ())
+        assert comatch == oracles.comatch_by_sets(t)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

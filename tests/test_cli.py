@@ -6,6 +6,7 @@ exactly as a shell user would see them.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcons import cra
+from gradcons import PROVEN_DIRECTLY_SUSTAINING, cra
 from gradcons.cli import _select_match, main
 from gradcons.conditions import FALSE, Constraint, Exists, Not, forall
 from gradcons.formats import emit_constraint_document, emit_rule_document, parse_graph_document
@@ -508,7 +509,8 @@ class TestClassifyRule:
         assert code == 0, err
         assert json.loads(out)["results"][0]["hosts_examined"] == 1
 
-    @pytest.mark.parametrize("flag, value", [("--samples", "-5"), ("--bound", "-1")])
+    @pytest.mark.parametrize("flag, value",
+                             [("--samples", "-5"), ("--bound", "-1"), ("--bound", "abc")])
     def test_negative_search_knobs_exit_2(self, docs, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -516,7 +518,9 @@ class TestClassifyRule:
                 str(docs / "constraints.json"), flag, value,
             ])
         assert exc.value.code == 2
-        assert "expected a non-negative integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"expected a non-negative integer, got {value!r}" in err
+        assert "Traceback" not in err
 
 
 class TestAnalyze:
@@ -646,6 +650,43 @@ class TestBench:
                            "--independence-only")
         assert code == 2
         assert "error:" in err
+
+    def test_changed_fixtures_exit_1_and_list_the_diffs(self, tmp_path, capsys):
+        """Without moveFeature's application condition one classification
+        cell changes; a createClass that creates no assignment flips
+        independence signs. Both tables print their DIFFS block."""
+        cra.write_fixture_files(tmp_path)
+
+        def edit(name, change):
+            doc = json.loads((tmp_path / name).read_text())
+            change(doc)
+            (tmp_path / name).write_text(json.dumps(doc))
+
+        edit("rule_moveFeature.json",
+             lambda doc: doc.update(application_condition={"kind": "true"}))
+        edit("rule_createClass.json", lambda doc: doc["rhs"].update(edges=[]))
+        code, out, _ = run(capsys, "bench", "--fixtures", str(tmp_path))
+        assert code == 1
+        matrix, table = out.split("DIFFS against the expected matrix:\n")[1].split("\n\n", 1)
+        assert "  createClass/seq_independent/c1: computed +, expected -" in matrix.splitlines()
+        diffs = table.split("DIFFS against the expected table:\n")[1].splitlines()
+        assert "  moveFeature/c1 improving: computed +, expected -" in diffs
+        assert "All 24 cells match" not in out and "All 40 cells match" not in out
+
+    def test_a_contradiction_exits_1(self, monkeypatch, capsys):
+        """A static proof that the search refutes is reported, not
+        resolved: here every pair is claimed proven directly sustaining."""
+        original = cra.criterion_direct_sustain
+
+        def proving(rule, constraint):
+            return dataclasses.replace(original(rule, constraint),
+                                       verdict=PROVEN_DIRECTLY_SUSTAINING)
+
+        monkeypatch.setattr(cra, "criterion_direct_sustain", proving)
+        code, _, err = run(capsys, "bench", "--bound", "3", "--samples", "0")
+        assert code == 1
+        assert err == ("error: createClass/c3: statically certified sustaining, "
+                       "but the search produced a counterexample step\n")
 
 
 # --- fuzzing: arbitrary bytes in every file argument --------------------------

@@ -27,6 +27,7 @@ from gradcons import (
     satisfies,
     validate_anf,
 )
+from gradcons.conditions import iter_extensions
 
 
 @pytest.fixture
@@ -140,6 +141,15 @@ class TestSatisfaction:
             with pytest.raises(MismatchError):
                 satisfies(p, Exists(a))
         assert len(extensions(GraphMorphism(single, host, {"p": "a1"}, {}), a)) == 1
+
+    def test_extensions_refuse_an_occurrence_that_is_not_injective(self, tg2, shapes):
+        single, pair = shapes
+        two = single.with_added([("p2", "A")])
+        host = TypedGraph(tg2, [("a1", "A"), ("b1", "B")], [("e1", "ab", "a1", "b1")])
+        glued = GraphMorphism(two, host, {"p": "a1", "p2": "a1"}, {})
+        wider = two.with_added([("q", "B")], [("e", "ab", "p", "q")])
+        with pytest.raises(ValueError, match="occurrence is not injective"):
+            iter_extensions(glued, inclusion(two, wider))
 
     def test_satisfies_rejects_partial_occurrences(self, tg2, shapes):
         single, _ = shapes
@@ -374,6 +384,8 @@ class TestConsistencyReport:
         foreign = TypedGraph(tg2, [("x", "A")])
         with pytest.raises(MismatchError):
             consistency_report(foreign, fixtures.constraints["c1"])
+        with pytest.raises(MismatchError, match="different type graphs"):
+            graph_satisfies(foreign, fixtures.constraints["c1"])
 
 
 class TestEmptyGraphSatisfaction:

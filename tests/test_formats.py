@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcons import cra
-from gradcons.conditions import TRUE, Constraint, Exists, Not
+from gradcons.conditions import FALSE, TRUE, Constraint, Exists, Not
 from gradcons.errors import DocumentError
 from gradcons.formats import (
     CONSTRAINT_FORMAT,
@@ -134,6 +134,13 @@ class TestConditionSugar:
         doc = json.loads(emit_rule_document(plain))
         assert "application_condition" not in doc
         assert parse_rule_document(emit_rule_document(plain)) == plain
+
+    def test_a_bare_false_condition_emits_as_false(self, fixtures):
+        lhs = fixtures.rules["deleteEmptyClass"].lhs
+        never = Rule("never", lhs, lhs, lhs, FALSE)
+        doc = json.loads(emit_rule_document(never))
+        assert doc["application_condition"] == {"kind": "false"}
+        assert parse_rule_document(emit_rule_document(never)) == never
 
     def test_forbidden_patterns_emit_as_not_exists(self, fixtures):
         doc = json.loads(emit_constraint_document(fixtures.constraints["c1"]))

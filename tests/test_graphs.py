@@ -144,6 +144,22 @@ class TestMorphisms:
         partial = GraphMorphism(g, h, {"a": "y"}, {"e": "f"})
         assert any("endpoint is not" in p for p in partial.check())
 
+    @pytest.mark.parametrize("node_map, edge_map, problem", [
+        ({"ghost": "y"}, {}, "maps absent node 'ghost'"),
+        ({"a": "nowhere"}, {}, "node 'a' sent to absent node 'nowhere'"),
+        ({"a": "x"}, {}, "node 'a' changes type under the map"),
+        ({"a": "y", "b": "x"}, {"ghost": "f"}, "maps absent edge 'ghost'"),
+        ({"a": "y", "b": "x"}, {"e": "nowhere"}, "edge 'e' sent to absent edge 'nowhere'"),
+        ({"a": "y", "b": "x"}, {"e": "l"}, "edge 'e' changes type under the map"),
+        ({"a": "y"}, {"e": "f"}, "edge 'e' is mapped but an endpoint is not"),
+        ({"a": "z", "b": "x"}, {"e": "f"}, "edge 'e' does not commute with its endpoints"),
+    ])
+    def test_check_names_each_problem(self, tg2, node_map, edge_map, problem):
+        g = TypedGraph(tg2, [("a", "A"), ("b", "B")], [("e", "ab", "a", "b")])
+        h = TypedGraph(tg2, [("x", "B"), ("y", "A"), ("z", "A")],
+                       [("f", "ab", "y", "x"), ("l", "aa", "y", "y")])
+        assert problem in GraphMorphism(g, h, node_map, edge_map).check()
+
     def test_compose_is_diagrammatic_and_partial_aware(self, tg2):
         g = TypedGraph(tg2, [("a", "A"), ("a2", "A")])
         h = TypedGraph(tg2, [("x", "A"), ("y", "A")])
@@ -178,6 +194,13 @@ class TestEnumerateMonomorphisms:
         host = TypedGraph(tg2, [("a1", "A"), ("a2", "A"), ("b", "B")])
         found = enumerate_monomorphisms(pattern, host)
         assert [m.node_map["p"] for m in found] == ["a1", "a2"]
+
+    def test_empty_pattern_has_one_empty_occurrence(self, tg2):
+        empty = empty_graph(tg2)
+        for host in (empty, TypedGraph(tg2, [("a", "A")])):
+            found = enumerate_monomorphisms(empty, host)
+            assert [(m.node_map, m.edge_map) for m in found] == [({}, {})]
+            assert len(monos_by_permutation(empty, host)) == 1
 
     def test_type_graph_mismatch_is_rejected(self, tg2):
         other = TypeGraph(["A"])

@@ -45,6 +45,10 @@ class TestRuleValidation:
         with pytest.raises(RuleError, match="not well-typed"):
             Rule("r", bad, TypedGraph(tg2, [("x", "A")]), TypedGraph(tg2, [("x", "A")]))
 
+    def test_sides_must_share_one_type_graph(self, tg2, fixtures):
+        with pytest.raises(RuleError, match="sides typed over different type graphs"):
+            Rule("r", empty_graph(tg2), empty_graph(tg2), empty_graph(fixtures.type_graph))
+
     def test_condition_must_anchor_at_lhs(self, tg2):
         lhs = TypedGraph(tg2, [("x", "A")])
         other = TypedGraph(tg2, [("z", "B")])
@@ -149,6 +153,18 @@ class TestApply:
         partial = GraphMorphism(mf.lhs, host, dict(list(good.node_map.items())[:1]), {})
         with pytest.raises(MatchError, match="total"):
             apply(mf, host, partial)
+        with pytest.raises(MatchError, match="codomain is not the host"):
+            apply(mf, apply(mf, host, good).result, good)
+        # total and injective, but e_old runs from f1 to c1, not to c2
+        twisted = GraphMorphism(
+            mf.lhs, host,
+            {"f": "f1", "c_src": "c2", "c_tgt": "c1"},
+            {"e_old": "asg_f1"},
+        )
+        with pytest.raises(MatchError) as err:
+            apply(mf, host, twisted)
+        assert str(err.value) == ("match is not structure-preserving: "
+                                  "edge 'e_old' does not commute with its endpoints")
         squash = GraphMorphism(
             mf.lhs, host,
             {"f": "f1", "c_src": "c1", "c_tgt": "c1"},

@@ -35,7 +35,7 @@ from gradcons import classify, conditions, graphs, rewriting
 from gradcons.cli import main
 from gradcons.conditions import Constraint, _anchor_keys, forall
 from gradcons.formats import emit_constraint_document, emit_graph_document
-from gradcons.generate import random_host, random_type_graph
+from gradcons.generate import random_host, random_linear_constraint, random_type_graph
 from gradcons.graphs import empty_morphism_into
 from gradcons.rewriting import _rewrite
 
@@ -720,6 +720,33 @@ class TestSkippedWork:
                 a = ours.morphism
                 assert ours._check is graphs._search(a.codomain, "search", *_anchor_keys(a))
         assert forms[True] and forms[False], forms
+
+    def test_the_factory_cache_keeps_every_source_it_compiled(self):
+        """After more than 256 distinct sources, the first one is still
+        cached: a search of the same shape on new objects compiles nothing."""
+        tg = TypeGraph(["T"], [("r", "T", "T")])
+
+        def scan_a_path():
+            # A new graph holds no plan, so the scan asks the factory.
+            path = TypedGraph(tg, [(f"v{i}", "T") for i in range(6)],
+                              [(f"e{i}", "r", f"v{i}", f"v{i + 1}") for i in range(5)])
+            scan_matches(Rule("keep", path, path, path), path)
+
+        info = graphs._search_factory.cache_info
+        graphs._search_factory.cache_clear()
+        scan_a_path()
+        assert info().misses == 1
+        rng = random.Random(1)
+        for index in range(3000):
+            if info().misses > 257:
+                break
+            tg_r = random_type_graph(rng)
+            constraint = random_linear_constraint(tg_r, rng, f"c{index}", max_level=3)
+            consistency_report(random_host(tg_r, rng, 5, 0.4), constraint)
+        misses = info().misses
+        assert misses > 257
+        scan_a_path()
+        assert info().misses == misses
 
     def test_reports_use_the_traced_name_and_scans_build_no_morphism(self, fixtures, monkeypatch):
         # Reports enumerate through the name that the benchmark tracer
