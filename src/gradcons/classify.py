@@ -75,16 +75,16 @@ class StepVerdict:
             for label, key in self.evidence_keys.items()}
 
 
-def _in_context(key: _Key, host: TypedGraph, removed_nodes: frozenset[str],
+def _in_context(key: _Key, n: int, host: TypedGraph, removed_nodes: frozenset[str],
                 removed_edges: frozenset[str]) -> bool:
     # The track morphism is the partial identity on the context, so
     # composing with it is total exactly when the occurrence factors
     # through the context: every image is a host element that the step
     # did not remove. Created elements never are (fresh ids avoid the
-    # context).
-    nodes, edges = key
-    return (removed_nodes.isdisjoint(nodes) and removed_edges.isdisjoint(edges)
-            and all(map(host.has_node, nodes)) and all(map(host.has_edge, edges)))
+    # context). The key's first ``n`` entries are node images; node and
+    # edge ids of one graph differ, so only the host tests need the split.
+    return (removed_nodes.isdisjoint(key) and removed_edges.isdisjoint(key)
+            and all(map(host.has_node, key[:n])) and all(map(host.has_edge, key[n:])))
 
 
 def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
@@ -125,9 +125,10 @@ def _judge(
         # occurrence that was valid (it is no violating survivor), so it
         # is invalidated; one outside the context is new. Invalidation is
         # looked for first.
+        n = len(before.pattern.node_ids)
         new = None
         for key in added:
-            if _in_context(key, host, removed_nodes, removed_edges):
+            if _in_context(key, n, host, removed_nodes, removed_edges):
                 evidence["invalidated_occurrence"] = key
                 break
             if new is None:
@@ -141,7 +142,8 @@ def _judge(
         directly_improving = directly_sustaining and bool(dropped)
         if directly_improving:
             key = dropped[0]
-            label = ("repaired_occurrence" if _in_context(key, host, removed_nodes, removed_edges)
+            label = ("repaired_occurrence"
+                     if _in_context(key, n, host, removed_nodes, removed_edges)
                      else "destroyed_occurrence")
             evidence[label] = key
 
@@ -472,6 +474,7 @@ def classify_rule_empirical(
     # step is recorded, once, with its match as a morphism, only when it
     # becomes the first counterexample or witness of some claim.
     lhs_nodes, lhs_edges = rule.lhs.node_ids, rule.lhs.edge_ids
+    n = len(lhs_nodes)
     derive_above = searches_per_step(constraint, rule._changed_types)
     found: dict[str, tuple[Transformation, StepVerdict]] = {}
     hosts_examined = 0
@@ -483,8 +486,8 @@ def classify_rule_empirical(
             continue
         before = consistency_report(host, constraint)
         derive = before.occ > derive_above
-        for images, edge_images in keys:
-            node_map, edge_map = dict(zip(lhs_nodes, images)), dict(zip(lhs_edges, edge_images))
+        for key in keys:
+            node_map, edge_map = dict(zip(lhs_nodes, key)), dict(zip(lhs_edges, key[n:]))
             fields = _rewritten(rule, host, node_map, edge_map, 0)
             result, removed_nodes, removed_edges, created = fields
             if derive:

@@ -89,8 +89,9 @@ def _parse_match_spec(spec: str) -> dict[str, str]:
 def _select_match(rule: Rule, host: TypedGraph, spec: str | None) -> GraphMorphism:
     scan = scan_matches(rule, host)
     candidates = scan.keys
-    # A key lists the node images over the sorted lhs node ids, so bindings
-    # are tested by position and only the selected match becomes a morphism.
+    # A key starts with the node images over the sorted lhs node ids, so
+    # bindings are tested by position and only the selected match becomes a
+    # morphism.
     node_ids = rule.lhs.node_ids
     if spec is not None:
         wanted = _parse_match_spec(spec)
@@ -101,7 +102,7 @@ def _select_match(rule: Rule, host: TypedGraph, spec: str | None) -> GraphMorphi
         if unknown:
             raise MatchError(f"match spec names ids not in the rule's left side: {unknown}")
         bound = [(node_ids.index(k), v) for k, v in wanted.items()]
-        candidates = [key for key in candidates if all(key[0][i] == v for i, v in bound)]
+        candidates = [key for key in candidates if all(key[i] == v for i, v in bound)]
     if len(candidates) == 1:
         return GraphMorphism.from_key(rule.lhs, host, candidates[0])
     if not candidates:
@@ -112,7 +113,7 @@ def _select_match(rule: Rule, host: TypedGraph, spec: str | None) -> GraphMorphi
             f"{scan.rejected_by_dangling} by the gluing condition)"
         )
     listing = "; ".join(
-        ",".join(f"{k}={v}" for k, v in zip(node_ids, images)) for images, _ in candidates
+        ",".join(f"{k}={v}" for k, v in zip(node_ids, key)) for key in candidates
     )
     raise MatchError(
         f"{len(candidates)} matches of {rule.name!r} apply, disambiguate with --match: {listing}"

@@ -190,9 +190,10 @@ def _satisfies(condition: Condition, host: TypedGraph, node_map: Mapping[str, st
             return found
         pattern = condition.morphism.codomain
         nodes, edges = pattern.node_ids, pattern.edge_ids
-        return any(_satisfies(condition.sub, host, dict(zip(nodes, images)),
-                              dict(zip(edges, edge_images)))
-                   for images, edge_images in found)
+        n = len(nodes)
+        return any(_satisfies(condition.sub, host, dict(zip(nodes, key)),
+                              dict(zip(edges, key[n:])))
+                   for key in found)
     if isinstance(condition, And):
         return (_satisfies(condition.left, host, node_map, edge_map)
                 and _satisfies(condition.right, host, node_map, edge_map))
@@ -432,7 +433,7 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
     body, polarity = shape.body, shape.polarity
     if polarity == UNIVERSAL:
-        keys = tuple([(tuple(p.node_map.values()), tuple(p.edge_map.values()))
+        keys = tuple([(*p.node_map.values(), *p.edge_map.values())
                       for p in occurrences if _satisfies(body, graph, p.node_map, p.edge_map)])
         ncv = len(keys)
     else:
@@ -453,7 +454,8 @@ class _StepSearches:
     pattern P, seeded there; at an edge of type E, one for each edge of
     type E of P, pinned there together with its ends. For ∀(P, ∃C) the
     same searches run over the witness pattern C, and ``positions``
-    restrict a key of C to one of P along the chain morphism P -> C.
+    restrict a key of C to one of P along the chain morphism P -> C: the
+    position in C's key of each entry of P's.
     ``at`` keeps, per changed element type, the compiled searches (which
     :func:`_search` keeps on the patterns' plans), and ``counts``, per
     rule's changed element types, how many searches a step runs.
@@ -466,9 +468,10 @@ class _StepSearches:
         self.positions = None
         if len(shape.chain) == 2:
             b, witness = shape.chain[1][1], self.patterns[1]
+            n = len(witness.node_ids)
             self.positions = (
-                tuple(witness.node_ids.index(b.node_map[v]) for v in b.domain.node_ids),
-                tuple(witness.edge_ids.index(b.edge_map[e]) for e in b.domain.edge_ids))
+                *(witness.node_ids.index(b.node_map[v]) for v in b.domain.node_ids),
+                *(n + witness.edge_ids.index(b.edge_map[e]) for e in b.domain.edge_ids))
         self.at: dict[tuple[str, str], tuple[tuple[tuple[Callable, bool], ...], ...]] = {}
         self.counts: dict[tuple[tuple[str, str], ...], int] = {}
 
@@ -528,12 +531,10 @@ class _StepSearches:
                 for search, pins_loop in searches:
                     if pins_loop == loop:
                         keys.update(search(graph, pn, pe))
-        if self.positions is None:
+        positions = self.positions
+        if positions is None:
             return found[0], set()
-        node_pos, edge_pos = self.positions
-        return found[0], {(tuple(map(images.__getitem__, node_pos)),
-                           tuple(map(edge_images.__getitem__, edge_pos)))
-                          for images, edge_images in found[1]}
+        return found[0], {tuple(map(key.__getitem__, positions)) for key in found[1]}
 
 
 def _place(keys: list[_Key], key: _Key, member: bool) -> bool:
@@ -560,7 +561,9 @@ def _changed_keys(
     A key on one side only is dropped (destroyed or repaired) or added
     (new or invalidated). A key on both sides is a survivor's unless it
     uses a removed id, which a created element then took again: its
-    host occurrence was destroyed and its result occurrence is new.
+    host occurrence was destroyed and its result occurrence is new. Node
+    and edge ids of one graph differ, so the whole key is tested against
+    each kind.
     """
     dropped: list[_Key] = []
     added: list[_Key] = []
@@ -574,7 +577,7 @@ def _changed_keys(
             added.append(a)
             j += 1
         else:
-            if not (removed_nodes.isdisjoint(b[0]) and removed_edges.isdisjoint(b[1])):
+            if not (removed_nodes.isdisjoint(b) and removed_edges.isdisjoint(b)):
                 dropped.append(b)
                 added.append(a)
             i += 1
@@ -639,9 +642,10 @@ def step_report(
     new, gained = searches.run(result, *created)
     pattern, body = searches.patterns[0], constraint.shape.body
     node_ids, edge_ids = pattern.node_ids, pattern.edge_ids
+    n = len(node_ids)
 
     def violates(key: _Key) -> bool:
-        return _satisfies(body, result, dict(zip(node_ids, key[0])), dict(zip(edge_ids, key[1])))
+        return _satisfies(body, result, dict(zip(node_ids, key)), dict(zip(edge_ids, key[n:])))
 
     keys = list(before.violating_keys)
     dropped: list[_Key] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import permutations
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import MismatchError
@@ -386,8 +386,9 @@ def validate_graph(graph: TypedGraph) -> list[str]:
     return problems
 
 
-# An occurrence's :meth:`GraphMorphism.sort_key`: node images, then edge images.
-_Key = tuple[tuple[str, ...], tuple[str, ...]]
+# An occurrence's :meth:`GraphMorphism.sort_key`: the node images over the
+# sorted pattern node ids, then the edge images over the sorted edge ids.
+_Key = tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,19 +448,20 @@ class GraphMorphism:
         return problems
 
     def sort_key(self) -> _Key:
-        """Canonical ordering key: images listed over sorted domain ids."""
-        return (
-            tuple(self.node_map.get(v, "") for v in self.domain.node_ids),
-            tuple(self.edge_map.get(e, "") for e in self.domain.edge_ids),
-        )
+        """Canonical ordering key: one tuple of the images over the sorted
+        domain node ids, then over the sorted domain edge ids. Keys of one
+        domain have one length, so they sort as the pair of the two
+        image tuples would."""
+        return (*(self.node_map.get(v, "") for v in self.domain.node_ids),
+                *(self.edge_map.get(e, "") for e in self.domain.edge_ids))
 
     @classmethod
     def from_key(cls, domain: TypedGraph, codomain: TypedGraph, key: _Key) -> GraphMorphism:
         """The total morphism whose :meth:`sort_key` is ``key``, its maps
         listing the sorted domain ids. Nothing is validated."""
-        images, edge_images = key
-        return cls(domain, codomain, dict(zip(domain._node_ids, images)),
-                   dict(zip(domain._edge_ids, edge_images)))
+        node_ids = domain._node_ids
+        return cls(domain, codomain, dict(zip(node_ids, key)),
+                   dict(zip(domain._edge_ids, key[len(node_ids):])))
 
     def __hash__(self) -> int:
         return hash((self.domain, self.codomain, frozenset(self.node_map.items()),
@@ -507,13 +509,9 @@ class _Plan:
     order; within a group any injective assignment onto host edges of the
     image signature preserves structure. ``searches`` holds the searches
     compiled from the plan (:func:`_search`).
-
-    ``edge_order`` lists, for each sorted pattern edge id, its index among
-    the pattern edges listed group by group, or is ``None`` when the two
-    orders agree.
     """
 
-    __slots__ = ("steps", "scan_types", "groups", "searches", "edge_order")
+    __slots__ = ("steps", "scan_types", "groups", "searches")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
@@ -541,9 +539,6 @@ class _Plan:
         for e in pattern.edge_ids:
             groups.setdefault(pattern.edge_info(e), []).append(e)
         self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
-        edges = tuple(e for _, p_edges in self.groups for e in p_edges)
-        self.edge_order = (None if edges == pattern.edge_ids
-                           else tuple(map(edges.index, pattern.edge_ids)))
         self.searches: dict[tuple[str, _Keys, _Keys], Callable] = {}
 
 
@@ -577,8 +572,9 @@ def enumerate_monomorphisms(pattern: TypedGraph, host: TypedGraph) -> list[Graph
 
     The order is lexicographic over the images of the sorted pattern node ids,
     with ties broken the same way on sorted pattern edge ids, so results are
-    reproducible across runs. The image tuples of :func:`_images` are sorted
-    before any morphism is built from them by :meth:`GraphMorphism.from_key`.
+    reproducible across runs. The keys that the compiled search of
+    :func:`_images` yields are sorted before any morphism is built from them
+    by :meth:`GraphMorphism.from_key`.
     Each morphism appears exactly once. The occurrences that extend a given
     one along a morphism are :func:`gradcons.conditions.extensions`.
     """
@@ -599,84 +595,13 @@ def _check_type_graphs(pattern: TypedGraph, host: TypedGraph) -> None:
         raise MismatchError("pattern and host are typed over different type graphs")
 
 
-def _images(
-    pattern: TypedGraph, host: TypedGraph
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+def _images(pattern: TypedGraph, host: TypedGraph) -> Iterator[_Key]:
     """Every total injective morphism pattern -> host, lazily and in search
-    order, as the tuples of its node and edge images over the sorted
-    pattern ids: its :meth:`GraphMorphism.sort_key`. The search backtracks
-    in one loop, so the size of a pattern is not bounded by the recursion
-    limit, and stopping the iteration stops it."""
+    order, as its :meth:`GraphMorphism.sort_key`: the unseeded ``"search"``
+    form of :func:`_search`, which match scans run too. Stopping the
+    iteration stops the search."""
     _check_type_graphs(pattern, host)
-    plan = _plan(pattern, frozenset())
-    probe = host.edges_with_signature
-    by_type = host._by_type
-    # A node type the host lacks leaves no candidates for a type scan.
-    for ntype in plan.scan_types:
-        if ntype not in by_type:
-            return
-
-    steps = plan.steps
-    depth = len(steps)
-    node_ids, edge_order = pattern._node_ids, plan.edge_order
-    node_map: dict[str, str] = {}
-    used: set[str] = set()
-    # The host nodes still to try at each step; the step being placed
-    # (``depth`` once every node is placed); and whether that step was just
-    # entered from the one before it, or is resumed for its next candidate.
-    candidates: list[Iterator[str]] = [iter(())] * depth
-    level = 0
-    fresh = True
-    while True:
-        if level == depth:
-            # Within a signature group any injective choice of host edges
-            # preserves structure, and different groups have disjoint host
-            # edges, so the edge images are the product of the groups'
-            # permutations, put back into sorted pattern order.
-            choices = []
-            for (etype, src, tgt), p_edges in plan.groups:
-                h_edges = probe(etype, node_map[src], node_map[tgt])
-                if len(h_edges) < len(p_edges):
-                    break
-                choices.append(permutations(h_edges, len(p_edges)))
-            else:
-                node_images = tuple(map(node_map.__getitem__, node_ids))
-                for combo in product(*choices):
-                    edge_images = tuple(chain.from_iterable(combo))
-                    if edge_order is not None:
-                        edge_images = tuple(map(edge_images.__getitem__, edge_order))
-                    yield node_images, edge_images
-            if not depth:
-                return
-            level -= 1
-            fresh = False
-        v, ntype, _, checks = steps[level]
-        if fresh:
-            candidates[level] = iter(by_type[ntype])
-        else:
-            used.discard(node_map[v])
-        for w in candidates[level]:
-            if w in used:
-                continue
-            node_map[v] = w
-            # Early consistency: every pattern edge with both ends placed
-            # must have at least one host edge under the partial map.
-            for etype, src, tgt in checks:
-                if not probe(etype, node_map[src], node_map[tgt]):
-                    break
-            else:
-                break
-        else:
-            # No candidate left at this step: back to the step before it.
-            node_map.pop(v, None)
-            if not level:
-                return
-            level -= 1
-            fresh = False
-            continue
-        used.add(w)
-        level += 1
-        fresh = True
+    return _search(pattern, "search", (), ())(host, {}, {})
 
 
 # --- compiled searches --------------------------------------------------------
@@ -697,9 +622,10 @@ def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Calla
     ``iter_extensions`` along the same morphism share one function. The
     ``"exists"`` form tells whether the images extend to a total
     injective morphism pattern -> host; the ``"search"`` form yields each
-    one as the tuples of its node and edge images over the sorted pattern
-    ids. Match scans run the ``"search"`` form without seeds, over the
-    plan that the interpreted loop of :func:`_images` follows.
+    one as its :meth:`GraphMorphism.sort_key`, one flat tuple of the node
+    images over the sorted pattern node ids, then the edge images over the
+    sorted edge ids. Without seeds the ``"search"`` form finds every
+    occurrence: :func:`_images` and match scans run it.
     """
     searches = _plan(pattern, frozenset(v for _, v in nodes)).searches
     search = searches.get((form, nodes, edges))
@@ -888,7 +814,7 @@ def _search_source(
     if exists:
         emit("return True")
     else:
-        emit("yield (" + "".join(f"{node_var[v]}, " for v in pattern.node_ids) + "), ("
+        emit("yield (" + "".join(f"{node_var[v]}, " for v in pattern.node_ids)
              + "".join(f"{edge_var[e]}, " for e in pattern.edge_ids) + ")")
     end_function()
     params = ", ".join(["TG", *keys.values()])

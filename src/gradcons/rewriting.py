@@ -145,11 +145,12 @@ def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
     condition = None if rule.is_plain() else rule.condition
     if condition is not None or rule.deleted_nodes:
         node_ids, edge_ids = lhs.node_ids, lhs.edge_ids
+        n = len(node_ids)
         kept = []
         for key in keys:
             # The key is a total injective occurrence of the lhs, as
             # _satisfies asks.
-            node_map, edge_map = dict(zip(node_ids, key[0])), dict(zip(edge_ids, key[1]))
+            node_map, edge_map = dict(zip(node_ids, key)), dict(zip(edge_ids, key[n:]))
             if condition is not None and not _satisfies(condition, host, node_map, edge_map):
                 rejected_condition += 1
             elif not _dangling_ok(rule, host, node_map, edge_map):

@@ -334,8 +334,10 @@ def judge_by_scan(
     label takes the first such key in canonical order, and invalidation
     is looked for before novelty. Returns ``(flags, evidence_keys)``.
     """
+    n = before.pattern.node_count
+
     def in_context(key):
-        nodes, edges = key
+        nodes, edges = key[:n], key[n:]
         return (all(host.has_node(x) and x not in removed_nodes for x in nodes)
                 and all(host.has_edge(e) and e not in removed_edges for e in edges))
 

@@ -194,7 +194,7 @@ class TestClassifyStepUniversal:
             [], ["invalidated_occurrence"], ["destroyed_occurrence"]]
         assert all(m.codomain is t.host for e in evidence for m in e.values())
         assert verdicts[2].evidence_keys == {"destroyed_occurrence": (
-            ("c1", "c2", "f1", "f3"), ("asg_f1", "asg_f3", "dep_13"))}
+            "c1", "c2", "f1", "f3", "asg_f1", "asg_f3", "dep_13")}
 
     def test_direct_sustainment_without_sustainment(self):
         # Every looped node needs an r0 edge to another node. T02 lacks one;
@@ -799,7 +799,7 @@ def test_a_created_id_that_reuses_a_removed_one(fixtures, request, derive):
         # On this host measuring the result again pays for every constraint.
         assert all(consistency_report(host, c).occ <= conditions.searches_per_step(
             c, renew._changed_types) for c in constraints)
-    reused = (("renewClass.0.n",), ())
+    reused = ("renewClass.0.n",)
     for c in constraints:
         v = _agrees_with_reference(t, c)
         if c.name == "c2":

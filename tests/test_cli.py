@@ -371,9 +371,10 @@ class TestMatchSelection:
         rule = fixtures.rules["moveFeature"]
         keys = scan_matches(rule, host).keys
         assert len(keys) > 10_000
-        by_nodes = Counter(images for images, _ in keys)
-        key = next(key for key in keys if by_nodes[key[0]] == 1)
-        spec = ",".join(f"{k}={v}" for k, v in zip(rule.lhs.node_ids, key[0]))
+        n = rule.lhs.node_count
+        by_nodes = Counter(key[:n] for key in keys)
+        key = next(key for key in keys if by_nodes[key[:n]] == 1)
+        spec = ",".join(f"{k}={v}" for k, v in zip(rule.lhs.node_ids, key))
         built = Counter()
 
         def counting(cls, *args, _inner=GraphMorphism.from_key.__func__):
@@ -385,7 +386,7 @@ class TestMatchSelection:
         assert built["from_key"] == 1
         c_src = rule.lhs.node_ids.index("c_src")
         with pytest.raises(MatchError, match="disambiguate with --match"):
-            _select_match(rule, host, f"c_src={key[0][c_src]}")
+            _select_match(rule, host, f"c_src={key[c_src]}")
         assert built["from_key"] == 1
 
 

@@ -11,12 +11,15 @@ import re
 import sys
 from collections import Counter
 
+import pytest
+
 from gradcons import (
     FALSE,
     TRUE,
     And,
     Exists,
     GraphMorphism,
+    MismatchError,
     Not,
     Rule,
     TypedGraph,
@@ -363,8 +366,9 @@ def _compare_seeded_cases() -> None:
 
 
 class TestCanonicalOrderFromImages:
-    """Unseeded enumeration sorts the tuples of node and edge images over
-    the sorted pattern ids, and reports read their keys off the maps."""
+    """Unseeded enumeration sorts the keys, each one tuple of the node and
+    then the edge images over the sorted pattern ids, and reports read
+    their keys off the maps."""
 
     def test_unseeded_enumeration_sorts_the_image_tuples(self):
         seen: Counter = Counter()
@@ -396,15 +400,102 @@ class TestCanonicalOrderFromImages:
             for m in got:
                 assert (tuple(m.node_map), tuple(m.edge_map)) == (pattern.node_ids,
                                                                   pattern.edge_ids)
-                assert (tuple(m.node_map.values()), tuple(m.edge_map.values())) == m.sort_key()
+                assert (*m.node_map.values(), *m.edge_map.values()) == m.sort_key()
             if got:
                 infos = [info for _, *info in pattern.edge_items()]
-                seen["reordered"] += graphs._plan(pattern, frozenset()).edge_order is not None
+                # The search assigns edges group by group, in an order
+                # other than that of the sorted edge ids.
+                groups = graphs._plan(pattern, frozenset()).groups
+                seen["reordered"] += (tuple(e for _, p_edges in groups for e in p_edges)
+                                      != pattern.edge_ids)
                 seen["bundle"] += len(set(map(tuple, infos))) < len(infos)
                 seen["loop"] += any(src == tgt for _, src, tgt in infos)
                 seen["one node"] += pattern.node_count == 1 and not infos
         assert seen["reordered"] >= 20 and seen["bundle"] >= 15 and seen["loop"] >= 80, seen
         assert seen["one node"] >= 50, seen
+
+    def test_unseeded_search_over_several_functions(self):
+        # More pattern loops than one generated function nests loops, so
+        # the unseeded search goes on in continuation functions. Each node
+        # has a type of its own, so the oracle tries few node assignments:
+        # two host nodes of each of the first three types, one of the rest.
+        n = graphs._LOOPS_PER_FUNCTION + 1
+        types = [f"T{i:02d}" for i in range(n)]
+        tg = TypeGraph(types, [(f"l{t}", t, t) for t in types])
+        pattern = TypedGraph(tg, [(f"v{t}", t) for t in types],
+                             [(f"e{t}", f"l{t}", f"v{t}", f"v{t}") for t in types])
+        nodes = [(f"h{t}", t) for t in types] + [(f"k{t}", t) for t in types[:3]]
+        edges = [(f"x{t}", f"l{t}", f"h{t}", f"h{t}") for t in types]
+        edges += [(f"y{t}{j}", f"l{t}", f"k{t}", f"k{t}") for t in types[:3] for j in (0, 1)]
+        host = TypedGraph(tg, nodes, edges)
+        assert "def s1(" in graphs._search_source(pattern, "search", (), ())[0]
+        got = enumerate_monomorphisms(pattern, host)
+        assert got == sorted(monos_by_permutation(pattern, host), key=GraphMorphism.sort_key)
+        assert len(got) == 3 ** 3
+        # A host node of a type without its loop is no candidate.
+        bare = TypedGraph(tg, nodes + [(f"z{t}", t) for t in types], edges)
+        assert ([m.sort_key() for m in enumerate_monomorphisms(pattern, bare)]
+                == [m.sort_key() for m in got])
+
+    def test_unseeded_search_on_a_host_without_a_pattern_type(self):
+        tg = TypeGraph(["A", "B"], [("r", "A", "B")])
+        pattern = TypedGraph(tg, [("a", "A"), ("b", "B")], [("e", "r", "a", "b")])
+        for host in (TypedGraph(tg, [("p", "A"), ("q", "A")]),
+                     TypedGraph(tg, [("q", "B")]),
+                     TypedGraph(tg, [("p", "A"), ("q", "B")]),
+                     TypedGraph(tg)):
+            assert enumerate_monomorphisms(pattern, host) == []
+            assert monos_by_permutation(pattern, host) == []
+            assert list(graphs._images(pattern, host)) == []
+
+    def test_unseeded_search_refuses_another_type_graph(self):
+        tg = TypeGraph(["A"], [("r", "A", "A")])
+        other = TypeGraph(["A"], [("s", "A", "A")])
+        host = TypedGraph(other, [("p", "A")], [("x", "s", "p", "p")])
+        for pattern in (TypedGraph(tg, [("a", "A")]),
+                        TypedGraph(tg, [("a", "A"), ("b", "A")], [("e", "r", "a", "b")])):
+            with pytest.raises(MismatchError):
+                enumerate_monomorphisms(pattern, host)
+            with pytest.raises(MismatchError):
+                graphs._images(pattern, host)
+        # Equal type graphs are one vocabulary, however they were built.
+        same = TypeGraph(["A"], [("r", "A", "A")])
+        pattern = TypedGraph(tg, [("a", "A")], [("e", "r", "a", "a")])
+        host = TypedGraph(same, [("p", "A")], [("x", "r", "p", "p")])
+        assert [m.sort_key() for m in enumerate_monomorphisms(pattern, host)] == [("p", "x")]
+
+    def test_flat_keys_sort_as_the_pairs_of_image_tuples(self, fixtures):
+        """A key is one tuple: the node images over the sorted pattern node
+        ids, then the edge images over the sorted edge ids. Keys of one
+        pattern have one length, so sorting them gives the order of the
+        pairs of node and edge image tuples, read here off the maps; and
+        ``from_key`` inverts ``sort_key``."""
+        # The patterns of the seeded search tests have loops and parallel
+        # edges; the random suites' are mostly edgeless.
+        cases = [(pattern, host) for pattern, host, _, _ in _seeded_cases(random.Random(53))]
+        for constraint, _, transformations, rule, host in random_step_cases(250, seed=101):
+            pattern = constraint.shape.outer_graph
+            cases += [(pattern, host), (rule.lhs, host),
+                      *((pattern, t.result) for t in transformations)]
+        model = seeded_cra_model(fixtures.type_graph, random.Random(1))
+        cases += [(c.shape.outer_graph, model) for c in fixtures.constraint_list()]
+        cases += [(rule.lhs, model) for rule in fixtures.rule_list()]
+        seen: Counter = Counter()
+        for pattern, host in cases:
+            got = enumerate_monomorphisms(pattern, host)
+            keys = [m.sort_key() for m in got]
+            pairs = [(tuple(m.node_map[v] for v in pattern.node_ids),
+                      tuple(m.edge_map[e] for e in pattern.edge_ids)) for m in got]
+            assert keys == sorted(keys)
+            assert sorted(keys) == [nodes + edges for nodes, edges in sorted(pairs)]
+            assert all(len(key) == pattern.node_count + pattern.edge_count for key in keys)
+            assert [GraphMorphism.from_key(pattern, host, key) for key in keys] == got
+            if len(keys) > 1:
+                seen["several"] += 1
+                seen["with edges"] += pattern.edge_count > 0
+                seen["keys"] += len(keys)
+        assert seen["several"] >= 250 and seen["with edges"] >= 80, seen
+        assert seen["keys"] > 20_000, seen
 
     def test_reports_store_the_keys_of_the_oracle_violations(self):
         """A report keeps the key of each violating occurrence that the
@@ -433,7 +524,7 @@ class TestCanonicalOrderFromImages:
                 hand = conditions.ConsistencyReport(
                     constraint.name, shape.polarity, len(occurrences), ncv, want)
                 assert hand == report and (hand.ro, hand.ci) == (report.ro, report.ci)
-                keys += sum(len(nodes) + len(edges) > 1 for nodes, edges in want)
+                keys += sum(len(key) > 1 for key in want)
         assert keys >= 100, keys
 
 

@@ -297,8 +297,9 @@ def test_rewrite_results_share_the_host_indices():
 def test_reports_keep_only_the_keys_of_their_violations():
     # A c3 report on a seeded 160-node CRA model: retained bytes per
     # violating occurrence were 641 when the report kept each one as a
-    # morphism with two dicts next to its key, and are 201 with the key
-    # alone. The bound lies halfway between the two. A full collection
+    # morphism with two dicts next to its key, 201 with the key alone as a
+    # pair of image tuples, and are 105 with the key as one flat tuple.
+    # The bound lies halfway between the last two. A full collection
     # before and after the measure empties the interpreter's free lists,
     # so temporaries parked there are not counted as retained.
     fx = cra.load_fixtures()
@@ -314,14 +315,15 @@ def test_reports_keep_only_the_keys_of_their_violations():
     finally:
         tracemalloc.stop()
     assert report.ncv > 500
-    assert retained / report.ncv < 420
+    assert retained / report.ncv < 153
 
 
 def test_scans_keep_only_the_keys_of_their_matches():
     # moveFeature on the same model: retained bytes per kept match were 440
-    # when the scan kept each match as a morphism with two dicts, and are
-    # 176 with its key alone. The bound lies halfway between the two; the
-    # full collections are as in the report test above.
+    # when the scan kept each match as a morphism with two dicts, 176 with
+    # its key alone as a pair of image tuples, and are 80 with the key as
+    # one flat tuple. The bound lies halfway between the last two; the full
+    # collections are as in the report test above.
     fx = cra.load_fixtures()
     host = seeded_cra_model(fx.type_graph, random.Random(1))
     rule = fx.rules["moveFeature"]
@@ -335,7 +337,7 @@ def test_scans_keep_only_the_keys_of_their_matches():
     finally:
         tracemalloc.stop()
     assert len(scan.keys) > 10_000
-    assert retained / len(scan.keys) < 308
+    assert retained / len(scan.keys) < 128
 
 
 def test_only_graphs_reads_graph_storage():
