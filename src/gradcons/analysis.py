@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
-from .conditions import UNIVERSAL, AnfShape, Constraint, _satisfies
+from .conditions import UNIVERSAL, AnfShape, Constraint
 from .errors import MismatchError, UnsupportedShapeError
 from .graphs import GraphMorphism, TypedGraph, inclusion
 from .rewriting import Rule, _fresh_id
@@ -292,9 +292,8 @@ def criterion_direct_sustain(
             )
         # The body of a two-level chain is Not(continuation), and the
         # continuation is Exists(a2, TRUE).
-        continuation = shape.body.sub
-        if all(_satisfies(continuation, ov.graph, ov.pattern_injection.node_map,
-                          ov.pattern_injection.edge_map) for ov in deps):
+        holds = shape.body.sub._predicate
+        if all(holds(ov.graph, ov.pattern_injection.sort_key()) for ov in deps):
             return CriterionResult(
                 PROVEN_DIRECTLY_SUSTAINING, rule.name, name, evidence=deps,
                 notes=("every dependency overlap already carries the required "

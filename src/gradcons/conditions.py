@@ -11,6 +11,9 @@ re-sugar the encoding, so users still read the universal form.
 Satisfaction follows the standard semantics for injective occurrences: a
 total injective ``p: P -> G`` satisfies an existential condition when some
 injective ``q: C -> G`` with ``q . a = p`` satisfies the sub-condition.
+Every condition is evaluated by its predicate ``(host, key) -> bool``,
+compiled once per node and kept on it, on the flat key of the anchor
+occurrence (:meth:`GraphMorphism.sort_key`).
 
 Graduated consistency refines the yes/no notion. For a universal constraint
 over outer pattern C, every occurrence of C in G is relevant and the
@@ -28,14 +31,25 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import AnfError, MismatchError
 from .graphs import GraphMorphism, TypedGraph, _Key, _search, enumerate_monomorphisms
 
 
+# A condition's compiled predicate: does the occurrence of its anchor with
+# this key in the host satisfy it?
+_Predicate = Callable[[TypedGraph, _Key], bool]
+
+
 class Condition:
-    """Abstract base for condition trees. Instances are immutable."""
+    """Abstract base for condition trees. Instances are immutable.
+
+    Each node's ``_predicate`` evaluates it on the key of a total
+    injective occurrence of its anchor, which is not validated; it is
+    composed from the predicates of the sub-conditions on first
+    evaluation and kept on the node.
+    """
 
     __slots__ = ()
 
@@ -44,8 +58,14 @@ class Condition:
         raise NotImplementedError
 
 
+def _holds(host: TypedGraph, key: _Key) -> bool:
+    return True
+
+
 class TrueCondition(Condition):
     __slots__ = ()
+
+    _predicate = staticmethod(_holds)
 
     def anchor(self) -> TypedGraph | None:
         return None
@@ -86,6 +106,23 @@ class Exists(Condition):
         form = "exists" if isinstance(self.sub, TrueCondition) else "search"
         return _search(self.morphism.codomain, form, *_anchor_keys(self.morphism))
 
+    @cached_property
+    def _predicate(self) -> _Predicate:
+        """The ``exists`` search itself for a ``TRUE`` sub-condition; else
+        the sub-condition's predicate on each key the search yields."""
+        search = self._check
+        if isinstance(self.sub, TrueCondition):
+            return search
+        sub = self.sub._predicate
+
+        def extends(host: TypedGraph, key: _Key) -> bool:
+            for found in search(host, key):
+                if sub(host, found):
+                    return True
+            return False
+
+        return extends
+
     def __repr__(self) -> str:
         return f"Exists({self.morphism.codomain!r}, {self.sub!r})"
 
@@ -96,6 +133,15 @@ class Not(Condition):
 
     def anchor(self) -> TypedGraph | None:
         return self.sub.anchor()
+
+    @cached_property
+    def _predicate(self) -> _Predicate:
+        sub = self.sub._predicate
+
+        def fails(host: TypedGraph, key: _Key) -> bool:
+            return not sub(host, key)
+
+        return fails
 
     def __repr__(self) -> str:
         return f"Not({self.sub!r})"
@@ -113,6 +159,15 @@ class And(Condition):
 
     def anchor(self) -> TypedGraph | None:
         return self.left.anchor() or self.right.anchor()
+
+    @cached_property
+    def _predicate(self) -> _Predicate:
+        left, right = self.left._predicate, self.right._predicate
+
+        def both(host: TypedGraph, key: _Key) -> bool:
+            return left(host, key) and right(host, key)
+
+        return both
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
@@ -170,36 +225,6 @@ class Constraint:
         return _StepSearches(shape)
 
 
-def _satisfies(condition: Condition, host: TypedGraph, node_map: Mapping[str, str],
-               edge_map: Mapping[str, str]) -> bool:
-    """Does the occurrence with these maps into ``host`` satisfy ``condition``?
-
-    The one evaluator of conditions. The maps are those of a total
-    injective occurrence of the condition's anchor; nothing is validated.
-    Each existential node runs its compiled search, and the sub-condition
-    is evaluated on the maps of each extension it yields, so no level
-    builds a :class:`GraphMorphism`.
-    """
-    if isinstance(condition, TrueCondition):
-        return True
-    if isinstance(condition, Not):
-        return not _satisfies(condition.sub, host, node_map, edge_map)
-    if isinstance(condition, Exists):
-        found = condition._check(host, node_map, edge_map)
-        if isinstance(condition.sub, TrueCondition):
-            return found
-        pattern = condition.morphism.codomain
-        nodes, edges = pattern.node_ids, pattern.edge_ids
-        n = len(nodes)
-        return any(_satisfies(condition.sub, host, dict(zip(nodes, key)),
-                              dict(zip(edges, key[n:])))
-                   for key in found)
-    if isinstance(condition, And):
-        return (_satisfies(condition.left, host, node_map, edge_map)
-                and _satisfies(condition.right, host, node_map, edge_map))
-    raise TypeError(f"unknown condition node {condition!r}")
-
-
 def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphism]:
     """The injective q with q . a = p, lazily and in no fixed order.
 
@@ -222,7 +247,7 @@ def iter_extensions(p: GraphMorphism, a: GraphMorphism) -> Iterator[GraphMorphis
     pattern, host = a.codomain, p.codomain
     search = _search(pattern, "search", *_anchor_keys(a))
     return (GraphMorphism.from_key(pattern, host, key)
-            for key in search(host, p.node_map, p.edge_map))
+            for key in search(host, p.sort_key()))
 
 
 def extensions(p: GraphMorphism, a: GraphMorphism) -> list[GraphMorphism]:
@@ -240,10 +265,14 @@ def _check_embedding(a: GraphMorphism) -> None:
         raise MismatchError(f"condition morphism is malformed: {problems[0]}")
 
 
-def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """The seeded nodes and pinned edges along ``a``, keyed by anchor ids."""
-    return (tuple((x, a.node_map[x]) for x in a.domain.node_ids),
-            tuple((e, a.edge_map[e]) for e in a.domain.edge_ids))
+def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[int, str], ...], ...]:
+    """The seeded nodes and pinned edges along ``a``, each with the
+    position of the anchor element it comes from in the key of an anchor
+    occurrence."""
+    node_ids, edge_ids = a.domain.node_ids, a.domain.edge_ids
+    n = len(node_ids)
+    return (tuple((i, a.node_map[x]) for i, x in enumerate(node_ids)),
+            tuple((n + j, a.edge_map[e]) for j, e in enumerate(edge_ids)))
 
 
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:
@@ -253,7 +282,7 @@ def satisfies(p: GraphMorphism, condition: Condition) -> bool:
     anchor = condition.anchor()
     if anchor is not None and anchor != p.domain:
         raise MismatchError("occurrence domain differs from the condition anchor")
-    return _satisfies(condition, p.codomain, p.node_map, p.edge_map)
+    return condition._predicate(p.codomain, p.sort_key())
 
 
 def graph_satisfies(graph: TypedGraph, constraint: Constraint) -> bool:
@@ -261,7 +290,7 @@ def graph_satisfies(graph: TypedGraph, constraint: Constraint) -> bool:
     tg = constraint.type_graph
     if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
-    return _satisfies(constraint.condition, graph, {}, {})
+    return constraint.condition._predicate(graph, ())
 
 
 # --- alternating normal form -------------------------------------------------
@@ -423,7 +452,8 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     Universal: ro = occurrence count of the outer pattern, ncv = number of
     occurrences violating the remainder of the chain, each kept by its key
     in canonical order, read off the values of its maps, which
-    :func:`enumerate_monomorphisms` lists in sorted pattern id order.
+    :func:`enumerate_monomorphisms` lists in sorted pattern id order. The
+    body's predicate tests each occurrence on that key.
     Existential: ro = 1 and ncv is 0 or 1. ci = 1 - ncv/ro with 0/0 read as 0.
     """
     shape = constraint.shape
@@ -431,15 +461,14 @@ def consistency_report(graph: TypedGraph, constraint: Constraint) -> Consistency
     if tg is not None and tg is not graph.type_graph and tg != graph.type_graph:
         raise MismatchError("graph and constraint use different type graphs")
     occurrences = enumerate_monomorphisms(shape.outer_graph, graph)
-    body, polarity = shape.body, shape.polarity
+    test, polarity = shape.body._predicate, shape.polarity
+    found = ((*p.node_map.values(), *p.edge_map.values()) for p in occurrences)
     if polarity == UNIVERSAL:
-        keys = tuple([(*p.node_map.values(), *p.edge_map.values())
-                      for p in occurrences if _satisfies(body, graph, p.node_map, p.edge_map)])
+        keys = tuple([key for key in found if test(graph, key)])
         ncv = len(keys)
     else:
         keys = ()
-        ncv = 0 if any(_satisfies(body, graph, p.node_map, p.edge_map)
-                       for p in occurrences) else 1
+        ncv = 0 if any(test(graph, key) for key in found) else 1
     return ConsistencyReport(constraint.name, polarity, len(occurrences), ncv, keys,
                              constraint, graph)
 
@@ -499,14 +528,17 @@ class _StepSearches:
             for graph in self.patterns:
                 if kind == "node":
                     per_pattern.append(tuple(
-                        (_search(graph, "search", (("x", v),), ()), False)
+                        (_search(graph, "search", ((0, v),), ()), False)
                         for v, ntype in graph.node_items() if ntype == element_type))
                     continue
                 searches = []
                 for c, etype, src, tgt in graph.edge_items():
                     if etype == element_type:
-                        ends = (("s", src),) if src == tgt else (("s", src), ("t", tgt))
-                        searches.append((_search(graph, "search", ends, (("e", c),)), src == tgt))
+                        # Seeded by ``(source, edge)`` at a loop, else by
+                        # ``(source, target, edge)``.
+                        ends = ((0, src),) if src == tgt else ((0, src), (1, tgt))
+                        searches.append((_search(graph, "search", ends, ((len(ends), c),)),
+                                         src == tgt))
                 per_pattern.append(tuple(searches))
             found = self.at[kind, element_type] = tuple(per_pattern)
         return found
@@ -518,19 +550,20 @@ class _StepSearches:
         occurrence of C using one of them restricts to."""
         found: list[set[_Key]] = [set() for _ in self.patterns]
         for x in nodes:
-            pn = {"x": x}
+            seed = (x,)
             for keys, searches in zip(found, self._compiled("node", graph.node_type(x))):
                 for search, _ in searches:
-                    keys.update(search(graph, pn, {}))
+                    keys.update(search(graph, seed))
         for e in edges:
             etype, src, tgt = graph.edge_info(e)
-            pn, pe, loop = {"s": src, "t": tgt}, {"e": e}, src == tgt
+            loop = src == tgt
+            seed = (src, e) if loop else (src, tgt, e)
             for keys, searches in zip(found, self._compiled("edge", etype)):
                 # A loop pins only pattern loops; a pattern edge between
                 # two nodes cannot land on one without losing injectivity.
                 for search, pins_loop in searches:
                     if pins_loop == loop:
-                        keys.update(search(graph, pn, pe))
+                        keys.update(search(graph, seed))
         positions = self.positions
         if positions is None:
             return found[0], set()
@@ -640,13 +673,7 @@ def step_report(
                                       *map(frozenset, removed)))
     destroyed, lost = searches.run(before.graph, *removed)
     new, gained = searches.run(result, *created)
-    pattern, body = searches.patterns[0], constraint.shape.body
-    node_ids, edge_ids = pattern.node_ids, pattern.edge_ids
-    n = len(node_ids)
-
-    def violates(key: _Key) -> bool:
-        return _satisfies(body, result, dict(zip(node_ids, key)), dict(zip(edge_ids, key[n:])))
-
+    violates = constraint.shape.body._predicate
     keys = list(before.violating_keys)
     dropped: list[_Key] = []
     added: list[_Key] = []
@@ -661,9 +688,9 @@ def step_report(
     for key in destroyed:
         place(key, False)
     for key in (lost | gained) - destroyed - new:
-        place(key, violates(key))
+        place(key, violates(result, key))
     for key in new:
-        place(key, violates(key))
+        place(key, violates(result, key))
     dropped.sort()
     added.sort()
     report = ConsistencyReport(constraint.name, UNIVERSAL, before.occ - len(destroyed) + len(new),

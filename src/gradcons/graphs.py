@@ -92,7 +92,7 @@ class TypedGraph:
 
     __slots__ = (
         "_type_graph", "_nodes", "_edges", "_node_ids", "_edge_ids",
-        "_by_type", "_triples", "_incident", "_plans",
+        "_by_type", "_triples", "_incident", "_plans", "_searches",
     )
 
     def __init__(
@@ -132,10 +132,11 @@ class TypedGraph:
             # is copied k times, cheap for the few bundles a graph has.
             triples[info] = triples.get(info, ()) + (eid,)
         self._triples = triples
-        # The incidence index, and the search plans for this graph as a
-        # pattern, are built on first use.
+        # The incidence index, and the search plans and compiled searches
+        # for this graph as a pattern, are built on first use.
         self._incident: dict[str, tuple[str, ...]] | None = None
         self._plans: dict[frozenset[str], _Plan] | None = None
+        self._searches: dict[tuple[str, _Seeds, _Seeds], Callable] | None = None
 
     def _with_edges(
         self,
@@ -154,7 +155,7 @@ class TypedGraph:
         graph._node_ids, graph._by_type = self._node_ids, self._by_type
         graph._edges, graph._edge_ids = edges, edge_ids
         graph._triples = dict(zip(edges.values(), bundles))
-        graph._incident = graph._plans = None
+        graph._incident = graph._plans = graph._searches = None
         return graph
 
     def _incidence(self) -> dict[str, tuple[str, ...]]:
@@ -251,7 +252,7 @@ class TypedGraph:
         graph._nodes, graph._node_ids, graph._by_type = nodes, node_ids, by_type
         graph._edges, graph._edge_ids = edges, edge_ids
         graph._triples, graph._incident = triples, incident
-        graph._plans = None
+        graph._plans = graph._searches = None
         return graph
 
     @property
@@ -491,7 +492,9 @@ def empty_morphism_into(graph: TypedGraph) -> GraphMorphism:
     return GraphMorphism(empty_graph(graph.type_graph), graph, {}, {})
 
 
-_Keys = tuple[tuple[str, str], ...]
+# Seeded pattern nodes or pinned pattern edges of a compiled search, each
+# paired with the position in the seed key where the search reads its image.
+_Seeds = tuple[tuple[int, str], ...]
 
 
 class _Plan:
@@ -507,11 +510,10 @@ class _Plan:
     has. ``scan_types`` are the node types of the steps without a source.
     ``groups`` are the pattern edges grouped by signature, in sorted
     order; within a group any injective assignment onto host edges of the
-    image signature preserves structure. ``searches`` holds the searches
-    compiled from the plan (:func:`_search`).
+    image signature preserves structure.
     """
 
-    __slots__ = ("steps", "scan_types", "groups", "searches")
+    __slots__ = ("steps", "scan_types", "groups")
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
@@ -539,7 +541,6 @@ class _Plan:
         for e in pattern.edge_ids:
             groups.setdefault(pattern.edge_info(e), []).append(e)
         self.groups = tuple((key, tuple(groups[key])) for key in sorted(groups))
-        self.searches: dict[tuple[str, _Keys, _Keys], Callable] = {}
 
 
 def _neighbour_source(
@@ -601,7 +602,7 @@ def _images(pattern: TypedGraph, host: TypedGraph) -> Iterator[_Key]:
     form of :func:`_search`, which match scans run too. Stopping the
     iteration stops the search."""
     _check_type_graphs(pattern, host)
-    return _search(pattern, "search", (), ())(host, {}, {})
+    return _search(pattern, "search", (), ())(host, ())
 
 
 # --- compiled searches --------------------------------------------------------
@@ -612,22 +613,26 @@ def _images(pattern: TypedGraph, host: TypedGraph) -> Iterator[_Key]:
 _LOOPS_PER_FUNCTION = 12
 
 
-def _search(pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys) -> Callable:
-    """The search of ``pattern`` as generated code, kept on its plan.
+def _search(pattern: TypedGraph, form: str, nodes: _Seeds, edges: _Seeds) -> Callable:
+    """The search of ``pattern`` as generated code, kept on the pattern.
 
     ``nodes``/``edges`` pair each seeded pattern node and pinned pattern
-    edge with the key under which the function, called as ``(host, pn,
-    pe)``, reads its image from ``pn``/``pe``: the anchor id it comes
-    from along a condition morphism, so an :class:`Exists` node and
-    ``iter_extensions`` along the same morphism share one function. The
-    ``"exists"`` form tells whether the images extend to a total
-    injective morphism pattern -> host; the ``"search"`` form yields each
-    one as its :meth:`GraphMorphism.sort_key`, one flat tuple of the node
-    images over the sorted pattern node ids, then the edge images over the
-    sorted edge ids. Without seeds the ``"search"`` form finds every
-    occurrence: :func:`_images` and match scans run it.
+    edge with the position at which the function, called as ``(host,
+    key)``, reads its image from ``key``: along a condition morphism, the
+    position of the anchor element it comes from in the anchor
+    occurrence's :meth:`GraphMorphism.sort_key`, so an :class:`Exists`
+    node and ``iter_extensions`` along the same morphism share one
+    function. The ``"exists"`` form tells whether the images extend to a
+    total injective morphism pattern -> host; the ``"search"`` form yields
+    each one as its :meth:`GraphMorphism.sort_key`, one flat tuple of the
+    node images over the sorted pattern node ids, then the edge images
+    over the sorted edge ids. Without seeds the ``"search"`` form finds
+    every occurrence: :func:`_images` and match scans run it. The plan is
+    built only when the function is compiled.
     """
-    searches = _plan(pattern, frozenset(v for _, v in nodes)).searches
+    searches = pattern._searches
+    if searches is None:
+        searches = pattern._searches = {}
     search = searches.get((form, nodes, edges))
     if search is None:
         source, constants = _search_source(pattern, form, nodes, edges)
@@ -643,13 +648,13 @@ def _search_factory(source: str) -> Callable[..., Callable]:
 
 
 def _search_source(
-    pattern: TypedGraph, form: str, nodes: _Keys, edges: _Keys
+    pattern: TypedGraph, form: str, nodes: _Seeds, edges: _Seeds
 ) -> tuple[str, tuple[object, ...]]:
     """The source of a search factory and the constants it takes.
 
-    Type names, element ids and keys reach the code only as arguments
-    ``K<i>`` of the factory, next to the type graph ``TG``, so the text
-    depends on the form and the plan's shape alone. Each pattern edge is
+    Type names, element ids and seed positions reach the code only as
+    arguments ``K<i>`` of the factory, next to the type graph ``TG``, so
+    the text depends on the form and the plan's shape alone. Each pattern edge is
     tested once: at entry a pinned edge, whose ends are seeded, by its
     image, and one between seeded nodes by a probe; the others as the
     plan's checks place them. One loop places each free node in plan
@@ -667,9 +672,9 @@ def _search_source(
     seen = {pattern.node_type(v) for _, v in nodes}
     tested = [t in seen or t in step_types[:level] for level, t in enumerate(step_types)]
     tracked = any(tested)
-    keys: dict[tuple[str, str], str] = {}
+    keys: dict[tuple[str, object], str] = {}
 
-    def k(role: str, value: str) -> str:
+    def k(role: str, value: object) -> str:
         name = keys.get((role, value))
         if name is None:
             name = keys[role, value] = f"K{len(keys)}"
@@ -733,9 +738,9 @@ def _search_source(
         emit("hn = host._nodes")
     # The pattern node or edge -> the variable holding its host image.
     node_var: dict[str, str] = {}
-    for key, v in nodes:
+    for position, v in nodes:
         n = node_var[v] = f"n{len(node_var)}"
-        emit(f"{n} = pn[{k('node key', key)}]")
+        emit(f"{n} = key[{k('position', position)}]")
         fails(f"hn.get({n}) != {k('node type', pattern.node_type(v))}")
 
     def probe(etype: str, src: str, tgt: str) -> str:
@@ -744,9 +749,9 @@ def _search_source(
     if edges or neighbours:
         emit("he = host._edges")
     edge_var: dict[str, str] = {}
-    for key, c in edges:
+    for position, c in edges:
         f = edge_var[c] = f"f{len(edge_var)}"
-        emit(f"{f} = pe[{k('edge key', key)}]")
+        emit(f"{f} = key[{k('position', position)}]")
         fails(f"he.get({f}) != {probe(*pattern.edge_info(c))}")
     pinned = dict(edge_var)
     if len(pinned) < len(pattern.edge_ids):
@@ -818,6 +823,6 @@ def _search_source(
              + "".join(f"{edge_var[e]}, " for e in pattern.edge_ids) + ")")
     end_function()
     params = ", ".join(["TG", *keys.values()])
-    source = "\n".join([f"def make({params}):", "    def search(host, pn, pe):",
+    source = "\n".join([f"def make({params}):", "    def search(host, key):",
                         *lines, "    return search", ""])
     return source, (pattern.type_graph, *(value for _, value in keys))

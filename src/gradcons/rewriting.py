@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .conditions import TRUE, Condition, TrueCondition, _satisfies
+from .conditions import TRUE, Condition, TrueCondition
 from .errors import MatchError, MismatchError, RuleError
 from .graphs import GraphMorphism, TypedGraph, _Key, _search, inclusion, validate_graph
 
@@ -68,6 +68,14 @@ class Rule:
         return tuple(e for e in self.rhs.edge_ids if not self.interface.has_edge(e))
 
     @cached_property
+    def _deleted_degrees(self) -> tuple[tuple[int, int], ...]:
+        """Each deleted node's position in a match's key and the number of
+        lhs edges incident to it, a loop counted once (:func:`_glues`)."""
+        lhs = self.lhs
+        return tuple((lhs.node_ids.index(v), len(lhs.incident_edges(v)))
+                     for v in self.deleted_nodes)
+
+    @cached_property
     def _created(self) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str, str, str], ...]]:
         """What every step creates, read off the rhs once: each created
         node as ``(id, type)`` and each created edge as ``(id, type,
@@ -115,17 +123,18 @@ class MatchScan:
         return tuple(GraphMorphism.from_key(self.lhs, self.host, key) for key in self.keys)
 
 
-def _dangling_ok(rule: Rule, host: TypedGraph, node_map: Mapping[str, str],
-                 edge_map: Mapping[str, str]) -> bool:
-    # Gluing: an edge of the host incident to a deleted node must itself be
-    # in the match image, else the node cannot be removed.
-    if not rule.deleted_nodes:
-        return True
-    image_edges = set(edge_map.values())
-    for v in rule.deleted_nodes:
-        for e in host.incident_edges(node_map[v]):
-            if e not in image_edges:
-                return False
+def _glues(degrees: tuple[tuple[int, int], ...], incident: Mapping[str, tuple[str, ...]],
+           key: _Key) -> bool:
+    """The gluing condition at the match with this key: every host edge
+    at a deleted node's image is in the match's image, else the node
+    cannot be removed. The match is injective and preserves structure, so
+    the images of the node's lhs edges are distinct host edges at its
+    image, and the condition holds when the host has no more edges there.
+    ``degrees`` are the rule's ``_deleted_degrees``, ``incident`` the
+    host's incidence index."""
+    for position, degree in degrees:
+        if len(incident[key[position]]) != degree:
+            return False
     return True
 
 
@@ -134,26 +143,23 @@ def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
 
     The lhs search runs as generated code without seeds and yields image
     tuples, which sort natively into canonical order. The application
-    condition is evaluated before the gluing condition, on maps zipped from
-    each candidate, so the rejection counts attribute each refusal to the
-    first failing filter. No morphism is built.
+    condition's predicate tests each key before the gluing condition
+    (:func:`_glues`), so the rejection counts attribute each refusal to
+    the first failing filter. No morphism or map is built.
     """
     lhs = rule.lhs
-    keys = sorted(_search(lhs, "search", (), ())(host, {}, {}))
+    keys = sorted(_search(lhs, "search", (), ())(host, ()))
     rejected_condition = 0
     rejected_dangling = 0
-    condition = None if rule.is_plain() else rule.condition
-    if condition is not None or rule.deleted_nodes:
-        node_ids, edge_ids = lhs.node_ids, lhs.edge_ids
-        n = len(node_ids)
+    test = None if rule.is_plain() else rule.condition._predicate
+    degrees = rule._deleted_degrees
+    if test is not None or degrees:
+        incident = host._incidence() if degrees else None
         kept = []
         for key in keys:
-            # The key is a total injective occurrence of the lhs, as
-            # _satisfies asks.
-            node_map, edge_map = dict(zip(node_ids, key)), dict(zip(edge_ids, key[n:]))
-            if condition is not None and not _satisfies(condition, host, node_map, edge_map):
+            if test is not None and not test(host, key):
                 rejected_condition += 1
-            elif not _dangling_ok(rule, host, node_map, edge_map):
+            elif degrees and not _glues(degrees, incident, key):
                 rejected_dangling += 1
             else:
                 kept.append(key)
@@ -283,9 +289,11 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
     problems = match.check()
     if problems:
         raise MatchError(f"match is not structure-preserving: {problems[0]}")
-    if not _satisfies(rule.condition, host, match.node_map, match.edge_map):
+    key = match.sort_key()
+    if not rule.condition._predicate(host, key):
         raise MatchError("match violates the application condition")
-    if not _dangling_ok(rule, host, match.node_map, match.edge_map):
+    degrees = rule._deleted_degrees
+    if degrees and not _glues(degrees, host._incidence(), key):
         raise MatchError("match violates the gluing condition")
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive: permutation search instead of
 pruned backtracking, raw set arithmetic instead of incremental graph
 construction, and an explicit quotient for the categorical checks. Slow
 but transparently correct on small inputs, and sharing no algorithmic
-code with the package.
+code with the package, but for :func:`satisfies_by_maps`, which walks a
+condition tree on maps over the package's extension search.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from gradcons import (
     satisfies,
 )
 from gradcons.classify import _MAX_UNIVERSE_WORK, _split_ids
+from gradcons.conditions import iter_extensions
 from gradcons.generate import random_host
 
 
@@ -211,6 +213,30 @@ def satisfies_by_permutation(p: GraphMorphism, condition, memo: dict | None = No
                    tuple(p.edge_map[e] for e in anchor_edges))
     return any(satisfies_by_permutation(q, condition.sub, memo)
                for q in memo[key].get(restriction, ()))
+
+
+def satisfies_by_maps(condition, host: TypedGraph, node_map, edge_map) -> bool:
+    """Satisfaction by walking the condition tree on the maps of a total
+    injective occurrence of its anchor in ``host``, nothing validated:
+    each existential node runs :func:`iter_extensions` from these maps and
+    evaluates its sub-condition on the maps of each extension it yields.
+
+    The reference for the compiled predicates, which read flat keys
+    instead: it shares their searches through ``iter_extensions`` (itself
+    checked against :func:`monos_by_permutation`), but none of the way
+    they are composed or seeded.
+    """
+    if isinstance(condition, Not):
+        return not satisfies_by_maps(condition.sub, host, node_map, edge_map)
+    if isinstance(condition, And):
+        return (satisfies_by_maps(condition.left, host, node_map, edge_map)
+                and satisfies_by_maps(condition.right, host, node_map, edge_map))
+    if not isinstance(condition, Exists):
+        return True
+    a = condition.morphism
+    p = GraphMorphism(a.domain, host, node_map, edge_map)
+    return any(satisfies_by_maps(condition.sub, host, q.node_map, q.edge_map)
+               for q in iter_extensions(p, a))
 
 
 def scan_by_permutation(rule: Rule, host: TypedGraph) -> tuple[list[tuple], int, int]:

@@ -328,6 +328,29 @@ class TestApply:
         assert "no applicable match of 'assignFeature'" in err
         assert "rejected by the application condition" in err
 
+    def test_refusals_print_both_rejection_counts(self, docs, tmp_path, capsys):
+        """The exact messages of three refused applications, each counting
+        a match at the first filter it fails."""
+        tg = cra.build_fixtures().type_graph
+        lhs, nothing = TypedGraph(tg, [("c", "Class")]), TypedGraph(tg)
+        # Without an application condition, a class that holds a feature
+        # keeps an edge its deletion would leave dangling.
+        (tmp_path / "deleteClass.json").write_text(
+            emit_rule_document(Rule("deleteClass", lhs, nothing, nothing)))
+        host = str(docs / "host_graph.json")
+        for rule, spec, message in (
+            (docs / "rule_assignFeature.json", (),
+             "no applicable match of 'assignFeature' "
+             "(6 rejected by the application condition, 0 by the gluing condition)"),
+            (docs / "rule_deleteEmptyClass.json", ("--match", "c=c1"),
+             "no applicable match of 'deleteEmptyClass' under the given bindings "
+             "(2 rejected by the application condition, 0 by the gluing condition)"),
+            (tmp_path / "deleteClass.json", ("--match", "c=c1"),
+             "no applicable match of 'deleteClass' under the given bindings "
+             "(0 rejected by the application condition, 2 by the gluing condition)"),
+        ):
+            assert run(capsys, "apply", str(rule), host, *spec) == (3, "", f"error: {message}\n")
+
     def test_malformed_match_spec_exits_2(self, docs, capsys):
         code, _, err = run(
             capsys, "apply", str(docs / "rule_moveFeature.json"),

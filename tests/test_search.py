@@ -46,6 +46,7 @@ from .oracles import (
     comatch_by_sets,
     dpo_by_sets,
     monos_by_permutation,
+    satisfies_by_maps,
     satisfies_by_permutation,
     scan_by_permutation,
 )
@@ -58,27 +59,44 @@ def _check_source(node: Exists) -> str:
     return graphs._search_source(node.morphism.codomain, form, *_anchor_keys(node.morphism))[0]
 
 
-def _exists_nodes(condition):
-    if isinstance(condition, Exists):
-        yield condition
-        yield from _exists_nodes(condition.sub)
-    elif isinstance(condition, Not):
-        yield from _exists_nodes(condition.sub)
+def _nodes(condition):
+    """Every node of a condition tree, outermost first."""
+    yield condition
+    if isinstance(condition, (Exists, Not)):
+        yield from _nodes(condition.sub)
     elif isinstance(condition, And):
-        yield from _exists_nodes(condition.left)
-        yield from _exists_nodes(condition.right)
+        yield from _nodes(condition.left)
+        yield from _nodes(condition.right)
 
 
-def _check_every_exists(condition, graph, outcomes: Counter) -> None:
-    """Lazy ``satisfies`` against the oracle on every existential node of
-    ``condition``, at every occurrence of its anchor in ``graph``."""
+def _exists_nodes(condition):
+    return (node for node in _nodes(condition) if isinstance(node, Exists))
+
+
+def _check_every_node(condition, graph, outcomes: Counter, kinds: Counter | None = None) -> None:
+    """The compiled predicate of every node of ``condition`` that has an
+    anchor, at every occurrence of the anchor in ``graph``, against
+    ``satisfies``, the tree walked on maps and the permutation oracle.
+    ``kinds`` counts the checks by the kind of node, an existential one
+    by whether it has a sub-condition."""
     memo: dict = {}
-    for node in _exists_nodes(condition):
-        for p in monos_by_permutation(node.morphism.domain, graph):
-            got = satisfies(p, node)
-            assert got == satisfies_by_permutation(p, node, memo), (
-                node, graph.edge_items(), sorted(p.node_map.items()))
+    occurrences: dict = {}
+    for node in _nodes(condition):
+        anchor = node.anchor()
+        if anchor is None:
+            continue
+        if id(anchor) not in occurrences:
+            occurrences[id(anchor)] = (anchor, monos_by_permutation(anchor, graph))
+        for p in occurrences[id(anchor)][1]:
+            got = node._predicate(graph, p.sort_key())
+            where = (node, graph.edge_items(), sorted(p.node_map.items()))
+            assert got == satisfies(p, node), where
+            assert got == satisfies_by_maps(node, graph, p.node_map, p.edge_map), where
+            assert got == satisfies_by_permutation(p, node, memo), where
             outcomes[got] += 1
+            if kinds is not None:
+                kind = type(node).__name__
+                kinds[(kind, node.sub != TRUE) if kind == "Exists" else kind] += 1
 
 
 class TestLazyExistsAgainstOracle:
@@ -86,24 +104,27 @@ class TestLazyExistsAgainstOracle:
         outcomes: Counter = Counter()
         for constraint, _, transformations, rule, host in random_step_cases(250, seed=101):
             for graph in (host, *(t.result for t in transformations)):
-                _check_every_exists(constraint.condition, graph, outcomes)
-                _check_every_exists(rule.condition, graph, outcomes)
+                _check_every_node(constraint.condition, graph, outcomes)
+                _check_every_node(rule.condition, graph, outcomes)
         assert outcomes[True] >= 200 and outcomes[False] >= 500
 
     def test_random_cra_hosts(self, fixtures):
         rng = random.Random(37)
         outcomes: Counter = Counter()
+        kinds: Counter = Counter()
         conditions_ = [c.condition for c in fixtures.constraint_list()]
         conditions_ += [r.condition for r in fixtures.rule_list()]
         for _ in range(40):
             host = random_host(fixtures.type_graph, rng, rng.randint(4, 8), rng.uniform(0.2, 0.5))
             for condition in conditions_:
-                _check_every_exists(condition, host, outcomes)
+                _check_every_node(condition, host, outcomes, kinds)
         assert outcomes[True] >= 600 and outcomes[False] >= 600
+        assert kinds["Exists", True] >= 50 and kinds["And"] >= 300 and kinds["Not"] >= 1000, kinds
 
     def test_chains_with_loops_bundles_and_conjunctions(self):
         rng = random.Random(61)
         outcomes: Counter = Counter()
+        kinds: Counter = Counter()
         seen: Counter = Counter()
         for case in range(400):
             levels, universal = 3 + case % 2, case % 4 < 2
@@ -116,10 +137,14 @@ class TestLazyExistsAgainstOracle:
             for _ in range(3):
                 host = _with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
-                _check_every_exists(condition, host, outcomes)
+                _check_every_node(condition, host, outcomes, kinds)
         assert outcomes[True] >= 2000 and outcomes[False] >= 3000, outcomes
         assert min(seen[levels, universal] for levels in (3, 4) for universal in (True, False)) == 100
         assert seen["bundle"] >= 800 and seen["loop"] >= 1000 and seen["and"] >= 100, seen
+        # Each existential level with a sub-condition is checked at every
+        # occurrence of its anchor; its predicate hands each key its
+        # search yields to the level below.
+        assert kinds["Exists", True] >= 4000 and kinds["And"] >= 1000, kinds
 
     def test_user_text_never_enters_the_source(self):
         """Type names and ids that are not identifiers, or are code, give
@@ -147,20 +172,38 @@ class TestLazyExistsAgainstOracle:
             condition = Exists(inclusion(anchor, scope), And(
                 Not(Exists(inclusion(scope, loop))), Exists(inclusion(scope, other))))
             sources = [_check_source(node) for node in _exists_nodes(condition)]
+            codes = [n._check.__code__ for n in _exists_nodes(condition)]
+            predicates = [n._predicate.__code__ for n in _nodes(condition)]
             if prefix:
                 assert sources == plain_sources
-                assert [n._check.__code__ for n in _exists_nodes(condition)] == plain_codes
-            plain_sources = sources
-            plain_codes = [n._check.__code__ for n in _exists_nodes(condition)]
+                assert codes == plain_codes and predicates == plain_predicates
+            plain_sources, plain_codes, plain_predicates = sources, codes, predicates
             assert all("import" not in source for source in sources)
             assert sum("yield" in source for source in sources) == 1  # both forms
+            for node, source in zip(_exists_nodes(condition), sources):
+                # Seeds are read by position from the anchor occurrence's
+                # key, and the positions too reach the code as arguments.
+                nodes, edges = _anchor_keys(node.morphism)
+                positions = [position for position, _ in nodes + edges]
+                anchor = node.morphism.domain
+                assert positions == list(range(anchor.node_count + anchor.edge_count))
+                reads = re.findall(r"\bkey\[([^\]]*)\]", source)
+                assert len(reads) == len(positions) and all(re.fullmatch(r"K\d+", r) for r in reads)
+            for node in _nodes(condition):
+                # A predicate is a compiled search or composes others in
+                # code of its own module: no further source is generated.
+                code = node._predicate.__code__
+                if code.co_filename == "<compiled search>":
+                    assert node._predicate is node._check
+                else:
+                    assert code.co_filename == conditions.__file__
             full = graph([("h", "A"), ("i", "A"), ("j", "B")],
                          [("e1", "s", "h", "j"), ("e2", "s", "h", "j"), ("e3", "s", "h", "j"),
                           ("e4", "r", "h", "h"), ("e5", "r", "i", "h"), ("e6", "s", "i", "j")])
             outcomes[prefix] = Counter()
             for host in (full, full.without(edge_ids=[label("e4")]),
                          full.without(edge_ids=[label("e5")])):
-                _check_every_exists(condition, host, outcomes[prefix])
+                _check_every_node(condition, host, outcomes[prefix])
         assert outcomes[odd] == outcomes[""] and len(outcomes[""]) == 2
 
 
@@ -178,11 +221,11 @@ class TestLazyExistsAgainstOracle:
             for _ in range(2):
                 host = _with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
-                _check_every_exists(condition, host, outcomes)
+                _check_every_node(condition, host, outcomes)
         for constraint, _, transformations, rule, host in random_step_cases(60, seed=103):
             for graph in (host, *(t.result for t in transformations)):
-                _check_every_exists(constraint.condition, graph, outcomes)
-                _check_every_exists(rule.condition, graph, outcomes)
+                _check_every_node(constraint.condition, graph, outcomes)
+                _check_every_node(rule.condition, graph, outcomes)
         assert outcomes[True] >= 500 and outcomes[False] >= 500, outcomes
         assert split >= 300
 
@@ -210,13 +253,18 @@ def _grown(graph: TypedGraph, rng: random.Random, level: int) -> TypedGraph:
     return TypedGraph(LOOPS, nodes, edges)
 
 
-def _random_chain(rng: random.Random, levels: int, universal: bool):
+def _random_chain(rng: random.Random, levels: int, universal: bool,
+                  anchor: TypedGraph | None = None):
     """An alternating chain of ``levels`` quantifiers over graphs that
-    grow level by level from an anchor that may have nodes and edges.
-    Some levels carry a second, negated branch in an And node."""
-    graphs_ = [TypedGraph(LOOPS)]
-    if rng.random() < 0.6:
-        graphs_[0] = _grown(graphs_[0], rng, 0)
+    grow level by level from ``anchor``, or from a random anchor that may
+    have nodes and edges. Some levels carry a second, negated branch in an
+    And node."""
+    if anchor is not None:
+        graphs_ = [anchor]
+    else:
+        graphs_ = [TypedGraph(LOOPS)]
+        if rng.random() < 0.6:
+            graphs_[0] = _grown(graphs_[0], rng, 0)
     for level in range(1, levels + 1):
         graphs_.append(_grown(graphs_[-1], rng, level))
     quantifiers = ["forall" if (i % 2 == 0) == universal else "exists" for i in range(levels)]
@@ -228,6 +276,33 @@ def _random_chain(rng: random.Random, levels: int, universal: bool):
             side = inclusion(graphs_[i], _grown(graphs_[i], rng, 9))
             body = And(body, Not(Exists(side)))
     return body
+
+
+def _random_deleting_rule(rng: random.Random, index: int) -> Rule:
+    """A rule over ``LOOPS`` whose lhs has loops and parallel edges, that
+    deletes some lhs nodes with all their edges and some other edges,
+    under a nested application condition of one to three levels most of
+    the time."""
+    nodes = [("l0", "A"), *((f"l{i}", rng.choice("AB")) for i in range(1, rng.randint(1, 3)))]
+    a_nodes = [v for v, t in nodes if t == "A"]
+    b_nodes = [v for v, t in nodes if t == "B"]
+    edges = []
+    for i in range(rng.randint(1, 4)):
+        if b_nodes and rng.random() < 0.3:
+            edges.append((f"m{i}", "s", rng.choice(a_nodes), rng.choice(b_nodes)))
+        else:
+            src = rng.choice(a_nodes)
+            edges.append((f"m{i}", "r", src, src if rng.random() < 0.5 else rng.choice(a_nodes)))
+    edges += [(f"{e}p", t, x, y) for e, t, x, y in edges if rng.random() < 0.3]
+    lhs = TypedGraph(LOOPS, nodes, edges)
+    deleted = {v for v, _ in nodes if rng.random() < 0.5}
+    kept_edges = [e for e, _, x, y in edges
+                  if x not in deleted and y not in deleted and rng.random() < 0.7]
+    interface = lhs.without(deleted, set(lhs.edge_ids) - set(kept_edges))
+    condition = TRUE
+    if rng.random() < 0.8:
+        condition = _random_chain(rng, rng.randint(1, 3), rng.random() < 0.5, lhs)
+    return Rule(f"d{index}", lhs, interface, interface, condition)
 
 
 def _pins_a_bundle(node: Exists) -> bool:
@@ -710,8 +785,9 @@ def _scan_agrees_with_oracle(rule, host) -> tuple[int, int, int]:
 
 class TestScanAgainstOracle:
     """``scan_matches`` sorts the image tuples of the compiled lhs search
-    and filters them on zipped maps; the oracle finds the occurrences by
-    permutation and tests the condition and gluing from the definitions."""
+    and tests each with the condition's predicate, then with the degree
+    test for gluing; the oracle finds the occurrences by permutation and
+    tests the condition and gluing from the definitions."""
 
     def test_seeded_random_step_suite(self):
         totals = [0, 0, 0]
@@ -719,9 +795,30 @@ class TestScanAgainstOracle:
             totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
         assert all(totals), totals
 
-    def test_cra_rules_on_the_bound_three_universe(self, fixtures):
+    def test_random_rules_deleting_nodes_with_loops_and_parallel_edges(self):
+        """Nested application conditions, and gluing at deleted nodes
+        whose lhs edges include loops and parallel edges."""
+        rng = random.Random(83)
         totals = [0, 0, 0]
-        for host in bounded_hosts(fixtures.type_graph, 3):
+        seen: Counter = Counter()
+        for index in range(400):
+            rule = _random_deleting_rule(rng, index)
+            lhs = rule.lhs
+            for v in rule.deleted_nodes:
+                ends = [(t, x, y) for _, t, x, y in lhs.edge_items() if v in (x, y)]
+                seen["loop"] += any(x == y for _, x, y in ends)
+                seen["parallel"] += len(ends) > len(set(ends))
+            seen["nested"] += sum(node.sub != TRUE for node in _exists_nodes(rule.condition))
+            for _ in range(3):
+                host = _with_parallel_edges(
+                    random_host(LOOPS, rng, rng.randint(2, 4), 0.6), rng, 0.4)
+                totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
+        assert min(totals) >= 80, totals
+        assert min(seen.values()) >= 200, seen
+
+    def test_cra_rules_on_their_bound_four_universes(self, fixtures):
+        totals = [0, 0, 0]
+        for host in bounded_hosts(fixtures.type_graph, 4):
             for rule in fixtures.rule_list():
                 totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
         # The CRA conditions refuse every match the gluing test would.
@@ -801,10 +898,18 @@ class TestSkippedWork:
         pairs = [pair for ours, theirs in conditions_
                  for pair in zip(_exists_nodes(ours), _exists_nodes(theirs))]
         assert len(pairs) >= 8
+        for ours, theirs in conditions_:
+            # Every node's predicate, composed or compiled, shares its code.
+            nodes = list(zip(_nodes(ours), _nodes(theirs)))
+            assert len(nodes) == len(list(_nodes(ours)))
+            for mine, other in nodes:
+                assert mine._predicate.__code__ is other._predicate.__code__
         forms = Counter()
         for ours, theirs in pairs:
             assert ours is not theirs and ours._check is not theirs._check
             assert ours._check.__code__ is theirs._check.__code__
+            # The seeds are read at the same positions of the anchor's key.
+            assert _anchor_keys(ours.morphism) == _anchor_keys(theirs.morphism)
             forms[ours.sub == TRUE] += 1
             if ours.sub != TRUE:
                 # The extension API along the same morphism runs this search.
