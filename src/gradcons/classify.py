@@ -95,22 +95,35 @@ def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
 
 def _judge(
     before: ConsistencyReport,
-    after: ConsistencyReport,
-    host: TypedGraph,
+    result: TypedGraph,
     removed_nodes: frozenset[str],
     removed_edges: frozenset[str],
-    dropped: list[_Key],
-    added: list[_Key],
-) -> tuple[tuple[bool, ...], dict[str, _Key]]:
-    """The six flags of a step, in :class:`StepVerdict` order, and the keys
-    of the occurrences that decided the direct ones.
+    created: tuple[tuple[str, ...], tuple[str, ...]] | None,
+) -> tuple[ConsistencyReport, tuple[bool, ...], dict[str, _Key]]:
+    """The result's report, the six flags of the step, in
+    :class:`StepVerdict` order, and the keys of the occurrences that
+    decided the direct ones.
 
-    Only the violating keys the step changed can decide a direct flag,
-    and :func:`step_report` gives them in canonical order: ``dropped``,
-    the host's that are not keys of violating survivors, and ``added``,
-    the result's. Evidence is the least key that decides. The polarity
-    is the host report's.
+    Given the created node and edge ids, the result's report is derived
+    from the host's (:func:`step_report`); given ``None``, the result is
+    measured again. Only the violating keys the step changed can decide
+    a direct flag, and both ways give them in canonical order:
+    ``dropped``, the host's that are not keys of violating survivors, and
+    ``added``, the result's. A changed key outside the step's context
+    names a destroyed occurrence if dropped and a new one if added. A
+    derivation returns the keys of the destroyed and new occurrences it
+    found; on a step measured again, the key's images tell
+    (:func:`_in_context`). Evidence is the least key that decides. The
+    polarity is the host report's.
     """
+    outside = None
+    if created is not None:
+        after, dropped, added, outside = step_report(before, result,
+                                                     (removed_nodes, removed_edges), created)
+    else:
+        after = consistency_report(result, before.constraint)
+        dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
+                                       removed_nodes, removed_edges)
     preserving = after.satisfied or not before.satisfied
     guaranteeing = after.satisfied
     sustaining = _ci_at_most(before, after)
@@ -121,14 +134,15 @@ def _judge(
         directly_sustaining = preserving
         directly_improving = directly_sustaining and not before.satisfied and guaranteeing
     else:
+        host, n = before.graph, len(before.pattern.node_ids)
         # An added key inside the context is the image of a host
         # occurrence that was valid (it is no violating survivor), so it
         # is invalidated; one outside the context is new. Invalidation is
         # looked for first.
-        n = len(before.pattern.node_ids)
         new = None
         for key in added:
-            if _in_context(key, n, host, removed_nodes, removed_edges):
+            if (key not in outside if outside is not None
+                    else _in_context(key, n, host, removed_nodes, removed_edges)):
                 evidence["invalidated_occurrence"] = key
                 break
             if new is None:
@@ -142,14 +156,13 @@ def _judge(
         directly_improving = directly_sustaining and bool(dropped)
         if directly_improving:
             key = dropped[0]
-            label = ("repaired_occurrence"
-                     if _in_context(key, n, host, removed_nodes, removed_edges)
-                     else "destroyed_occurrence")
-            evidence[label] = key
+            inside = (key not in outside if outside is not None
+                      else _in_context(key, n, host, removed_nodes, removed_edges))
+            evidence["repaired_occurrence" if inside else "destroyed_occurrence"] = key
 
     flags = (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving)
-    return flags, evidence
+    return after, flags, evidence
 
 
 def classify_step(
@@ -177,15 +190,9 @@ def classify_step(
     if before.graph != t.host or (before.constraint is not constraint
                                   and before.constraint != constraint):
         raise MismatchError(f"report_before does not measure the host against {constraint.name!r}")
-    removed_nodes, removed_edges = t.removed_nodes, t.removed_edges
-    if before.occ > searches_per_step(constraint, t.rule._changed_types):
-        after, dropped, added = step_report(before, t.result, (removed_nodes, removed_edges),
-                                            t.created)
-    else:
-        after = consistency_report(t.result, constraint)
-        dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
-                                       removed_nodes, removed_edges)
-    flags, evidence = _judge(before, after, t.host, removed_nodes, removed_edges, dropped, added)
+    derive = before.occ > searches_per_step(constraint, t.rule._changed_types)
+    after, flags, evidence = _judge(before, t.result, t.removed_nodes, t.removed_edges,
+                                    t.created if derive else None)
     return StepVerdict(constraint.name, *flags, before, after, evidence)
 
 
@@ -488,17 +495,10 @@ def classify_rule_empirical(
         derive = before.occ > derive_above
         for key in keys:
             node_map, edge_map = dict(zip(lhs_nodes, key)), dict(zip(lhs_edges, key[n:]))
-            fields = _rewritten(rule, host, node_map, edge_map, 0)
-            result, removed_nodes, removed_edges, created = fields
-            if derive:
-                after, dropped, added = step_report(before, result, (removed_nodes, removed_edges),
-                                                    created)
-            else:
-                after = consistency_report(result, constraint)
-                dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
-                                               removed_nodes, removed_edges)
-            flags, evidence = _judge(before, after, host, removed_nodes, removed_edges,
-                                     dropped, added)
+            result, *removed, ids = _rewritten(rule, host, node_map, edge_map, 0)
+            # Only a derivation and a recorded step read the created ids by kind.
+            created = rule._split_created(ids) if derive else None
+            after, flags, evidence = _judge(before, result, *removed, created)
             steps_examined += 1
             (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving) = flags
@@ -509,7 +509,8 @@ def classify_rule_empirical(
             new = [claim for claim, hit in zip(_CLAIMS, hits) if hit and claim not in found]
             if new:
                 m = GraphMorphism(rule.lhs, host, node_map, edge_map)
-                t = Transformation(rule, host, m, *fields, 0)
+                t = Transformation(rule, host, m, result, *removed,
+                                   created or rule._split_created(ids), 0)
                 record = (t, StepVerdict(constraint.name, *flags, before, after, evidence))
                 found.update(dict.fromkeys(new, record))
     if steps_examined == 0:

@@ -479,91 +479,98 @@ class _StepSearches:
     """The seeded searches that find, for a universal constraint of one or
     two levels, the occurrences at the elements a step changes.
 
-    At a node of type T, a search runs for each node of type T of the outer
-    pattern P, seeded there; at an edge of type E, one for each edge of
-    type E of P, pinned there together with its ends. For ∀(P, ∃C) the
-    same searches run over the witness pattern C, and ``positions``
-    restrict a key of C to one of P along the chain morphism P -> C: the
-    position in C's key of each entry of P's.
-    ``at`` keeps, per changed element type, the compiled searches (which
-    :func:`_search` keeps on the patterns' plans), and ``counts``, per
-    rule's changed element types, how many searches a step runs.
+    A changed node of type T seeds each node of type T of the outer
+    pattern P; a changed edge of type E pins each edge of type E of P,
+    together with its ends, that is a loop exactly when the changed edge
+    is one (a pattern edge between two nodes cannot land on a loop
+    without losing injectivity, nor a pattern loop on a non-loop edge).
+    An edge with a changed end seeds nothing: every occurrence through it
+    also uses that end, whose searches find it. For ∀(P, ∃C) with chain
+    morphism b: P -> C, the same searches run over C, but only at the
+    nodes and edges of C outside b(P): an occurrence of C through a
+    changed element of b(P) restricts to an occurrence of P through that
+    element, which is destroyed or new anyway. ``positions`` restrict a
+    key of C to one of P along b: the position in C's key of each entry
+    of P's.
+    ``seeds`` holds, per pattern, the pattern and the nodes and edges it
+    is seeded at; ``at`` keeps, per changed ``(kind, type)``, the compiled
+    searches (which :func:`_search` keeps on the patterns), and
+    ``counts``, per rule's changed types, how many searches a step runs.
     """
 
-    __slots__ = ("patterns", "positions", "at", "counts")
+    __slots__ = ("seeds", "positions", "at", "counts")
 
     def __init__(self, shape: AnfShape):
-        self.patterns = tuple(morphism.codomain for _, morphism in shape.chain)
+        outer = shape.outer_graph
+        self.seeds = [(outer, outer.node_items(), outer.edge_items())]
         self.positions = None
         if len(shape.chain) == 2:
-            b, witness = shape.chain[1][1], self.patterns[1]
+            b = shape.chain[1][1]
+            witness = b.codomain
+            inside_nodes, inside_edges = set(b.node_map.values()), set(b.edge_map.values())
+            self.seeds.append((
+                witness, [item for item in witness.node_items() if item[0] not in inside_nodes],
+                [item for item in witness.edge_items() if item[0] not in inside_edges]))
             n = len(witness.node_ids)
             self.positions = (
                 *(witness.node_ids.index(b.node_map[v]) for v in b.domain.node_ids),
                 *(n + witness.edge_ids.index(b.edge_map[e]) for e in b.domain.edge_ids))
-        self.at: dict[tuple[str, str], tuple[tuple[tuple[Callable, bool], ...], ...]] = {}
+        self.at: dict[tuple[str, str], tuple[tuple[Callable, ...], ...]] = {}
         self.counts: dict[tuple[tuple[str, str], ...], int] = {}
 
+    def _seeded(self, kind: str, element_type: str) -> Iterator[tuple[TypedGraph, list]]:
+        """Per pattern, the pattern and the :func:`_search` seeds of each
+        search at a changed element of this kind (``"node"``, ``"edge"``
+        or ``"loop"``) and type: ``(node,)``, ``(source, target, edge)``,
+        or ``(source, edge)`` at a loop."""
+        for graph, nodes, edges in self.seeds:
+            if kind == "node":
+                seeds = [(((0, v),), ()) for v, ntype in nodes if ntype == element_type]
+            else:
+                loop = kind == "loop"
+                seeds = [(((0, src),), ((1, c),)) if loop else (((0, src), (1, tgt)), ((2, c),))
+                         for c, etype, src, tgt in edges
+                         if etype == element_type and (src == tgt) == loop]
+            yield graph, seeds
+
     def count(self, changed_types: tuple[tuple[str, str], ...]) -> int:
-        """The number of searches a step whose changed elements have these
-        ``(kind, type)`` pairs runs, worked out once per rule."""
+        """The number of searches :meth:`run` makes for a step whose changed
+        elements have these ``(kind, type)`` pairs (``Rule._changed_types``),
+        worked out once per rule."""
         n = self.counts.get(changed_types)
         if n is None:
-            n = 0
-            for kind, element_type in changed_types:
-                for graph in self.patterns:
-                    if kind == "node":
-                        n += len(graph.nodes_of_type(element_type))
-                    else:
-                        n += sum(etype == element_type for _, etype, _, _ in graph.edge_items())
-            self.counts[changed_types] = n
+            n = self.counts[changed_types] = sum(
+                len(seeds) for changed in changed_types for _, seeds in self._seeded(*changed))
         return n
 
-    def _compiled(self, kind: str, element_type: str):
-        """Per pattern, the searches at an element of this kind and type,
-        each with whether it pins a loop."""
+    def _compiled(self, kind: str, element_type: str) -> tuple[tuple[Callable, ...], ...]:
+        """Per pattern, the searches at a changed element of this kind and type."""
         found = self.at.get((kind, element_type))
         if found is None:
-            per_pattern = []
-            for graph in self.patterns:
-                if kind == "node":
-                    per_pattern.append(tuple(
-                        (_search(graph, "search", ((0, v),), ()), False)
-                        for v, ntype in graph.node_items() if ntype == element_type))
-                    continue
-                searches = []
-                for c, etype, src, tgt in graph.edge_items():
-                    if etype == element_type:
-                        # Seeded by ``(source, edge)`` at a loop, else by
-                        # ``(source, target, edge)``.
-                        ends = ((0, src),) if src == tgt else ((0, src), (1, tgt))
-                        searches.append((_search(graph, "search", ends, ((len(ends), c),)),
-                                         src == tgt))
-                per_pattern.append(tuple(searches))
-            found = self.at[kind, element_type] = tuple(per_pattern)
+            found = self.at[kind, element_type] = tuple(
+                tuple(_search(graph, "search", *seed) for seed in seeds)
+                for graph, seeds in self._seeded(kind, element_type))
         return found
 
     def run(self, graph: TypedGraph, nodes: Collection[str],
             edges: Collection[str]) -> tuple[set[_Key], set[_Key]]:
         """The keys of the occurrences of P in ``graph`` that use one of
         these elements, and those of the occurrences of P that an
-        occurrence of C using one of them restricts to."""
-        found: list[set[_Key]] = [set() for _ in self.patterns]
+        occurrence of C using one of them outside b(P) restricts to."""
+        found: list[set[_Key]] = [set() for _ in self.seeds]
         for x in nodes:
             seed = (x,)
             for keys, searches in zip(found, self._compiled("node", graph.node_type(x))):
-                for search, _ in searches:
+                for search in searches:
                     keys.update(search(graph, seed))
         for e in edges:
             etype, src, tgt = graph.edge_info(e)
-            loop = src == tgt
-            seed = (src, e) if loop else (src, tgt, e)
-            for keys, searches in zip(found, self._compiled("edge", etype)):
-                # A loop pins only pattern loops; a pattern edge between
-                # two nodes cannot land on one without losing injectivity.
-                for search, pins_loop in searches:
-                    if pins_loop == loop:
-                        keys.update(search(graph, seed))
+            if src in nodes or tgt in nodes:
+                continue  # the searches at that end find its occurrences
+            kind, seed = ("loop", (src, e)) if src == tgt else ("edge", (src, tgt, e))
+            for keys, searches in zip(found, self._compiled(kind, etype)):
+                for search in searches:
+                    keys.update(search(graph, seed))
         positions = self.positions
         if positions is None:
             return found[0], set()
@@ -623,13 +630,16 @@ def _changed_keys(
 def searches_per_step(constraint: Constraint,
                       changed_types: tuple[tuple[str, str], ...]) -> float:
     """How many seeded searches :func:`step_report` runs for a step whose
-    rule deletes and creates elements of these ``(kind, type)`` pairs;
-    infinite for existential constraints and deeper chains, which it
-    measures again.
+    rule changes elements of these ``(kind, type)`` pairs
+    (``Rule._changed_types``); infinite for existential constraints and
+    deeper chains, which it measures again.
 
-    Deriving a step's report pays when the host has more occurrences than
-    this; on tiny hosts measuring again is cheaper. The count is worked
-    out once per rule and kept with the constraint's compiled searches.
+    The count is exact: the searches of P at each changed node and at
+    each changed edge without a changed end, and those of C at the
+    positions outside b(P) (:class:`_StepSearches`). Deriving a step's
+    report pays when the host has more occurrences than this; on tiny
+    hosts measuring again is cheaper. The count is worked out once per
+    rule and kept with the constraint's compiled searches.
     """
     searches = constraint._step_searches
     return math.inf if searches is None else searches.count(changed_types)
@@ -640,7 +650,7 @@ def step_report(
     result: TypedGraph,
     removed: tuple[Collection[str], Collection[str]],
     created: tuple[Collection[str], Collection[str]],
-) -> tuple[ConsistencyReport, list[_Key], list[_Key]]:
+) -> tuple[ConsistencyReport, list[_Key], list[_Key], set[_Key] | None]:
     """The report of a step's result, derived from ``before``, the host's,
     and the violating keys the step changed.
 
@@ -649,28 +659,34 @@ def step_report(
     The track morphism is the identity on the context, so an occurrence
     that avoids the changed elements has one key on both sides. The
     occurrences of the outer pattern P that use a removed element are
-    destroyed, and those that use a created one are new. For ∀(P, ∃C), a
-    surviving occurrence can lose its last witness only if that witness
-    used a removed element, and gain one only through a created element.
-    So the body is re-checked only on the new occurrences and on the
-    survivors that an occurrence of C at a changed element restricts to;
-    every other survivor keeps its verdict and the host's key object. For
-    ∀(P, false) every occurrence violates. Existential constraints and
-    deeper chains are measured with :func:`consistency_report`. Either way
-    the report equals that of :func:`consistency_report`.
+    destroyed, and those that use a created one are new
+    (:class:`_StepSearches` finds both). For ∀(P, ∃C), a surviving
+    occurrence can lose its last witness only if that witness used a
+    removed element, and gain one only through a created element, each
+    outside b(P). A survivor that an occurrence of C in the result at a
+    created element restricts to has gained a witness, so it is placed as
+    valid unchecked; the body is re-checked only on the new occurrences
+    without such a witness and on the other survivors that an occurrence
+    of C in the host at a removed element restricts to. Every other
+    survivor keeps its verdict and the host's key object. For ∀(P,
+    false) every occurrence violates. Existential constraints and deeper
+    chains are measured with :func:`consistency_report`. Either way the
+    report equals that of :func:`consistency_report`.
 
     The keys come in canonical order: ``dropped``, the host's violating
     keys that are not those of violating survivors (destroyed or
     repaired), and ``added``, the result's (new or invalidated). A
-    derivation records what it deletes and inserts; a recompute merges
-    the two key tuples (:func:`_changed_keys`).
+    derivation records what it deletes and inserts, and returns last the
+    keys of the destroyed and new occurrences, the changed keys outside
+    the step's context; a recompute merges the two key tuples
+    (:func:`_changed_keys`) and returns ``None`` there.
     """
     constraint = before.constraint
     searches = constraint._step_searches
     if searches is None:
         after = consistency_report(result, constraint)
         return (after, *_changed_keys(before.violating_keys, after.violating_keys,
-                                      *map(frozenset, removed)))
+                                      *map(frozenset, removed)), None)
     destroyed, lost = searches.run(before.graph, *removed)
     new, gained = searches.run(result, *created)
     violates = constraint.shape.body._predicate
@@ -684,15 +700,18 @@ def step_report(
 
     # Destroyed keys go first: a created id may equal a removed one, so a
     # new key may equal a destroyed one, and may then be both dropped
-    # and added. A survivor's key equals neither.
+    # and added. A survivor's key equals neither, and a gained or lost
+    # key equal to one is new or destroyed too.
     for key in destroyed:
         place(key, False)
-    for key in (lost | gained) - destroyed - new:
+    for key in gained - new:
+        place(key, False)
+    for key in lost - destroyed - gained:
         place(key, violates(result, key))
     for key in new:
-        place(key, violates(result, key))
+        place(key, key not in gained and violates(result, key))
     dropped.sort()
     added.sort()
     report = ConsistencyReport(constraint.name, UNIVERSAL, before.occ - len(destroyed) + len(new),
                                 len(keys), tuple(keys), constraint, result)
-    return report, dropped, added
+    return report, dropped, added, destroyed | new

@@ -86,15 +86,32 @@ class Rule:
 
     @cached_property
     def _changed_types(self) -> tuple[tuple[str, str], ...]:
-        """``("node", type)`` or ``("edge", type)`` of each element a step
-        deletes or creates, sorted: the seeded searches that derive the
-        result's report depend on these alone."""
+        """``(kind, type)`` of each element a step deletes or creates and
+        seeds the searches that derive the result's report at, sorted
+        (:func:`searches_per_step` counts them): ``"node"`` for a node,
+        ``"loop"`` or ``"edge"`` for an edge, as its image is a loop or
+        not, which the rule fixes. An edge with a deleted or created end
+        seeds nothing: the searches at that node find every occurrence
+        through it."""
         lhs, (new_nodes, new_edges) = self.lhs, self._created
+        deleted, created = set(self.deleted_nodes), set(self.created_nodes)
+
+        def edges(infos, changed):
+            return [("loop" if src == tgt else "edge", etype) for etype, src, tgt in infos
+                    if src not in changed and tgt not in changed]
+
         return tuple(sorted(
             [("node", lhs.node_type(n)) for n in self.deleted_nodes]
-            + [("edge", lhs.edge_info(e)[0]) for e in self.deleted_edges]
+            + edges(map(lhs.edge_info, self.deleted_edges), deleted)
             + [("node", ntype) for _, ntype in new_nodes]
-            + [("edge", etype) for _, etype, _, _ in new_edges]))
+            + edges(((etype, src, tgt) for _, etype, src, tgt in new_edges), created)))
+
+    def _split_created(self, ids: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The created node ids and the created edge ids among ``ids``,
+        the ids a step gave the created elements, nodes first
+        (:func:`_rewritten`)."""
+        n = len(self.created_nodes)
+        return ids[:n], ids[n:]
 
     def is_plain(self) -> bool:
         """True when the application condition is trivially satisfied."""
@@ -300,17 +317,18 @@ def _check_match(rule: Rule, host: TypedGraph, match: GraphMorphism) -> None:
 def _rewrite(rule: Rule, host: TypedGraph, match: GraphMorphism, step: int) -> Transformation:
     """The step of :func:`apply` at a match known to be one of
     ``find_matches(rule, host)``."""
-    return Transformation(rule, host, match,
-                          *_rewritten(rule, host, match.node_map, match.edge_map, step), step)
+    result, *removed, ids = _rewritten(rule, host, match.node_map, match.edge_map, step)
+    return Transformation(rule, host, match, result, *removed, rule._split_created(ids), step)
 
 
 def _rewritten(
     rule: Rule, host: TypedGraph, node_map: Mapping[str, str], edge_map: Mapping[str, str],
     step: int,
-) -> tuple[TypedGraph, frozenset[str], frozenset[str], tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The fields of :func:`_rewrite`'s step at the match with these maps,
-    in :class:`Transformation` order: the result, the removed node and edge
-    images, and the created node and edge ids (:func:`_fresh_ids`)."""
+) -> tuple[TypedGraph, frozenset[str], frozenset[str], tuple[str, ...]]:
+    """The result of :func:`_rewrite`'s step at the match with these
+    maps, the removed node and edge images, and the ids of the created
+    elements (:func:`_fresh_ids`), nodes first, which
+    :meth:`Rule._split_created` splits by kind where they are read."""
     removed_nodes = frozenset(map(node_map.__getitem__, rule.deleted_nodes))
     removed_edges = frozenset(map(edge_map.__getitem__, rule.deleted_edges))
     fresh = _fresh_ids(rule, host, removed_nodes, removed_edges, step)
@@ -325,6 +343,4 @@ def _rewritten(
         for e, etype, src, tgt in new_edges
     ]
     result = host._patched(removed_nodes, removed_edges, created_nodes, created_edges)
-    ids, n = tuple(fresh.values()), len(new_nodes)
-    created = (ids[:n], ids[n:])
-    return result, removed_nodes, removed_edges, created
+    return result, removed_nodes, removed_edges, tuple(fresh.values())

@@ -145,6 +145,13 @@ def random_rule_pairs(n_pairs: int, seed: int):
             yield rule, random_linear_constraint(tg, rng, f"c{index}", max_outer_nodes=2)
 
 
+def with_parallel_edges(graph: TypedGraph, rng: random.Random, share: float) -> TypedGraph:
+    """``graph`` with a parallel copy of each edge at probability ``share``."""
+    copies = [(f"{eid}p", etype, s, t) for eid, etype, s, t in graph.edge_items()
+              if rng.random() < share]
+    return TypedGraph(graph.type_graph, graph.node_items(), [*graph.edge_items(), *copies])
+
+
 def has_two_loop_types_on_one_node_type(tg) -> bool:
     """Whether two edge types loop on one node type: the bound-3 universe
     of such a type graph has 44 365 hosts."""

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -56,6 +57,7 @@ from .suites import (
     random_rule_pairs,
     random_step_cases,
     seeded_cra_model,
+    with_parallel_edges,
 )
 
 
@@ -626,17 +628,131 @@ def derived(monkeypatch):
     records: ``searches_per_step`` is put below every occurrence count, so
     each universal step of one or two levels derives its result's report
     (existential constraints and deeper chains measure it again there).
+    On every derived step the compiled searches that
+    ``_StepSearches.run`` calls number exactly ``searches_per_step`` of
+    the step's rule, so the gate weighs the work a derivation does.
     Returns the list of constraint names ``step_report`` was called for."""
-    calls = []
-    original = classify.step_report
+    calls, searched, gated = [], [], []
+    original_report, original_compiled = classify.step_report, conditions._StepSearches._compiled
+
+    def counting(search):
+        def counted(graph, seed):
+            searched.append(seed)
+            return search(graph, seed)
+
+        return counted
+
+    def compiled(self, kind, element_type):
+        return tuple(tuple(map(counting, searches))
+                     for searches in original_compiled(self, kind, element_type))
+
+    def gate(constraint, changed_types):
+        gated[:] = [changed_types]
+        return -1
 
     def recording(before, *args):
         calls.append(before.constraint_name)
-        return original(before, *args)
+        done = len(searched)
+        found = original_report(before, *args)
+        want = conditions.searches_per_step(before.constraint, gated[0])
+        assert len(searched) - done == (0 if want == math.inf else want), (
+            before.constraint_name, gated[0])
+        return found
 
-    monkeypatch.setattr(classify, "searches_per_step", lambda constraint, changed_types: -1)
+    monkeypatch.setattr(conditions._StepSearches, "_compiled", compiled)
+    monkeypatch.setattr(classify, "searches_per_step", gate)
     monkeypatch.setattr(classify, "step_report", recording)
     return calls
+
+
+LOOPS = TypeGraph(["A", "B"], [("r", "A", "A"), ("s", "A", "B")])
+
+
+def _loops_graph(nodes, edges=()):
+    return TypedGraph(LOOPS, nodes, edges)
+
+
+def _hand_built_rules():
+    """Rules over ``LOOPS`` whose changed edges the derivation treats
+    apart, each with the ``(kind, type)`` pairs it seeds searches at."""
+    kept = _loops_graph([("y", "A")])
+    # Deletes x with its loop and a parallel pair of edges to the kept y:
+    # each deleted edge has a deleted end, so only x seeds searches.
+    drop = Rule("dropLoopy", _loops_graph([("x", "A"), ("y", "A")], [
+        ("l", "r", "x", "x"), ("p", "r", "x", "y"), ("q", "r", "x", "y")]), kept, kept)
+    # Creates n with a loop and an edge to the kept y: only n seeds.
+    grow = Rule("growLoopy", kept, kept, _loops_graph([("y", "A"), ("n", "A")], [
+        ("l", "r", "n", "n"), ("m", "r", "n", "y")]))
+    # Creates a loop, an edge and an s edge between kept nodes.
+    ends = _loops_graph([("y", "A"), ("z", "A"), ("b", "B")])
+    link = Rule("linkKept", ends, ends, ends.with_added([], [
+        ("l", "r", "y", "y"), ("m", "r", "y", "z"), ("t", "s", "y", "b")]))
+    return [(drop, (("node", "A"),)), (grow, (("node", "A"),)),
+            (link, (("edge", "r"), ("edge", "s"), ("loop", "r")))]
+
+
+def _hand_built_constraints(rng):
+    """Universal constraints over ``LOOPS`` of one and two levels whose
+    patterns have loops and parallel edges, and whose witness patterns add
+    a loop, a node, or an edge that ends at nodes of b(P); then random
+    linear constraints."""
+    a = _loops_graph([("a", "A")])
+    loop = a.with_added([], [("l", "r", "a", "a")])
+    edge = _loops_graph([("a", "A"), ("c", "A")], [("e", "r", "a", "c")])
+    witnessed = {
+        "looped": (a, loop),
+        "linked": (a, a.with_added([("b", "B")], [("t", "s", "a", "b")])),
+        "doubled": (edge, edge.with_added([], [("f", "r", "a", "c")])),
+        "returned": (edge, edge.with_added([], [("f", "r", "c", "a")])),
+        "pointedAt": (a, a.with_added([("c", "A")], [("f", "r", "c", "a")])),
+        "loopedPair": (loop, loop.with_added([("c", "A")], [("e", "r", "a", "c"),
+                                                           ("f", "r", "a", "c")])),
+    }
+    return [Constraint("noLoop", forall(empty_morphism_into(loop))),
+            *(Constraint(name, forall(empty_morphism_into(p), Exists(inclusion(p, c))))
+              for name, (p, c) in witnessed.items()),
+            *(random_linear_constraint(LOOPS, rng, f"x{i}") for i in range(8))]
+
+
+def _renew_step(fixtures):
+    """A rule that deletes a class and creates one, matched at the class
+    whose id is the created class's: the fresh id takes the removed one
+    again."""
+    tg = fixtures.type_graph
+    renew = Rule("renewClass", TypedGraph(tg, [("c", "Class")]), empty_graph(tg),
+                 TypedGraph(tg, [("n", "Class")]))
+    host = TypedGraph(tg, [("C0", "Class"), ("F0", "Feature"), ("renewClass.0.n", "Class")],
+                      [("a0", "isAssigned", "F0", "C0")])
+    return _one_step(renew, host, c="renewClass.0.n")
+
+
+def _hand_built_steps(fixtures):
+    """``(step, constraint, host report)`` of the hand-built rules on 20
+    random hosts over ``LOOPS`` with parallel edges, each with a node x
+    planted with a loop and a parallel pair of edges to another node,
+    against the hand-built constraints; then the renewClass step against
+    c1-c3."""
+    rng = random.Random(41)
+    constraints = _hand_built_constraints(rng)
+    for _ in range(20):
+        host = with_parallel_edges(random_host(LOOPS, rng, rng.randint(2, 4), 0.4), rng, 0.3)
+        y = next((v for v, t in host.node_items() if t == "A"), "y")
+        host = host.with_added([("x", "A")] + [("y", "A")] * (y == "y"), [
+            ("xl", "r", "x", "x"), ("xp", "r", "x", y), ("xq", "r", "x", y)])
+        reports = [consistency_report(host, c) for c in constraints]
+        for rule, _ in _hand_built_rules():
+            for m in find_matches(rule, host)[:2]:
+                t = apply(rule, host, m)
+                for c, before in zip(constraints, reports):
+                    yield t, c, before
+    t = _renew_step(fixtures)
+    for c in fixtures.constraint_list():
+        yield t, c, consistency_report(t.host, c)
+
+
+def test_hand_built_rules_seed_only_what_they_change():
+    for rule, changed_types in _hand_built_rules():
+        assert rule._changed_types == changed_types, rule.name
 
 
 class TestDerivedJudgementAgainstReference:
@@ -664,6 +780,9 @@ class TestDerivedJudgementAgainstReference:
         assert self._labels(_bound_three_steps(), derived) == {
             "new_violating_occurrence", "destroyed_occurrence"}
 
+    def test_hand_built_rules(self, fixtures, derived):
+        assert self._labels(_hand_built_steps(fixtures), derived) == EVIDENCE_LABELS
+
 
 class TestDerivedReportAgainstRecompute:
     """The result's report derived from the host's equals a full
@@ -686,7 +805,7 @@ class TestDerivedReportAgainstRecompute:
     @staticmethod
     def _agrees(t, constraint, before, recomputes, kinds):
         done = len(recomputes)
-        got, _, _ = conditions.step_report(before, t.result, (t.removed_nodes, t.removed_edges),
+        got, *_ = conditions.step_report(before, t.result, (t.removed_nodes, t.removed_edges),
                                            t.created)
         shape = constraint.shape
         recompute = shape.polarity == conditions.EXISTENTIAL or shape.level > 2
@@ -730,6 +849,18 @@ class TestDerivedReportAgainstRecompute:
                 for m in find_matches(rule, host):
                     self._agrees(apply(rule, host, m), constraint, before, recomputes, kinds)
         assert kinds[conditions.UNIVERSAL, 1] and kinds[conditions.UNIVERSAL, 2], kinds
+
+    def test_hand_built_rules(self, fixtures, recomputes):
+        kinds, steps, changed = Counter(), Counter(), Counter()
+        for t, c, before in _hand_built_steps(fixtures):
+            self._agrees(t, c, before, recomputes, kinds)
+            steps[t.rule.name] += 1
+            changed[t.rule.name] += consistency_report(t.result, c) != before
+        assert kinds[conditions.UNIVERSAL, 1] and kinds[conditions.UNIVERSAL, 2], kinds
+        # renewClass leaves every report as it was, though a key names a
+        # new occurrence; each rule over LOOPS changes some.
+        assert steps["renewClass"] == 3 and changed["renewClass"] == 0, (steps, changed)
+        assert all(changed[rule.name] >= 100 for rule, _ in _hand_built_rules()), changed
 
     def test_seeded_cra_model(self, fixtures, cra_model_steps, recomputes):
         reports, steps = cra_model_steps
@@ -785,12 +916,8 @@ def test_a_created_id_that_reuses_a_removed_one(fixtures, request, derive):
     whose id is the created class's: the fresh id takes the removed one
     again, so the empty class's key violates c2 on both sides, yet names a
     new occurrence, not a survivor."""
-    tg = fixtures.type_graph
-    renew = Rule("renewClass", TypedGraph(tg, [("c", "Class")]), empty_graph(tg),
-                 TypedGraph(tg, [("n", "Class")]))
-    host = TypedGraph(tg, [("C0", "Class"), ("F0", "Feature"), ("renewClass.0.n", "Class")],
-                      [("a0", "isAssigned", "F0", "C0")])
-    t = _one_step(renew, host, c="renewClass.0.n")
+    t = _renew_step(fixtures)
+    host, renew = t.host, t.rule
     assert t.created == (("renewClass.0.n",), ())
     constraints = fixtures.constraint_list()
     if derive:
@@ -875,7 +1002,9 @@ def test_judgement_agrees_with_a_scan_of_every_violating_key(fixtures, seed):
 def test_judging_a_large_host_step_reads_only_the_changed_keys(fixtures, cra_model_steps,
                                                                monkeypatch):
     """On the 160-node model, where c3 has over 500 violating occurrences,
-    a step tests at most 10 keys for lying in the context."""
+    every step derives its result's report, and its judgement tests no
+    key for lying in the context: the keys of the destroyed and new
+    occurrences that the derivation found tell the evidence labels."""
     reports, steps = cra_model_steps
     calls = []
     original = classify._in_context
@@ -885,11 +1014,67 @@ def test_judging_a_large_host_step_reads_only_the_changed_keys(fixtures, cra_mod
         return original(*args)
 
     monkeypatch.setattr(classify, "_in_context", counting)
+    labels = set()
     for t in steps:
         for c, before in zip(fixtures.constraint_list(), reports):
-            done = len(calls)
+            assert before.occ > conditions.searches_per_step(c, t.rule._changed_types)
+            labels.update(classify_step(t, c, report_before=before).evidence_keys)
+    assert calls == []
+    assert len(labels) >= 2, labels
+
+
+@pytest.mark.parametrize(("name", "counts"), [
+    ("assignFeature", (2, 1, 3)), ("createClass", (2, 1, 2)),
+    ("moveFeature", (4, 2, 6)), ("deleteEmptyClass", (2, 1, 2))])
+def test_cra_steps_run_only_the_searches_their_change_needs(fixtures, cra_model_steps, derived,
+                                                            name, counts):
+    """Seeded searches per step against c1, c2 and c3: 28 for the four
+    rules, where seeding every witness position and every pattern edge
+    of the changed edge's type ran 48 (assignFeature 2/1/5, createClass
+    4/3/9, moveFeature 4/2/10, deleteEmptyClass 2/2/4). The ``derived``
+    fixture checks that the model's steps make exactly these calls."""
+    rule = fixtures.rules[name]
+    constraints = fixtures.constraint_list()
+    assert tuple(conditions.searches_per_step(c, rule._changed_types)
+                 for c in constraints) == counts
+    reports, steps = cra_model_steps
+    ran = [t for t in steps if t.rule is rule]
+    for t in ran:
+        for c, before in zip(constraints, reports):
             classify_step(t, c, report_before=before)
-            assert len(calls) - done <= 10, (t.rule.name, c.name)
+    assert len(derived) == 3 * len(ran) == 6
+
+
+def test_derived_steps_place_gained_witnesses_unchecked_and_recheck_lost_ones(fixtures,
+                                                                             monkeypatch):
+    """On the seeded 160-node model against c2 (every class holds a
+    feature): assigning F76 to C0 gives the survivor (C0,) a witness, and
+    the derivation places it without testing the body; moving F20 from
+    C0 to C1 takes a witness from (C0,), which it tests again, and gives
+    one to (C1,), which it does not."""
+    host = seeded_cra_model(fixtures.type_graph, random.Random(1))
+    c2 = fixtures.constraints["c2"]
+    before = consistency_report(host, c2)
+    searches, body = c2._step_searches, c2.shape.body
+    tested = []
+    original = body._predicate
+
+    def testing(graph, key):
+        tested.append(key)
+        return original(graph, key)
+
+    monkeypatch.setitem(body.__dict__, "_predicate", testing)
+    for name, picks, lost, gained in (
+            ("assignFeature", {"c": "C0", "f": "F76"}, set(), {("C0",)}),
+            ("moveFeature", {"c_src": "C0", "c_tgt": "C1", "f": "F20"}, {("C0",)}, {("C1",)})):
+        t = _one_step(fixtures.rules[name], host, **picks)
+        removed = (t.removed_nodes, t.removed_edges)
+        assert searches.run(host, *removed) == (set(), lost), name
+        assert searches.run(t.result, *t.created) == (set(), gained), name
+        tested.clear()
+        after, *_ = conditions.step_report(before, t.result, removed, t.created)
+        assert tested == sorted(lost), name
+        assert after == consistency_report(t.result, c2), name
 
 
 def _search_agrees_with_reference(rule, constraint, bound, samples, seed=1):

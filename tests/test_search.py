@@ -50,7 +50,7 @@ from .oracles import (
     satisfies_by_permutation,
     scan_by_permutation,
 )
-from .suites import random_step_cases, seeded_cra_model
+from .suites import random_step_cases, seeded_cra_model, with_parallel_edges
 
 
 def _check_source(node: Exists) -> str:
@@ -135,7 +135,7 @@ class TestLazyExistsAgainstOracle:
                 seen["and"] += isinstance(node.sub, And)
             seen[levels, universal] += 1
             for _ in range(3):
-                host = _with_parallel_edges(
+                host = with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
                 _check_every_node(condition, host, outcomes, kinds)
         assert outcomes[True] >= 2000 and outcomes[False] >= 3000, outcomes
@@ -219,7 +219,7 @@ class TestLazyExistsAgainstOracle:
             condition = _random_chain(rng, 3 + case % 2, case % 4 < 2)
             split += sum("def s1(" in _check_source(node) for node in _exists_nodes(condition))
             for _ in range(2):
-                host = _with_parallel_edges(
+                host = with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(3, 5), 0.6), rng, 0.5)
                 _check_every_node(condition, host, outcomes)
         for constraint, _, transformations, rule, host in random_step_cases(60, seed=103):
@@ -314,12 +314,6 @@ def _pins_a_bundle(node: Exists) -> bool:
                for e in a.codomain.edge_ids if e not in pinned)
 
 
-def _with_parallel_edges(graph: TypedGraph, rng: random.Random, share: float) -> TypedGraph:
-    copies = [(f"{eid}p", etype, s, t) for eid, etype, s, t in graph.edge_items()
-              if rng.random() < share]
-    return TypedGraph(graph.type_graph, graph.node_items(), [*graph.edge_items(), *copies])
-
-
 def _seeded_oracle(oracle, node_seed, edge_seed):
     return sorted(
         (m for m in oracle
@@ -383,8 +377,8 @@ def _seeded_cases(rng: random.Random):
     pins = random.Random(61)
     for _ in range(300):
         tg = random_type_graph(rng, max_node_types=2, max_edge_types=2)
-        pattern = _with_parallel_edges(random_host(tg, rng, rng.randint(1, 3), 0.5), rng, 0.2)
-        host = _with_parallel_edges(random_host(tg, rng, rng.randint(2, 6), 0.4), rng, 0.4)
+        pattern = with_parallel_edges(random_host(tg, rng, rng.randint(1, 3), 0.5), rng, 0.2)
+        host = with_parallel_edges(random_host(tg, rng, rng.randint(2, 6), 0.4), rng, 0.4)
         oracle = monos_by_permutation(pattern, host)
         seeds = []
         for m in rng.sample(oracle, min(3, len(oracle))):
@@ -810,7 +804,7 @@ class TestScanAgainstOracle:
                 seen["parallel"] += len(ends) > len(set(ends))
             seen["nested"] += sum(node.sub != TRUE for node in _exists_nodes(rule.condition))
             for _ in range(3):
-                host = _with_parallel_edges(
+                host = with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(2, 4), 0.6), rng, 0.4)
                 totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
         assert min(totals) >= 80, totals
