@@ -32,7 +32,6 @@ from .conditions import (
     EXISTENTIAL,
     ConsistencyReport,
     Constraint,
-    _changed_keys,
     consistency_report,
     searches_per_step,
     step_report,
@@ -75,18 +74,6 @@ class StepVerdict:
             for label, key in self.evidence_keys.items()}
 
 
-def _in_context(key: _Key, n: int, host: TypedGraph, removed_nodes: frozenset[str],
-                removed_edges: frozenset[str]) -> bool:
-    # The track morphism is the partial identity on the context, so
-    # composing with it is total exactly when the occurrence factors
-    # through the context: every image is a host element that the step
-    # did not remove. Created elements never are (fresh ids avoid the
-    # context). The key's first ``n`` entries are node images; node and
-    # edge ids of one graph differ, so only the host tests need the split.
-    return (removed_nodes.isdisjoint(key) and removed_edges.isdisjoint(key)
-            and all(map(host.has_node, key[:n])) and all(map(host.has_edge, key[n:])))
-
-
 def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
     """``before.ci <= after.ci`` on the counts, ro = 0 (so ncv = 0) read as 1/1."""
     ro_b, ro_a = before.ro or 1, after.ro or 1
@@ -96,34 +83,27 @@ def _ci_at_most(before: ConsistencyReport, after: ConsistencyReport) -> bool:
 def _judge(
     before: ConsistencyReport,
     result: TypedGraph,
-    removed_nodes: frozenset[str],
-    removed_edges: frozenset[str],
-    created: tuple[tuple[str, ...], tuple[str, ...]] | None,
+    removed: frozenset[str],
+    created: tuple[str, ...],
+    derive: bool,
 ) -> tuple[ConsistencyReport, tuple[bool, ...], dict[str, _Key]]:
     """The result's report, the six flags of the step, in
     :class:`StepVerdict` order, and the keys of the occurrences that
     decided the direct ones.
 
-    Given the created node and edge ids, the result's report is derived
-    from the host's (:func:`step_report`); given ``None``, the result is
-    measured again. Only the violating keys the step changed can decide
-    a direct flag, and both ways give them in canonical order:
-    ``dropped``, the host's that are not keys of violating survivors, and
-    ``added``, the result's. A changed key outside the step's context
-    names a destroyed occurrence if dropped and a new one if added. A
-    derivation returns the keys of the destroyed and new occurrences it
-    found; on a step measured again, the key's images tell
-    (:func:`_in_context`). Evidence is the least key that decides. The
-    polarity is the host report's.
+    ``removed`` is the set of host node and edge ids the step removed,
+    ``created`` the ids it created. :func:`step_report` derives the
+    result's report from the host's, or measures the result again unless
+    ``derive``, and gives the violating keys the step changed: only those
+    can decide a direct flag. The track morphism is the partial identity
+    on the context and fresh ids avoid the context, so a changed key lies
+    outside the context exactly when it uses a changed id: a dropped key
+    that uses a removed id names a destroyed occurrence, any other a
+    repaired one; an added key that uses a created id names a new
+    occurrence, any other an invalidated one. Evidence is the least key
+    that decides. The polarity is the host report's.
     """
-    outside = None
-    if created is not None:
-        after, dropped, added, outside = step_report(before, result,
-                                                     (removed_nodes, removed_edges), created)
-    else:
-        after = consistency_report(result, before.constraint)
-        dropped, added = _changed_keys(before.violating_keys, after.violating_keys,
-                                       removed_nodes, removed_edges)
+    after, dropped, added = step_report(before, result, removed, created if derive else None)
     preserving = after.satisfied or not before.satisfied
     guaranteeing = after.satisfied
     sustaining = _ci_at_most(before, after)
@@ -134,15 +114,13 @@ def _judge(
         directly_sustaining = preserving
         directly_improving = directly_sustaining and not before.satisfied and guaranteeing
     else:
-        host, n = before.graph, len(before.pattern.node_ids)
-        # An added key inside the context is the image of a host
-        # occurrence that was valid (it is no violating survivor), so it
-        # is invalidated; one outside the context is new. Invalidation is
-        # looked for first.
+        # An added key that uses no created id lies in the context: it is
+        # the image of a host occurrence that was valid (it is no violating
+        # survivor), so it is invalidated. Invalidation is looked for first.
+        fresh = frozenset(created)
         new = None
         for key in added:
-            if (key not in outside if outside is not None
-                    else _in_context(key, n, host, removed_nodes, removed_edges)):
+            if fresh.isdisjoint(key):
                 evidence["invalidated_occurrence"] = key
                 break
             if new is None:
@@ -151,14 +129,12 @@ def _judge(
             evidence["new_violating_occurrence"] = new
         directly_sustaining = not evidence
 
-        # A dropped key outside the context was destroyed, one inside it
-        # repaired; there is none when the host satisfied the constraint.
+        # There is no dropped key when the host satisfied the constraint.
         directly_improving = directly_sustaining and bool(dropped)
         if directly_improving:
             key = dropped[0]
-            inside = (key not in outside if outside is not None
-                      else _in_context(key, n, host, removed_nodes, removed_edges))
-            evidence["repaired_occurrence" if inside else "destroyed_occurrence"] = key
+            evidence["repaired_occurrence" if removed.isdisjoint(key)
+                     else "destroyed_occurrence"] = key
 
     flags = (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving)
@@ -175,15 +151,15 @@ def classify_step(
     Every flag is read off the reports of host and result. Since the track
     morphism is the identity on the ids of the context, an occurrence that
     lands in the context has the same images on both sides, so
-    occurrences are compared by their keys (:meth:`GraphMorphism.sort_key`),
-    and landing is tested on the images. The direct flags read only the
-    violating keys the step changed. Evidence is the first hit in
-    canonical order. ``report_before`` may carry a precomputed measurement
-    of the host to avoid recomputation in scans; passing it never changes
-    the outcome. The result's report, with the changed keys, is derived
-    from the host's where that pays (:func:`searches_per_step`,
-    :func:`step_report`); otherwise the result is measured again and the
-    two key tuples merged. A report of another graph or constraint is
+    occurrences are compared by their keys (:meth:`GraphMorphism.sort_key`).
+    The direct flags read only the violating keys the step changed, and
+    a changed key is labelled by whether it uses an id the step removed
+    or created (:func:`_judge`). Evidence is the first hit in canonical
+    order. ``report_before`` may carry a precomputed measurement of the
+    host to avoid recomputation in scans; passing it never changes the
+    outcome. The result's report is derived from the host's where that
+    pays (:func:`searches_per_step`, :func:`step_report`); otherwise the
+    result is measured again. A report of another graph or constraint is
     refused with :class:`MismatchError`.
     """
     before = report_before or consistency_report(t.host, constraint)
@@ -191,8 +167,9 @@ def classify_step(
                                   and before.constraint != constraint):
         raise MismatchError(f"report_before does not measure the host against {constraint.name!r}")
     derive = before.occ > searches_per_step(constraint, t.rule._changed_types)
-    after, flags, evidence = _judge(before, t.result, t.removed_nodes, t.removed_edges,
-                                    t.created if derive else None)
+    nodes, edges = t.created
+    after, flags, evidence = _judge(before, t.result, t.removed_nodes | t.removed_edges,
+                                    (*nodes, *edges), derive)
     return StepVerdict(constraint.name, *flags, before, after, evidence)
 
 
@@ -495,10 +472,10 @@ def classify_rule_empirical(
         derive = before.occ > derive_above
         for key in keys:
             node_map, edge_map = dict(zip(lhs_nodes, key)), dict(zip(lhs_edges, key[n:]))
-            result, *removed, ids = _rewritten(rule, host, node_map, edge_map, 0)
-            # Only a derivation and a recorded step read the created ids by kind.
-            created = rule._split_created(ids) if derive else None
-            after, flags, evidence = _judge(before, result, *removed, created)
+            result, removed_nodes, removed_edges, ids = _rewritten(rule, host, node_map,
+                                                                   edge_map, 0)
+            after, flags, evidence = _judge(before, result, removed_nodes | removed_edges, ids,
+                                            derive)
             steps_examined += 1
             (preserving, guaranteeing, sustaining, improving,
              directly_sustaining, directly_improving) = flags
@@ -509,8 +486,9 @@ def classify_rule_empirical(
             new = [claim for claim, hit in zip(_CLAIMS, hits) if hit and claim not in found]
             if new:
                 m = GraphMorphism(rule.lhs, host, node_map, edge_map)
-                t = Transformation(rule, host, m, result, *removed,
-                                   created or rule._split_created(ids), 0)
+                # Only a recorded step reads the created ids by kind.
+                t = Transformation(rule, host, m, result, removed_nodes, removed_edges,
+                                   rule._split_created(ids), 0)
                 record = (t, StepVerdict(constraint.name, *flags, before, after, evidence))
                 found.update(dict.fromkeys(new, record))
     if steps_examined == 0:

@@ -484,12 +484,11 @@ class _StepSearches:
     together with its ends, that is a loop exactly when the changed edge
     is one (a pattern edge between two nodes cannot land on a loop
     without losing injectivity, nor a pattern loop on a non-loop edge).
-    An edge with a changed end seeds nothing: every occurrence through it
-    also uses that end, whose searches find it. For ∀(P, ∃C) with chain
-    morphism b: P -> C, the same searches run over C, but only at the
-    nodes and edges of C outside b(P): an occurrence of C through a
-    changed element of b(P) restricts to an occurrence of P through that
-    element, which is destroyed or new anyway. ``positions`` restrict a
+    An edge with a changed end seeds nothing (:func:`_seeds_at`). For
+    ∀(P, ∃C) with chain morphism b: P -> C, the same searches run over
+    C, but only at the nodes and edges of C outside b(P): an occurrence
+    of C through a changed element of b(P) restricts to an occurrence of
+    P through that element, which is destroyed or new anyway. ``positions`` restrict a
     key of C to one of P along b: the position in C's key of each entry
     of P's.
     ``seeds`` holds, per pattern, the pattern and the nodes and edges it
@@ -552,29 +551,39 @@ class _StepSearches:
                 for graph, seeds in self._seeded(kind, element_type))
         return found
 
-    def run(self, graph: TypedGraph, nodes: Collection[str],
-            edges: Collection[str]) -> tuple[set[_Key], set[_Key]]:
+    def run(self, graph: TypedGraph, changed: Collection[str]) -> tuple[set[_Key], set[_Key]]:
         """The keys of the occurrences of P in ``graph`` that use one of
-        these elements, and those of the occurrences of P that an
+        the ``changed`` ids, and those of the occurrences of P that an
         occurrence of C using one of them outside b(P) restricts to."""
         found: list[set[_Key]] = [set() for _ in self.seeds]
-        for x in nodes:
-            seed = (x,)
-            for keys, searches in zip(found, self._compiled("node", graph.node_type(x))):
-                for search in searches:
-                    keys.update(search(graph, seed))
-        for e in edges:
-            etype, src, tgt = graph.edge_info(e)
-            if src in nodes or tgt in nodes:
-                continue  # the searches at that end find its occurrences
-            kind, seed = ("loop", (src, e)) if src == tgt else ("edge", (src, tgt, e))
-            for keys, searches in zip(found, self._compiled(kind, etype)):
+        for kind, element_type, seed in _seeds_at(graph, changed):
+            for keys, searches in zip(found, self._compiled(kind, element_type)):
                 for search in searches:
                     keys.update(search(graph, seed))
         positions = self.positions
         if positions is None:
             return found[0], set()
         return found[0], {tuple(map(key.__getitem__, positions)) for key in found[1]}
+
+
+def _seeds_at(graph: TypedGraph, changed: Collection[str]) -> Iterator[tuple[str, str, tuple]]:
+    """``(kind, type, seed)`` of each of the ``changed`` node and edge ids
+    of ``graph`` that starts the searches of a step (:class:`_StepSearches`):
+    a node as ``"node"`` with seed ``(node,)``; an edge with no changed
+    end as ``"loop"`` with seed ``(source, edge)`` or as ``"edge"`` with
+    seed ``(source, target, edge)``. An edge with a changed end starts
+    none: every occurrence through it also uses that end."""
+    for x in changed:
+        if graph.has_node(x):
+            yield "node", graph.node_type(x), (x,)
+            continue
+        etype, src, tgt = graph.edge_info(x)
+        if src in changed or tgt in changed:
+            continue
+        if src == tgt:
+            yield "loop", etype, (src, x)
+        else:
+            yield "edge", etype, (src, tgt, x)
 
 
 def _place(keys: list[_Key], key: _Key, member: bool) -> bool:
@@ -592,18 +601,16 @@ def _place(keys: list[_Key], key: _Key, member: bool) -> bool:
 
 
 def _changed_keys(
-    before: Sequence[_Key], after: Sequence[_Key], removed_nodes: frozenset[str],
-    removed_edges: frozenset[str],
+    before: Sequence[_Key], after: Sequence[_Key], removed: frozenset[str],
 ) -> tuple[list[_Key], list[_Key]]:
     """The violating keys of host and result that are not those of
     violating survivors, in one merge of the two sorted tuples.
 
     A key on one side only is dropped (destroyed or repaired) or added
     (new or invalidated). A key on both sides is a survivor's unless it
-    uses a removed id, which a created element then took again: its
-    host occurrence was destroyed and its result occurrence is new. Node
-    and edge ids of one graph differ, so the whole key is tested against
-    each kind.
+    uses one of the ``removed`` node and edge ids, which a created
+    element then took again: its host occurrence was destroyed and its
+    result occurrence is new.
     """
     dropped: list[_Key] = []
     added: list[_Key] = []
@@ -617,7 +624,7 @@ def _changed_keys(
             added.append(a)
             j += 1
         else:
-            if not (removed_nodes.isdisjoint(b) and removed_edges.isdisjoint(b)):
+            if not removed.isdisjoint(b):
                 dropped.append(b)
                 added.append(a)
             i += 1
@@ -630,16 +637,16 @@ def _changed_keys(
 def searches_per_step(constraint: Constraint,
                       changed_types: tuple[tuple[str, str], ...]) -> float:
     """How many seeded searches :func:`step_report` runs for a step whose
-    rule changes elements of these ``(kind, type)`` pairs
-    (``Rule._changed_types``); infinite for existential constraints and
-    deeper chains, which it measures again.
+    changed ids start searches of these ``(kind, type)`` pairs
+    (``Rule._changed_types``, the kinds of :func:`_seeds_at`); infinite
+    for existential constraints and deeper chains, which it measures
+    again.
 
-    The count is exact: the searches of P at each changed node and at
-    each changed edge without a changed end, and those of C at the
-    positions outside b(P) (:class:`_StepSearches`). Deriving a step's
-    report pays when the host has more occurrences than this; on tiny
-    hosts measuring again is cheaper. The count is worked out once per
-    rule and kept with the constraint's compiled searches.
+    The count is exact: per pair, the searches of P and those of C at
+    the positions outside b(P) (:class:`_StepSearches`). Deriving a
+    step's report pays when the host has more occurrences than this; on
+    tiny hosts measuring again is cheaper. The count is worked out once
+    per rule and kept with the constraint's compiled searches.
     """
     searches = constraint._step_searches
     return math.inf if searches is None else searches.count(changed_types)
@@ -648,17 +655,21 @@ def searches_per_step(constraint: Constraint,
 def step_report(
     before: ConsistencyReport,
     result: TypedGraph,
-    removed: tuple[Collection[str], Collection[str]],
-    created: tuple[Collection[str], Collection[str]],
-) -> tuple[ConsistencyReport, list[_Key], list[_Key], set[_Key] | None]:
-    """The report of a step's result, derived from ``before``, the host's,
-    and the violating keys the step changed.
+    removed: frozenset[str],
+    created: Collection[str] | None,
+) -> tuple[ConsistencyReport, list[_Key], list[_Key]]:
+    """The report of a step's result, and the violating keys the step
+    changed, from ``before``, the host's.
 
-    ``removed`` holds the ids of the host nodes and edges the step
-    removed, ``created`` those of the result nodes and edges it created.
-    The track morphism is the identity on the context, so an occurrence
-    that avoids the changed elements has one key on both sides. The
-    occurrences of the outer pattern P that use a removed element are
+    ``removed`` is the set of host node and edge ids the step removed
+    (node and edge ids of one graph differ), ``created`` the result node
+    and edge ids it created, or ``None``:
+    then, and for existential constraints and deeper chains, the result
+    is measured again with :func:`consistency_report` and the two key
+    tuples are merged (:func:`_changed_keys`). Otherwise the report is
+    derived. The track morphism is the identity on the context, so an
+    occurrence that avoids the changed ids has one key on both sides.
+    The occurrences of the outer pattern P that use a removed id are
     destroyed, and those that use a created one are new
     (:class:`_StepSearches` finds both). For ∀(P, ∃C), a surviving
     occurrence can lose its last witness only if that witness used a
@@ -669,26 +680,20 @@ def step_report(
     without such a witness and on the other survivors that an occurrence
     of C in the host at a removed element restricts to. Every other
     survivor keeps its verdict and the host's key object. For ∀(P,
-    false) every occurrence violates. Existential constraints and deeper
-    chains are measured with :func:`consistency_report`. Either way the
-    report equals that of :func:`consistency_report`.
+    false) every occurrence violates. Either way the report equals that
+    of :func:`consistency_report`.
 
     The keys come in canonical order: ``dropped``, the host's violating
     keys that are not those of violating survivors (destroyed or
-    repaired), and ``added``, the result's (new or invalidated). A
-    derivation records what it deletes and inserts, and returns last the
-    keys of the destroyed and new occurrences, the changed keys outside
-    the step's context; a recompute merges the two key tuples
-    (:func:`_changed_keys`) and returns ``None`` there.
+    repaired), and ``added``, the result's (new or invalidated).
     """
     constraint = before.constraint
     searches = constraint._step_searches
-    if searches is None:
+    if searches is None or created is None:
         after = consistency_report(result, constraint)
-        return (after, *_changed_keys(before.violating_keys, after.violating_keys,
-                                      *map(frozenset, removed)), None)
-    destroyed, lost = searches.run(before.graph, *removed)
-    new, gained = searches.run(result, *created)
+        return after, *_changed_keys(before.violating_keys, after.violating_keys, removed)
+    destroyed, lost = searches.run(before.graph, removed)
+    new, gained = searches.run(result, created)
     violates = constraint.shape.body._predicate
     keys = list(before.violating_keys)
     dropped: list[_Key] = []
@@ -714,4 +719,4 @@ def step_report(
     added.sort()
     report = ConsistencyReport(constraint.name, UNIVERSAL, before.occ - len(destroyed) + len(new),
                                 len(keys), tuple(keys), constraint, result)
-    return report, dropped, added, destroyed | new
+    return report, dropped, added

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import MismatchError
 
@@ -573,9 +573,9 @@ def enumerate_monomorphisms(pattern: TypedGraph, host: TypedGraph) -> list[Graph
 
     The order is lexicographic over the images of the sorted pattern node ids,
     with ties broken the same way on sorted pattern edge ids, so results are
-    reproducible across runs. The keys that the compiled search of
-    :func:`_images` yields are sorted before any morphism is built from them
-    by :meth:`GraphMorphism.from_key`.
+    reproducible across runs. The keys that the unseeded ``"search"`` form
+    of :func:`_search` yields are sorted before any morphism is built from
+    them by :meth:`GraphMorphism.from_key`.
     Each morphism appears exactly once. The occurrences that extend a given
     one along a morphism are :func:`gradcons.conditions.extensions`.
     """
@@ -583,26 +583,13 @@ def enumerate_monomorphisms(pattern: TypedGraph, host: TypedGraph) -> list[Graph
     if len(node_ids) == 1 and not edge_ids:
         # The occurrences of one node are the host nodes of its type, which
         # the host keeps in sorted order.
-        _check_type_graphs(pattern, host)
+        if pattern._type_graph is not host._type_graph and pattern._type_graph != host._type_graph:
+            raise MismatchError("pattern and host are typed over different type graphs")
         [v] = node_ids
         return [GraphMorphism(pattern, host, {v: w}, {})
                 for w in host._by_type.get(pattern._nodes[v], ())]
     return [GraphMorphism.from_key(pattern, host, key)
-            for key in sorted(_images(pattern, host))]
-
-
-def _check_type_graphs(pattern: TypedGraph, host: TypedGraph) -> None:
-    if pattern._type_graph is not host._type_graph and pattern._type_graph != host._type_graph:
-        raise MismatchError("pattern and host are typed over different type graphs")
-
-
-def _images(pattern: TypedGraph, host: TypedGraph) -> Iterator[_Key]:
-    """Every total injective morphism pattern -> host, lazily and in search
-    order, as its :meth:`GraphMorphism.sort_key`: the unseeded ``"search"``
-    form of :func:`_search`, which match scans run too. Stopping the
-    iteration stops the search."""
-    _check_type_graphs(pattern, host)
-    return _search(pattern, "search", (), ())(host, ())
+            for key in sorted(_search(pattern, "search", (), ())(host, ()))]
 
 
 # --- compiled searches --------------------------------------------------------
@@ -626,9 +613,12 @@ def _search(pattern: TypedGraph, form: str, nodes: _Seeds, edges: _Seeds) -> Cal
     total injective morphism pattern -> host; the ``"search"`` form yields
     each one as its :meth:`GraphMorphism.sort_key`, one flat tuple of the
     node images over the sorted pattern node ids, then the edge images
-    over the sorted edge ids. Without seeds the ``"search"`` form finds
-    every occurrence: :func:`_images` and match scans run it. The plan is
-    built only when the function is compiled.
+    over the sorted edge ids, lazily: stopping the iteration stops the
+    search. Without seeds the ``"search"`` form finds every occurrence:
+    :func:`enumerate_monomorphisms` and match scans run it. Either form
+    refuses a host typed over another type graph with
+    :class:`MismatchError`, the ``"search"`` form on the first ``next``.
+    The plan is built only when the function is compiled.
     """
     searches = pattern._searches
     if searches is None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping
 
-from .conditions import TRUE, Condition, TrueCondition
+from .conditions import TRUE, Condition, TrueCondition, _seeds_at
 from .errors import MatchError, MismatchError, RuleError
 from .graphs import GraphMorphism, TypedGraph, _Key, _search, inclusion, validate_graph
 
@@ -86,25 +87,16 @@ class Rule:
 
     @cached_property
     def _changed_types(self) -> tuple[tuple[str, str], ...]:
-        """``(kind, type)`` of each element a step deletes or creates and
-        seeds the searches that derive the result's report at, sorted
-        (:func:`searches_per_step` counts them): ``"node"`` for a node,
-        ``"loop"`` or ``"edge"`` for an edge, as its image is a loop or
-        not, which the rule fixes. An edge with a deleted or created end
-        seeds nothing: the searches at that node find every occurrence
-        through it."""
-        lhs, (new_nodes, new_edges) = self.lhs, self._created
-        deleted, created = set(self.deleted_nodes), set(self.created_nodes)
-
-        def edges(infos, changed):
-            return [("loop" if src == tgt else "edge", etype) for etype, src, tgt in infos
-                    if src not in changed and tgt not in changed]
-
-        return tuple(sorted(
-            [("node", lhs.node_type(n)) for n in self.deleted_nodes]
-            + edges(map(lhs.edge_info, self.deleted_edges), deleted)
-            + [("node", ntype) for _, ntype in new_nodes]
-            + edges(((etype, src, tgt) for _, etype, src, tgt in new_edges), created)))
+        """``(kind, type)`` of each id a step deletes or creates that
+        starts the searches deriving the result's report, sorted
+        (:func:`searches_per_step` counts them): the kinds
+        :func:`_seeds_at` reads off the lhs at the deleted ids and off the
+        rhs at the created ones. Match and comatch are injective, so the
+        ids a step removes from the host and creates in the result give
+        the same kinds."""
+        return tuple(sorted((kind, element_type) for kind, element_type, _ in chain(
+            _seeds_at(self.lhs, (*self.deleted_nodes, *self.deleted_edges)),
+            _seeds_at(self.rhs, (*self.created_nodes, *self.created_edges)))))
 
     def _split_created(self, ids: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The created node ids and the created edge ids among ``ids``,

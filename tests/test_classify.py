@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -59,6 +60,13 @@ from .suites import (
     seeded_cra_model,
     with_parallel_edges,
 )
+
+
+def _changed_ids(t):
+    """The ids a step changed: the removed host node and edge ids as one
+    set, and the created ids, nodes first."""
+    nodes, edges = t.created
+    return t.removed_nodes | t.removed_edges, (*nodes, *edges)
 
 
 def _one_step(rule, host, **picks):
@@ -622,18 +630,11 @@ EVIDENCE_LABELS = {"invalidated_occurrence", "new_violating_occurrence", "repair
                    "destroyed_occurrence"}
 
 
-@pytest.fixture
-def derived(monkeypatch):
-    """Judge every step from the keys :func:`conditions.step_report`
-    records: ``searches_per_step`` is put below every occurrence count, so
-    each universal step of one or two levels derives its result's report
-    (existential constraints and deeper chains measure it again there).
-    On every derived step the compiled searches that
-    ``_StepSearches.run`` calls number exactly ``searches_per_step`` of
-    the step's rule, so the gate weighs the work a derivation does.
-    Returns the list of constraint names ``step_report`` was called for."""
-    calls, searched, gated = [], [], []
-    original_report, original_compiled = classify.step_report, conditions._StepSearches._compiled
+def _count_searches(monkeypatch):
+    """The list to which each compiled search that ``_StepSearches.run``
+    calls appends its seed, from now on."""
+    searched = []
+    original = conditions._StepSearches._compiled
 
     def counting(search):
         def counted(graph, seed):
@@ -644,7 +645,25 @@ def derived(monkeypatch):
 
     def compiled(self, kind, element_type):
         return tuple(tuple(map(counting, searches))
-                     for searches in original_compiled(self, kind, element_type))
+                     for searches in original(self, kind, element_type))
+
+    monkeypatch.setattr(conditions._StepSearches, "_compiled", compiled)
+    return searched
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Judge every step from the keys :func:`conditions.step_report`
+    records: ``searches_per_step`` is put below every occurrence count, so
+    each universal step of one or two levels derives its result's report
+    (existential constraints and deeper chains measure it again there).
+    On every derived step the compiled searches that
+    ``_StepSearches.run`` calls number exactly ``searches_per_step`` of
+    the step's rule, so the gate weighs the work a derivation does.
+    Returns the list of constraint names ``step_report`` was called for."""
+    calls, gated = [], []
+    searched = _count_searches(monkeypatch)
+    original_report = classify.step_report
 
     def gate(constraint, changed_types):
         gated[:] = [changed_types]
@@ -659,7 +678,6 @@ def derived(monkeypatch):
             before.constraint_name, gated[0])
         return found
 
-    monkeypatch.setattr(conditions._StepSearches, "_compiled", compiled)
     monkeypatch.setattr(classify, "searches_per_step", gate)
     monkeypatch.setattr(classify, "step_report", recording)
     return calls
@@ -755,6 +773,47 @@ def test_hand_built_rules_seed_only_what_they_change():
         assert rule._changed_types == changed_types, rule.name
 
 
+def _cra_bound_three_steps(fixtures):
+    """Every step of every CRA rule over the bound-3 CRA universe, against
+    c1-c3."""
+    for host in bounded_hosts(fixtures.type_graph, 3):
+        for rule in fixtures.rule_list():
+            for m in find_matches(rule, host):
+                t = apply(rule, host, m)
+                for c in fixtures.constraint_list():
+                    yield t, c, None
+
+
+def test_a_step_seeds_the_searches_its_rule_counts(fixtures, monkeypatch):
+    """On every step of the hand-built rules, of the CRA rules over the
+    bound-3 CRA universe and of the random rule pairs over theirs, the ids
+    the step removed from the host and created in the result start
+    searches of exactly the rule's ``_changed_types``, and the two runs of
+    a derivation make ``searches_per_step`` searches."""
+    searched = _count_searches(monkeypatch)
+    steps, kinds = Counter(), set()
+    for suite, found in (("hand-built", _hand_built_steps(fixtures)),
+                         ("cra", _cra_bound_three_steps(fixtures)),
+                         ("random", _bound_three_steps())):
+        for t, c, _ in found:
+            removed, created = _changed_ids(t)
+            seeds = sorted((kind, element_type) for kind, element_type, _ in itertools.chain(
+                conditions._seeds_at(t.host, removed), conditions._seeds_at(t.result, created)))
+            where = (t.rule.name, c.name, t.match.sort_key())
+            assert tuple(seeds) == t.rule._changed_types, where
+            kinds.update(kind for kind, _ in seeds)
+            searches = c._step_searches
+            if searches is None:
+                continue
+            searched.clear()
+            searches.run(t.host, removed)
+            searches.run(t.result, created)
+            assert len(searched) == conditions.searches_per_step(c, t.rule._changed_types), where
+            steps[suite] += 1
+    assert kinds == {"node", "edge", "loop"}, kinds
+    assert min(steps.values()) >= 100 and len(steps) == 3, steps
+
+
 class TestDerivedJudgementAgainstReference:
     """The suites of :class:`TestClassifyStepAgainstReference`, with every
     step judged from the keys the derivation dropped and added. Together
@@ -805,8 +864,7 @@ class TestDerivedReportAgainstRecompute:
     @staticmethod
     def _agrees(t, constraint, before, recomputes, kinds):
         done = len(recomputes)
-        got, *_ = conditions.step_report(before, t.result, (t.removed_nodes, t.removed_edges),
-                                           t.created)
+        got, *_ = conditions.step_report(before, t.result, *_changed_ids(t))
         shape = constraint.shape
         recompute = shape.polarity == conditions.EXISTENTIAL or shape.level > 2
         assert len(recomputes) - done == recompute, (constraint.name, shape.render())
@@ -1002,24 +1060,23 @@ def test_judgement_agrees_with_a_scan_of_every_violating_key(fixtures, seed):
 def test_judging_a_large_host_step_reads_only_the_changed_keys(fixtures, cra_model_steps,
                                                                monkeypatch):
     """On the 160-node model, where c3 has over 500 violating occurrences,
-    every step derives its result's report, and its judgement tests no
-    key for lying in the context: the keys of the destroyed and new
-    occurrences that the derivation found tell the evidence labels."""
+    every step derives its result's report: its judgement measures no
+    result again, and the ids the step changed tell the evidence labels."""
     reports, steps = cra_model_steps
-    calls = []
-    original = classify._in_context
+    measured = []
+    original = conditions.consistency_report
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
+    def recording(graph, constraint):
+        measured.append(graph)
+        return original(graph, constraint)
 
-    monkeypatch.setattr(classify, "_in_context", counting)
+    monkeypatch.setattr(conditions, "consistency_report", recording)
     labels = set()
     for t in steps:
         for c, before in zip(fixtures.constraint_list(), reports):
             assert before.occ > conditions.searches_per_step(c, t.rule._changed_types)
             labels.update(classify_step(t, c, report_before=before).evidence_keys)
-    assert calls == []
+    assert len(steps) == 8 and measured == []
     assert len(labels) >= 2, labels
 
 
@@ -1068,11 +1125,11 @@ def test_derived_steps_place_gained_witnesses_unchecked_and_recheck_lost_ones(fi
             ("assignFeature", {"c": "C0", "f": "F76"}, set(), {("C0",)}),
             ("moveFeature", {"c_src": "C0", "c_tgt": "C1", "f": "F20"}, {("C0",)}, {("C1",)})):
         t = _one_step(fixtures.rules[name], host, **picks)
-        removed = (t.removed_nodes, t.removed_edges)
-        assert searches.run(host, *removed) == (set(), lost), name
-        assert searches.run(t.result, *t.created) == (set(), gained), name
+        removed, created = _changed_ids(t)
+        assert searches.run(host, removed) == (set(), lost), name
+        assert searches.run(t.result, created) == (set(), gained), name
         tested.clear()
-        after, *_ = conditions.step_report(before, t.result, removed, t.created)
+        after, *_ = conditions.step_report(before, t.result, removed, created)
         assert tested == sorted(lost), name
         assert after == consistency_report(t.result, c2), name
 

@@ -465,7 +465,8 @@ class TestCanonicalOrderFromImages:
         for pattern, host, oracle in cases:
             got = enumerate_monomorphisms(pattern, host)
             assert got == sorted(oracle, key=GraphMorphism.sort_key), pattern.edge_items()
-            assert [m.sort_key() for m in got] == sorted(graphs._images(pattern, host))
+            every = graphs._search(pattern, "search", (), ())(host, ())
+            assert [m.sort_key() for m in got] == sorted(every)
             for m in got:
                 assert (tuple(m.node_map), tuple(m.edge_map)) == (pattern.node_ids,
                                                                   pattern.edge_ids)
@@ -515,7 +516,7 @@ class TestCanonicalOrderFromImages:
                      TypedGraph(tg)):
             assert enumerate_monomorphisms(pattern, host) == []
             assert monos_by_permutation(pattern, host) == []
-            assert list(graphs._images(pattern, host)) == []
+            assert list(graphs._search(pattern, "search", (), ())(host, ())) == []
 
     def test_unseeded_search_refuses_another_type_graph(self):
         tg = TypeGraph(["A"], [("r", "A", "A")])
@@ -526,7 +527,7 @@ class TestCanonicalOrderFromImages:
             with pytest.raises(MismatchError):
                 enumerate_monomorphisms(pattern, host)
             with pytest.raises(MismatchError):
-                graphs._images(pattern, host)
+                list(graphs._search(pattern, "search", (), ())(host, ()))
         # Equal type graphs are one vocabulary, however they were built.
         same = TypeGraph(["A"], [("r", "A", "A")])
         pattern = TypedGraph(tg, [("a", "A")], [("e", "r", "a", "a")])
@@ -1048,9 +1049,10 @@ class TestSkippedWork:
         host = random_host(fixtures.type_graph, random.Random(7), 100, 0.03)
         host._triples = probes = _CountingTriples(host._triples)
         pattern = fixtures.constraints["c3"].shape.outer_graph
-        assert next(graphs._images(pattern, host), None) is not None
+        search = graphs._search(pattern, "search", (), ())
+        assert next(search(host, ()), None) is not None
         first, probes.lookups = probes.lookups, 0
-        every = list(graphs._images(pattern, host))
+        every = list(search(host, ()))
         assert len(every) > 1
         assert first * 10 < probes.lookups, (first, probes.lookups)
 
