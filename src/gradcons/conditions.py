@@ -275,6 +275,24 @@ def _anchor_keys(a: GraphMorphism) -> tuple[tuple[tuple[int, str], ...], ...]:
             tuple((n + j, a.edge_map[e]) for j, e in enumerate(edge_ids)))
 
 
+def _scan_test(condition: Condition) -> object:
+    """The application condition as a rule's compiled scan tests it in
+    place of its predicate (``graphs._search``): ``True`` for ``TRUE``,
+    ``("not", test)`` and ``("and", test, test)`` for ``Not`` and ``And``,
+    ``("exists", codomain, nodes, edges)`` for an :class:`Exists` node
+    with a ``TRUE`` sub-condition, seeded at its anchor keys, and
+    ``("call", predicate)`` for any other node."""
+    if isinstance(condition, TrueCondition):
+        return True
+    if isinstance(condition, Not):
+        return ("not", _scan_test(condition.sub))
+    if isinstance(condition, And):
+        return ("and", _scan_test(condition.left), _scan_test(condition.right))
+    if isinstance(condition.sub, TrueCondition):
+        return ("exists", condition.morphism.codomain, *_anchor_keys(condition.morphism))
+    return ("call", condition._predicate)
+
+
 def satisfies(p: GraphMorphism, condition: Condition) -> bool:
     """Does the total injective occurrence ``p`` satisfy ``condition``?"""
     if not (p.is_injective() and p.is_total()):

@@ -136,7 +136,7 @@ class TypedGraph:
         # for this graph as a pattern, are built on first use.
         self._incident: dict[str, tuple[str, ...]] | None = None
         self._plans: dict[frozenset[str], _Plan] | None = None
-        self._searches: dict[tuple[str, _Seeds, _Seeds], Callable] | None = None
+        self._searches: dict[tuple[str | tuple, _Seeds, _Seeds], Callable] | None = None
 
     def _with_edges(
         self,
@@ -501,7 +501,10 @@ class _Plan:
     """The search plan for one pattern and one set of seeded nodes.
 
     ``steps`` lists the free nodes in search order as ``(node, type,
-    source, checks)``. ``source`` is ``None`` when the candidates are all
+    source, checks)``: sorted by id, but the free nodes without a pattern
+    edge come after all the others, and a seeded plan takes next the
+    first free node with a placed neighbour. ``source`` is ``None`` when
+    the candidates are all
     host nodes of the type, or ``(placed node, edge type, outgoing)`` when
     they are the host neighbours of that node's image along edges of the
     type, leaving it when ``outgoing``. ``checks`` are the signatures of
@@ -517,7 +520,11 @@ class _Plan:
 
     def __init__(self, pattern: TypedGraph, seeded: frozenset[str]):
         placed = set(seeded)
-        free = [v for v in pattern.node_ids if v not in placed]
+        # A free node without pattern edges has nothing to check, so it
+        # goes after every node that has one (a stable sort): there it
+        # multiplies only finished occurrences, not the loops after it.
+        free = sorted((v for v in pattern.node_ids if v not in placed),
+                      key=lambda v: not pattern.incident_edges(v))
         steps = []
         while free:
             # A seeded search places next the first free node adjacent to
@@ -600,7 +607,7 @@ def enumerate_monomorphisms(pattern: TypedGraph, host: TypedGraph) -> list[Graph
 _LOOPS_PER_FUNCTION = 12
 
 
-def _search(pattern: TypedGraph, form: str, nodes: _Seeds, edges: _Seeds) -> Callable:
+def _search(pattern: TypedGraph, form: str | tuple, nodes: _Seeds, edges: _Seeds) -> Callable:
     """The search of ``pattern`` as generated code, kept on the pattern.
 
     ``nodes``/``edges`` pair each seeded pattern node and pinned pattern
@@ -615,10 +622,21 @@ def _search(pattern: TypedGraph, form: str, nodes: _Seeds, edges: _Seeds) -> Cal
     node images over the sorted pattern node ids, then the edge images
     over the sorted edge ids, lazily: stopping the iteration stops the
     search. Without seeds the ``"search"`` form finds every occurrence:
-    :func:`enumerate_monomorphisms` and match scans run it. Either form
-    refuses a host typed over another type graph with
-    :class:`MismatchError`, the ``"search"`` form on the first ``next``.
-    The plan is built only when the function is compiled.
+    :func:`enumerate_monomorphisms` runs it.
+
+    The scan form ``("scan", test, degrees)`` is a rule's match scan over
+    its lhs ``pattern``, without seeds. Called as ``(host, rejected)``, it
+    yields the keys of the matches it keeps, in no fixed order. At each
+    occurrence it tests first the application condition as ``test``
+    describes it (``conditions._scan_test``), then the gluing condition:
+    the image of each deleted node, at a ``(key position, lhs degree)`` of
+    ``degrees``, must have exactly that many incident host edges. It
+    counts each occurrence it refuses in ``rejected[0]`` or
+    ``rejected[1]``, by the first test that fails.
+
+    Every form refuses a host typed over another type graph with
+    :class:`MismatchError`, a generator on the first ``next``. The plan is
+    built only when the function is compiled.
     """
     searches = pattern._searches
     if searches is None:
@@ -637,22 +655,119 @@ def _search_factory(source: str) -> Callable[..., Callable]:
     return namespace["make"]
 
 
-def _search_source(
-    pattern: TypedGraph, form: str, nodes: _Seeds, edges: _Seeds
-) -> tuple[str, tuple[object, ...]]:
-    """The source of a search factory and the constants it takes.
+class _Source:
+    """The source of one search factory as it is written: the lines of its
+    functions, the constants ``K<i>`` they read, named in order of first
+    use, and the number of continuation functions ``s<i>`` so far."""
 
-    Type names, element ids and seed positions reach the code only as
-    arguments ``K<i>`` of the factory, next to the type graph ``TG``, so
-    the text depends on the form and the plan's shape alone. Each pattern edge is
-    tested once: at entry a pinned edge, whose ends are seeded, by its
-    image, and one between seeded nodes by a probe; the others as the
-    plan's checks place them. One loop places each free node in plan
-    order, then one per signature group with free edges assigns those.
-    Every :data:`_LOOPS_PER_FUNCTION` loops the search goes on in a new
-    function ``s<i>``, so the nesting stays bounded for any pattern size.
+    __slots__ = ("lines", "constants", "functions")
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.constants: dict[tuple[str, object], str] = {}
+        self.functions = 0
+
+    def k(self, role: str, value: object) -> str:
+        name = self.constants.get((role, value))
+        if name is None:
+            name = self.constants[role, value] = f"K{len(self.constants)}"
+        return name
+
+
+def _search_source(
+    pattern: TypedGraph, form: str | tuple, nodes: _Seeds, edges: _Seeds
+) -> tuple[str, tuple[object, ...]]:
+    """The source of a search factory ``make``, which takes the constants
+    and returns the function ``search``, and the constants it takes.
+
+    Type names, element ids, seed positions, degrees and predicates reach
+    the code only as arguments ``K<i>`` of the factory, next to the type
+    graph ``TG``, so the text depends on the form and the plans' shapes
+    alone (:func:`_emit_search` writes each search, :func:`_emit_scan`
+    a scan).
     """
-    exists = form == "exists"
+    source = _Source()
+    if isinstance(form, str):
+        _emit_search(source, "search", pattern, nodes, edges, form)
+    else:
+        _emit_scan(source, pattern, *form[1:])
+    params = ", ".join(["TG", *source.constants.values()])
+    text = "\n".join([f"def make({params}):", *source.lines, "    return search", ""])
+    return text, (pattern.type_graph, *(value for _, value in source.constants))
+
+
+def _emit_scan(source: _Source, lhs: TypedGraph, test: object,
+               degrees: tuple[tuple[int, int], ...]) -> None:
+    """Write the scan form of :func:`_search` into ``source``.
+
+    The test becomes boolean structure around each occurrence: a
+    ``("call", predicate)`` calls the predicate on the key, and an
+    ``("exists", graph, nodes, edges)`` calls a function ``x<i>`` written
+    after the scan. That function is the ``"exists"`` form of ``graph``,
+    but it takes the images the scan placed at its seeds as arguments,
+    and trusts them: it tests neither the type graph, nor their types,
+    nor the pinned edges. The gluing test reads the host's incidence
+    index, built there on first use.
+    """
+    existence: list[tuple[TypedGraph, _Seeds, _Seeds]] = []
+
+    def tests(emit: Callable[..., None], fail: str, images: list[str]) -> None:
+        def expression(part) -> str:
+            if part is True:
+                return "True"
+            kind, *args = part
+            if kind == "not":
+                return f"not {expression(args[0])}"
+            if kind == "and":
+                return f"({expression(args[0])} and {expression(args[1])})"
+            if kind == "call":
+                key = "".join(f"{x}, " for x in images)
+                return f"{source.k('predicate', args[0])}(host, ({key}))"
+            existence.append(tuple(args))
+            at = [images[position] for position, _ in (*args[1], *args[2])]
+            return f"x{len(existence) - 1}({', '.join(['host', *at])})"
+
+        if test is not True:
+            emit(f"if not {expression(test)}:", "    rejected[0] += 1", f"    {fail}")
+        if degrees:
+            dangles = " or ".join(f"len(inc[{images[position]}]) != {source.k('degree', degree)}"
+                                  for position, degree in degrees)
+            emit("inc = host._incident",
+                 "if inc is None:",
+                 "    inc = host._incidence()",
+                 f"if {dangles}:", "    rejected[1] += 1", f"    {fail}")
+
+    _emit_search(source, "search", lhs, (), (), "scan", tests)
+    for i, (graph, at_nodes, at_edges) in enumerate(existence):
+        _emit_search(source, f"x{i}", graph, at_nodes, at_edges, "placed")
+
+
+def _emit_search(
+    out: _Source, name: str, pattern: TypedGraph, nodes: _Seeds, edges: _Seeds, form: str,
+    tests: Callable[[Callable[..., None], str, list[str]], None] | None = None,
+) -> None:
+    """Write the function ``name`` of one search of ``pattern`` into
+    ``out``, with the continuations it needs.
+
+    ``form`` is ``"exists"`` or ``"search"``, called as ``(host, key)``;
+    ``"scan"``, a ``"search"`` without seeds called as ``(host,
+    rejected)``, where ``tests(emit, fail, images)`` writes what each
+    occurrence must pass before its key is yielded; or ``"placed"``, an
+    ``"exists"`` called with the seed images themselves, trusted.
+
+    Each pattern edge is tested once: at entry a pinned edge, whose ends
+    are seeded, by its image, and one between seeded nodes by a probe;
+    the others as the plan's checks place them. One loop places each free
+    node in plan order, then one per signature group with free edges
+    assigns those. Every :data:`_LOOPS_PER_FUNCTION` loops the search goes
+    on in a new function ``s<i>``, so the nesting stays bounded for any
+    pattern size.
+    """
+    exists = form in ("exists", "placed")
+    trusted = form == "placed"
+    carried = ["rejected"] if form == "scan" else []
+    k = out.k
+    lines = out.lines
     plan = _plan(pattern, frozenset(v for _, v in nodes))
     # A candidate can only be a host node placed before it if that node has
     # its type. So a step tests its candidates against the set ``used``
@@ -662,18 +777,9 @@ def _search_source(
     seen = {pattern.node_type(v) for _, v in nodes}
     tested = [t in seen or t in step_types[:level] for level, t in enumerate(step_types)]
     tracked = any(tested)
-    keys: dict[tuple[str, object], str] = {}
 
-    def k(role: str, value: object) -> str:
-        name = keys.get((role, value))
-        if name is None:
-            name = keys[role, value] = f"K{len(keys)}"
-        return name
-
-    lines: list[str] = []
     depth = 2
     loops = 0
-    functions = 0
     # What ends this candidate: outside every loop the function ends.
     done = "return False" if exists else "return"
     fail = done
@@ -694,18 +800,18 @@ def _search_source(
     def make_room() -> None:
         # Called before the code of a loop: with the current function full,
         # the search goes on in a new one.
-        nonlocal depth, loops, functions, fail
+        nonlocal depth, loops, fail
         if loops < _LOOPS_PER_FUNCTION:
             return
-        functions += 1
-        args = ", ".join(["host", *(["used"] if tracked else []),
+        out.functions += 1
+        args = ", ".join(["host", *carried, *(["used"] if tracked else []),
                           *node_var.values(), *edge_var.values()])
         if exists:
-            emit(f"if s{functions}({args}):", "    return True")
+            emit(f"if s{out.functions}({args}):", "    return True")
         else:
-            emit(f"yield from s{functions}({args})")
+            emit(f"yield from s{out.functions}({args})")
         end_function()
-        lines.append(f"    def s{functions}({args}):")
+        lines.append(f"    def s{out.functions}({args}):")
         depth, loops, fail = 2, 0, done
         emit("hn, he, tr = host._nodes, host._edges, host._triples",
              "bt, inc = host._by_type, host._incident")
@@ -720,29 +826,33 @@ def _search_source(
     def fails(test: str) -> None:
         emit(f"if {test}:", f"    {fail}")
 
-    emit("tg = host._type_graph",
-         "if tg is not TG and tg != TG:",
-         "    raise MismatchError('pattern and host are typed over different type graphs')")
-    neighbours = any(source for _, _, source, _ in plan.steps)
-    if nodes or neighbours:
-        emit("hn = host._nodes")
     # The pattern node or edge -> the variable holding its host image.
-    node_var: dict[str, str] = {}
-    for position, v in nodes:
-        n = node_var[v] = f"n{len(node_var)}"
-        emit(f"{n} = key[{k('position', position)}]")
-        fails(f"hn.get({n}) != {k('node type', pattern.node_type(v))}")
+    node_var = {v: f"n{i}" for i, (_, v) in enumerate(nodes)}
+    edge_var = {c: f"f{j}" for j, (_, c) in enumerate(edges)}
+    params = [*node_var.values(), *edge_var.values()] if trusted else carried or ["key"]
+    lines.append(f"    def {name}({', '.join(['host', *params])}):")
+    neighbours = any(source for _, _, source, _ in plan.steps)
 
     def probe(etype: str, src: str, tgt: str) -> str:
         return f"({k('edge type', etype)}, {node_var[src]}, {node_var[tgt]})"
 
-    if edges or neighbours:
-        emit("he = host._edges")
-    edge_var: dict[str, str] = {}
-    for position, c in edges:
-        f = edge_var[c] = f"f{len(edge_var)}"
-        emit(f"{f} = key[{k('position', position)}]")
-        fails(f"he.get({f}) != {probe(*pattern.edge_info(c))}")
+    if trusted:
+        if neighbours:
+            emit("hn = host._nodes", "he = host._edges")
+    else:
+        emit("tg = host._type_graph",
+             "if tg is not TG and tg != TG:",
+             "    raise MismatchError('pattern and host are typed over different type graphs')")
+        if nodes or neighbours:
+            emit("hn = host._nodes")
+        for position, v in nodes:
+            emit(f"{node_var[v]} = key[{k('position', position)}]")
+            fails(f"hn.get({node_var[v]}) != {k('node type', pattern.node_type(v))}")
+        if edges or neighbours:
+            emit("he = host._edges")
+        for position, c in edges:
+            emit(f"{edge_var[c]} = key[{k('position', position)}]")
+            fails(f"he.get({edge_var[c]}) != {probe(*pattern.edge_info(c))}")
     pinned = dict(edge_var)
     if len(pinned) < len(pattern.edge_ids):
         emit("tr = host._triples")
@@ -806,13 +916,12 @@ def _search_source(
         else:
             open_loop(f"for {', '.join(names)} in permutations({pool}, {len(free)}):")
         edge_var.update(zip(free, names))
+    images = [*map(node_var.__getitem__, pattern.node_ids),
+              *map(edge_var.__getitem__, pattern.edge_ids)]
+    if tests is not None:
+        tests(emit, fail, images)
     if exists:
         emit("return True")
     else:
-        emit("yield (" + "".join(f"{node_var[v]}, " for v in pattern.node_ids)
-             + "".join(f"{edge_var[e]}, " for e in pattern.edge_ids) + ")")
+        emit("yield (" + "".join(f"{x}, " for x in images) + ")")
     end_function()
-    params = ", ".join(["TG", *keys.values()])
-    source = "\n".join([f"def make({params}):", "    def search(host, key):",
-                        *lines, "    return search", ""])
-    return source, (pattern.type_graph, *(value for _, value in keys))

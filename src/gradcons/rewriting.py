@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Callable, Mapping
 
-from .conditions import TRUE, Condition, TrueCondition, _seeds_at
+from .conditions import TRUE, Condition, TrueCondition, _scan_test, _seeds_at
 from .errors import MatchError, MismatchError, RuleError
 from .graphs import GraphMorphism, TypedGraph, _Key, _search, inclusion, validate_graph
 
@@ -77,6 +77,14 @@ class Rule:
                      for v in self.deleted_nodes)
 
     @cached_property
+    def _scan(self) -> Callable:
+        """The compiled scan of the rule (:func:`scan_matches`), made on
+        first use: the lhs search with the application condition and then
+        the gluing condition tested inline at each occurrence."""
+        return _search(self.lhs, ("scan", _scan_test(self.condition), self._deleted_degrees),
+                       (), ())
+
+    @cached_property
     def _created(self) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str, str, str], ...]]:
         """What every step creates, read off the rhs once: each created
         node as ``(id, type)`` and each created edge as ``(id, type,
@@ -116,8 +124,10 @@ class MatchScan:
 
     A scan stores what it found: ``keys``, the
     :meth:`GraphMorphism.sort_key` of each kept match in canonical order,
-    and the two rejection counts. ``lhs`` and ``host`` take no part in
-    equality. ``matches`` builds the kept matches as morphisms on read.
+    and the two rejection counts, each occurrence of the lhs counted at the
+    first filter that refuses it, the application condition before the
+    gluing condition. ``lhs`` and ``host`` take no part in equality.
+    ``matches`` builds the kept matches as morphisms on read.
     """
 
     keys: tuple[_Key, ...]
@@ -140,7 +150,8 @@ def _glues(degrees: tuple[tuple[int, int], ...], incident: Mapping[str, tuple[st
     the images of the node's lhs edges are distinct host edges at its
     image, and the condition holds when the host has no more edges there.
     ``degrees`` are the rule's ``_deleted_degrees``, ``incident`` the
-    host's incidence index."""
+    host's incidence index. A compiled scan makes the same test inline;
+    :func:`apply` calls this one."""
     for position, degree in degrees:
         if len(incident[key[position]]) != degree:
             return False
@@ -150,30 +161,16 @@ def _glues(degrees: tuple[tuple[int, int], ...], incident: Mapping[str, tuple[st
 def scan_matches(rule: Rule, host: TypedGraph) -> MatchScan:
     """All applicable matches in canonical order, with diagnostics.
 
-    The lhs search runs as generated code without seeds and yields image
-    tuples, which sort natively into canonical order. The application
-    condition's predicate tests each key before the gluing condition
-    (:func:`_glues`), so the rejection counts attribute each refusal to
-    the first failing filter. No morphism or map is built.
+    The rule's compiled scan (``Rule._scan``) runs the lhs search as
+    generated code without seeds. At each occurrence it tests the
+    application condition first, then the gluing condition, so the
+    rejection counts attribute each refusal to the first failing filter,
+    and yields only the image tuples of the kept matches, which sort
+    natively into canonical order. No morphism or map is built.
     """
-    lhs = rule.lhs
-    keys = sorted(_search(lhs, "search", (), ())(host, ()))
-    rejected_condition = 0
-    rejected_dangling = 0
-    test = None if rule.is_plain() else rule.condition._predicate
-    degrees = rule._deleted_degrees
-    if test is not None or degrees:
-        incident = host._incidence() if degrees else None
-        kept = []
-        for key in keys:
-            if test is not None and not test(host, key):
-                rejected_condition += 1
-            elif degrees and not _glues(degrees, incident, key):
-                rejected_dangling += 1
-            else:
-                kept.append(key)
-        keys = kept
-    return MatchScan(tuple(keys), rejected_condition, rejected_dangling, lhs, host)
+    rejected = [0, 0]
+    keys = sorted(rule._scan(host, rejected))
+    return MatchScan(tuple(keys), *rejected, rule.lhs, host)
 
 
 def find_matches(rule: Rule, host: TypedGraph) -> list[GraphMorphism]:

@@ -73,6 +73,16 @@ def _exists_nodes(condition):
     return (node for node in _nodes(condition) if isinstance(node, Exists))
 
 
+def _scan_exists(test) -> list:
+    """The ``("exists", pattern, nodes, edges)`` parts of a compiled
+    scan's test: the existence checks it makes inline."""
+    if test is True or test[0] == "call":
+        return []
+    if test[0] == "exists":
+        return [test]
+    return [part for parts in test[1:] for part in _scan_exists(parts)]
+
+
 def _check_every_node(condition, graph, outcomes: Counter, kinds: Counter | None = None) -> None:
     """The compiled predicate of every node of ``condition`` that has an
     anchor, at every occurrence of the anchor in ``graph``, against
@@ -779,10 +789,11 @@ def _scan_agrees_with_oracle(rule, host) -> tuple[int, int, int]:
 
 
 class TestScanAgainstOracle:
-    """``scan_matches`` sorts the image tuples of the compiled lhs search
-    and tests each with the condition's predicate, then with the degree
-    test for gluing; the oracle finds the occurrences by permutation and
-    tests the condition and gluing from the definitions."""
+    """``scan_matches`` runs the rule's compiled scan, which tests each
+    occurrence of the lhs with the condition inline, then with the degree
+    test for gluing, and sorts the image tuples it keeps; the oracle finds
+    the occurrences by permutation and tests the condition and gluing from
+    the definitions."""
 
     def test_seeded_random_step_suite(self):
         totals = [0, 0, 0]
@@ -796,6 +807,7 @@ class TestScanAgainstOracle:
         rng = random.Random(83)
         totals = [0, 0, 0]
         seen: Counter = Counter()
+        inline: Counter = Counter()
         for index in range(400):
             rule = _random_deleting_rule(rng, index)
             lhs = rule.lhs
@@ -804,12 +816,23 @@ class TestScanAgainstOracle:
                 seen["loop"] += any(x == y for _, x, y in ends)
                 seen["parallel"] += len(ends) > len(set(ends))
             seen["nested"] += sum(node.sub != TRUE for node in _exists_nodes(rule.condition))
+            # The scan checks existence inline, at bundles of pinned and
+            # free edges too, and calls the predicate of a nested node.
+            test = conditions._scan_test(rule.condition)
+            for _, pattern, _, pins in _scan_exists(test):
+                pinned = {c for _, c in pins}
+                signatures = {pattern.edge_info(c) for c in pinned}
+                inline["exists"] += 1
+                inline["bundle"] += any(pattern.edge_info(e) in signatures
+                                        for e in pattern.edge_ids if e not in pinned)
+            inline["called"] += "'call'" in repr(test)
             for _ in range(3):
                 host = with_parallel_edges(
                     random_host(LOOPS, rng, rng.randint(2, 4), 0.6), rng, 0.4)
                 totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
         assert min(totals) >= 80, totals
         assert min(seen.values()) >= 200, seen
+        assert inline["exists"] >= 80 and inline["bundle"] >= 50 and inline["called"] >= 150, inline
 
     def test_cra_rules_on_their_bound_four_universes(self, fixtures):
         totals = [0, 0, 0]
@@ -838,6 +861,261 @@ class TestScanAgainstOracle:
         assert all(kept for kept, _, _ in counts.values()), counts
 
 
+def _edgeless_cases(rng: random.Random, n: int):
+    """``n`` random patterns over ``LOOPS`` with one or two nodes without
+    edges, each of a type that a node with edges has too, and sometimes a
+    third of either type; and random hosts with parallel edges."""
+    for index in range(n):
+        # Level ids other than those that ``_random_chain`` grows.
+        core = _grown(_grown(TypedGraph(LOOPS), rng, 5), rng, 6)
+        types = sorted({core.node_type(v) for v in core.node_ids})
+        # Ids that sort before or after those of the core.
+        loose = [(f"{rng.choice('aw')}{index}{j}", rng.choice(types))
+                 for j in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            loose.append((f"k{index}", rng.choice("AB")))
+        pattern = TypedGraph(LOOPS, [*core.node_items(), *loose], core.edge_items())
+        host = with_parallel_edges(random_host(LOOPS, rng, rng.randint(3, 5), 0.5), rng, 0.3)
+        # Isolated host nodes, where a deleted edgeless node glues.
+        yield pattern, host.with_added([(f"z{j}", rng.choice("AB")) for j in range(2)])
+
+
+class TestPlanOrder:
+    """Free nodes without pattern edges go last in every plan."""
+
+    def test_edgeless_free_nodes_go_after_all_others(self):
+        rng = random.Random(89)
+        seen: Counter = Counter()
+        for pattern, _ in _edgeless_cases(rng, 300):
+            edgeless = {v for v in pattern.node_ids if not pattern.incident_edges(v)}
+            seeds = rng.sample(pattern.node_ids, rng.randint(1, pattern.node_count - 1))
+            for seeded in (frozenset(), frozenset(seeds)):
+                steps = [v for v, *_ in graphs._Plan(pattern, seeded).steps]
+                last = sorted(edgeless - seeded)
+                first = steps[:len(steps) - len(last)]
+                assert steps[len(first):] == last, (pattern.node_items(), seeded)
+                assert set(first) == set(pattern.node_ids) - edgeless - seeded
+                if not seeded:
+                    # Without seeds each group keeps the sorted order.
+                    assert first == sorted(first)
+                seen["seeded" if seeded else "unseeded"] += bool(first and last)
+        assert seen["unseeded"] == 300 and seen["seeded"] >= 80, seen
+
+    def test_move_feature_scan_lookups(self, fixtures):
+        # Placed before the feature, as in the sorted order of the lhs
+        # ids, the edgeless target class made the scan probe the edge
+        # index once per class pair and feature: 529 768 lookups.
+        host = seeded_cra_model(fixtures.type_graph, random.Random(1))
+        host._triples = probes = _CountingTriples(host._triples)
+        scan = scan_matches(fixtures.rules["moveFeature"], host)
+        assert (len(scan.keys), scan.rejected_by_condition) == (11_856, 152)
+        assert probes.lookups <= 30_568, probes.lookups
+
+    def test_edgeless_nodes_against_the_oracles(self):
+        """Edgeless nodes of a type placed before them are tested against
+        the set of placed nodes; enumeration, seeded searches and scans of
+        rules that delete them agree with the permutation oracles."""
+        rng = random.Random(97)
+        seen: Counter = Counter()
+        totals = [0, 0, 0]
+        for index, (pattern, host) in enumerate(_edgeless_cases(rng, 300)):
+            oracle = monos_by_permutation(pattern, host)
+            assert enumerate_monomorphisms(pattern, host) == sorted(
+                oracle, key=GraphMorphism.sort_key), (pattern.node_items(), host.edge_items())
+            for m in rng.sample(oracle, min(3, len(oracle))):
+                node_seed = {v: m.node_map[v] for v in pattern.node_ids if rng.random() < 0.4}
+                want = _seeded_oracle(oracle, node_seed, {})
+                assert conditions.extensions(*_seeded(pattern, host, node_seed, {})) == want
+                seen["seeded"] += 1
+            source = graphs._search_source(pattern, "search", (), ())[0]
+            seen["used"] += "in used" in source
+            edgeless = [v for v in pattern.node_ids if not pattern.incident_edges(v)]
+            interface = pattern.without(rng.sample(edgeless, 1))
+            condition = TRUE
+            if rng.random() < 0.6:
+                condition = _random_chain(rng, rng.randint(1, 2), rng.random() < 0.5, pattern)
+            rule = Rule(f"e{index}", pattern, interface, interface, condition)
+            totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
+        assert seen["used"] >= 250 and seen["seeded"] >= 150, seen
+        assert min(totals) >= 150, totals
+
+
+def _scan_by_predicates(rule, host) -> tuple[list, int, int]:
+    """The scan on the path that ``apply`` keeps: every lhs occurrence,
+    tested with the condition's predicate and then the degree test."""
+    kept, by_condition, by_gluing = [], 0, 0
+    for m in enumerate_monomorphisms(rule.lhs, host):
+        key = m.sort_key()
+        if not rule.condition._predicate(host, key):
+            by_condition += 1
+        elif not rewriting._glues(rule._deleted_degrees, host._incidence(), key):
+            by_gluing += 1
+        else:
+            kept.append(key)
+    return kept, by_condition, by_gluing
+
+
+class TestCompiledScan:
+    """A rule's scan is one generated search with its condition and its
+    gluing test at each occurrence, compiled once per rule."""
+
+    def test_nested_nodes_call_their_predicate(self, monkeypatch):
+        lhs = TypedGraph(LOOPS, [("a", "A"), ("b", "B")], [("ab", "s", "a", "b")])
+        loop = lhs.with_added([], [("aa", "r", "a", "a")])
+        other = loop.with_added([("c", "A")], [("ca", "r", "c", "a")])
+        nested = Exists(inclusion(lhs, loop), Not(Exists(inclusion(loop, other))))
+        second = lhs.with_added([], [("ab2", "s", "a", "b")])
+        kept = lhs.without(["b"], ["ab"])
+        rule = Rule("nested", lhs, kept, kept,
+                    And(Not(nested), Not(Exists(inclusion(lhs, second)))))
+        inner = nested._predicate
+        keys: Counter = Counter()
+
+        def counting(host, key):
+            keys[key] += 1
+            return inner(host, key)
+
+        monkeypatch.setitem(vars(nested), "_predicate", counting)
+        assert conditions._scan_test(rule.condition) == (
+            "and", ("not", ("call", counting)),
+            ("not", ("exists", second, *_anchor_keys(inclusion(lhs, second)))))
+        rng = random.Random(41)
+        totals = [0, 0, 0]
+        for _ in range(100):
+            host = with_parallel_edges(random_host(LOOPS, rng, rng.randint(3, 5), 0.5), rng, 0.4)
+            keys.clear()
+            totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
+            # The predicate sees the key of each occurrence once.
+            occurrences = [m.sort_key() for m in enumerate_monomorphisms(lhs, host)]
+            assert sorted(keys.elements()) == occurrences
+        assert min(totals) >= 20, totals
+
+    def test_scans_over_several_functions(self, monkeypatch):
+        # A path of 13 nodes: 25 loops, so the scan goes on in two
+        # continuation functions. Its NAC forbids a loop at the first
+        # node and it deletes the last one, which must have no other edge.
+        tg = TypeGraph(["T"], [("r", "T", "T")])
+
+        def path(ids):
+            return TypedGraph(tg, [(v, "T") for v in ids],
+                              [(f"e{i:02d}", "r", x, y)
+                               for i, (x, y) in enumerate(zip(ids, ids[1:]))])
+
+        lhs = path([f"v{i:02d}" for i in range(13)])
+        looped = lhs.with_added([], [("x", "r", "v00", "v00")])
+        kept = lhs.without(["v12"], ["e11"])
+        rule = Rule("tail", lhs, kept, kept, Not(Exists(inclusion(lhs, looped))))
+        test = ("scan", conditions._scan_test(rule.condition), rule._deleted_degrees)
+        source = graphs._search_source(lhs, test, (), ())[0]
+        assert "def s1(" in source and "def s2(" in source and "def s3(" not in source
+        host_ids = [f"h{i:02d}" for i in range(15)]
+        host = path(host_ids).with_added([], [("y", "r", "h00", "h00")])
+        scan = scan_matches(rule, host)
+        # Offset 0 has the loop, offset 1 leaves an edge at h14.
+        assert (list(scan.keys), scan.rejected_by_condition, scan.rejected_by_dangling) == (
+            [(*host_ids[2:], *(f"e{i:02d}" for i in range(2, 14)))], 1, 1)
+        assert scan_matches(rule, host) == scan
+        assert (list(scan.keys), 1, 1) == _scan_by_predicates(rule, host)
+        # With one loop per function every scan and existence check of the
+        # random suite splits, and still agrees with the oracle.
+        monkeypatch.setattr(graphs, "_LOOPS_PER_FUNCTION", 1)
+        rng = random.Random(43)
+        totals = [0, 0, 0]
+        split = 0
+        for index in range(300):
+            rule = _random_deleting_rule(rng, index)
+            test = ("scan", conditions._scan_test(rule.condition), rule._deleted_degrees)
+            split += "def s2(" in graphs._search_source(rule.lhs, test, (), ())[0]
+            for _ in range(3):
+                host = with_parallel_edges(
+                    random_host(LOOPS, rng, rng.randint(2, 4), 0.6), rng, 0.4)
+                totals = [t + n for t, n in zip(totals, _scan_agrees_with_oracle(rule, host))]
+        assert split >= 150 and min(totals) >= 40, (split, totals)
+
+    def test_user_text_never_enters_the_scan_source(self):
+        odd = "__import__('os').system('exit 1')\n\"\\'"
+        found = {}
+        for prefix in ("", odd):
+            def label(x: str) -> str:
+                return prefix + x
+
+            tg = TypeGraph([label("A"), label("B")], [(label("r"), label("A"), label("A")),
+                                                      (label("s"), label("A"), label("B"))])
+
+            def graph(nodes, edges):
+                return TypedGraph(tg, [(label(v), label(t)) for v, t in nodes],
+                                  [(label(e), label(t), label(x), label(y))
+                                   for e, t, x, y in edges])
+
+            lhs = graph([("a", "A"), ("b", "B")], [("ab", "s", "a", "b")])
+            loop = graph([("a", "A"), ("b", "B")], [("ab", "s", "a", "b"), ("aa", "r", "a", "a")])
+            other = graph([("a", "A"), ("b", "B"), ("c", "A")],
+                          [("ab", "s", "a", "b"), ("aa", "r", "a", "a"), ("ca", "r", "c", "a")])
+            kept = graph([("a", "A")], [])
+            rule = Rule(label("d"), lhs, kept, kept, And(
+                Not(Exists(inclusion(lhs, loop))),
+                Not(Exists(inclusion(lhs, other), Exists(inclusion(other, other))))))
+            test = ("scan", conditions._scan_test(rule.condition), rule._deleted_degrees)
+            source = graphs._search_source(lhs, test, (), ())[0]
+            assert "import" not in source and "def x0(" in source and "(host, (n0, " in source
+            host = graph([("h", "A"), ("i", "A"), ("j", "B"), ("k", "B")],
+                         [("e1", "s", "h", "j"), ("e2", "r", "i", "h"), ("e3", "s", "i", "k"),
+                          ("e4", "r", "i", "i")])
+            scan = scan_matches(rule, host)
+            assert (list(scan.keys), scan.rejected_by_condition,
+                    scan.rejected_by_dangling) == scan_by_permutation(rule, host)
+            found[prefix] = (source, rule._scan.__code__,
+                             scan.rejected_by_condition, scan.rejected_by_dangling, len(scan.keys))
+        assert found[odd] == found[""]
+        assert found[""][2:] == (1, 0, 1)
+
+    def test_built_and_loaded_fixtures_share_each_scan_code(self):
+        built, loaded = cra.build_fixtures(), cra.load_fixtures()
+        for ours, theirs in zip(built.rule_list(), loaded.rule_list()):
+            assert ours._scan is not theirs._scan
+            assert ours._scan.__code__ is theirs._scan.__code__, ours.name
+
+    def test_each_rule_compiles_its_scan_once(self, monkeypatch):
+        compiled: Counter = Counter()
+        source = graphs._search_source
+
+        def counting(pattern, form, nodes, edges):
+            if not isinstance(form, str):
+                compiled[id(pattern)] += 1
+            return source(pattern, form, nodes, edges)
+
+        monkeypatch.setattr(graphs, "_search_source", counting)
+        fresh = cra.build_fixtures()
+        rng = random.Random(9)
+        for _ in range(5):
+            host = random_host(fresh.type_graph, rng, 6, 0.4)
+            for rule in fresh.rule_list():
+                scan_matches(rule, host)
+        for c in fresh.constraint_list():
+            classify_rule_empirical(fresh.rules["deleteEmptyClass"], c, bound=3, samples=5)
+        assert sorted(compiled) == sorted(id(rule.lhs) for rule in fresh.rule_list())
+        assert set(compiled.values()) == {1}
+
+    def test_a_scan_without_candidates_builds_no_incidence_index(self, fixtures):
+        tg = fixtures.type_graph
+        delete = fixtures.rules["deleteEmptyClass"]
+        features = TypedGraph(tg, [("f1", "Feature"), ("f2", "Feature")],
+                              [("d", "dependsOn", "f1", "f2")])
+        assert scan_matches(delete, features).keys == ()
+        assert features._incident is None
+        # A lhs edge that the host lacks: no candidate either.
+        lhs = TypedGraph(LOOPS, [("a", "A"), ("b", "B")], [("ab", "s", "a", "b")])
+        cut = Rule("cut", lhs, lhs.without(["a"], ["ab"]), lhs.without(["a"], ["ab"]))
+        bare = TypedGraph(LOOPS, [("h", "A"), ("j", "B")], [("x", "r", "h", "h")])
+        assert scan_matches(cut, bare) == rewriting.MatchScan((), 0, 0, lhs, bare)
+        assert bare._incident is None
+        # A candidate that passes the condition reaches the gluing test,
+        # which builds the index.
+        joined = bare.with_added([], [("y", "s", "h", "j")])
+        assert scan_matches(cut, joined).rejected_by_dangling == 1
+        assert joined._incident is not None
+
+
 class TestSkippedWork:
     def test_reads_never_materialize_extensions(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -850,13 +1128,16 @@ class TestSkippedWork:
             assert form == "exists" or not nodes, "a seeded search form was compiled"
             if form == "exists":
                 compiled.append(pattern)
+            elif form != "search":
+                # A scan compiles the existence checks of its test inline.
+                compiled.extend(pattern for _, pattern, _, _ in _scan_exists(form[1]))
             return source(pattern, form, nodes, edges)
 
         # Existence checks of the CRA conditions all have a TRUE
-        # sub-condition, so a read compiles the exists form for them and
-        # the extension API does not run. Outer searches have no seed,
-        # whichever engine runs them. Fresh fixtures hold no compiled
-        # search yet.
+        # sub-condition, so a read compiles the exists form for them, in
+        # a report's predicate or inline in a scan, and the extension API
+        # does not run. Outer searches have no seed, whichever engine
+        # runs them. Fresh fixtures hold no compiled search yet.
         for name in ("extensions", "iter_extensions"):
             monkeypatch.setattr(conditions, name, refuse)
         monkeypatch.setattr(graphs, "_search_source", no_seeded_search)
